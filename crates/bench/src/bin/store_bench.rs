@@ -1,5 +1,5 @@
-//! `store-bench` — compression ratio and throughput of the columnar
-//! trace store, recorded to `BENCH_store.json`.
+//! `store-bench` — compression ratio of the columnar trace store,
+//! recorded to `artifacts/BENCH_store.json`.
 //!
 //! ```text
 //! store-bench                 # measure, print, write BENCH_store.json
@@ -9,11 +9,10 @@
 //! ```
 //!
 //! Workload size honours `FLUCTRACE_PERF_SAMPLES`; chunking honours
-//! `FLUCTRACE_STORE_CHUNK`. The artifact lands in both
-//! `artifacts/BENCH_store.json` and the repo-root mirror CI uploads.
+//! `FLUCTRACE_STORE_CHUNK`. Store throughput is not measured here: see
+//! `store.write.*` / `store.read.*` in `benchmark/README.md`.
 
 use fluctrace_bench::obs_support;
-use fluctrace_bench::perf_hunt::repo_root_bench_path;
 use fluctrace_bench::store_experiment::measure_store;
 use std::process::ExitCode;
 
@@ -21,7 +20,6 @@ struct Args {
     gate: bool,
     floor: f64,
     label: String,
-    reps: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -29,7 +27,6 @@ fn parse_args() -> Result<Args, String> {
         gate: false,
         floor: 3.0,
         label: "HEAD".to_string(),
-        reps: 3,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -41,13 +38,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--floor requires a value")?
                     .parse()
                     .map_err(|e| format!("--floor: {e}"))?;
-            }
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .ok_or("--reps requires a value")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
             }
             "--label" => args.label = it.next().ok_or("--label requires a value")?,
             "--obs" => {
@@ -70,7 +60,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let bench = measure_store(&args.label, args.reps);
+    let bench = measure_store(&args.label);
     println!(
         "[store-bench] workload: {} samples + {} marks",
         bench.samples, bench.marks
@@ -88,23 +78,15 @@ fn main() -> ExitCode {
         bench.suppression_ratio,
         bench.elided,
     );
-    println!(
-        "[store-bench] write {:.1} MB/s, read {:.1} MB/s (min over {} reps), \
-         round-trips bit-exact: {}",
-        bench.write_mb_per_s, bench.read_mb_per_s, args.reps, bench.verified,
-    );
+    println!("[store-bench] round-trips bit-exact: {}", bench.verified);
 
     let mut ok = bench.verified;
-    for path in [
-        fluctrace_bench::artifact_dir().join("BENCH_store.json"),
-        repo_root_bench_path("BENCH_store.json"),
-    ] {
-        match bench.save(&path) {
-            Ok(()) => println!("[store-bench] -> {}", path.display()),
-            Err(e) => {
-                eprintln!("[store-bench] save: {e}");
-                ok = false;
-            }
+    let path = fluctrace_bench::artifact_dir().join("BENCH_store.json");
+    match bench.save(&path) {
+        Ok(()) => println!("[store-bench] -> {}", path.display()),
+        Err(e) => {
+            eprintln!("[store-bench] save: {e}");
+            ok = false;
         }
     }
 

@@ -1,10 +1,10 @@
-//! store-bench — compression ratio and throughput of the columnar
-//! on-disk trace store (`BENCH_store.json`).
+//! store-bench — compression ratio of the columnar on-disk trace store
+//! (`BENCH_store.json`).
 //!
 //! The paper's case study writes hundreds of MB/s of raw PEBS data
 //! (§IV.C); the store's job is to make persisting that stream cheap.
-//! This harness quantifies the claim on the ~1 M-sample perf-hunt
-//! workload:
+//! This harness quantifies the volume side of the claim on the
+//! ~1 M-sample perf-hunt workload:
 //!
 //! * **compression ratio** — columnar store bytes vs the
 //!   `export::anomaly_trace` JSON document of a flag-everything online
@@ -13,14 +13,12 @@
 //! * **redundancy suppression** — the Arafa-style elision pass on a
 //!   locality-quantized twin of the workload (every sample IP snapped
 //!   to its function entry, the hot-loop shape suppression targets),
-//!   with the exactness ledger replayed and verified;
-//! * **throughput** — min-over-reps wall time of full write and full
-//!   read, in MB/s of *stored* bytes.
+//!   with the exactness ledger replayed and verified.
 //!
 //! Every run re-verifies bit-exact round-trips before any number is
-//! recorded. Wall-clock readings use `std::time::Instant` directly:
-//! this crate sits outside the clock-hygiene fence and the timings feed
-//! only `BENCH_*.json` / stdout, never figure artifacts.
+//! recorded. Nothing here reads a clock: how fast the store writes and
+//! reads is `store.write.*` / `store.read.*` in the repository's
+//! benchmark (`benchmark/README.md`), the one place time is measured.
 
 use crate::perf_hunt::{synth_workload, HuntConfig};
 use fluctrace_core::anomaly_trace;
@@ -32,10 +30,9 @@ use serde::{Deserialize, Serialize};
 use std::io::Cursor;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Schema tag of `BENCH_store.json`.
-pub const SCHEMA: &str = "fluctrace.bench.store.v1";
+pub const SCHEMA: &str = "fluctrace.bench.store.v2";
 
 /// The persisted `BENCH_store.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -62,14 +59,6 @@ pub struct StoreBench {
     pub elided: u64,
     /// `locality_bytes / locality_suppressed_bytes`.
     pub suppression_ratio: f64,
-    /// Min wall time of a full unsuppressed write, ns.
-    pub write_ns_min: u64,
-    /// Min wall time of a full read of that store, ns.
-    pub read_ns_min: u64,
-    /// Stored MB per second of write wall time.
-    pub write_mb_per_s: f64,
-    /// Stored MB per second of read wall time.
-    pub read_mb_per_s: f64,
     /// All round-trips (plain and ledger-replayed) compared bit-exact.
     pub verified: bool,
 }
@@ -116,32 +105,20 @@ pub fn json_baseline_bytes(bundle: &TraceBundle, symtab: &Arc<SymbolTable>, freq
 }
 
 /// Run the store benchmark on the (env-scaled) perf-hunt workload.
-pub fn measure_store(label: &str, reps: u64) -> StoreBench {
+pub fn measure_store(label: &str) -> StoreBench {
     let hunt = HuntConfig::from_env();
     let (bundle, symtab) = synth_workload(&hunt);
     let symtab = Arc::new(symtab);
     let freq = Freq::ghz(3);
-    let reps = reps.max(1);
 
     let json_bytes = json_baseline_bytes(&bundle, &symtab, freq);
 
-    // Timed write/read of the unsuppressed store.
+    // The unsuppressed store, read back bit-exact.
     let config = StoreConfig::from_env();
-    let mut write_ns_min = u64::MAX;
-    let mut read_ns_min = u64::MAX;
-    let mut bytes = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        bytes = write_to_vec(&bundle, config);
-        write_ns_min = write_ns_min.min(t0.elapsed().as_nanos() as u64);
-        let t1 = Instant::now();
-        let back = read_back(&bytes);
-        read_ns_min = read_ns_min.min(t1.elapsed().as_nanos() as u64);
-        std::hint::black_box(&back);
-    }
+    let bytes = write_to_vec(&bundle, config);
     let store_bytes = bytes.len() as u64;
-    let mut verified =
-        read_back(&bytes).samples == bundle.samples && read_back(&bytes).marks == bundle.marks;
+    let back = read_back(&bytes);
+    let mut verified = back.samples == bundle.samples && back.marks == bundle.marks;
 
     // Suppression on the locality-quantized twin, ledger verified.
     let twin = quantize_ips(&bundle, &symtab);
@@ -154,14 +131,7 @@ pub fn measure_store(label: &str, reps: u64) -> StoreBench {
     let elided = stats.elided;
     verified &= read_back(&sup_bytes).samples == twin.samples;
 
-    let mb = |b: u64, ns: u64| {
-        if ns == 0 {
-            f64::INFINITY
-        } else {
-            b as f64 / 1e6 / (ns as f64 / 1e9)
-        }
-    };
-    let report = StoreBench {
+    StoreBench {
         schema: SCHEMA.to_string(),
         label: label.to_string(),
         samples: bundle.samples.len() as u64,
@@ -173,17 +143,8 @@ pub fn measure_store(label: &str, reps: u64) -> StoreBench {
         locality_suppressed_bytes: sup_bytes.len() as u64,
         elided,
         suppression_ratio: locality_bytes as f64 / sup_bytes.len().max(1) as f64,
-        write_ns_min,
-        read_ns_min,
-        write_mb_per_s: mb(store_bytes, write_ns_min),
-        read_mb_per_s: mb(store_bytes, read_ns_min),
         verified,
-    };
-    if fluctrace_obs::recording() {
-        fluctrace_obs::gauge!("bench.store.write_mb_per_s").record(report.write_mb_per_s as u64);
-        fluctrace_obs::gauge!("bench.store.read_mb_per_s").record(report.read_mb_per_s as u64);
     }
-    report
 }
 
 impl StoreBench {
@@ -275,10 +236,6 @@ mod tests {
             locality_suppressed_bytes: 5,
             elided: 1,
             suppression_ratio: 2.0,
-            write_ns_min: 1,
-            read_ns_min: 1,
-            write_mb_per_s: 1.0,
-            read_mb_per_s: 1.0,
             verified: true,
         };
         assert!(b.gate(3.0).0);

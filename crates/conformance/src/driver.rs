@@ -19,6 +19,7 @@
 //! all that is needed to replay it (`generate(&spec_from_seed(seed))`).
 
 use crate::gen::Workload;
+use crate::naive_codec::check_store_columns;
 use crate::oracle::{self, OracleOffline, OracleOnline};
 use fluctrace_core::online::{OnlineConfig, OnlineReport, OnlineTracer};
 use fluctrace_core::{
@@ -118,6 +119,9 @@ pub struct DiffSummary {
     /// Sample rows the store's redundancy suppression elided (and the
     /// ledger replayed) across the store legs of this workload.
     pub store_elided: u64,
+    /// Store columns whose bytes were compared against the naive
+    /// four-way trial encoder across the store legs of this workload.
+    pub store_columns: u64,
 }
 
 /// One divergence between two executions of the same workload.
@@ -291,6 +295,8 @@ fn check_store(
         }
 
         // Bit-exact replay (ledger applied when suppressing).
+        summary.store_columns +=
+            check_store_columns(&bytes).map_err(|e| fail(seed, "store-columns", e))?;
         let mut reader = TraceReader::open(Cursor::new(bytes))
             .map_err(|e| fail(seed, "store-open", e.to_string()))?;
         let got = reader
@@ -396,17 +402,15 @@ fn check_store(
     }
 
     check_store_suppressible(w, summary)?;
-    check_store_spill(w)
+    check_store_spill(w, summary)
 }
 
-/// Conformance workloads rarely repeat exact IPs, so the suppressed leg
-/// above mostly retains everything. Derive a *suppressible* twin —
+/// Conformance workloads rarely repeat exact IPs, so a suppressed write
+/// of one mostly retains everything. This derives a *suppressible* twin:
 /// every second sample copies its stream predecessor's `(ip, r13,
-/// event)` when on the same core — and prove the ledger replays that
-/// bundle bit-exactly too, with real elisions on every seed.
-fn check_store_suppressible(w: &Workload, summary: &mut DiffSummary) -> Result<(), Disagreement> {
-    let seed = w.spec.seed;
-    let mut twin = w.bundle.clone();
+/// event)` when on the same core.
+pub fn suppressible_twin(bundle: &TraceBundle) -> TraceBundle {
+    let mut twin = bundle.clone();
     let mut prev: Option<PebsRecord> = None;
     for (i, s) in twin.samples.iter_mut().enumerate() {
         if let Some(p) = prev {
@@ -418,12 +422,22 @@ fn check_store_suppressible(w: &Workload, summary: &mut DiffSummary) -> Result<(
         }
         prev = Some(*s);
     }
+    twin
+}
+
+/// Prove the ledger replays the [`suppressible_twin`] bit-exactly too,
+/// with real elisions on every seed.
+fn check_store_suppressible(w: &Workload, summary: &mut DiffSummary) -> Result<(), Disagreement> {
+    let seed = w.spec.seed;
+    let twin = suppressible_twin(&w.bundle);
     let config = StoreConfig {
         chunk_rows: 512,
         ..StoreConfig::suppressed(1 << 30)
     };
     let (bytes, stats) = write_bundle_to_vec(&twin, config)
         .map_err(|e| fail(seed, "store-twin-write", e.to_string()))?;
+    summary.store_columns +=
+        check_store_columns(&bytes).map_err(|e| fail(seed, "store-twin-columns", e))?;
     let got = TraceReader::open(Cursor::new(bytes))
         .and_then(|mut r| r.read_bundle())
         .map_err(|e| fail(seed, "store-twin-read", e.to_string()))?;
@@ -442,7 +456,7 @@ fn check_store_suppressible(w: &Workload, summary: &mut DiffSummary) -> Result<(
 /// batches with a spill writer attached must leave a store whose
 /// read-back equals the concatenated batches bit-exactly, with spill
 /// accounting matching the ledger.
-fn check_store_spill(w: &Workload) -> Result<(), Disagreement> {
+fn check_store_spill(w: &Workload, summary: &mut DiffSummary) -> Result<(), Disagreement> {
     let seed = w.spec.seed;
     let mut config = OnlineConfig::new(w.freq);
     config.divergence_factor = 0.0;
@@ -480,7 +494,10 @@ fn check_store_spill(w: &Workload) -> Result<(), Disagreement> {
             ),
         ));
     }
-    let got = TraceReader::open(Cursor::new(buf.contents()))
+    let bytes = buf.contents();
+    summary.store_columns +=
+        check_store_columns(&bytes).map_err(|e| fail(seed, "store-spill-columns", e))?;
+    let got = TraceReader::open(Cursor::new(bytes))
         .and_then(|mut r| r.read_bundle())
         .map_err(|e| fail(seed, "store-spill-read", e.to_string()))?;
     if got.samples != expect.samples || got.marks != expect.marks {
@@ -581,8 +598,15 @@ fn check_offline(
             // The columnar trace must round-trip to the exact AoS trace:
             // same attributed rows, same intervals, same errors. Serde
             // bytes make "exact" unarguable.
-            let aos = serde_json::to_string(&it).unwrap_or_default();
-            let back = serde_json::to_string(&soa.to_integrated()).unwrap_or_default();
+            // `stats` holds clock readings of two separate runs (the
+            // tick clock is process-wide, so concurrent tests move it):
+            // not part of the trace, and blanked on both sides.
+            let mut aos_trace = it.clone();
+            let mut soa_trace = soa.to_integrated();
+            aos_trace.stats = Default::default();
+            soa_trace.stats = Default::default();
+            let aos = serde_json::to_string(&aos_trace).unwrap_or_default();
+            let back = serde_json::to_string(&soa_trace).unwrap_or_default();
             if aos != back {
                 return Err(fail(
                     seed,

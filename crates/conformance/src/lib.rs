@@ -4,7 +4,7 @@
 //! paper's whole claim rests on attribution being *exact* — every PEBS
 //! sample lands in the one mark interval and function range containing
 //! it, and every sample the tracer sheds is explicitly counted. This
-//! crate pins those invariants with three independent pieces:
+//! crate pins those invariants with four independent pieces:
 //!
 //! * [`oracle`] — a deliberately naive, obviously-correct reference:
 //!   an `O(items × samples)` brute-force attribution plus a dumb
@@ -15,6 +15,9 @@
 //!   multi-core mark/sample streams: overlapping cores,
 //!   boundary-coincident timestamps, TSC wraparound, orphan/duplicate
 //!   marks, and fault schedules from `fluctrace_sim::FaultPlan`.
+//! * [`naive_codec`] — the store's original four-way trial encoder
+//!   (encode under every codec, keep the first smallest), kept as the
+//!   byte-level reference for the writer's one-pass codec choice.
 //! * [`driver`] — runs each workload through the sharded offline
 //!   pipeline (`core::integrate`/`estimate`), the online tracer
 //!   (`core::online`), and the oracle, and asserts byte-level agreement
@@ -31,10 +34,12 @@
 
 pub mod driver;
 pub mod gen;
+pub mod naive_codec;
 pub mod oracle;
 pub mod windowed;
 
 pub use driver::{check_workload, CanonicalTable, DiffSummary, Disagreement};
 pub use gen::{generate, spec_from_seed, Workload, WorkloadSpec};
+pub use naive_codec::{check_store_columns, naive_encode_column};
 pub use oracle::{OracleLoss, OracleOffline, OracleOnline};
 pub use windowed::{check_windowed, WindowedSummary};

@@ -55,6 +55,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
     let mut multibatch = 0u32;
     let mut store_bytes = 0u64;
     let mut store_elided = 0u64;
+    let mut store_columns = 0u64;
     for seed in 0..SWEEP_SEEDS {
         let spec = spec_from_seed(seed);
         let summary = check_seed(seed);
@@ -78,6 +79,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
         }
         store_bytes += summary.store_bytes;
         store_elided += summary.store_elided;
+        store_columns += summary.store_columns;
     }
     // Shape-coverage floor: each hard family appears many times.
     assert!(wrap >= 30, "only {wrap} near-wrap workloads");
@@ -99,6 +101,13 @@ fn sweep_seeds_agree_with_shape_coverage() {
     assert!(
         store_elided >= 1000,
         "only {store_elided} rows elided across the sweep"
+    );
+    // Four store files per seed, each with at least a sample chunk (5
+    // columns) and a mark chunk (4), every one of them byte-compared
+    // against the naive four-way trial encoder.
+    assert!(
+        store_columns >= SWEEP_SEEDS * 4 * 9,
+        "only {store_columns} store columns compared against the naive encoder"
     );
 }
 

@@ -351,9 +351,10 @@ impl Default for DegradeStats {
 ///
 /// Spilling is best-effort by contract: an I/O error disables the sink
 /// and is counted in `errors` — the worker keeps processing, because
-/// the tracer must survive the overloads it diagnoses. Rows that were
-/// appended before a failure remain readable (segments already finished
-/// stand on their own).
+/// the tracer must survive the overloads it diagnoses. A disabled sink
+/// still says what it took: the row counts are the rows appended up to
+/// the failing write and `bytes` what the sink accepted before it (the
+/// segment has no footer, so those bytes need salvage to be read).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpillStats {
     /// Batches appended to the store.
@@ -369,6 +370,16 @@ pub struct SpillStats {
     pub bytes: u64,
     /// Spill I/O or finish errors; the first one disables the sink.
     pub errors: u64,
+}
+
+impl SpillStats {
+    /// Take the row and byte totals from the store writer's.
+    fn record(&mut self, stats: WriteStats) {
+        self.samples = stats.samples;
+        self.marks = stats.marks;
+        self.elided = stats.elided;
+        self.bytes = stats.bytes;
+    }
 }
 
 /// Final report of an online-tracing session.
@@ -650,6 +661,8 @@ pub type BatchInspector = Box<dyn FnMut(&TraceBundle) + Send>;
 /// each received batch, and stream end finishes the segment.
 trait SpillSink: Send {
     fn append(&mut self, batch: &TraceBundle) -> Result<(), StoreError>;
+    /// Running totals (zero once finished).
+    fn stats(&self) -> WriteStats;
     fn finish(&mut self) -> Result<WriteStats, StoreError>;
 }
 
@@ -665,6 +678,13 @@ impl<W: std::io::Write + Send> SpillSink for SpillWriter<W> {
             Some(w) => w.append(batch),
             None => Err(StoreError::Io("spill writer already finished".into())),
         }
+    }
+
+    fn stats(&self) -> WriteStats {
+        self.writer
+            .as_ref()
+            .map(TraceWriter::stats)
+            .unwrap_or_default()
     }
 
     fn finish(&mut self) -> Result<WriteStats, StoreError> {
@@ -751,6 +771,7 @@ impl Worker {
                 Ok(()) => self.report.spill.batches += 1,
                 Err(_) => {
                     self.report.spill.errors += 1;
+                    self.report.spill.record(sink.stats());
                     self.spill = None;
                 }
             }
@@ -761,14 +782,13 @@ impl Worker {
     /// the report. Called once from [`Worker::finalize`].
     fn spill_finish(&mut self) {
         if let Some(mut sink) = self.spill.take() {
+            let running = sink.stats();
             match sink.finish() {
-                Ok(stats) => {
-                    self.report.spill.samples = stats.samples;
-                    self.report.spill.marks = stats.marks;
-                    self.report.spill.elided = stats.elided;
-                    self.report.spill.bytes = stats.bytes;
+                Ok(stats) => self.report.spill.record(stats),
+                Err(_) => {
+                    self.report.spill.errors += 1;
+                    self.report.spill.record(running);
                 }
-                Err(_) => self.report.spill.errors += 1,
             }
         }
     }
@@ -1910,7 +1930,8 @@ mod tests {
     }
 
     /// A failing spill sink degrades to not spilling: the error is
-    /// counted, the worker survives, and the report is complete.
+    /// counted once, the worker survives, and the report says exactly
+    /// what the sink took before it failed.
     #[test]
     fn spill_io_error_degrades_not_dies() {
         struct FailingSink;
@@ -1923,27 +1944,39 @@ mod tests {
             }
         }
         // TraceWriter::new writes the magic eagerly, so construction
-        // itself fails on this sink — exercise the worker path with a
-        // writer whose sink starts working and then fails. Simplest: a
-        // sink that accepts the 8-byte magic and nothing else.
-        struct MagicOnly(usize);
-        impl std::io::Write for MagicOnly {
+        // itself fails on a sink that never works.
+        assert!(TraceWriter::new(FailingSink, fluctrace_store::StoreConfig::default()).is_err());
+
+        /// Takes `left` writes whole, then fails every later one.
+        struct FillsUp {
+            left: usize,
+            accepted: Arc<AtomicU64>,
+        }
+        impl std::io::Write for FillsUp {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if self.0 >= 8 {
+                if self.left == 0 {
                     return Err(std::io::Error::other("disk full"));
                 }
-                self.0 += buf.len();
+                self.left -= 1;
+                self.accepted.fetch_add(buf.len() as u64, Ordering::Relaxed);
                 Ok(buf.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())
             }
         }
-        assert!(TraceWriter::new(FailingSink, fluctrace_store::StoreConfig::default()).is_err());
+        // Room for the magic and two chunks. With 3-row chunks and 2
+        // samples + 2 marks a batch, batch 1 completes the first sample
+        // chunk and the first mark chunk; the third chunk write — batch
+        // 2's samples filling the second sample chunk — fails.
+        let accepted = Arc::new(AtomicU64::new(0));
         let writer = TraceWriter::new(
-            MagicOnly(0),
+            FillsUp {
+                left: 3,
+                accepted: Arc::clone(&accepted),
+            },
             fluctrace_store::StoreConfig {
-                chunk_rows: 1,
+                chunk_rows: 3,
                 ..fluctrace_store::StoreConfig::default()
             },
         )
@@ -1957,7 +1990,16 @@ mod tests {
         }
         let report = tracer.finish().unwrap();
         assert_eq!(report.items_processed, 10, "worker must keep processing");
-        assert!(report.spill.errors >= 1);
-        assert!(report.spill.batches < 10, "sink disabled after the error");
+        assert_eq!(report.spill.errors, 1, "the first error disables the sink");
+        assert_eq!(report.spill.batches, 2, "batches wholly appended");
+        assert_eq!(
+            report.spill.samples, 6,
+            "rows appended before the failing write"
+        );
+        assert_eq!(report.spill.marks, 4);
+        assert_eq!(report.spill.elided, 0);
+        let on_sink = accepted.load(Ordering::Relaxed);
+        assert!(on_sink > 8, "two chunks reached the sink");
+        assert_eq!(report.spill.bytes, on_sink);
     }
 }

@@ -376,16 +376,6 @@ pub const CATALOG: &[MetricDef] = &[
         "perf-hunt fast-path estimate throughput (wall-derived)",
     ),
     gauge(
-        "bench.store.write_mb_per_s",
-        "mb_per_s",
-        "store-bench columnar write throughput (wall-derived)",
-    ),
-    gauge(
-        "bench.store.read_mb_per_s",
-        "mb_per_s",
-        "store-bench columnar read throughput (wall-derived)",
-    ),
-    gauge(
         "bench.serve.items_per_sec",
         "items_per_s",
         "serve-bench sustained daemon throughput (wall-derived)",

@@ -2,13 +2,17 @@
 //! self-delimiting column encodings (raw, delta, dictionary, RLE).
 //!
 //! Every encoding starts with a varint row count and is decodable
-//! without knowing its byte length; [`encode_column`] tries all four
-//! and keeps the smallest (ties broken by a fixed candidate order, so
-//! the chosen bytes depend only on the column's contents). Decoders
+//! without knowing its byte length; [`encode_column`] keeps the
+//! smallest of the four (ties broken by a fixed candidate order, so the
+//! chosen bytes depend only on the column's contents). The encoding
+//! loops and the size arithmetic that picks among them live in
+//! `encode.rs`; the functions here are their allocating, one-column
+//! front ends. Decoders
 //! take the row count the footer promised and fail with a
 //! [`StoreError`] on any disagreement — a corrupt count can never
 //! cause a silent short read or an unbounded allocation.
 
+use crate::encode::{delta_into, raw_into, rle_into, ColumnEncoder};
 use crate::error::StoreError;
 
 /// Codec tag byte: varints, one per value.
@@ -80,10 +84,7 @@ fn capacity_hint(buf: &[u8], pos: usize, expect: usize) -> usize {
 /// Encode as plain varints, one per value.
 pub fn encode_raw(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    for &v in values {
-        write_varint(&mut out, v);
-    }
+    raw_into(values, &mut out);
     out
 }
 
@@ -102,16 +103,7 @@ pub fn decode_raw(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>
 /// and round-trips exactly.
 pub fn encode_delta(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    let mut prev: u64 = 0;
-    for (i, &v) in values.iter().enumerate() {
-        if i == 0 {
-            write_varint(&mut out, v);
-        } else {
-            write_varint(&mut out, zigzag(v.wrapping_sub(prev) as i64));
-        }
-        prev = v;
-    }
+    delta_into(values, &mut out);
     out
 }
 
@@ -137,31 +129,8 @@ pub fn decode_delta(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u6
 /// columns with values too far apart for delta coding (instruction
 /// pointers hopping between a few functions).
 pub fn encode_dict(values: &[u64]) -> Vec<u8> {
-    let mut distinct: Vec<u64> = values.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let index: std::collections::BTreeMap<u64, u64> = distinct
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| (d, i as u64))
-        .collect();
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    write_varint(&mut out, distinct.len() as u64);
-    let mut prev: u64 = 0;
-    for (i, &d) in distinct.iter().enumerate() {
-        if i == 0 {
-            write_varint(&mut out, d);
-        } else {
-            // Strictly ascending, so the plain difference is exact.
-            write_varint(&mut out, d.wrapping_sub(prev));
-        }
-        prev = d;
-    }
-    for v in values {
-        // Present by construction; 0 is unreachable dead fallback.
-        write_varint(&mut out, index.get(v).copied().unwrap_or(0));
-    }
+    ColumnEncoder::default().encode_dict(values, &mut out);
     out
 }
 
@@ -212,24 +181,7 @@ pub fn decode_dict(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64
 /// near-constant columns (core ids, event kinds, mark kinds).
 pub fn encode_rle(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    let mut iter = values.iter().copied();
-    let Some(mut run_value) = iter.next() else {
-        return out;
-    };
-    let mut run_len: u64 = 1;
-    for v in iter {
-        if v == run_value {
-            run_len += 1;
-        } else {
-            write_varint(&mut out, run_value);
-            write_varint(&mut out, run_len);
-            run_value = v;
-            run_len = 1;
-        }
-    }
-    write_varint(&mut out, run_value);
-    write_varint(&mut out, run_len);
+    rle_into(values, &mut out);
     out
 }
 
@@ -257,23 +209,12 @@ pub fn decode_rle(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>
 }
 
 /// Encode a column under the smallest of the four codecs, prefixed by
-/// its tag byte. Candidates are tried in a fixed order and ties keep
-/// the earliest, so the output is a pure function of `values`.
+/// its tag byte. The candidate order is fixed (delta, dictionary, RLE,
+/// raw) and ties keep the earliest, so the output is a pure function of
+/// `values`.
 pub fn encode_column(values: &[u64]) -> Vec<u8> {
-    let candidates = [
-        (TAG_DELTA, encode_delta(values)),
-        (TAG_DICT, encode_dict(values)),
-        (TAG_RLE, encode_rle(values)),
-        (TAG_RAW, encode_raw(values)),
-    ];
-    let (tag, payload) = candidates
-        .into_iter()
-        .min_by_key(|(_, p)| p.len())
-        // Unreachable: the candidate array is non-empty.
-        .unwrap_or_else(|| (TAG_RAW, encode_raw(values)));
-    let mut out = Vec::with_capacity(payload.len() + 1);
-    out.push(tag);
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    ColumnEncoder::default().encode_column(values, &mut out);
     out
 }
 

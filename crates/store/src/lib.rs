@@ -7,7 +7,8 @@
 //! item-register / event for samples; TSC / core / item / kind for
 //! marks), each column under the smallest of four integer codecs
 //! (raw varint, wrapping delta, sorted dictionary, run-length — see
-//! [`codec`]), with a back-parseable footer carrying chunk offsets, row
+//! [`codec`]; the writer prices all four from one pass of column
+//! statistics and encodes only the winner), with a back-parseable footer carrying chunk offsets, row
 //! counts, and TSC min/max so [`TraceReader`] opens and prunes without
 //! deserializing chunk data (see [`format`]).
 //!
@@ -31,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod codec;
+mod encode;
 mod error;
 pub mod format;
 mod reader;

@@ -1,21 +1,24 @@
-//! Streaming store writer: buffers rows, encodes a column chunk per
-//! [`StoreConfig::chunk_rows`] logical rows, and finishes a segment
-//! with footer + tail. Redundancy suppression (when enabled) elides a
-//! sample whose `(core, ip, r13, event)` equal the immediately
-//! preceding stream sample and whose TSC advanced by at most the
-//! declared tolerance — every elision lands in the chunk's ledger, so
-//! the reader replays bit-exact rows.
+//! Streaming store writer: rows go straight into the columnar chunk
+//! under construction (`encode.rs`), a full chunk — every
+//! [`StoreConfig::chunk_rows`] logical rows — is encoded once into a
+//! reused byte buffer and written with one `write_all`, and
+//! [`TraceWriter::finish`] closes the segment with footer + tail.
+//! Redundancy suppression (when enabled) elides a sample whose `(core,
+//! ip, r13, event)` equal the immediately preceding stream sample and
+//! whose TSC advanced by at most the declared tolerance — every elision
+//! lands in the chunk's ledger, so the reader replays bit-exact rows.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use fluctrace_cpu::{MarkKind, MarkRecord, PebsRecord, TraceBundle};
+use fluctrace_cpu::{MarkRecord, PebsRecord, TraceBundle};
 use fluctrace_obs as obs;
 
-use crate::codec::{encode_column, write_varint};
+use crate::encode::{ColumnEncoder, MarkChunk, SampleChunk};
 use crate::error::StoreError;
 use crate::format::{
-    ChunkDesc, Footer, MAGIC, MAX_CHUNK_ROWS, STREAM_MARKS, STREAM_SAMPLES, TAIL_MAGIC, VERSION,
+    ChunkDesc, Footer, MAGIC, MAX_CHUNK_ROWS, STREAM_MARKS, STREAM_SAMPLES, TAIL_BYTES, TAIL_MAGIC,
+    VERSION,
 };
 
 /// Default logical rows per chunk.
@@ -74,7 +77,8 @@ impl StoreConfig {
     }
 }
 
-/// What one finished segment (or a whole writer lifetime) wrote.
+/// Running totals of a [`TraceWriter`]; after [`TraceWriter::finish`],
+/// what the whole segment wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteStats {
     /// Logical sample rows appended.
@@ -85,7 +89,8 @@ pub struct WriteStats {
     pub elided: u64,
     /// Column chunks written (both streams).
     pub chunks: u64,
-    /// Total bytes written, including magic/footer/tail.
+    /// Bytes handed to the sink so far: the head magic and every chunk
+    /// written, plus footer and tail once the segment is finished.
     pub bytes: u64,
 }
 
@@ -94,13 +99,18 @@ pub struct WriteStats {
 /// [`TraceWriter::finish`] closes the segment and hands the sink back;
 /// constructing a new writer over the returned sink appends another
 /// segment — the concatenation is itself a valid store.
+///
+/// After an `Err` from any method the sink may hold part of a chunk:
+/// drop the writer. [`TraceWriter::stats`] still says what reached the
+/// sink before the failure.
 pub struct TraceWriter<W: Write> {
     out: W,
     config: StoreConfig,
-    /// Bytes written so far in this segment (MAGIC included).
-    pos: u64,
-    sample_buf: Vec<PebsRecord>,
-    mark_buf: Vec<MarkRecord>,
+    samples: SampleChunk,
+    marks: MarkChunk,
+    encoder: ColumnEncoder,
+    /// The encoded chunk on its way to the sink; reused.
+    chunk_bytes: Vec<u8>,
     chunks: Vec<ChunkDesc>,
     stats: WriteStats,
 }
@@ -112,142 +122,124 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             out,
             config,
-            pos: MAGIC.len() as u64,
-            sample_buf: Vec::new(),
-            mark_buf: Vec::new(),
+            samples: SampleChunk::default(),
+            marks: MarkChunk::default(),
+            encoder: ColumnEncoder::default(),
+            chunk_bytes: Vec::new(),
             chunks: Vec::new(),
-            stats: WriteStats::default(),
+            stats: WriteStats {
+                bytes: MAGIC.len() as u64,
+                ..WriteStats::default()
+            },
         })
     }
 
-    /// Running totals (bytes is filled in at [`TraceWriter::finish`]).
+    /// Running totals: rows appended so far (buffered ones included)
+    /// and the chunks and bytes already handed to the sink.
     pub fn stats(&self) -> WriteStats {
         self.stats
     }
 
     /// Append one PEBS sample.
     pub fn push_sample(&mut self, r: PebsRecord) -> Result<(), StoreError> {
-        self.sample_buf.push(r);
-        self.stats.samples += 1;
-        if self.sample_buf.len() >= self.config.effective_chunk_rows() {
-            self.flush_samples()?;
-        }
-        Ok(())
+        self.extend_samples(std::slice::from_ref(&r))
     }
 
     /// Append one mark.
     pub fn push_mark(&mut self, r: MarkRecord) -> Result<(), StoreError> {
-        self.mark_buf.push(r);
-        self.stats.marks += 1;
-        if self.mark_buf.len() >= self.config.effective_chunk_rows() {
-            self.flush_marks()?;
-        }
-        Ok(())
+        self.extend_marks(std::slice::from_ref(&r))
     }
 
     /// Append a whole bundle (samples, then marks, stream order kept).
     pub fn append(&mut self, bundle: &TraceBundle) -> Result<(), StoreError> {
-        for &s in &bundle.samples {
-            self.push_sample(s)?;
-        }
-        for &m in &bundle.marks {
-            self.push_mark(m)?;
+        self.extend_samples(&bundle.samples)?;
+        self.extend_marks(&bundle.marks)
+    }
+
+    /// Fill the sample chunk slice-wise, flushing at each chunk boundary.
+    fn extend_samples(&mut self, mut rows: &[PebsRecord]) -> Result<(), StoreError> {
+        let chunk_rows = self.config.effective_chunk_rows();
+        while !rows.is_empty() {
+            let room = chunk_rows.saturating_sub(self.samples.rows());
+            let (head, rest) = rows.split_at(room.min(rows.len()));
+            if self.config.suppress {
+                self.stats.elided += self.samples.extend_suppressed(head, self.config.tolerance);
+            } else {
+                self.samples.extend(head);
+            }
+            self.stats.samples += head.len() as u64;
+            if self.samples.rows() >= chunk_rows {
+                self.flush_samples()?;
+            }
+            rows = rest;
         }
         Ok(())
     }
 
-    fn write_chunk(&mut self, stream: u64, desc_rows: (u64, u64, u64, u64), bytes: &[u8]) {
-        let (rows, retained, tsc_min, tsc_max) = desc_rows;
+    /// Fill the mark chunk slice-wise, flushing at each chunk boundary.
+    fn extend_marks(&mut self, mut rows: &[MarkRecord]) -> Result<(), StoreError> {
+        let chunk_rows = self.config.effective_chunk_rows();
+        while !rows.is_empty() {
+            let room = chunk_rows.saturating_sub(self.marks.rows());
+            let (head, rest) = rows.split_at(room.min(rows.len()));
+            self.marks.extend(head);
+            self.stats.marks += head.len() as u64;
+            if self.marks.rows() >= chunk_rows {
+                self.flush_marks()?;
+            }
+            rows = rest;
+        }
+        Ok(())
+    }
+
+    /// Hand `self.chunk_bytes` to the sink and enter it in the footer's
+    /// chunk directory.
+    fn write_chunk(
+        &mut self,
+        stream: u64,
+        (rows, retained): (usize, usize),
+        (tsc_min, tsc_max): (u64, u64),
+    ) -> Result<(), StoreError> {
+        self.out.write_all(&self.chunk_bytes)?;
+        let byte_len = self.chunk_bytes.len() as u64;
         self.chunks.push(ChunkDesc {
             stream,
-            offset: self.pos,
-            byte_len: bytes.len() as u64,
-            rows,
-            retained,
+            offset: self.stats.bytes,
+            byte_len,
+            rows: rows as u64,
+            retained: retained as u64,
             tsc_min,
             tsc_max,
         });
-        self.pos += bytes.len() as u64;
+        self.stats.bytes += byte_len;
         self.stats.chunks += 1;
+        Ok(())
     }
 
     fn flush_samples(&mut self) -> Result<(), StoreError> {
-        if self.sample_buf.is_empty() {
+        if self.samples.rows() == 0 {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.sample_buf);
-        let (tsc_min, tsc_max) = tsc_bounds(rows.iter().map(|r| r.tsc));
-        let tolerance = if self.config.suppress {
-            Some(self.config.tolerance)
-        } else {
-            None
-        };
-        let (retained, ledger) = split_suppressed(&rows, tolerance);
-        self.stats.elided += (rows.len() - retained.len()) as u64;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&encode_column(
-            &retained.iter().map(|r| r.tsc).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained.iter().map(|r| r.ip.0).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained
-                .iter()
-                .map(|r| u64::from(r.core.0))
-                .collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained.iter().map(|r| r.r13).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained
-                .iter()
-                .map(|r| r.event.index() as u64)
-                .collect::<Vec<u64>>(),
-        ));
-        encode_ledger(&mut bytes, &ledger);
-        self.out.write_all(&bytes)?;
-        self.write_chunk(
-            STREAM_SAMPLES,
-            (rows.len() as u64, retained.len() as u64, tsc_min, tsc_max),
-            &bytes,
-        );
-        Ok(())
+        self.chunk_bytes.clear();
+        self.samples
+            .encode_into(&mut self.encoder, &mut self.chunk_bytes);
+        let rows = (self.samples.rows(), self.samples.retained());
+        let bounds = self.samples.tsc_bounds();
+        self.samples.clear();
+        self.write_chunk(STREAM_SAMPLES, rows, bounds)
     }
 
     fn flush_marks(&mut self) -> Result<(), StoreError> {
-        if self.mark_buf.is_empty() {
+        if self.marks.rows() == 0 {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.mark_buf);
-        let (tsc_min, tsc_max) = tsc_bounds(rows.iter().map(|r| r.tsc));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&encode_column(
-            &rows.iter().map(|r| r.tsc).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &rows
-                .iter()
-                .map(|r| u64::from(r.core.0))
-                .collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &rows.iter().map(|r| r.item.0).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &rows
-                .iter()
-                .map(|r| match r.kind {
-                    MarkKind::Start => 0u64,
-                    MarkKind::End => 1u64,
-                })
-                .collect::<Vec<u64>>(),
-        ));
-        self.out.write_all(&bytes)?;
-        let n = rows.len() as u64;
-        self.write_chunk(STREAM_MARKS, (n, n, tsc_min, tsc_max), &bytes);
-        Ok(())
+        self.chunk_bytes.clear();
+        self.marks
+            .encode_into(&mut self.encoder, &mut self.chunk_bytes);
+        let rows = (self.marks.rows(), self.marks.rows());
+        let bounds = self.marks.tsc_bounds();
+        self.marks.clear();
+        self.write_chunk(STREAM_MARKS, rows, bounds)
     }
 
     /// Close the segment: flush buffered rows, write footer + tail, and
@@ -260,7 +252,7 @@ impl<W: Write> TraceWriter<W> {
             suppress: u64::from(self.config.suppress),
             tolerance: self.config.tolerance,
             chunk_rows: self.config.effective_chunk_rows() as u64,
-            body_len: self.pos,
+            body_len: self.stats.bytes,
             chunks: std::mem::take(&mut self.chunks),
         };
         let footer_bytes = footer.encode();
@@ -269,33 +261,22 @@ impl<W: Write> TraceWriter<W> {
             .write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
         self.out.write_all(TAIL_MAGIC)?;
         self.out.flush()?;
-        self.stats.bytes = self.pos + footer_bytes.len() as u64 + 16;
+        self.stats.bytes += footer_bytes.len() as u64 + TAIL_BYTES;
         if obs::recording() {
+            let columns = self.encoder.tally();
             obs::counter!("store.writer.segments").inc();
             obs::counter!("store.writer.samples").add(self.stats.samples);
             obs::counter!("store.writer.marks").add(self.stats.marks);
             obs::counter!("store.writer.elided").add(self.stats.elided);
             obs::counter!("store.writer.chunks").add(self.stats.chunks);
             obs::counter!("store.writer.bytes").add(self.stats.bytes);
+            obs::counter!("store.writer.columns_raw").add(columns.raw);
+            obs::counter!("store.writer.columns_delta").add(columns.delta);
+            obs::counter!("store.writer.columns_dict").add(columns.dict);
+            obs::counter!("store.writer.columns_rle").add(columns.rle);
+            obs::counter!("store.writer.dict_priced").add(columns.dict_priced);
         }
         Ok((self.out, self.stats))
-    }
-}
-
-/// Min/max over an iterator of TSCs; `(0, 0)` when empty.
-fn tsc_bounds(tscs: impl Iterator<Item = u64>) -> (u64, u64) {
-    let mut min = u64::MAX;
-    let mut max = 0u64;
-    let mut any = false;
-    for t in tscs {
-        min = min.min(t);
-        max = max.max(t);
-        any = true;
-    }
-    if any {
-        (min, max)
-    } else {
-        (0, 0)
     }
 }
 
@@ -315,6 +296,10 @@ pub struct LedgerGroup {
 /// ledger. `tolerance == None` disables suppression (everything is
 /// retained). The predecessor is always the immediately preceding
 /// *stream* row — elided or not — so chained elisions replay exactly.
+///
+/// This is the suppression rule stated on a whole chunk. The writer
+/// applies the same rule a row at a time as rows arrive and is tested
+/// to agree with this function row for row.
 pub fn split_suppressed(
     rows: &[PebsRecord],
     tolerance: Option<u64>,
@@ -351,27 +336,6 @@ pub fn split_suppressed(
         prev = Some(r);
     }
     (retained, ledger)
-}
-
-/// Serialize the ledger: group count, then per group the gap from the
-/// previous group's retained index (absolute for the first), the elided
-/// count, and the successive TSC deltas.
-fn encode_ledger(out: &mut Vec<u8>, ledger: &[LedgerGroup]) {
-    write_varint(out, ledger.len() as u64);
-    let mut prev_index = 0u64;
-    for (i, g) in ledger.iter().enumerate() {
-        let gap = if i == 0 {
-            g.index
-        } else {
-            g.index.wrapping_sub(prev_index)
-        };
-        write_varint(out, gap);
-        write_varint(out, g.deltas.len() as u64);
-        for &d in &g.deltas {
-            write_varint(out, d);
-        }
-        prev_index = g.index;
-    }
 }
 
 /// Write each bundle as its own segment into one byte vector.

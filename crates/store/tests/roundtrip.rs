@@ -304,3 +304,66 @@ fn empty_bundle_roundtrips() {
     assert!(got.samples.is_empty() && got.marks.is_empty());
     assert_eq!(stats.elided, 0);
 }
+
+/// `stats()` is a running total: rows appended so far (buffered ones
+/// included) and exactly the bytes the sink has been handed.
+#[test]
+fn stats_track_the_sink_while_writing() {
+    let bundle = synth_bundle(5, 900);
+    let config = StoreConfig {
+        chunk_rows: 64,
+        ..StoreConfig::suppressed(1 << 10)
+    };
+    let buf = SharedBuf::new();
+    let mut w = TraceWriter::new(buf.clone(), config).expect("writer");
+    assert_eq!(w.stats().bytes, 8, "the head magic is already out");
+    let mut appended = 0u64;
+    for part in bundle.samples.chunks(37) {
+        let slice = TraceBundle {
+            samples: part.to_vec(),
+            marks: Vec::new(),
+        };
+        w.append(&slice).expect("append");
+        appended += part.len() as u64;
+        let stats = w.stats();
+        assert_eq!(stats.samples, appended);
+        assert_eq!(stats.bytes, buf.contents().len() as u64);
+        assert_eq!(stats.chunks, appended / 64);
+    }
+    let running = w.stats();
+    let (_, done) = w.finish().expect("finish");
+    assert_eq!(done.samples, running.samples);
+    assert_eq!(done.elided, running.elided);
+    assert!(done.elided > 0);
+    assert_eq!(done.bytes, buf.contents().len() as u64);
+}
+
+/// `finish` tells the obs registry which codec each column got: one
+/// count per column of every chunk. The registry is process-wide and
+/// other tests write stores too, so this reads growth, not totals.
+#[test]
+fn finish_records_each_columns_codec() {
+    let names = [
+        "store.writer.columns_raw",
+        "store.writer.columns_delta",
+        "store.writer.columns_dict",
+        "store.writer.columns_rle",
+    ];
+    let total = || -> u64 {
+        names
+            .iter()
+            .map(|n| fluctrace_obs::registry().counter(n).total())
+            .sum()
+    };
+    let before = total();
+    let bundle = synth_bundle(11, 700);
+    let config = StoreConfig {
+        chunk_rows: 128,
+        ..StoreConfig::default()
+    };
+    let (_, stats) = write_bundle_to_vec(&bundle, config).expect("write");
+    let sample_chunks = bundle.samples.len().div_ceil(128) as u64;
+    let mark_chunks = stats.chunks - sample_chunks;
+    assert!(total() - before >= sample_chunks * 5 + mark_chunks * 4);
+    assert!(fluctrace_obs::snapshot_json().contains("store.writer.dict_priced"));
+}
