@@ -19,8 +19,8 @@
 
 use fluctrace_bench::obs_support;
 use fluctrace_bench::perf_hunt::{
-    compare_to_baseline, default_trajectory_path, evaluate_gate, measure_depgraph,
-    repo_root_bench_path, run_hunt, HuntConfig, Mutant, Trajectory,
+    compare_to_baseline, default_trajectory_path, evaluate_gate, measure_depgraph, run_hunt,
+    HuntConfig, Mutant, Trajectory,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -168,19 +168,7 @@ fn main() -> ExitCode {
         let path = default_trajectory_path();
         let entry = report.to_entry();
         match Trajectory::load(&path).and_then(|t| t.append_and_save(entry, &path)) {
-            Ok(()) => {
-                println!("[perf-hunt] recorded -> {}", path.display());
-                // Mirror the trajectory to the repo root so the
-                // committed BENCH_hotpath.json tracks every recording.
-                let mirror = repo_root_bench_path("BENCH_hotpath.json");
-                match std::fs::copy(&path, &mirror) {
-                    Ok(_) => println!("[perf-hunt] mirrored -> {}", mirror.display()),
-                    Err(e) => {
-                        eprintln!("[perf-hunt] mirror: {e}");
-                        ok = false;
-                    }
-                }
-            }
+            Ok(()) => println!("[perf-hunt] recorded -> {}", path.display()),
             Err(e) => {
                 eprintln!("[perf-hunt] record: {e}");
                 ok = false;
@@ -198,16 +186,12 @@ fn main() -> ExitCode {
             bench.diagnose_ns_min as f64 / 1e6,
             bench.ns_per_item,
         );
-        for path in [
-            fluctrace_bench::artifact_dir().join("BENCH_depgraph.json"),
-            repo_root_bench_path("BENCH_depgraph.json"),
-        ] {
-            match bench.save(&path) {
-                Ok(()) => println!("[perf-hunt] depgraph bench -> {}", path.display()),
-                Err(e) => {
-                    eprintln!("[perf-hunt] depgraph bench: {e}");
-                    ok = false;
-                }
+        let path = fluctrace_bench::artifact_dir().join("BENCH_depgraph.json");
+        match bench.save(&path) {
+            Ok(()) => println!("[perf-hunt] depgraph bench -> {}", path.display()),
+            Err(e) => {
+                eprintln!("[perf-hunt] depgraph bench: {e}");
+                ok = false;
             }
         }
     }

@@ -1,25 +1,22 @@
-//! `serve-bench` — sustained daemon throughput over ≥ 64 closed
-//! windows, recorded to `BENCH_serve.json`.
+//! `serve-bench` — the daemon's steady-state contract over ≥ 64 closed
+//! windows, recorded to `artifacts/BENCH_serve.json`.
 //!
 //! ```text
-//! serve-bench                 # measure, print, write BENCH_serve.json
+//! serve-bench                 # run, print, write BENCH_serve.json
 //! serve-bench --gate          # exit 1 unless the run passes the gate
-//! serve-bench --gate --floor 5000
 //! serve-bench --label <rev>   # entry label (default HEAD)
 //! serve-bench --seed <n>      # traffic seed (default 7)
 //! ```
 //!
-//! The artifact lands in both `artifacts/BENCH_serve.json` and the
-//! repo-root mirror CI uploads.
+//! Daemon throughput is not measured here: see `samples_per_s` @
+//! `serve_steady` in `benchmark/README.md`.
 
 use fluctrace_bench::obs_support;
-use fluctrace_bench::perf_hunt::repo_root_bench_path;
 use fluctrace_bench::serve_experiment::measure_serve;
 use std::process::ExitCode;
 
 struct Args {
     gate: bool,
-    floor: f64,
     label: String,
     seed: u64,
 }
@@ -27,7 +24,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         gate: false,
-        floor: 5000.0,
         label: "HEAD".to_string(),
         seed: 7,
     };
@@ -35,13 +31,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--gate" => args.gate = true,
-            "--floor" => {
-                args.floor = it
-                    .next()
-                    .ok_or("--floor requires a value")?
-                    .parse()
-                    .map_err(|e| format!("--floor: {e}"))?;
-            }
             "--seed" => {
                 args.seed = it
                     .next()
@@ -82,12 +71,8 @@ fn main() -> ExitCode {
         bench.shards, bench.cores, bench.window_items, bench.max_windows
     );
     println!(
-        "[serve-bench] {} items / {} samples in {:.1} ms -> {:.0} items/s, {:.0} samples/s",
-        bench.items,
-        bench.samples,
-        bench.wall_ns as f64 / 1e6,
-        bench.items_per_sec,
-        bench.samples_per_sec,
+        "[serve-bench] {} items / {} samples",
+        bench.items, bench.samples
     );
     println!(
         "[serve-bench] {} windows closed, {} evicted ({} bytes reclaimed)",
@@ -99,21 +84,17 @@ fn main() -> ExitCode {
     );
 
     let mut ok = bench.verified && bench.drain_matches_batch && bench.snapshot_stable;
-    for path in [
-        fluctrace_bench::artifact_dir().join("BENCH_serve.json"),
-        repo_root_bench_path("BENCH_serve.json"),
-    ] {
-        match bench.save(&path) {
-            Ok(()) => println!("[serve-bench] -> {}", path.display()),
-            Err(e) => {
-                eprintln!("[serve-bench] save: {e}");
-                ok = false;
-            }
+    let path = fluctrace_bench::artifact_dir().join("BENCH_serve.json");
+    match bench.save(&path) {
+        Ok(()) => println!("[serve-bench] -> {}", path.display()),
+        Err(e) => {
+            eprintln!("[serve-bench] save: {e}");
+            ok = false;
         }
     }
 
     if args.gate {
-        let (pass, detail) = bench.gate(args.floor);
+        let (pass, detail) = bench.gate();
         println!("[serve-bench] gate: {detail}");
         ok &= pass;
     }

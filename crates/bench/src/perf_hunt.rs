@@ -641,14 +641,6 @@ pub fn default_trajectory_path() -> std::path::PathBuf {
     crate::artifact_dir().join("BENCH_hotpath.json")
 }
 
-/// Repo-root mirror of a bench document. CI runs the bins from the
-/// workspace root, so the bare file name lands next to `Cargo.toml` —
-/// keeping the repo-root `BENCH_*.json` trajectory (the one reviewers
-/// and `git log` see) in lockstep with the `artifacts/` copy.
-pub fn repo_root_bench_path(name: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from(name)
-}
-
 /// Schema tag of `BENCH_depgraph.json`.
 pub const DEPGRAPH_SCHEMA: &str = "fluctrace.bench.depgraph.v1";
 

@@ -52,6 +52,7 @@ pub mod interval;
 pub mod metrics;
 pub mod online;
 pub mod overhead;
+pub(crate) mod pairing;
 pub mod parallel;
 pub mod profile;
 pub mod report;

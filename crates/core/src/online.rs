@@ -8,10 +8,11 @@
 //! phenomenon later offline."
 //!
 //! [`OnlineTracer`] implements that: a real worker thread receives trace
-//! batches over a bounded channel, pairs marks into items as End marks
-//! arrive, estimates per-function elapsed times incrementally, keeps a
-//! running per-function baseline, and **retains raw samples only for
-//! items that diverge**. Everything else is counted and discarded.
+//! batches over a bounded channel and drives the `pairing` state machine
+//! (shared with [`crate::window`]), which pairs marks into items as End
+//! marks arrive, estimates per-function elapsed times incrementally and
+//! keeps a running per-function baseline; the worker **retains raw samples
+//! only for items that diverge**. Everything else is counted and discarded.
 //!
 //! # Overload robustness
 //!
@@ -50,18 +51,15 @@
 //! [`LossStats::samples_thinned`], so the volume accounting stays exact
 //! while resolution, not correctness, degrades under pressure.
 
-use crate::interval::ItemInterval;
+pub use crate::pairing::LossStats;
+use crate::pairing::{Pairing, PairingConfig};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use fluctrace_cpu::{
-    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
-    PEBS_RECORD_BYTES,
-};
+use fluctrace_cpu::{FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle, PEBS_RECORD_BYTES};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use fluctrace_store::{StoreError, TraceWriter, WriteStats};
 use parking_lot::Mutex;
 use serde::{DeError, Deserialize, Num, Serialize, Value};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -187,6 +185,24 @@ impl AdaptiveR {
         self.factor.round().max(1.0) as u32
     }
 
+    /// Feed one occupancy observation and thin `batch` to every
+    /// `factor`-th sample — what reprogramming the PEBS reset value to
+    /// `factor × R` would have recorded. Returns the number of samples
+    /// shed, for the caller's loss ledger.
+    pub fn thin(&mut self, occupancy: f64, batch: &mut TraceBundle) -> u64 {
+        let factor = self.observe(occupancy) as usize;
+        let before = batch.samples.len();
+        if factor > 1 {
+            let mut i = 0usize;
+            batch.samples.retain(|_| {
+                let keep = i.is_multiple_of(factor);
+                i += 1;
+                keep
+            });
+        }
+        (before - batch.samples.len()) as u64
+    }
+
     /// Current thinning stride (1 = full rate), rounded from the
     /// fractional factor.
     pub fn factor(&self) -> u32 {
@@ -259,64 +275,6 @@ pub struct OnlineAnomaly {
     pub baseline_mean: SimDuration,
     /// Raw samples of the item, retained for offline analysis.
     pub raw_samples: Vec<PebsRecord>,
-}
-
-/// Exact accounting of everything the online tracer shed, evicted, or
-/// could not attribute. A robust tracer is allowed to lose data under
-/// overload — it is not allowed to lose data *silently*.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LossStats {
-    /// Whole batches dropped by [`OnlineTracer::try_submit`] because the
-    /// channel was full.
-    pub batches_dropped: u64,
-    /// Samples inside those dropped batches.
-    pub samples_dropped: u64,
-    /// Samples shed by the adaptive effective-reset policy.
-    pub samples_thinned: u64,
-    /// Oldest pending samples evicted by the [`OnlineConfig::max_pending`]
-    /// bound.
-    pub samples_evicted: u64,
-    /// Pending samples discarded because their item could not complete
-    /// (mismatched End, or a Start while the item was still open).
-    pub samples_discarded: u64,
-    /// `End` marks with no open item on their core.
-    pub marks_orphaned: u64,
-    /// `End` marks whose item id did not match the open item (the open
-    /// item is discarded and counted, not silently lost).
-    pub marks_mismatched: u64,
-    /// `Start` marks that arrived while another item was still open,
-    /// abandoning it.
-    pub starts_abandoned: u64,
-    /// `Start` marks still open when the stream ended; their pending
-    /// samples are counted in `samples_discarded`, not silently dropped.
-    pub starts_truncated: u64,
-    /// Samples that arrived outside any item (between an End and the
-    /// next Start, after an orphan End, or after the last End of the
-    /// stream). Not a loss: inter-item spin is uninteresting by design,
-    /// but it is still counted so sample conservation stays exact.
-    pub samples_spin: u64,
-    /// Samples attributed exactly at an interval bound (`tsc` equal to
-    /// the start or end mark). Not a loss: proof that boundary samples
-    /// are kept, where they were previously dropped at `end_tsc`.
-    pub boundary_samples: u64,
-}
-
-impl LossStats {
-    /// Total samples that were received but never attributed to an item.
-    pub fn samples_lost(&self) -> u64 {
-        self.samples_dropped + self.samples_thinned + self.samples_evicted + self.samples_discarded
-    }
-
-    /// True when nothing was lost and the mark stream was well-formed
-    /// (boundary and spin samples are attribution accounting, not loss).
-    pub fn is_clean(&self) -> bool {
-        self.samples_lost() == 0
-            && self.batches_dropped == 0
-            && self.marks_orphaned == 0
-            && self.marks_mismatched == 0
-            && self.starts_abandoned == 0
-            && self.starts_truncated == 0
-    }
 }
 
 /// Degradation episodes recorded by the adaptive effective-reset policy.
@@ -714,28 +672,15 @@ pub struct OnlineTracer {
     adaptive: Arc<Mutex<AdaptiveR>>,
 }
 
-#[derive(Default)]
-struct CoreState {
-    /// Samples not yet assigned to a finished item, in tsc order.
-    pending: Vec<PebsRecord>,
-    /// Open start mark.
-    open: Option<(ItemId, u64)>,
-}
-
 struct Worker {
-    symtab: Arc<SymbolTable>,
-    config: OnlineConfig,
-    cores: BTreeMap<CoreId, CoreState>,
-    /// Running per-function baselines (count, mean in ps).
-    baselines: BTreeMap<FuncId, (u64, f64)>,
+    /// The streaming pairing core: per-core state, ledger, baselines.
+    pairing: Pairing,
     report: OnlineReport,
     live: Arc<Mutex<LiveStats>>,
     inspector: Option<BatchInspector>,
     /// Spill-on-flush store sink; `None` when not spilling (or after an
     /// I/O error disabled it).
     spill: Option<Box<dyn SpillSink>>,
-    /// Highest pending-sample backlog seen on any core (obs gauge).
-    pending_peak: u64,
 }
 
 impl Worker {
@@ -793,22 +738,49 @@ impl Worker {
         }
     }
 
-    /// Stream end: account for everything still buffered. An open item
-    /// whose End never arrived is truncated (its samples are discarded,
-    /// not attributed); leftover pending samples with no open item are
-    /// trailing spin. After this, sample conservation is exact.
-    fn finalize(&mut self) {
-        obs::span!("online.flush", self.cores.len());
-        self.spill_finish();
-        for state in self.cores.values_mut() {
-            if state.open.take().is_some() {
-                self.report.loss.starts_truncated += 1;
-                self.report.loss.samples_discarded += state.pending.len() as u64;
-            } else {
-                self.report.loss.samples_spin += state.pending.len() as u64;
+    /// Pair one batch; of each completed item keep only what the report
+    /// needs — the raw samples of a divergent item move into its
+    /// anomaly, everything else is dropped on the spot.
+    fn process(&mut self, batch: TraceBundle) {
+        obs::span!("online.batch", batch.samples.len());
+        let report = &mut self.report;
+        self.pairing.ingest(batch, |done| {
+            if let Some((func, elapsed, baseline_mean)) = done.divergence {
+                obs::event("online.anomaly", done.interval.item.0);
+                report.bytes_dumped += done.samples.len() as u64 * PEBS_RECORD_BYTES;
+                report.anomalies.push(OnlineAnomaly {
+                    item: done.interval.item,
+                    func,
+                    elapsed,
+                    baseline_mean,
+                    raw_samples: done.samples,
+                });
             }
-            state.pending.clear();
-        }
+        });
+        self.publish_live();
+    }
+
+    fn publish_live(&self) {
+        let counts = self.pairing.counts();
+        let mut live = self.live.lock();
+        live.items = counts.items_processed;
+        live.anomalies = self.report.anomalies.len() as u64;
+        live.loss = counts.loss;
+    }
+
+    /// Stream end: close the spill segment, let the pairing core account
+    /// for everything still buffered, and take its totals into the
+    /// report.
+    fn finalize(&mut self) {
+        obs::span!("online.flush", self.pairing.cores());
+        self.spill_finish();
+        self.pairing.finish_stream();
+        let counts = *self.pairing.counts();
+        self.report.items_processed = counts.items_processed;
+        self.report.samples_seen = counts.samples_seen;
+        self.report.samples_attributed = counts.samples_attributed;
+        self.report.bytes_seen = counts.samples_seen * PEBS_RECORD_BYTES;
+        self.report.loss = counts.loss;
         // The worker-side counts go to the registry in one bulk add here
         // rather than per event: the per-sample loop stays untouched and
         // the registry still ends up with the exact totals. (Producer-side
@@ -831,179 +803,9 @@ impl Worker {
             obs::counter!("core.online.marks_mismatched").add(r.loss.marks_mismatched);
             obs::counter!("core.online.starts_abandoned").add(r.loss.starts_abandoned);
             obs::counter!("core.online.starts_truncated").add(r.loss.starts_truncated);
-            obs::gauge!("core.online.pending_peak").record(self.pending_peak);
+            obs::gauge!("core.online.pending_peak").record(counts.pending_peak);
         }
-        let mut live = self.live.lock();
-        live.items = self.report.items_processed;
-        live.anomalies = self.report.anomalies.len() as u64;
-        live.loss = self.report.loss;
-    }
-
-    fn process(&mut self, mut batch: TraceBundle) {
-        obs::span!("online.batch", batch.samples.len());
-        batch.sort();
-        self.report.samples_seen += batch.samples.len() as u64;
-        self.report.bytes_seen += batch.samples.len() as u64 * PEBS_RECORD_BYTES;
-        // Merge the per-core streams in timestamp order: walk marks and
-        // samples with two cursors per core. Batches are per-core
-        // chronological, so a simple merge suffices.
-        let mut si = 0;
-        let mut mi = 0;
-        while si < batch.samples.len() || mi < batch.marks.len() {
-            let sample = batch.samples.get(si).copied();
-            let mark = batch.marks.get(mi).copied();
-            let take_sample = match (sample, mark) {
-                (Some(s), Some(m)) => {
-                    // Tie-break on equal (core, tsc): a Start opens
-                    // *before* a coincident sample and an End closes
-                    // *after* it, so samples at either mark timestamp
-                    // attribute to the item — the same inclusive bounds
-                    // as the offline `ItemInterval::contains`.
-                    let sk = (s.core, s.tsc);
-                    let mk = (m.core, m.tsc);
-                    sk < mk || (sk == mk && m.kind == MarkKind::End)
-                }
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_sample {
-                if let Some(s) = sample {
-                    self.push_sample(s);
-                }
-                si += 1;
-            } else {
-                if let Some(m) = mark {
-                    self.apply_mark(m);
-                }
-                mi += 1;
-            }
-        }
-        let mut live = self.live.lock();
-        live.items = self.report.items_processed;
-        live.anomalies = self.report.anomalies.len() as u64;
-        live.loss = self.report.loss;
-    }
-
-    fn push_sample(&mut self, s: PebsRecord) {
-        let cap = self.config.max_pending.max(1);
-        let state = self.cores.entry(s.core).or_default();
-        state.pending.push(s);
-        self.pending_peak = self.pending_peak.max(state.pending.len() as u64);
-        if state.pending.len() > cap {
-            // Lost-End overload: evict the oldest samples instead of
-            // growing without bound, and account for every one of them.
-            let excess = state.pending.len() - cap;
-            state.pending.drain(..excess);
-            self.report.loss.samples_evicted += excess as u64;
-        }
-    }
-
-    fn apply_mark(&mut self, m: MarkRecord) {
-        let state = self.cores.entry(m.core).or_default();
-        match m.kind {
-            MarkKind::Start => {
-                if state.open.take().is_some() {
-                    // The open item can never complete now; its samples
-                    // are counted, not silently cleared.
-                    self.report.loss.starts_abandoned += 1;
-                    self.report.loss.samples_discarded += state.pending.len() as u64;
-                } else {
-                    // Spin samples before the item are uninteresting,
-                    // but conservation demands they be counted.
-                    self.report.loss.samples_spin += state.pending.len() as u64;
-                }
-                state.pending.clear();
-                state.open = Some((m.item, m.tsc));
-            }
-            MarkKind::End => match state.open.take() {
-                Some((item, start_tsc)) if item == m.item => {
-                    let interval = ItemInterval {
-                        core: m.core,
-                        item,
-                        start_tsc,
-                        end_tsc: m.tsc,
-                    };
-                    let samples = std::mem::take(&mut state.pending);
-                    self.finish_item(interval, samples);
-                }
-                Some(_) => {
-                    // Mismatched End: the open item and its samples are
-                    // unattributable — count them in the report instead
-                    // of losing them without a trace.
-                    self.report.loss.marks_mismatched += 1;
-                    self.report.loss.samples_discarded += state.pending.len() as u64;
-                    state.pending.clear();
-                }
-                None => {
-                    // Orphan End: no item was open, so whatever is
-                    // pending is inter-item spin. Clearing it here keeps
-                    // `pending` from leaking into the eviction bound when
-                    // consecutive Starts are lost (there is no next Start
-                    // to clear it), which used to surface as phantom
-                    // `samples_evicted`.
-                    self.report.loss.marks_orphaned += 1;
-                    self.report.loss.samples_spin += state.pending.len() as u64;
-                    state.pending.clear();
-                }
-            },
-        }
-    }
-
-    fn finish_item(&mut self, interval: ItemInterval, samples: Vec<PebsRecord>) {
-        self.report.items_processed += 1;
-        self.report.samples_attributed += samples.len() as u64;
-        // Per-function first/last within the interval. BTreeMap, not
-        // HashMap: the worst-function tie-break below iterates this map,
-        // and serialized anomalies must not depend on hash order.
-        let mut spans: BTreeMap<FuncId, (u64, u64)> = BTreeMap::new();
-        for s in &samples {
-            if !interval.contains(s.tsc) {
-                continue;
-            }
-            if interval.is_boundary(s.tsc) {
-                self.report.loss.boundary_samples += 1;
-            }
-            if let Some(func) = self.symtab.resolve(s.ip) {
-                let e = spans.entry(func).or_insert((s.tsc, s.tsc));
-                e.0 = e.0.min(s.tsc);
-                e.1 = e.1.max(s.tsc);
-            }
-        }
-        let mut worst: Option<(FuncId, SimDuration, SimDuration)> = None;
-        for (func, (first, last)) in spans {
-            let elapsed = self.config.freq.cycles_to_dur(last.wrapping_sub(first));
-            let (count, mean_ps) = self.baselines.entry(func).or_insert((0, 0.0));
-            let diverges = *count >= self.config.warmup
-                && elapsed.as_ps() as f64 > *mean_ps * self.config.divergence_factor
-                && elapsed > SimDuration::ZERO;
-            if diverges {
-                let baseline = SimDuration::from_ps(*mean_ps as u64);
-                match worst {
-                    // `>=` keeps the first maximum; spans iterate in
-                    // FuncId order, so ties resolve deterministically to
-                    // the lowest FuncId.
-                    Some((_, e, _)) if e >= elapsed => {}
-                    _ => worst = Some((func, elapsed, baseline)),
-                }
-            } else {
-                // Only non-anomalous observations update the baseline, so
-                // a burst of anomalies cannot drag the mean up after the
-                // warm-up (before warm-up everything trains the mean).
-                *count += 1;
-                *mean_ps += (elapsed.as_ps() as f64 - *mean_ps) / *count as f64;
-            }
-        }
-        if let Some((func, elapsed, baseline_mean)) = worst {
-            obs::event("online.anomaly", interval.item.0);
-            self.report.bytes_dumped += samples.len() as u64 * PEBS_RECORD_BYTES;
-            self.report.anomalies.push(OnlineAnomaly {
-                item: interval.item,
-                func,
-                elapsed,
-                baseline_mean,
-                raw_samples: samples,
-            });
-        }
+        self.publish_live();
     }
 }
 
@@ -1055,15 +857,19 @@ impl OnlineTracer {
         let (tx, rx) = bounded(config.channel_capacity);
         let live = Arc::new(Mutex::new(LiveStats::default()));
         let worker = Worker {
-            symtab,
-            config,
-            cores: BTreeMap::new(),
-            baselines: BTreeMap::new(),
+            pairing: Pairing::new(
+                symtab,
+                PairingConfig {
+                    freq: config.freq,
+                    divergence_factor: config.divergence_factor,
+                    warmup: config.warmup,
+                    max_pending: config.max_pending,
+                },
+            ),
             report: OnlineReport::default(),
             live: Arc::clone(&live),
             inspector,
             spill,
-            pending_peak: 0,
         };
         let handle = std::thread::Builder::new()
             .name("fluctrace-online".into())
@@ -1083,22 +889,9 @@ impl OnlineTracer {
     /// Run the adaptive policy against current channel occupancy and
     /// thin the batch accordingly (counting what was shed).
     fn degrade(&self, tx: &Sender<TraceBundle>, batch: &mut TraceBundle) {
-        let cap = tx.capacity();
-        let occupancy = if cap == 0 {
-            0.0
-        } else {
-            tx.len() as f64 / cap as f64
-        };
-        let factor = self.adaptive.lock().observe(occupancy) as usize;
-        if factor > 1 {
-            let before = batch.samples.len();
-            let mut i = 0usize;
-            batch.samples.retain(|_| {
-                let keep = i.is_multiple_of(factor);
-                i += 1;
-                keep
-            });
-            let thinned = (before - batch.samples.len()) as u64;
+        let occupancy = tx.len() as f64 / tx.capacity().max(1) as f64;
+        let thinned = self.adaptive.lock().thin(occupancy, batch);
+        if thinned > 0 {
             self.shed
                 .samples_thinned
                 .fetch_add(thinned, Ordering::Relaxed);
@@ -1236,7 +1029,7 @@ impl Drop for OnlineTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluctrace_cpu::{HwEvent, MarkRecord, SymbolTableBuilder, NO_TAG};
+    use fluctrace_cpu::{CoreId, HwEvent, MarkKind, MarkRecord, SymbolTableBuilder, NO_TAG};
 
     fn symtab() -> (Arc<SymbolTable>, FuncId) {
         let mut b = SymbolTableBuilder::new();

@@ -3,9 +3,9 @@
 //!
 //! The batch pipeline holds a whole trace in memory before integrating
 //! it; an always-on tracer cannot. [`WindowedIntegrator`] consumes the
-//! same `TraceBundle` batches the online tracer does — with pairing,
-//! eviction and loss accounting semantics copied line for line from
-//! `online::Worker`, so the 11-counter [`LossStats`] ledger stays exact
+//! same `TraceBundle` batches the online tracer does — it drives the
+//! same `pairing` state machine as the online worker, so pairing,
+//! eviction and the 11-counter [`LossStats`] ledger are one definition
 //! — but cuts the completed-item stream into **windows** of
 //! [`WindowConfig::window_items`] items. Each closed window is folded
 //! through the same [`estimate`](crate::estimate) assembly as a batch
@@ -42,10 +42,8 @@
 
 use crate::estimate::{self, EstimateTable};
 use crate::interval::ItemInterval;
-use crate::online::LossStats;
-use fluctrace_cpu::{
-    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
-};
+use crate::pairing::{Completed, LossStats, Pairing, PairingConfig};
+use fluctrace_cpu::{CoreId, FuncId, ItemId, SymbolTable, TraceBundle};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -72,7 +70,7 @@ pub struct WindowConfig {
     /// summarized and its raw data dropped) when this many items finish.
     pub window_items: u64,
     /// Closed-window summaries retained; older ones are evicted and
-    /// counted in [`WindowedIntegrator::windows_evicted`].
+    /// counted in [`WindowReport::windows_evicted`].
     pub max_windows: usize,
     /// Flag an item when some function's elapsed time exceeds
     /// `divergence_factor ×` the running mean for that function
@@ -210,14 +208,6 @@ impl WindowReport {
     }
 }
 
-#[derive(Default)]
-struct CoreState {
-    /// Samples not yet assigned to a finished item, in tsc order.
-    pending: Vec<PebsRecord>,
-    /// Open start mark.
-    open: Option<(ItemId, u64)>,
-}
-
 /// The open window's accumulating state: flat `(item, func, first,
 /// last, count)` spans plus the intervals and unknown counts the
 /// assembly needs. Dropped wholesale at window close.
@@ -256,17 +246,18 @@ enum Accum {
 /// the online tracer's worker, windowed summaries and bounded memory
 /// instead of an end-of-stream report. See the module docs.
 pub struct WindowedIntegrator {
-    symtab: Arc<SymbolTable>,
+    /// Per-core state, ledger and baselines — carried across windows,
+    /// as the online tracer carries them across batches.
+    pairing: Pairing,
+    /// Everything windowed. A separate field so `ingest` can lend
+    /// `pairing` out while its per-item closure folds into this.
+    folds: Folds,
+}
+
+/// What the integrator does with completed items: the open window, the
+/// retained summaries, the cumulative accumulator and the episode ring.
+struct Folds {
     config: WindowConfig,
-    cores: BTreeMap<CoreId, CoreState>,
-    /// Running per-function baselines (count, mean in ps) — carried
-    /// across windows, exactly like the online tracer carries them
-    /// across batches.
-    baselines: BTreeMap<FuncId, (u64, f64)>,
-    loss: LossStats,
-    items_processed: u64,
-    samples_seen: u64,
-    samples_attributed: u64,
     open: OpenWindow,
     windows: VecDeque<WindowSummary>,
     windows_closed: u64,
@@ -275,7 +266,6 @@ pub struct WindowedIntegrator {
     accum: Accum,
     episodes: VecDeque<Episode>,
     episodes_total: u64,
-    finished: bool,
 }
 
 impl WindowedIntegrator {
@@ -295,321 +285,88 @@ impl WindowedIntegrator {
             },
         };
         WindowedIntegrator {
-            symtab,
-            config,
-            cores: BTreeMap::new(),
-            baselines: BTreeMap::new(),
-            loss: LossStats::default(),
-            items_processed: 0,
-            samples_seen: 0,
-            samples_attributed: 0,
-            open: OpenWindow::default(),
-            windows: VecDeque::new(),
-            windows_closed: 0,
-            windows_evicted: 0,
-            evicted_bytes: 0,
-            accum,
-            episodes: VecDeque::new(),
-            episodes_total: 0,
-            finished: false,
+            pairing: Pairing::new(
+                symtab,
+                PairingConfig {
+                    freq: config.freq,
+                    divergence_factor: config.divergence_factor,
+                    warmup: config.warmup,
+                    max_pending: config.max_pending,
+                },
+            ),
+            folds: Folds {
+                config,
+                open: OpenWindow::default(),
+                windows: VecDeque::new(),
+                windows_closed: 0,
+                windows_evicted: 0,
+                evicted_bytes: 0,
+                accum,
+                episodes: VecDeque::new(),
+                episodes_total: 0,
+            },
         }
     }
 
     /// The configuration this integrator runs under.
     pub fn config(&self) -> &WindowConfig {
-        &self.config
+        &self.folds.config
     }
 
-    /// Ingest one batch. Identical merge semantics to the online
-    /// worker's `process`: the batch is sorted, then marks and samples
-    /// are merged per `(core, tsc)` with the End-closes-after /
-    /// Start-opens-before tie-break, so boundary samples attribute to
-    /// the item exactly as the offline `ItemInterval::contains` would.
-    pub fn ingest(&mut self, mut batch: TraceBundle) {
+    /// Ingest one batch: the pairing core sorts it, merges marks and
+    /// samples and accounts for what it cannot attribute; every item it
+    /// completes is folded into the open window and the cumulative
+    /// accumulator (and may close the window).
+    pub fn ingest(&mut self, batch: TraceBundle) {
         obs::span!("window.batch", batch.samples.len());
-        batch.sort();
-        self.samples_seen += batch.samples.len() as u64;
-        let mut si = 0;
-        let mut mi = 0;
-        while si < batch.samples.len() || mi < batch.marks.len() {
-            let sample = batch.samples.get(si).copied();
-            let mark = batch.marks.get(mi).copied();
-            let take_sample = match (sample, mark) {
-                (Some(s), Some(m)) => {
-                    let sk = (s.core, s.tsc);
-                    let mk = (m.core, m.tsc);
-                    sk < mk || (sk == mk && m.kind == MarkKind::End)
-                }
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_sample {
-                if let Some(s) = sample {
-                    self.push_sample(s);
-                }
-                si += 1;
-            } else {
-                if let Some(m) = mark {
-                    self.apply_mark(m);
-                }
-                mi += 1;
-            }
-        }
-    }
-
-    fn push_sample(&mut self, s: PebsRecord) {
-        let cap = self.config.max_pending.max(1);
-        let state = self.cores.entry(s.core).or_default();
-        state.pending.push(s);
-        if state.pending.len() > cap {
-            let excess = state.pending.len() - cap;
-            state.pending.drain(..excess);
-            self.loss.samples_evicted += excess as u64;
-        }
-    }
-
-    fn apply_mark(&mut self, m: MarkRecord) {
-        let state = self.cores.entry(m.core).or_default();
-        match m.kind {
-            MarkKind::Start => {
-                if state.open.take().is_some() {
-                    self.loss.starts_abandoned += 1;
-                    self.loss.samples_discarded += state.pending.len() as u64;
-                } else {
-                    self.loss.samples_spin += state.pending.len() as u64;
-                }
-                state.pending.clear();
-                state.open = Some((m.item, m.tsc));
-            }
-            MarkKind::End => match state.open.take() {
-                Some((item, start_tsc)) if item == m.item => {
-                    let interval = ItemInterval {
-                        core: m.core,
-                        item,
-                        start_tsc,
-                        end_tsc: m.tsc,
-                    };
-                    let samples = std::mem::take(&mut state.pending);
-                    self.finish_item(interval, samples);
-                }
-                Some(_) => {
-                    self.loss.marks_mismatched += 1;
-                    self.loss.samples_discarded += state.pending.len() as u64;
-                    state.pending.clear();
-                }
-                None => {
-                    self.loss.marks_orphaned += 1;
-                    self.loss.samples_spin += state.pending.len() as u64;
-                    state.pending.clear();
-                }
-            },
-        }
-    }
-
-    fn finish_item(&mut self, interval: ItemInterval, samples: Vec<PebsRecord>) {
-        self.items_processed += 1;
-        self.samples_attributed += samples.len() as u64;
-        // Per-function first/last/count within the interval — one
-        // occupancy span per completed interval, the exact quantum the
-        // batch estimator folds per interval index.
-        let mut spans: BTreeMap<FuncId, (u64, u64, u32)> = BTreeMap::new();
-        let mut unknown_in_item = 0u32;
-        for s in &samples {
-            if !interval.contains(s.tsc) {
-                continue;
-            }
-            if interval.is_boundary(s.tsc) {
-                self.loss.boundary_samples += 1;
-            }
-            match self.symtab.resolve(s.ip) {
-                Some(func) => {
-                    let e = spans.entry(func).or_insert((s.tsc, s.tsc, 0));
-                    e.0 = e.0.min(s.tsc);
-                    e.1 = e.1.max(s.tsc);
-                    e.2 += 1;
-                }
-                None => unknown_in_item += 1,
-            }
-        }
-
-        // Divergence check against the carried baselines: same rule,
-        // same tie-break, same train-only-on-normal update as the
-        // online tracer, so episode streams compare equal.
-        let mut worst: Option<(FuncId, SimDuration, SimDuration)> = None;
-        for (&func, &(first, last, _count)) in &spans {
-            let elapsed = self.config.freq.cycles_to_dur(last.wrapping_sub(first));
-            let (count, mean_ps) = self.baselines.entry(func).or_insert((0, 0.0));
-            let diverges = *count >= self.config.warmup
-                && elapsed.as_ps() as f64 > *mean_ps * self.config.divergence_factor
-                && elapsed > SimDuration::ZERO;
-            if diverges {
-                let baseline = SimDuration::from_ps(*mean_ps as u64);
-                match worst {
-                    Some((_, e, _)) if e >= elapsed => {}
-                    _ => worst = Some((func, elapsed, baseline)),
-                }
-            } else {
-                *count += 1;
-                *mean_ps += (elapsed.as_ps() as f64 - *mean_ps) / *count as f64;
-            }
-        }
-        if let Some((func, elapsed, baseline_mean)) = worst {
-            obs::event("window.episode", interval.item.0);
-            self.episodes_total += 1;
-            self.open.anomalies += 1;
-            self.episodes.push_back(Episode {
-                item: interval.item,
-                func,
-                elapsed,
-                baseline_mean,
-                samples: samples.len() as u32,
-                window: self.windows_closed,
-            });
-            while self.episodes.len() > self.config.max_episodes.max(1) {
-                self.episodes.pop_front();
-            }
-        }
-
-        // Feed the open window and the cumulative accumulator from the
-        // same fold — one source of truth for both granularities.
-        self.open.items += 1;
-        self.open.samples += samples.len() as u64;
-        self.open.intervals.push(interval);
-        if unknown_in_item > 0 {
-            *self.open.unknown.entry(interval.item).or_insert(0) += unknown_in_item;
-        }
-        match &mut self.accum {
-            Accum::Exact {
-                funcs,
-                marked,
-                unknown,
-            } => {
-                for (&func, &(first, last, count)) in &spans {
-                    let e = funcs.entry((interval.item, func)).or_insert((0, 0));
-                    e.0 = e.0.wrapping_add(count);
-                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
-                }
-                *marked.entry(interval.item).or_insert(0) =
-                    marked.get(&interval.item).copied().unwrap_or(0) + interval.cycles();
-                if unknown_in_item > 0 {
-                    *unknown.entry(interval.item).or_insert(0) += unknown_in_item;
-                }
-            }
-            Accum::Folded {
-                funcs,
-                marked_cycles,
-                unknown_samples,
-                items,
-            } => {
-                for (&func, &(first, last, count)) in &spans {
-                    let e = funcs.entry(func).or_insert((0, 0));
-                    e.0 += u64::from(count);
-                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
-                }
-                *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
-                *unknown_samples += u64::from(unknown_in_item);
-                *items += 1;
-            }
-        }
-        for (func, (first, last, count)) in spans {
-            self.open
-                .flat
-                .push((interval.item, func, first, last, count));
-        }
-
-        if self.open.items >= self.config.window_items.max(1) {
-            self.close_window();
-        }
-    }
-
-    /// Close the open window: assemble its table through the batch
-    /// estimator's fold, snapshot the cumulative ledger, drop the raw
-    /// spans, and evict the oldest summary past the retention bound.
-    fn close_window(&mut self) {
-        if self.open.items == 0 {
-            return;
-        }
-        let open = std::mem::take(&mut self.open);
-        obs::span!("window.close", open.items);
-        let table = estimate::assemble_table(
-            open.flat,
-            open.unknown,
-            0,
-            &open.intervals,
-            self.config.freq,
-        );
-        let summary = WindowSummary {
-            index: self.windows_closed,
-            items: open.items,
-            samples: open.samples,
-            anomalies: open.anomalies,
-            table,
-            loss: self.loss,
-        };
-        self.windows_closed += 1;
-        self.windows.push_back(summary);
-        while self.windows.len() > self.config.max_windows.max(1) {
-            if let Some(evicted) = self.windows.pop_front() {
-                self.windows_evicted += 1;
-                self.evicted_bytes += evicted.approx_bytes();
-            }
-        }
+        let folds = &mut self.folds;
+        self.pairing.ingest(batch, |done| folds.finish_item(done));
     }
 
     /// Stream end: account for everything still buffered — open items
-    /// are truncated, trailing pending samples are spin (the online
-    /// worker's `finalize`, verbatim) — then close the partial window.
-    /// Idempotent; further `ingest` calls after this start a new stream
-    /// segment but the ledger keeps carrying forward.
+    /// are truncated, trailing pending samples are spin — then close
+    /// the partial window. Idempotent (nothing is buffered and the open
+    /// window is empty the second time); further `ingest` calls after
+    /// this start a new stream segment and the ledger keeps carrying
+    /// forward.
     pub fn finish_stream(&mut self) {
-        if self.finished {
-            return;
-        }
-        for state in self.cores.values_mut() {
-            if state.open.take().is_some() {
-                self.loss.starts_truncated += 1;
-                self.loss.samples_discarded += state.pending.len() as u64;
-            } else {
-                self.loss.samples_spin += state.pending.len() as u64;
-            }
-            state.pending.clear();
-        }
-        self.close_window();
-        self.finished = true;
+        self.pairing.finish_stream();
+        self.folds.close_window(self.pairing.counts().loss);
     }
 
     /// Counter snapshot (cheap; no tables).
     pub fn report(&self) -> WindowReport {
+        let counts = self.pairing.counts();
         WindowReport {
-            items_processed: self.items_processed,
-            samples_seen: self.samples_seen,
-            samples_attributed: self.samples_attributed,
-            windows_closed: self.windows_closed,
-            windows_evicted: self.windows_evicted,
-            evicted_bytes: self.evicted_bytes,
-            episodes: self.episodes_total,
-            loss: self.loss,
+            items_processed: counts.items_processed,
+            samples_seen: counts.samples_seen,
+            samples_attributed: counts.samples_attributed,
+            windows_closed: self.folds.windows_closed,
+            windows_evicted: self.folds.windows_evicted,
+            evicted_bytes: self.folds.evicted_bytes,
+            episodes: self.folds.episodes_total,
+            loss: counts.loss,
         }
     }
 
     /// Retained window summaries, oldest first.
     pub fn windows(&self) -> impl Iterator<Item = &WindowSummary> {
-        self.windows.iter()
+        self.folds.windows.iter()
     }
 
     /// Retained anomaly episodes, oldest first.
     pub fn episodes(&self) -> impl Iterator<Item = &Episode> {
-        self.episodes.iter()
+        self.folds.episodes.iter()
     }
 
     /// The cumulative loss ledger (never reset).
     pub fn loss(&self) -> LossStats {
-        self.loss
+        self.pairing.counts().loss
     }
 
     /// Windows closed so far.
     pub fn windows_closed(&self) -> u64 {
-        self.windows_closed
+        self.folds.windows_closed
     }
 
     /// Render the exact cumulative table — `None` in
@@ -625,7 +382,7 @@ impl WindowedIntegrator {
             funcs,
             marked,
             unknown,
-        } = &self.accum
+        } = &self.folds.accum
         else {
             return None;
         };
@@ -647,7 +404,7 @@ impl WindowedIntegrator {
             unknown.clone(),
             0,
             &intervals,
-            self.config.freq,
+            self.folds.config.freq,
         ))
     }
 
@@ -655,7 +412,7 @@ impl WindowedIntegrator {
     /// mode they are derived by folding the exact accumulator, so the
     /// two modes can be cross-checked against each other.
     pub fn folded_totals(&self) -> FoldedTotals {
-        match &self.accum {
+        match &self.folds.accum {
             Accum::Folded {
                 funcs,
                 marked_cycles,
@@ -691,8 +448,117 @@ impl WindowedIntegrator {
                     // Completed intervals, not distinct ids: shared
                     // item ids fold many intervals into one map entry,
                     // and the Folded twin counts every completion.
-                    items: self.items_processed,
+                    items: self.pairing.counts().items_processed,
                 }
+            }
+        }
+    }
+}
+
+impl Folds {
+    /// Fold one completed item into the episode ring, the open window
+    /// and the cumulative accumulator; its raw samples are dropped.
+    fn finish_item(&mut self, done: Completed<'_>) {
+        let interval = done.interval;
+        if let Some((func, elapsed, baseline_mean)) = done.divergence {
+            obs::event("window.episode", interval.item.0);
+            self.episodes_total += 1;
+            self.open.anomalies += 1;
+            self.episodes.push_back(Episode {
+                item: interval.item,
+                func,
+                elapsed,
+                baseline_mean,
+                samples: done.samples.len() as u32,
+                window: self.windows_closed,
+            });
+            while self.episodes.len() > self.config.max_episodes.max(1) {
+                self.episodes.pop_front();
+            }
+        }
+
+        // Feed the open window and the cumulative accumulator from the
+        // same fold — one source of truth for both granularities.
+        self.open.items += 1;
+        self.open.samples += done.samples.len() as u64;
+        self.open.intervals.push(interval);
+        if done.unknown > 0 {
+            *self.open.unknown.entry(interval.item).or_insert(0) += done.unknown;
+        }
+        match &mut self.accum {
+            Accum::Exact {
+                funcs,
+                marked,
+                unknown,
+            } => {
+                for (&func, &(first, last, count)) in done.spans {
+                    let e = funcs.entry((interval.item, func)).or_insert((0, 0));
+                    e.0 = e.0.wrapping_add(count);
+                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                }
+                *marked.entry(interval.item).or_insert(0) =
+                    marked.get(&interval.item).copied().unwrap_or(0) + interval.cycles();
+                if done.unknown > 0 {
+                    *unknown.entry(interval.item).or_insert(0) += done.unknown;
+                }
+            }
+            Accum::Folded {
+                funcs,
+                marked_cycles,
+                unknown_samples,
+                items,
+            } => {
+                for (&func, &(first, last, count)) in done.spans {
+                    let e = funcs.entry(func).or_insert((0, 0));
+                    e.0 += u64::from(count);
+                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                }
+                *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
+                *unknown_samples += u64::from(done.unknown);
+                *items += 1;
+            }
+        }
+        for (&func, &(first, last, count)) in done.spans {
+            self.open
+                .flat
+                .push((interval.item, func, first, last, count));
+        }
+
+        if self.open.items >= self.config.window_items.max(1) {
+            self.close_window(done.counts.loss);
+        }
+    }
+
+    /// Close the open window: assemble its table through the batch
+    /// estimator's fold, pin the cumulative ledger `loss`, drop the raw
+    /// spans, and evict the oldest summary past the retention bound.
+    fn close_window(&mut self, loss: LossStats) {
+        if self.open.items == 0 {
+            return;
+        }
+        let open = std::mem::take(&mut self.open);
+        obs::span!("window.close", open.items);
+        let table = estimate::assemble_table(
+            open.flat,
+            open.unknown,
+            0,
+            &open.intervals,
+            self.config.freq,
+        );
+        let summary = WindowSummary {
+            index: self.windows_closed,
+            items: open.items,
+            samples: open.samples,
+            anomalies: open.anomalies,
+            table,
+            loss,
+        };
+        self.windows_closed += 1;
+        self.windows.push_back(summary);
+        while self.windows.len() > self.config.max_windows.max(1) {
+            if let Some(evicted) = self.windows.pop_front() {
+                self.windows_evicted += 1;
+                self.evicted_bytes += evicted.approx_bytes();
             }
         }
     }
@@ -703,7 +569,9 @@ mod tests {
     use super::*;
     use crate::integrate::{integrate, MappingMode};
     use crate::online::{OnlineConfig, OnlineTracer};
-    use fluctrace_cpu::{HwEvent, SymbolTableBuilder, VirtAddr, NO_TAG};
+    use fluctrace_cpu::{
+        HwEvent, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder, VirtAddr, NO_TAG,
+    };
 
     fn freq() -> Freq {
         Freq::ghz(3)
@@ -1030,6 +898,24 @@ mod tests {
         wi.finish_stream();
         assert_eq!(wi.windows_closed(), 1);
         let r = wi.report();
+        wi.finish_stream();
+        assert_eq!(wi.report(), r);
+
+        // A second stream segment is accounted like the first: two
+        // truncated Starts, one sample each, and the ledger carries on.
+        let ip = VirtAddr(symtab.range(FuncId(0)).start.as_u64());
+        let mut wi = WindowedIntegrator::new(Arc::clone(&symtab), cfg);
+        for tsc in [100, 200] {
+            let mut b = TraceBundle::default();
+            b.marks.push(mark(0, tsc, tsc, MarkKind::Start));
+            b.samples.push(sample(0, tsc + 1, ip));
+            wi.ingest(b);
+            wi.finish_stream();
+        }
+        let r = wi.report();
+        assert_eq!(r.loss.starts_truncated, 2);
+        assert_eq!((r.samples_seen, r.loss.samples_discarded), (2, 2));
+        assert!(r.conserves_samples());
         wi.finish_stream();
         assert_eq!(wi.report(), r);
     }

@@ -375,11 +375,6 @@ pub const CATALOG: &[MetricDef] = &[
         "samples_per_s",
         "perf-hunt fast-path estimate throughput (wall-derived)",
     ),
-    gauge(
-        "bench.serve.items_per_sec",
-        "items_per_s",
-        "serve-bench sustained daemon throughput (wall-derived)",
-    ),
     // --- store ------------------------------------------------------------
     counter(
         "store.writer.segments",

@@ -174,16 +174,29 @@ impl Daemon {
     }
 }
 
+/// Longest request line the daemon reads, in bytes. Every protocol verb
+/// and a scraper's `GET /metrics` line fit many times over; a client
+/// that sends this much without a newline gets an error document and is
+/// dropped, instead of growing a `String` on the accept thread until the
+/// read timeout.
+const MAX_REQUEST_LINE: u64 = 4096;
+
 /// Handle one connection; `false` stops the accept loop (quiesce).
 fn handle_connection(stream: TcpStream, state: &DaemonState) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let read = reader.by_ref().take(MAX_REQUEST_LINE).read_line(&mut line);
+    if read.is_err() {
         return true;
     }
     let mut stream = reader.into_inner();
+    if line.len() as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') {
+        let _ = stream.write_all(proto::error_doc("request line too long").as_bytes());
+        let _ = stream.write_all(b"\n");
+        return true;
+    }
     if let Some(path) = http_request_path(&line) {
         let response = http_response(&path);
         let _ = stream.write_all(response.as_bytes());

@@ -186,20 +186,10 @@ fn run_producer(
         if obs::recording() {
             obs::gauge!("serve.queue.occupancy_milli").record(occ_milli);
         }
-        let factor = adaptive.observe(occupancy) as usize;
-        if factor > 1 {
-            let before = batch.samples.len();
-            let mut i = 0usize;
-            batch.samples.retain(|_| {
-                let keep = i.is_multiple_of(factor);
-                i += 1;
-                keep
-            });
-            let thinned = (before - batch.samples.len()) as u64;
-            counters
-                .samples_thinned
-                .fetch_add(thinned, Ordering::AcqRel);
-        }
+        let thinned = adaptive.thin(occupancy, &mut batch);
+        counters
+            .samples_thinned
+            .fetch_add(thinned, Ordering::AcqRel);
 
         // Overload policy 2: back-pressure or counted drop.
         if config.blocking {

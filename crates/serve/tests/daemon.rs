@@ -2,7 +2,7 @@
 //! pipeline, snapshot byte-stability, the protocol surface, and the
 //! Prometheus endpoint.
 
-use fluctrace_core::{integrate, CumulativeMode, EstimateTable, MappingMode};
+use fluctrace_core::{integrate, AdaptiveConfig, CumulativeMode, EstimateTable, MappingMode};
 use fluctrace_cpu::TraceBundle;
 use fluctrace_serve::{build_symtab, query, Daemon, ServeConfig, TrafficGen};
 use std::io::{Read, Write};
@@ -200,6 +200,82 @@ fn folded_mode_serves_totals_instead_of_tables() {
     assert!(tables.contains("\"mode\":\"folded\""), "{tables}");
     assert!(tables.contains("\"table\":null"), "{tables}");
     assert!(tables.contains("\"marked_cycles\":"), "{tables}");
+
+    daemon.quiesce();
+    daemon.join();
+}
+
+/// Every lossy mode says exactly what it lost: what the producer shed
+/// before the channel (dropped batches, thinned samples) plus what the
+/// integrator received is what the generator offered. How the total
+/// splits between the three depends on thread timing; the total does
+/// not, so only the sum is asserted.
+#[test]
+fn lossy_modes_account_for_every_offered_sample() {
+    for (blocking, adaptive) in [
+        (false, AdaptiveConfig::disabled()),
+        (true, AdaptiveConfig::new()),
+        (false, AdaptiveConfig::new()),
+    ] {
+        let mut cfg = lossless(4242);
+        cfg.shards = 1;
+        let batches = 400;
+        cfg.max_batches = Some(batches);
+        cfg.channel_capacity = 1;
+        cfg.blocking = blocking;
+        cfg.adaptive = adaptive;
+        let mode = format!("blocking={blocking} adaptive={}", adaptive.enabled);
+
+        let mut traffic = TrafficGen::new(&cfg, 0, build_symtab(cfg.funcs));
+        let offered: u64 = (0..batches)
+            .map(|_| traffic.next_batch().samples.len() as u64)
+            .sum();
+
+        let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
+        let addr = daemon.addr().to_string();
+        daemon.wait_drained();
+
+        let view = &daemon.shards()[0];
+        let report = view.integrator.lock().report();
+        let loss = view.counters.fold_producer_loss(report.loss);
+        assert_eq!(
+            offered,
+            report.samples_seen + loss.samples_dropped + loss.samples_thinned,
+            "{mode}: {report:?}"
+        );
+        assert!(report.conserves_samples(), "{mode}: {report:?}");
+        let doc = query(&addr, "loss").unwrap();
+        assert!(doc.contains("\"conserves_samples\":true"), "{mode}: {doc}");
+
+        daemon.quiesce();
+        daemon.join();
+    }
+}
+
+/// A client that never sends a newline cannot grow a buffer on the
+/// accept thread: the daemon stops reading at its request-line bound
+/// and answers with the error document (or the reply is lost to the
+/// reset that closing on unread input causes — either way the
+/// connection ends), and the next client is served.
+#[test]
+fn an_overlong_request_line_is_refused() {
+    let cfg = lossless(11);
+    let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
+    let addr = daemon.addr().to_string();
+    daemon.wait_drained();
+
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    // The daemon may hang up part-way through the megabyte.
+    let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut response = String::new();
+    if stream.read_to_string(&mut response).is_ok() && !response.is_empty() {
+        let head: String = response.chars().take(200).collect();
+        assert!(response.contains("request line too long"), "{head}");
+    }
+
+    let snapshot = query(&addr, "snapshot").unwrap();
+    assert!(snapshot.contains("serve.total.items"), "{snapshot}");
 
     daemon.quiesce();
     daemon.join();
