@@ -105,11 +105,6 @@ fn bench_estimate(c: &mut Criterion) {
     g.bench_function("estimate_table_100k_samples", |b| {
         b.iter(|| EstimateTable::from_integrated(black_box(&it)))
     });
-    // The retired BTreeMap-per-sample estimator, kept as the oracle —
-    // benchmarking both keeps the linear scan honest.
-    g.bench_function("estimate_table_reference_100k_samples", |b| {
-        b.iter(|| EstimateTable::from_integrated_reference(black_box(&it)))
-    });
     let table = EstimateTable::from_integrated(&it);
     g.bench_function("detect_1k_items", |b| {
         b.iter(|| {

@@ -3,7 +3,7 @@
 //! the quantities Figs. 9/10 and the data-volume table report.
 
 use fluctrace_apps::{AclCostModel, Firewall, PacketType, Tester};
-use fluctrace_core::{integrate_soa, EstimateTable, MappingMode, PipelineStats};
+use fluctrace_core::{integrate_soa, EstimateTable, MappingMode};
 use fluctrace_cpu::{CoreConfig, DrainMode, ItemId, Machine, MachineConfig, PebsConfig, SinkKind};
 use fluctrace_sim::{Freq, RunningStats, SimDuration, SimTime};
 
@@ -75,9 +75,6 @@ pub struct AclRunResult {
     pub acl_core_busy: SimDuration,
     /// Mean latency over all packets, µs (for Fig. 10).
     pub mean_latency_us: f64,
-    /// Analysis-pipeline wall-time/throughput counters (profiled runs
-    /// only; baselines run no integration).
-    pub pipeline: Option<PipelineStats>,
     /// The raw trace (only when [`AclRunConfig::keep_bundle`] was set).
     pub bundle: Option<fluctrace_cpu::TraceBundle>,
 }
@@ -131,19 +128,13 @@ pub fn run_acl(config: AclRunConfig) -> AclRunResult {
 
     // Hybrid estimates (profiled runs) via the SoA fast path; the
     // conformance harness pins it byte-identical to the AoS reference.
-    let mut pipeline: Option<PipelineStats> = None;
     let estimates: Option<EstimateTable> = config.reset.map(|_| {
-        let soa = integrate_soa(
+        EstimateTable::from_soa(&integrate_soa(
             &bundle,
             machine.symtab(),
             Freq::ghz(3),
             MappingMode::Intervals,
-        );
-        let (table, estimate_ns) = EstimateTable::from_soa_timed(&soa);
-        let mut stats = soa.stats;
-        stats.estimate_ns = estimate_ns;
-        pipeline = Some(stats);
-        table
+        ))
     });
 
     let mut types = Vec::new();
@@ -196,7 +187,6 @@ pub fn run_acl(config: AclRunConfig) -> AclRunResult {
         pebs_bytes,
         acl_core_busy,
         mean_latency_us: all_latency.mean(),
-        pipeline,
         bundle: config.keep_bundle.then_some(bundle),
     }
 }
@@ -235,7 +225,6 @@ mod tests {
         cfg.reset = None;
         let r = run_acl(cfg);
         assert_eq!(r.pebs_bytes, 0);
-        assert!(r.pipeline.is_none(), "baseline runs no analysis pipeline");
         let a = r.for_type(PacketType::A);
         let c = r.for_type(PacketType::C);
         assert_eq!(a.estimable, 60, "ground truth covers every packet");
@@ -247,9 +236,6 @@ mod tests {
         let r = run_acl(quick());
         assert!(r.pebs_bytes > 0);
         assert!(r.pebs_mb_per_s() > 1.0);
-        let p = r.pipeline.expect("profiled runs report pipeline stats");
-        assert!(p.samples > 0);
-        assert!(p.threads >= 1);
         let a = r.for_type(PacketType::A);
         assert!(a.estimable > 30);
         assert!(a.classify_us.mean() > 3.0);

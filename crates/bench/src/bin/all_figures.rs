@@ -1,19 +1,8 @@
 //! Run every table/figure reproduction in sequence (the one-shot
 //! EXPERIMENTS.md generator). Equivalent to running each `fig*` /
 //! `table*` / `data_volume` / `tradeoff` binary.
-//!
-//! Besides the per-figure artifacts the children write, this binary
-//! records an end-to-end benchmark summary — per-binary and total wall
-//! time, plus integrate/estimate throughput from an in-process pipeline
-//! probe — to `BENCH_analysis.json` in the artifact directory. Timing
-//! lives only in that file (and on stdout): figure artifacts stay
-//! byte-identical across `FLUCTRACE_THREADS` settings.
 
-use fluctrace_bench::acl_experiment::{run_acl, AclRunConfig};
-use fluctrace_bench::artifact_dir;
-use serde_json::json;
 use std::process::Command;
-use std::time::Instant;
 
 fn main() {
     fluctrace_bench::obs_support::init();
@@ -36,70 +25,16 @@ fn main() {
     // profile consistent; direct sibling invocation covers `cargo run`.
     let self_path = std::env::current_exe().expect("current exe");
     let dir = self_path.parent().expect("bin dir").to_path_buf();
-    let total_start = Instant::now();
     let mut failures = Vec::new();
-    let mut timings: Vec<(&str, f64)> = Vec::new();
     for bin in bins {
         println!("\n================ {bin} ================\n");
         let path = dir.join(bin);
-        let start = Instant::now();
         let status = Command::new(&path)
             .status()
             .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", path.display()));
-        timings.push((bin, start.elapsed().as_secs_f64()));
         if !status.success() {
             failures.push(bin);
         }
-    }
-    let total_wall_s = total_start.elapsed().as_secs_f64();
-
-    // In-process probe: one profiled firewall run, reduced to the
-    // analysis pipeline's wall-time/throughput counters.
-    let probe = run_acl(AclRunConfig::new(Some(8_000), 200, (200, 100, 0)));
-    let pipeline = probe.pipeline.expect("profiled run reports pipeline stats");
-
-    println!("\n================ benchmark summary ================\n");
-    for (bin, secs) in &timings {
-        println!("  {bin:<12} {secs:>8.2} s");
-    }
-    println!("  {:<12} {total_wall_s:>8.2} s", "total");
-    println!(
-        "  pipeline probe ({} threads): integrate {:.2} Msamples/s, \
-         estimate {:.2} Msamples/s",
-        pipeline.threads,
-        pipeline.integrate_samples_per_sec() / 1e6,
-        pipeline.estimate_samples_per_sec() / 1e6,
-    );
-
-    let binaries: Vec<serde_json::Value> = timings
-        .iter()
-        .map(|&(bin, secs)| json!({"name": bin, "wall_s": secs}))
-        .collect();
-    let doc = json!({
-        "total_wall_s": total_wall_s,
-        "threads": pipeline.threads,
-        "binaries": binaries,
-        "pipeline_probe": {
-            "samples": pipeline.samples,
-            "intervals": pipeline.intervals,
-            "interval_build_ns": pipeline.interval_build_ns,
-            "attribution_ns": pipeline.attribution_ns,
-            "estimate_ns": pipeline.estimate_ns,
-            "integrate_samples_per_sec": pipeline.integrate_samples_per_sec(),
-            "estimate_samples_per_sec": pipeline.estimate_samples_per_sec(),
-        },
-    });
-    let out_dir = artifact_dir();
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("[artifact] create {} failed: {e}", out_dir.display());
-    }
-    let out_path = out_dir.join("BENCH_analysis.json");
-    match serde_json::to_string_pretty(&doc) {
-        Ok(body) => match std::fs::write(&out_path, body + "\n") {
-            Ok(()) => println!("\n[artifact] {}", out_path.display()),
-            Err(e) => eprintln!("\n[artifact] write failed: {e}"),
-        },
-        Err(e) => eprintln!("\n[artifact] serialize failed: {e}"),
     }
 
     fluctrace_bench::obs_support::finish();

@@ -13,7 +13,7 @@
 use fluctrace_analysis::{assert_decreasing, Table};
 use fluctrace_bench::acl_experiment::PAPER_RESETS;
 use fluctrace_bench::figures::fig10_data;
-use fluctrace_bench::{emit, print_pipeline_throughput, Scale};
+use fluctrace_bench::{emit, Scale};
 
 fn main() {
     fluctrace_bench::obs_support::init();
@@ -54,13 +54,6 @@ fn main() {
         Ok(()) => println!("shape: overhead strictly decreases with the reset value ✓"),
         Err(e) => println!("shape: {e}"),
     }
-    print_pipeline_throughput(
-        &data
-            .results
-            .iter()
-            .filter_map(|r| r.pipeline)
-            .collect::<Vec<_>>(),
-    );
     emit(&data.figure);
     fluctrace_bench::obs_support::finish();
 }

@@ -15,7 +15,7 @@ use fluctrace_apps::PacketType;
 use fluctrace_bench::acl_experiment::PAPER_RESETS;
 use fluctrace_bench::figures::fig9_data_with;
 use fluctrace_bench::store_support;
-use fluctrace_bench::{emit, print_pipeline_throughput, Scale};
+use fluctrace_bench::{emit, Scale};
 
 fn main() {
     fluctrace_bench::obs_support::init();
@@ -120,12 +120,6 @@ fn main() {
         a,
         c,
         (a / c - 1.0) * 100.0
-    );
-    print_pipeline_throughput(
-        &results
-            .iter()
-            .filter_map(|r| r.pipeline)
-            .collect::<Vec<_>>(),
     );
     emit(&data.figure);
     fluctrace_bench::obs_support::finish();

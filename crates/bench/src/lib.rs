@@ -113,36 +113,6 @@ where
     fluctrace_core::run_indexed(configs, fluctrace_core::configured_threads(), |_, c| f(c))
 }
 
-/// Print aggregate analysis-pipeline throughput for a set of runs.
-///
-/// Stdout only, deliberately: wall-time numbers vary run to run, so they
-/// must never enter figure artifacts, which are guaranteed byte-identical
-/// across `FLUCTRACE_THREADS` settings.
-pub fn print_pipeline_throughput(stats: &[fluctrace_core::PipelineStats]) {
-    let samples: u64 = stats.iter().map(|p| p.samples).sum();
-    let integrate_ns: u64 = stats.iter().map(|p| p.integrate_ns()).sum();
-    let estimate_ns: u64 = stats.iter().map(|p| p.estimate_ns).sum();
-    let threads = stats.iter().map(|p| p.threads).max().unwrap_or(1);
-    if samples == 0 || integrate_ns == 0 {
-        return;
-    }
-    let per_sec = |ns: u64| {
-        if ns == 0 {
-            f64::INFINITY
-        } else {
-            samples as f64 / (ns as f64 / 1e9) / 1e6
-        }
-    };
-    println!(
-        "[pipeline] {} samples integrated on {} thread(s): \
-         integrate {:.1} Msamples/s, estimate {:.1} Msamples/s",
-        samples,
-        threads,
-        per_sec(integrate_ns),
-        per_sec(estimate_ns),
-    );
-}
-
 /// Print a figure's table header comment and write its artifact,
 /// reporting the path (shared tail of every binary).
 pub fn emit(figure: &fluctrace_analysis::Figure) {

@@ -598,15 +598,8 @@ fn check_offline(
             // The columnar trace must round-trip to the exact AoS trace:
             // same attributed rows, same intervals, same errors. Serde
             // bytes make "exact" unarguable.
-            // `stats` holds clock readings of two separate runs (the
-            // tick clock is process-wide, so concurrent tests move it):
-            // not part of the trace, and blanked on both sides.
-            let mut aos_trace = it.clone();
-            let mut soa_trace = soa.to_integrated();
-            aos_trace.stats = Default::default();
-            soa_trace.stats = Default::default();
-            let aos = serde_json::to_string(&aos_trace).unwrap_or_default();
-            let back = serde_json::to_string(&soa_trace).unwrap_or_default();
+            let aos = serde_json::to_string(&it).unwrap_or_default();
+            let back = serde_json::to_string(&soa.to_integrated()).unwrap_or_default();
             if aos != back {
                 return Err(fail(
                     seed,

@@ -97,16 +97,6 @@ impl EstimateTable {
     }
 
     /// Build the table from an integrated trace.
-    pub fn from_integrated(it: &IntegratedTrace) -> Self {
-        Self::from_integrated_timed(it).0
-    }
-
-    /// [`Self::from_integrated`] plus the time the estimation took, in
-    /// ticks of the process-wide `obs` clock — wall-ns in bench bins,
-    /// logical ticks elsewhere (fed into
-    /// [`PipelineStats::estimate_ns`](crate::PipelineStats) by the
-    /// benchmark harness). Timing lives outside the table so tables stay
-    /// directly comparable with `==`.
     ///
     /// ## Algorithm
     ///
@@ -120,9 +110,8 @@ impl EstimateTable {
     /// vector, flushing it whenever the span id advances. The flat span
     /// list is then sorted once by `(item, func)` and group-folded into
     /// the final table — the only tree left is at the API boundary.
-    pub fn from_integrated_timed(it: &IntegratedTrace) -> (Self, u64) {
+    pub fn from_integrated(it: &IntegratedTrace) -> Self {
         obs::span!("estimate.run", it.samples.len());
-        let t0 = obs::now_ticks();
         // All flushed spans: (item, func, first, last, count).
         let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
         // The current span's per-function accumulator. Spans touch few
@@ -172,23 +161,15 @@ impl EstimateTable {
         }
         flush_span(&mut scratch, cur_span, &mut flat);
 
-        let table = assemble_table(flat, unknown, samples_missing_span, &it.intervals, it.freq);
-        (table, obs::now_ticks().wrapping_sub(t0))
+        assemble_table(flat, unknown, samples_missing_span, &it.intervals, it.freq)
     }
 
     /// Build the table from a columnar trace ([`crate::integrate_soa`]).
     /// Byte-identical to [`Self::from_integrated`] on the equivalent AoS
     /// trace — both scans feed the same [`assemble_table`] fold, and the
     /// conformance sweep pins the agreement against the oracle.
-    pub fn from_soa(soa: &SoaTrace) -> Self {
-        Self::from_soa_timed(soa).0
-    }
-
-    /// [`Self::from_soa`] plus the estimation time in obs-clock ticks
-    /// (wall-ns in bench bins), feeding
-    /// [`PipelineStats::estimate_ns`](crate::PipelineStats).
     ///
-    /// The scan is the columnar twin of [`Self::from_integrated_timed`].
+    /// The scan is the columnar twin of [`Self::from_integrated`].
     /// In interval mode it is driven by the trace's item-run index
     /// instead of walking every row: attributed samples come in maximal
     /// same-item runs, so the scan jumps from run to run, touches only
@@ -198,14 +179,13 @@ impl EstimateTable {
     /// Either way the flat span list feeds the same [`assemble_table`]
     /// fold as the AoS scan; span sums are commutative, so the run
     /// ordering (by item, not by time) cannot change the table.
-    pub fn from_soa_timed(soa: &SoaTrace) -> (Self, u64) {
+    pub fn from_soa(soa: &SoaTrace) -> Self {
         if let Some(aos) = &soa.aos_fallback {
             // Reserved-id trace: the columns are ambiguous, the boxed
             // AoS trace is authoritative (see `SoaTrace::aos_fallback`).
-            return Self::from_integrated_timed(aos);
+            return Self::from_integrated(aos);
         }
         obs::span!("estimate.run", soa.cols.len());
-        let t0 = obs::now_ticks();
         let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
         let mut scratch: Vec<(u32, u64, u64, u32)> = Vec::new();
         let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
@@ -302,14 +282,13 @@ impl EstimateTable {
             }
         }
 
-        let table = assemble_table(
+        assemble_table(
             flat,
             unknown,
             samples_missing_span,
             &soa.intervals,
             soa.freq,
-        );
-        (table, obs::now_ticks().wrapping_sub(t0))
+        )
     }
 
     /// The previous `BTreeMap`-per-sample implementation, kept as an
@@ -890,7 +869,6 @@ mod tests {
             errors: vec![],
             freq: freq(),
             mode: MappingMode::Intervals,
-            stats: Default::default(),
             item_index: vec![],
         };
         for table in [
@@ -933,13 +911,13 @@ mod tests {
             }
             bundle.sort();
             let it = integrate(&bundle, &symtab, freq(), mode);
-            let (fast, _ns) = EstimateTable::from_integrated_timed(&it);
+            let fast = EstimateTable::from_integrated(&it);
             let reference = EstimateTable::from_integrated_reference(&it);
             assert_eq!(fast, reference, "mode {mode:?}");
             // The columnar estimator agrees too, both from a directly
             // built SoA trace and from an AoS conversion.
             let soa = crate::soa::integrate_soa(&bundle, &symtab, freq(), mode);
-            let (columnar, _ns) = EstimateTable::from_soa_timed(&soa);
+            let columnar = EstimateTable::from_soa(&soa);
             assert_eq!(columnar, reference, "soa mode {mode:?}");
             let converted = crate::soa::SoaTrace::from_integrated(&it);
             assert_eq!(

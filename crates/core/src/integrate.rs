@@ -65,63 +65,9 @@ pub struct AttributedSample {
     pub interval_idx: Option<u32>,
 }
 
-/// Timing and volume counters of one analysis-pipeline run.
-///
-/// Integration fills the interval/attribution stages; the estimation
-/// stage is reported by [`crate::EstimateTable::from_integrated_timed`]
-/// and composed in by callers (see `fluctrace-bench`). Timings come
-/// from the process-wide `obs` clock: real nanoseconds in bench
-/// binaries (which install the wall clock), opaque logical ticks
-/// everywhere else. Either way they are measurement artifacts — they
-/// vary run to run and are deliberately *not* part of any determinism
-/// guarantee.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineStats {
-    /// Clock ticks (wall-ns in bench bins) spent reconstructing
-    /// intervals from marks.
-    pub interval_build_ns: u64,
-    /// Clock ticks (wall-ns in bench bins) spent attributing samples.
-    pub attribution_ns: u64,
-    /// Clock ticks (wall-ns in bench bins) spent estimating
-    /// (first→last folding); zero until an estimator reports it.
-    pub estimate_ns: u64,
-    /// Samples processed.
-    pub samples: u64,
-    /// Intervals reconstructed.
-    pub intervals: u64,
-    /// Worker threads the pipeline ran with.
-    pub threads: u64,
-}
-
-impl PipelineStats {
-    /// Total integration wall time (intervals + attribution), ns.
-    pub fn integrate_ns(&self) -> u64 {
-        self.interval_build_ns + self.attribution_ns
-    }
-
-    /// Integration throughput in samples per second.
-    pub fn integrate_samples_per_sec(&self) -> f64 {
-        per_sec(self.samples, self.integrate_ns())
-    }
-
-    /// Estimation throughput in samples per second (zero until
-    /// `estimate_ns` is filled in).
-    pub fn estimate_samples_per_sec(&self) -> f64 {
-        per_sec(self.samples, self.estimate_ns)
-    }
-}
-
-fn per_sec(count: u64, ns: u64) -> f64 {
-    if ns == 0 {
-        0.0
-    } else {
-        count as f64 / (ns as f64 / 1e9)
-    }
-}
-
 /// The integrated trace: attributed samples plus the reconstructed
 /// intervals and any mark-pairing errors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IntegratedTrace {
     /// All samples, in `(core, tsc)` order.
     pub samples: Vec<AttributedSample>,
@@ -133,17 +79,11 @@ pub struct IntegratedTrace {
     pub freq: Freq,
     /// The mapping mode used.
     pub mode: MappingMode,
-    /// Wall-time/throughput counters of this integration run.
-    pub stats: PipelineStats,
     /// Per-item index into `samples`: `(item, start, end)` half-open
     /// ranges, sorted by `(item, start)`. Built once during integration
     /// so per-item queries don't rescan the whole sample array.
     pub(crate) item_index: Vec<(ItemId, u32, u32)>,
 }
-
-/// Below this many samples the shard fan-out is pure overhead; run the
-/// single-threaded path (same results by construction).
-pub(crate) const PARALLEL_MIN_SAMPLES: usize = 4096;
 
 /// Integrate a trace bundle against a symbol table.
 ///
@@ -157,11 +97,7 @@ pub fn integrate(
     freq: Freq,
     mode: MappingMode,
 ) -> IntegratedTrace {
-    let threads = if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
-        1
-    } else {
-        parallel::configured_threads()
-    };
+    let threads = parallel::threads_for(bundle.samples.len());
     integrate_with_threads(bundle, symtab, freq, mode, threads)
 }
 
@@ -178,35 +114,15 @@ pub fn integrate_with_threads(
     let threads = threads.max(1);
     obs::span!("integrate.run", threads);
 
-    // Phase 1 — per-core interval reconstruction. Shards are the
-    // per-core sub-slices of the (core, tsc)-sorted streams.
-    let t0 = obs::now_ticks();
-    let shards = shard_by_core(&bundle.marks, &bundle.samples);
-    let built: Vec<(Vec<ItemInterval>, Vec<IntervalError>)> = parallel::run_indexed(
-        shards.iter().map(|sh| sh.marks).collect(),
-        threads,
-        |shard_idx, marks| {
-            obs::span!("integrate.shard", shard_idx);
-            build_intervals(marks)
-        },
-    );
-    // Splice in core order: concatenated per-core results are identical
-    // to one sequential walk (build_intervals truncates open intervals
-    // at core boundaries either way).
-    let mut intervals = Vec::with_capacity(built.iter().map(|(ivs, _)| ivs.len()).sum());
-    let mut errors = Vec::new();
-    // (global base, length) of each shard's interval range.
-    let mut shard_bounds: Vec<(usize, usize)> = Vec::with_capacity(built.len());
-    for (ivs, errs) in &built {
-        shard_bounds.push((intervals.len(), ivs.len()));
-        intervals.extend_from_slice(ivs);
-        errors.extend_from_slice(errs);
-    }
-    let interval_build_ns = obs::now_ticks().wrapping_sub(t0);
+    let Phase1 {
+        shards,
+        intervals,
+        errors,
+        shard_bounds,
+    } = build_shard_intervals(bundle, threads, "integrate.shard");
 
     // Phase 2 — per-core sample attribution with a merge cursor; local
     // interval indices are globalized with the shard's base offset.
-    let t1 = obs::now_ticks();
     let attributed: Vec<Vec<AttributedSample>> = parallel::run_indexed(
         shards.iter().map(|sh| sh.samples).collect(),
         threads,
@@ -222,43 +138,94 @@ pub fn integrate_with_threads(
         samples.extend(shard_samples);
     }
     let item_index = build_item_index(&samples);
-    let attribution_ns = obs::now_ticks().wrapping_sub(t1);
 
-    // Self-observability: deterministic volumes and sim-cycle
-    // distributions only (never the tick timings above), so obs
-    // snapshots stay byte-identical across runs and thread counts.
-    if obs::recording() {
-        obs::counter!("core.integrate.runs").inc();
-        obs::counter!("core.integrate.samples").add(samples.len() as u64);
-        obs::counter!("core.integrate.intervals").add(intervals.len() as u64);
-        obs::counter!("core.integrate.shards").add(shards.len() as u64);
-        obs::counter!("core.integrate.errors").add(errors.len() as u64);
-        let interval_cycles = obs::histogram!("core.integrate.interval_cycles");
-        for iv in &intervals {
-            interval_cycles.record(iv.cycles());
-        }
-        let shard_samples = obs::histogram!("core.integrate.shard_samples");
-        for sh in &shards {
-            shard_samples.record(sh.samples.len() as u64);
-        }
-    }
+    record_integrate_obs(&shards, &intervals, &errors);
 
-    let stats = PipelineStats {
-        interval_build_ns,
-        attribution_ns,
-        estimate_ns: 0,
-        samples: samples.len() as u64,
-        intervals: intervals.len() as u64,
-        threads: threads as u64,
-    };
     IntegratedTrace {
         samples,
         intervals,
         errors,
         freq,
         mode,
-        stats,
         item_index,
+    }
+}
+
+/// What phase 1 of integration produces, for either attribution kernel.
+pub(crate) struct Phase1<'a> {
+    /// Per-core sub-slices of the bundle, ascending core order.
+    pub(crate) shards: Vec<Shard<'a>>,
+    /// All shards' intervals, spliced in core order.
+    pub(crate) intervals: Vec<ItemInterval>,
+    /// All shards' mark-pairing errors, in the same order.
+    pub(crate) errors: Vec<IntervalError>,
+    /// `(global base, length)` of each shard's range of `intervals`.
+    pub(crate) shard_bounds: Vec<(usize, usize)>,
+}
+
+/// Phase 1 — per-core interval reconstruction, shared by the AoS and
+/// the columnar integrator (attribution, the part the reference must not
+/// share, stays with each). Shards are the per-core sub-slices of the
+/// `(core, tsc)`-sorted streams; `shard_span` names the per-shard
+/// flight-recorder span.
+pub(crate) fn build_shard_intervals<'a>(
+    bundle: &'a TraceBundle,
+    threads: usize,
+    shard_span: &'static str,
+) -> Phase1<'a> {
+    let shards = shard_by_core(&bundle.marks, &bundle.samples);
+    let built: Vec<(Vec<ItemInterval>, Vec<IntervalError>)> = parallel::run_indexed(
+        shards.iter().map(|sh| sh.marks).collect(),
+        threads,
+        |shard_idx, marks| {
+            obs::span!(shard_span, shard_idx);
+            build_intervals(marks)
+        },
+    );
+    // Splice in core order: concatenated per-core results are identical
+    // to one sequential walk (build_intervals truncates open intervals
+    // at core boundaries either way).
+    let mut intervals = Vec::with_capacity(built.iter().map(|(ivs, _)| ivs.len()).sum());
+    let mut errors = Vec::new();
+    let mut shard_bounds: Vec<(usize, usize)> = Vec::with_capacity(built.len());
+    for (ivs, errs) in &built {
+        shard_bounds.push((intervals.len(), ivs.len()));
+        intervals.extend_from_slice(ivs);
+        errors.extend_from_slice(errs);
+    }
+    Phase1 {
+        shards,
+        intervals,
+        errors,
+        shard_bounds,
+    }
+}
+
+/// Self-observability of one integration run, shared by both kernels so
+/// a fast-path run is observably identical to an AoS run: deterministic
+/// volumes and sim-cycle distributions only, so obs snapshots stay
+/// byte-identical across runs and thread counts.
+pub(crate) fn record_integrate_obs(
+    shards: &[Shard<'_>],
+    intervals: &[ItemInterval],
+    errors: &[IntervalError],
+) {
+    if !obs::recording() {
+        return;
+    }
+    let samples: usize = shards.iter().map(|sh| sh.samples.len()).sum();
+    obs::counter!("core.integrate.runs").inc();
+    obs::counter!("core.integrate.samples").add(samples as u64);
+    obs::counter!("core.integrate.intervals").add(intervals.len() as u64);
+    obs::counter!("core.integrate.shards").add(shards.len() as u64);
+    obs::counter!("core.integrate.errors").add(errors.len() as u64);
+    let interval_cycles = obs::histogram!("core.integrate.interval_cycles");
+    for iv in intervals {
+        interval_cycles.record(iv.cycles());
+    }
+    let shard_samples = obs::histogram!("core.integrate.shard_samples");
+    for sh in shards {
+        shard_samples.record(sh.samples.len() as u64);
     }
 }
 
@@ -612,28 +579,7 @@ mod tests {
                 MappingMode::Intervals,
                 threads,
             );
-            assert_eq!(it.samples, reference.samples, "threads={threads}");
-            assert_eq!(it.intervals, reference.intervals);
-            assert_eq!(it.errors, reference.errors);
-            assert_eq!(it.item_index, reference.item_index);
+            assert_eq!(it, reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn stats_count_samples_and_intervals() {
-        let (symtab, f, _) = setup();
-        let ip = symtab.range(f).start;
-        let mut bundle = TraceBundle::default();
-        bundle.marks = vec![
-            mark(0, 100, 1, MarkKind::Start),
-            mark(0, 200, 1, MarkKind::End),
-        ];
-        bundle.samples = vec![sample(0, 150, ip, NO_TAG)];
-        bundle.sort();
-        let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-        assert_eq!(it.stats.samples, 1);
-        assert_eq!(it.stats.intervals, 1);
-        assert_eq!(it.stats.threads, 1, "tiny bundles stay sequential");
-        assert_eq!(it.stats.estimate_ns, 0);
     }
 }

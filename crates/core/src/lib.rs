@@ -66,7 +66,6 @@ pub use export::{anomaly_trace, chrome_trace, chrome_trace_string, ExportOptions
 pub use fluct::{detect, FluctuationReport, GroupFuncStats, Outlier, TotalOutlier};
 pub use integrate::{
     integrate, integrate_with_threads, AttributedSample, IntegratedTrace, MappingMode,
-    PipelineStats,
 };
 pub use interval::{build_intervals, IntervalError, ItemInterval};
 pub use metrics::{effective_reset, metric_counts, MetricTable};

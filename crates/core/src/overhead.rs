@@ -140,10 +140,10 @@ pub fn fit_instrumentation(pairs: &[(f64, f64)]) -> InstrumentationFit {
 
 /// A through-origin slope with its two-sided 95% confidence interval.
 ///
-/// Produced by [`fit_instrumentation_ci`]; used by the `perf-hunt`
-/// regression gate, where the slope of `old = slope × new` paired
-/// timings *is* the speedup and `lo` is the statistically conservative
-/// claim ("at least this much faster").
+/// Produced by [`fit_instrumentation_ci`]; used by `perf-hunt --bisect`,
+/// where the slope of `(1, x)` pairs is the mean per-repetition
+/// throughput and HEAD regressed only if even `hi` sits below the
+/// baseline's bar.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SlopeCi {
     /// The fitted slope (`Σxy / Σx²`).

@@ -36,6 +36,20 @@ pub fn configured_threads() -> usize {
         })
 }
 
+/// Below this many samples the shard fan-out is pure overhead; run the
+/// single-threaded path (same results by construction).
+const PARALLEL_MIN_SAMPLES: usize = 4096;
+
+/// Pool size for integrating a bundle of `samples` samples: sequential
+/// below [`PARALLEL_MIN_SAMPLES`], [`configured_threads`] otherwise.
+pub(crate) fn threads_for(samples: usize) -> usize {
+    if samples < PARALLEL_MIN_SAMPLES {
+        1
+    } else {
+        configured_threads()
+    }
+}
+
 /// Run `f` over every task on up to `threads` scoped workers and return
 /// the results **in task order**.
 ///
@@ -178,6 +192,13 @@ mod tests {
     #[test]
     fn configured_threads_is_positive() {
         assert!(configured_threads() >= 1);
+    }
+
+    #[test]
+    fn tiny_bundles_stay_sequential() {
+        assert_eq!(threads_for(0), 1);
+        assert_eq!(threads_for(PARALLEL_MIN_SAMPLES - 1), 1);
+        assert_eq!(threads_for(PARALLEL_MIN_SAMPLES), configured_threads());
     }
 
     #[test]

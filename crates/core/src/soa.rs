@@ -20,12 +20,12 @@
 //!   usually land in the same function, turning the per-sample binary
 //!   search into a single range check.
 //!
-//! Correctness is anchored three ways: [`SoaTrace::to_integrated`] must
+//! Correctness is anchored two ways: [`SoaTrace::to_integrated`] must
 //! round-trip to the AoS trace bit for bit (unit + conformance tests),
-//! [`crate::EstimateTable::from_soa`] must equal `from_integrated` and
-//! the PR 4 oracle byte for byte (the 240-seed differential sweep), and
-//! the `perf-hunt` bench gates the speedup so the fast path cannot
-//! silently regress.
+//! and [`crate::EstimateTable::from_soa`] must equal `from_integrated`
+//! and the PR 4 oracle byte for byte (the 240-seed differential sweep).
+//! Speed is the benchmark's `analyze_wide` workload; `perf-hunt --bisect`
+//! localises a regression of it to a commit.
 //!
 //! ## Sentinel safety
 //!
@@ -39,10 +39,10 @@
 //! path already shares (`interval_idx` is `u32` there too).
 
 use crate::integrate::{
-    build_item_index, integrate_with_threads, shard_by_core, AttributedSample, IntegratedTrace,
-    MappingMode, PipelineStats, PARALLEL_MIN_SAMPLES,
+    build_item_index, build_shard_intervals, integrate_with_threads, record_integrate_obs,
+    AttributedSample, IntegratedTrace, MappingMode, Phase1,
 };
-use crate::interval::{build_intervals, IntervalError, ItemInterval};
+use crate::interval::{IntervalError, ItemInterval};
 use crate::parallel;
 use fluctrace_cpu::{
     AddrRange, CoreId, FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle, NO_TAG,
@@ -112,8 +112,6 @@ pub struct SoaTrace {
     pub freq: Freq,
     /// The mapping mode used.
     pub mode: MappingMode,
-    /// Wall-time/throughput counters of this integration run.
-    pub stats: PipelineStats,
     /// Per-item `(item, start, end)` sample ranges, as in the AoS trace.
     pub(crate) item_index: Vec<(ItemId, u32, u32)>,
     /// The reserved-id escape hatch: when a trace actually uses item
@@ -132,11 +130,7 @@ pub fn integrate_soa(
     freq: Freq,
     mode: MappingMode,
 ) -> SoaTrace {
-    let threads = if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
-        1
-    } else {
-        parallel::configured_threads()
-    };
+    let threads = parallel::threads_for(bundle.samples.len());
     integrate_soa_with_threads(bundle, symtab, freq, mode, threads)
 }
 
@@ -152,27 +146,13 @@ pub fn integrate_soa_with_threads(
     let threads = threads.max(1);
     obs::span!("soa.integrate.run", threads);
 
-    // Phase 1 — per-core interval reconstruction, identical to the AoS
-    // path (shared sharding + splicing, same obs-visible task counts).
-    let t0 = obs::now_ticks();
-    let shards = shard_by_core(&bundle.marks, &bundle.samples);
-    let built: Vec<(Vec<ItemInterval>, Vec<IntervalError>)> = parallel::run_indexed(
-        shards.iter().map(|sh| sh.marks).collect(),
-        threads,
-        |shard_idx, marks| {
-            obs::span!("soa.integrate.shard", shard_idx);
-            build_intervals(marks)
-        },
-    );
-    let mut intervals = Vec::with_capacity(built.iter().map(|(ivs, _)| ivs.len()).sum());
-    let mut errors = Vec::new();
-    let mut shard_bounds: Vec<(usize, usize)> = Vec::with_capacity(built.len());
-    for (ivs, errs) in &built {
-        shard_bounds.push((intervals.len(), ivs.len()));
-        intervals.extend_from_slice(ivs);
-        errors.extend_from_slice(errs);
-    }
-    let interval_build_ns = obs::now_ticks().wrapping_sub(t0);
+    // Phase 1 is the AoS path's, under this kernel's span name.
+    let Phase1 {
+        shards,
+        intervals,
+        errors,
+        shard_bounds,
+    } = build_shard_intervals(bundle, threads, "soa.integrate.shard");
 
     // Interval bound columns for the branch-light sweep, plus the
     // sentinel-collision check (see module docs).
@@ -200,7 +180,6 @@ pub fn integrate_soa_with_threads(
     // Phase 2 — attribution straight into pre-allocated columns. Each
     // shard's chunk is a disjoint split of the output, so workers write
     // their final bytes with no copy or splice afterwards.
-    let t1 = obs::now_ticks();
     let n = bundle.samples.len();
     let mut cols = SampleColumns::zeroed(n);
     let tasks = chunk_tasks(
@@ -216,44 +195,21 @@ pub fn integrate_soa_with_threads(
         attribute_columns(task, symtab, mode);
     });
     let item_index = build_item_index_cols(&cols.item);
-    let attribution_ns = obs::now_ticks().wrapping_sub(t1);
 
-    // Self-observability: the same deterministic volumes the AoS path
-    // records (so a fast-path run is observably identical), plus the
-    // soa-specific counters. Tick timings never enter the registry.
+    // The same deterministic volumes the AoS path records, plus the
+    // soa-specific counters.
+    record_integrate_obs(&shards, &intervals, &errors);
     if obs::recording() {
-        obs::counter!("core.integrate.runs").inc();
-        obs::counter!("core.integrate.samples").add(n as u64);
-        obs::counter!("core.integrate.intervals").add(intervals.len() as u64);
-        obs::counter!("core.integrate.shards").add(shards.len() as u64);
-        obs::counter!("core.integrate.errors").add(errors.len() as u64);
-        let interval_cycles = obs::histogram!("core.integrate.interval_cycles");
-        for iv in &intervals {
-            interval_cycles.record(iv.cycles());
-        }
-        let shard_samples = obs::histogram!("core.integrate.shard_samples");
-        for sh in &shards {
-            shard_samples.record(sh.samples.len() as u64);
-        }
         obs::counter!("core.soa.runs").inc();
         obs::counter!("core.soa.samples").add(n as u64);
     }
 
-    let stats = PipelineStats {
-        interval_build_ns,
-        attribution_ns,
-        estimate_ns: 0,
-        samples: n as u64,
-        intervals: intervals.len() as u64,
-        threads: threads as u64,
-    };
     SoaTrace {
         cols,
         intervals,
         errors,
         freq,
         mode,
-        stats,
         item_index,
         aos_fallback: None,
     }
@@ -470,13 +426,12 @@ impl SoaTrace {
             errors: self.errors.clone(),
             freq: self.freq,
             mode: self.mode,
-            stats: self.stats,
             item_index: self.item_index.clone(),
         }
     }
 
     /// Transpose an AoS trace into columns (sentinel encoding). Used by
-    /// the reserved-id fallback and the old-vs-new benchmarks.
+    /// the reserved-id fallback.
     pub fn from_integrated(it: &IntegratedTrace) -> SoaTrace {
         let n = it.samples.len();
         let mut cols = SampleColumns {
@@ -501,7 +456,6 @@ impl SoaTrace {
             errors: it.errors.clone(),
             freq: it.freq,
             mode: it.mode,
-            stats: it.stats,
             item_index: build_item_index(&it.samples),
             // lint:allow(hot-path-alloc): rare-path fallback built once per transpose when a reserved id is present, not per sample
             aos_fallback: reserved_id.then(|| Box::new(it.clone())),
@@ -575,11 +529,7 @@ mod tests {
         for mode in [MappingMode::Intervals, MappingMode::RegisterTag] {
             let aos = integrate(&bundle, &symtab, Freq::ghz(3), mode);
             let soa = integrate_soa(&bundle, &symtab, Freq::ghz(3), mode);
-            let round = soa.to_integrated();
-            assert_eq!(round.samples, aos.samples, "mode {mode:?}");
-            assert_eq!(round.intervals, aos.intervals);
-            assert_eq!(round.errors, aos.errors);
-            assert_eq!(round.item_index, aos.item_index);
+            assert_eq!(soa.to_integrated(), aos, "mode {mode:?}");
             assert_eq!(soa.attribution_ratio(), aos.attribution_ratio());
         }
     }

@@ -5,8 +5,8 @@
 //! exactly.
 
 use fluctrace_core::{
-    chrome_trace_string, integrate_with_threads, run_indexed, EstimateTable, ExportOptions,
-    MappingMode,
+    chrome_trace_string, integrate_soa_with_threads, integrate_with_threads, run_indexed,
+    EstimateTable, ExportOptions, MappingMode,
 };
 use fluctrace_cpu::{
     CoreConfig, Exec, FuncId, ItemId, Machine, MachineConfig, PebsConfig, SymbolTable,
@@ -81,13 +81,23 @@ proptest! {
         for mode in [MappingMode::Intervals, MappingMode::RegisterTag] {
             let reference =
                 integrate_with_threads(&bundle, &symtab, Freq::ghz(3), mode, 1);
-            for threads in [2usize, 4, 16] {
+            let reference_bytes = serde_json::to_string(&reference).unwrap();
+            for threads in [1usize, 2, 4, 16] {
                 let it =
                     integrate_with_threads(&bundle, &symtab, Freq::ghz(3), mode, threads);
                 prop_assert_eq!(&it.samples, &reference.samples,
                     "samples differ at {} threads ({:?})", threads, mode);
                 prop_assert_eq!(&it.intervals, &reference.intervals);
                 prop_assert_eq!(&it.errors, &reference.errors);
+                // The whole trace, not only the fields above: a second
+                // run, another pool size and the columnar kernel's
+                // round-trip all serialize to the same bytes.
+                prop_assert_eq!(&serde_json::to_string(&it).unwrap(), &reference_bytes,
+                    "trace bytes differ at {} threads ({:?})", threads, mode);
+                let soa = integrate_soa_with_threads(
+                    &bundle, &symtab, Freq::ghz(3), mode, threads).to_integrated();
+                prop_assert_eq!(&serde_json::to_string(&soa).unwrap(), &reference_bytes,
+                    "columnar trace bytes differ at {} threads ({:?})", threads, mode);
             }
         }
     }
@@ -97,7 +107,7 @@ proptest! {
         let (bundle, symtab) = trace(&w);
         for mode in [MappingMode::Intervals, MappingMode::RegisterTag] {
             let it = integrate_with_threads(&bundle, &symtab, Freq::ghz(3), mode, 4);
-            let (fast, _ns) = EstimateTable::from_integrated_timed(&it);
+            let fast = EstimateTable::from_integrated(&it);
             let reference = EstimateTable::from_integrated_reference(&it);
             prop_assert_eq!(fast, reference, "estimators disagree ({:?})", mode);
         }
@@ -109,7 +119,7 @@ proptest! {
         let render = |threads: usize| {
             let it = integrate_with_threads(
                 &bundle, &symtab, Freq::ghz(3), MappingMode::Intervals, threads);
-            let (table, _ns) = EstimateTable::from_integrated_timed(&it);
+            let table = EstimateTable::from_integrated(&it);
             chrome_trace_string(&it, &table, &symtab, ExportOptions { include_samples: true })
         };
         let reference = render(1);

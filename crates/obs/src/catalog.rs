@@ -360,21 +360,6 @@ pub const CATALOG: &[MetricDef] = &[
         "configs",
         "Sweep configurations executed",
     ),
-    // Wall-derived throughput gauges, recorded ONLY by the perf-hunt
-    // binary (which writes BENCH_hotpath.json, never figure artifacts).
-    // Figure binaries leave them at zero, so deterministic snapshots
-    // stay byte-identical — the one sanctioned carve-out from the
-    // "no clock-derived values" rule above. See OBSERVABILITY.md.
-    gauge(
-        "bench.hotpath.integrate_samples_per_sec",
-        "samples_per_s",
-        "perf-hunt fast-path integrate throughput (wall-derived)",
-    ),
-    gauge(
-        "bench.hotpath.estimate_samples_per_sec",
-        "samples_per_s",
-        "perf-hunt fast-path estimate throughput (wall-derived)",
-    ),
     // --- store ------------------------------------------------------------
     counter(
         "store.writer.segments",

@@ -1,17 +1,17 @@
 //! Tick-based timekeeping behind a trait: deterministic logical ticks by
 //! default, wall-clock only where a bench binary explicitly installs it.
 //!
-//! Everything downstream (pipeline phase timing, span journaling) works
-//! in opaque *ticks* and differences them TSC-style with `wrapping_sub`.
-//! Under the default [`TickClock`] a tick is a logical event count, so
-//! library code and tests never observe host time; under [`WallClock`]
-//! (bench binaries only) a tick is a nanosecond since process start, so
-//! throughput numbers on stdout and in `BENCH_*.json` are real.
+//! Everything downstream (span journaling, the serve shard's
+//! utilisation counter) works in opaque *ticks* and differences them
+//! TSC-style with `wrapping_sub`. Under the default [`TickClock`] a tick
+//! is a logical event count, so library code and tests never observe
+//! host time; under [`WallClock`] (binaries only) a tick is a nanosecond
+//! since process start, so the span journal carries real durations.
 //!
 //! Snapshots stay byte-deterministic either way because the metrics
 //! registry never records clock-derived values — ticks feed only the
-//! flight recorder and `PipelineStats` wall-time fields, neither of
-//! which lands in figure artifacts or obs snapshots.
+//! flight recorder and the daemon's live utilisation gauge, neither of
+//! which lands in figure artifacts or deterministic obs snapshots.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
