@@ -239,6 +239,24 @@ mod tests {
             m1.node_visits,
             m2.node_visits
         );
+
+        // The trie-partitioning ablation on Table III itself: the
+        // paper's patch splits 50 000 rules into 247 tries instead of 8,
+        // and a type-A packet (`k`) walks every one of them.
+        let rules = table3_rules(666, 75, 50);
+        let vanilla = MultiTrieAcl::build(&rules, AclBuildConfig::vanilla());
+        let patched = MultiTrieAcl::build(&rules, AclBuildConfig::paper_patched());
+        assert_eq!((vanilla.num_tries(), patched.num_tries()), (8, 247));
+        let mut m8 = CountingMeter::new();
+        let mut m247 = CountingMeter::new();
+        vanilla.classify(&k, &mut m8);
+        patched.classify(&k, &mut m247);
+        assert!(
+            m247.node_visits > 20 * m8.node_visits,
+            "8 tries: {} visits, 247 tries: {} visits",
+            m8.node_visits,
+            m247.node_visits
+        );
     }
 
     #[test]

@@ -249,4 +249,19 @@ mod tests {
         let l8 = run_acl(quick()).mean_latency_us;
         assert!(l8 > l0, "profiled {l8} vs baseline {l0}");
     }
+
+    #[test]
+    fn synchronous_drain_stalls_packets_double_buffering_hides() {
+        // The drain-mode ablation: a synchronous SSD drain lands ~200 µs
+        // stalls inside unlucky packets; the double-buffered helper of
+        // §III.E takes the copy off the traced core.
+        let mut sync = quick();
+        sync.drain = DrainMode::Synchronous;
+        let l_sync = run_acl(sync).mean_latency_us;
+        let l_dbl = run_acl(quick()).mean_latency_us;
+        assert!(
+            l_sync > l_dbl,
+            "synchronous {l_sync} us vs double-buffered {l_dbl} us"
+        );
+    }
 }

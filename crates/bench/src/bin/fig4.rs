@@ -24,7 +24,7 @@ const STORE_CAPTURE_RESET: u64 = 4_096;
 fn main() {
     fluctrace_bench::obs_support::init();
     let scale = Scale::from_env();
-    let store = store_support::store_args();
+    let store = fluctrace_bench::obs_support::args();
 
     if let Some(path) = &store.from_store {
         match store_support::replay(path) {

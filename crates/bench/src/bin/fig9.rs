@@ -21,7 +21,7 @@ fn main() {
     fluctrace_bench::obs_support::init();
     let scale = Scale::from_env();
     let per_type = scale.packets_per_type();
-    let store = store_support::store_args();
+    let store = fluctrace_bench::obs_support::args();
 
     if let Some(path) = &store.from_store {
         // Replay a previously spilled run instead of re-simulating.

@@ -97,7 +97,7 @@ fn main() {
         diagnose_main(scale);
         return;
     }
-    let store = store_support::store_args();
+    let store = fluctrace_bench::obs_support::args();
     if let Some(path) = &store.from_store {
         replay_main(path);
         return;

@@ -2,8 +2,9 @@
 //!
 //! The reproduction harness. One binary per paper table/figure
 //! (`cargo run -p fluctrace-bench --release --bin fig9`), built on the
-//! shared experiment runners in this library, plus Criterion benchmarks
-//! of the real components (`cargo bench`).
+//! shared experiment runners in this library, plus `perf-hunt`, the
+//! hot-path bisect tool. Speed is measured only by the repository's
+//! benchmark (`benchmark/README.md`).
 //!
 //! Scale: the paper averages Fig. 9 over 10 000 packets per type and
 //! sends 300 K requests at NGINX; the binaries default to a scale that
@@ -21,8 +22,6 @@ pub mod obs_support;
 pub mod overload_experiment;
 pub mod perf_hunt;
 pub mod sampling_experiment;
-pub mod serve_experiment;
-pub mod store_experiment;
 pub mod store_support;
 
 use std::path::PathBuf;

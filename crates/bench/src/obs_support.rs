@@ -1,10 +1,11 @@
 //! Shared `--obs` plumbing for the figure binaries.
 //!
 //! Every bin calls [`init`] first (installs the wall clock so the span
-//! journal carries real nanoseconds) and [`finish`] last; when
-//! `--obs <path>` is on the command line, `finish` runs the
-//! deterministic [`obs_probe`] and writes the canonical JSON snapshot
-//! of the process-wide registry to that path.
+//! journal carries real nanoseconds, and parses the flags every bin
+//! shares — [`SharedArgs`]) and [`finish`] last; when `--obs <path>` is
+//! on the command line, `finish` runs the deterministic [`obs_probe`]
+//! and writes the canonical JSON snapshot of the process-wide registry
+//! to that path.
 //!
 //! The snapshot is byte-identical across runs and `FLUCTRACE_THREADS`
 //! settings: the registry records only deterministic quantities (event
@@ -17,30 +18,68 @@ use crate::overload_experiment::{run_degradation, run_overload, OverloadConfig};
 use fluctrace_core::AdaptiveConfig;
 use fluctrace_sim::FaultPlan;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Seed for the probe's fault schedule.
 const PROBE_SEED: u64 = 0x0b5e_0b5e;
 
-/// Install the wall clock for the span journal. Call first in `main`;
-/// library and test code must never call this (ticks stay sim-domain
-/// there so flight-recorder output is reproducible).
-pub fn init() {
-    fluctrace_obs::install_wall_clock();
+/// The flags every bin shares. Bin-specific flags are the bin's own to
+/// parse; these are skipped over.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SharedArgs {
+    /// `--obs <path>` / `--obs=<path>`: write the registry snapshot.
+    pub obs: Option<PathBuf>,
+    /// `--store <path>`: spill the run's raw bundles.
+    pub store: Option<PathBuf>,
+    /// `--from-store <path>`: replay a store instead of running.
+    pub from_store: Option<PathBuf>,
 }
 
-/// Parse `--obs <path>` / `--obs=<path>` from the command line.
-pub fn obs_path() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--obs" {
-            let p = args.next().expect("--obs requires a path argument");
-            return Some(PathBuf::from(p));
-        }
-        if let Some(p) = a.strip_prefix("--obs=") {
-            return Some(PathBuf::from(p));
+static ARGS: OnceLock<SharedArgs> = OnceLock::new();
+
+/// Parse the shared flags out of `args` (program name excluded). A
+/// flag whose path is missing, empty, or itself looks like a flag is an
+/// error.
+fn parse_shared(args: &[String]) -> Result<SharedArgs, String> {
+    let mut out = SharedArgs::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let (flag, inline) = match a.split_once('=') {
+            Some(("--obs", v)) => ("--obs", Some(v)),
+            _ => (a.as_str(), None),
+        };
+        let slot = match flag {
+            "--obs" => &mut out.obs,
+            "--store" => &mut out.store,
+            "--from-store" => &mut out.from_store,
+            _ => continue,
+        };
+        match inline.or_else(|| it.next().map(String::as_str)) {
+            Some(v) if !v.is_empty() && !v.starts_with("--") => *slot = Some(PathBuf::from(v)),
+            _ => return Err(format!("{flag} requires a path argument")),
         }
     }
-    None
+    Ok(out)
+}
+
+/// Install the wall clock for the span journal and parse the shared
+/// flags, exiting 2 on a malformed one before any work runs. Call first
+/// in `main`; library and test code must never call this (ticks stay
+/// sim-domain there so flight-recorder output is reproducible).
+pub fn init() {
+    fluctrace_obs::install_wall_clock();
+    let argv: Vec<String> = std::env::args().collect();
+    let parsed = parse_shared(argv.get(1..).unwrap_or_default()).unwrap_or_else(|e| {
+        let bin = argv.first().map(Path::new).and_then(Path::file_name);
+        eprintln!("{}: {e}", bin.unwrap_or_default().to_string_lossy());
+        std::process::exit(2)
+    });
+    let _ = ARGS.set(parsed);
+}
+
+/// The shared flags [`init`] parsed (all unset before `init`).
+pub fn args() -> &'static SharedArgs {
+    ARGS.get_or_init(SharedArgs::default)
 }
 
 /// Exercise every instrumented subsystem with fixed inputs so an
@@ -142,9 +181,9 @@ pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
 /// Bin tail: when `--obs` was requested, run the probe and write the
 /// snapshot, reporting the path like `emit` does for figure artifacts.
 pub fn finish() {
-    if let Some(path) = obs_path() {
+    if let Some(path) = &args().obs {
         obs_probe();
-        match write_snapshot(&path) {
+        match write_snapshot(path) {
             Ok(()) => println!("\n[obs] {}", path.display()),
             Err(e) => eprintln!("\n[obs] write failed: {e}"),
         }
@@ -155,9 +194,48 @@ pub fn finish() {
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> Result<SharedArgs, String> {
+        parse_shared(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
     #[test]
     fn obs_path_accepts_both_flag_forms() {
-        // No --obs on the test binary's own command line.
-        assert_eq!(obs_path(), None);
+        let want = Some(PathBuf::from("/tmp/o.json"));
+        assert_eq!(parse("--obs /tmp/o.json").unwrap().obs, want);
+        assert_eq!(parse("--obs=/tmp/o.json").unwrap().obs, want);
+        assert_eq!(parse("").unwrap(), SharedArgs::default());
+    }
+
+    #[test]
+    fn shared_flags_parse_beside_bin_flags() {
+        let a = parse("diagnose --label x --store a.flt --obs o.json --from-store b.flt").unwrap();
+        let path = |p: &str| Some(PathBuf::from(p));
+        assert_eq!(a.store, path("a.flt"));
+        assert_eq!(a.obs, path("o.json"));
+        assert_eq!(a.from_store, path("b.flt"));
+        // perf-hunt's flags are skipped, not rejected.
+        let hunt = parse("--bisect --slack 0.2 --baseline b.json --label x").unwrap();
+        assert_eq!(hunt, SharedArgs::default());
+    }
+
+    #[test]
+    fn a_missing_path_is_an_error() {
+        // Last on the line, empty, or the next flag in place of a path.
+        for line in [
+            "--obs",
+            "--obs=",
+            "--obs=--store",
+            "--store",
+            "--from-store",
+            "--store --obs /tmp/o.json",
+            "--obs --store a.flt",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} accepted");
+        }
     }
 }

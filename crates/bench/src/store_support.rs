@@ -5,7 +5,8 @@
 //! later replay a store instead of re-running the experiment
 //! (`--from-store <path>`). The store layer is transparent by
 //! construction — the conformance suite pins write→read bit-exact — so
-//! a replayed bundle feeds the same pipeline the live run would.
+//! a replayed bundle feeds the same pipeline the live run would. Both
+//! flags are parsed with `--obs` by [`crate::obs_support::init`].
 //!
 //! Knobs: `FLUCTRACE_STORE_CHUNK` re-chunks files (decoded rows are
 //! pinned unchanged by the metamorphic suite) and
@@ -16,33 +17,10 @@ use fluctrace_cpu::TraceBundle;
 use fluctrace_store::{StoreConfig, TraceReader, TraceWriter, WriteStats};
 use std::fs::File;
 use std::io::BufWriter;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Environment knob enabling redundancy suppression in bin spills.
 pub const SUPPRESS_ENV: &str = "FLUCTRACE_STORE_SUPPRESS";
-
-/// Store-related CLI arguments of a figure bin.
-#[derive(Debug, Clone, Default)]
-pub struct StoreArgs {
-    /// `--store <path>`: spill the run's raw bundles.
-    pub store: Option<PathBuf>,
-    /// `--from-store <path>`: replay a store instead of running.
-    pub from_store: Option<PathBuf>,
-}
-
-/// Parse `--store` / `--from-store` from `std::env::args`.
-pub fn store_args() -> StoreArgs {
-    let mut out = StoreArgs::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--store" => out.store = args.next().map(PathBuf::from),
-            "--from-store" => out.from_store = args.next().map(PathBuf::from),
-            _ => {}
-        }
-    }
-    out
-}
 
 /// The spill configuration: chunking from `FLUCTRACE_STORE_CHUNK`,
 /// suppression from [`SUPPRESS_ENV`].

@@ -13,15 +13,23 @@
 //! ```text
 //! FLUCTRACE_BLESS=1 cargo test -p fluctrace-conformance --test store_golden
 //! ```
+//!
+//! The same perf-hunt input also carries the store's volume claim: a
+//! columnar file is a small fraction of the JSON dump it replaces, and
+//! suppression elides most rows of a hot-loop trace.
 
 use fluctrace_bench::perf_hunt::{synth_workload, HuntConfig};
-use fluctrace_bench::store_experiment::quantize_ips;
 use fluctrace_conformance::driver::suppressible_twin;
 use fluctrace_conformance::{generate, spec_from_seed};
-use fluctrace_cpu::TraceBundle;
-use fluctrace_store::{write_bundle_to_vec, StoreConfig};
+use fluctrace_core::anomaly_trace;
+use fluctrace_core::online::{OnlineConfig, OnlineTracer};
+use fluctrace_cpu::{SymbolTable, TraceBundle};
+use fluctrace_sim::Freq;
+use fluctrace_store::{write_bundle_to_vec, StoreConfig, TraceReader};
 use std::fmt::Write as _;
+use std::io::Cursor;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Conformance seeds pinned here: plain shapes, a TSC-wrapping stream
 /// (`seed % 5 == 3`), an eviction-bound one (`seed % 7 == 0`) and a
@@ -50,6 +58,53 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The perf-hunt shape, large enough that 16 384-row chunks split it
+/// (few far-apart IPs per chunk: dictionary country).
+fn hunt_workload() -> (TraceBundle, SymbolTable) {
+    synth_workload(&HuntConfig {
+        cores: 2,
+        items_per_core: 1_500,
+        samples_per_item: 12,
+        funcs: 48,
+        threads: 1,
+        ..HuntConfig::default()
+    })
+}
+
+/// Snap every sample IP to its function's entry address — the shape a
+/// tight instrumented loop produces, and the redundancy the
+/// suppression pass exists to elide.
+fn quantize_ips(bundle: &TraceBundle, symtab: &SymbolTable) -> TraceBundle {
+    let mut out = bundle.clone();
+    for s in &mut out.samples {
+        if let Some(f) = symtab.resolve(s.ip) {
+            s.ip = symtab.range(f).start;
+        }
+    }
+    out
+}
+
+/// Bytes of the dump the store replaces: the `anomaly_trace` document
+/// of a flag-everything online run (divergence factor 0, no warm-up),
+/// in which every item dumps its raw samples.
+fn json_dump_bytes(bundle: &TraceBundle, symtab: SymbolTable) -> usize {
+    let symtab = Arc::new(symtab);
+    let mut cfg = OnlineConfig::new(Freq::ghz(3));
+    cfg.divergence_factor = 0.0;
+    cfg.warmup = 0;
+    let tracer = OnlineTracer::spawn(Arc::clone(&symtab), cfg);
+    tracer.submit(bundle.clone()).expect("worker alive");
+    let report = tracer.finish().expect("no worker panic");
+    let doc = anomaly_trace(&report, &symtab, cfg.freq);
+    serde_json::to_string(&doc).expect("json").len()
+}
+
+fn read_back(bytes: &[u8]) -> TraceBundle {
+    TraceReader::open(Cursor::new(bytes))
+        .and_then(|mut r| r.read_bundle())
+        .expect("just-written store reads back")
 }
 
 /// One line per (input, suppression, chunk size).
@@ -94,16 +149,7 @@ fn store_files_match_golden() {
             &suppressible_twin(&w.bundle),
         );
     }
-    // One input large enough that 16 384-row chunks split it, in the
-    // perf-hunt shape (few far-apart IPs per chunk: dictionary country).
-    let (hunt, symtab) = synth_workload(&HuntConfig {
-        cores: 2,
-        items_per_core: 1_500,
-        samples_per_item: 12,
-        funcs: 48,
-        threads: 1,
-        ..HuntConfig::default()
-    });
+    let (hunt, symtab) = hunt_workload();
     describe(&mut actual, "hunt bundle", &hunt);
     describe(&mut actual, "hunt quantized", &quantize_ips(&hunt, &symtab));
 
@@ -127,4 +173,26 @@ fn store_files_match_golden() {
         actual.lines().count(),
         "golden and writer disagree on the number of files"
     );
+}
+
+#[test]
+fn store_is_a_fraction_of_the_json_dump_and_suppression_elides_hot_loops() {
+    let (bundle, symtab) = hunt_workload();
+    let twin = quantize_ips(&bundle, &symtab);
+
+    let (bytes, _) = write_bundle_to_vec(&bundle, StoreConfig::default()).expect("vec write");
+    let (json, store) = (json_dump_bytes(&bundle, symtab), bytes.len());
+    assert!(json >= 3 * store, "JSON dump {json} B vs store {store} B");
+    let back = read_back(&bytes);
+    assert_eq!(back.samples, bundle.samples);
+    assert_eq!(back.marks, bundle.marks);
+
+    let (sup, stats) =
+        write_bundle_to_vec(&twin, StoreConfig::suppressed(1 << 20)).expect("vec write");
+    let (elided, rows) = (stats.elided, twin.samples.len() as u64);
+    assert!(2 * elided > rows, "only {elided} of {rows} rows elided");
+    // The ledger replay reconstructs every elided row.
+    let back = read_back(&sup);
+    assert_eq!(back.samples, twin.samples);
+    assert_eq!(back.marks, twin.marks);
 }

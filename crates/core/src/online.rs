@@ -1185,6 +1185,30 @@ mod tests {
     }
 
     #[test]
+    fn filter_keeps_only_the_slow_items_of_a_long_stream() {
+        // The online-filtering ablation: 2 000 items, every 100th one
+        // 10× longer. Divergence-triggered dumping keeps exactly the slow
+        // items past warm-up, a > 20× volume cut vs dump-everything.
+        let (symtab, f) = symtab();
+        let tracer = OnlineTracer::spawn(Arc::clone(&symtab), OnlineConfig::new(Freq::ghz(3)));
+        for i in 0..2_000u64 {
+            let cycles = if i % 100 == 7 { 30_000 } else { 3_000 };
+            tracer
+                .submit(item_batch(&symtab, f, i, i * 1_000_000, cycles))
+                .unwrap();
+        }
+        let report = tracer.finish().unwrap();
+        let flagged: Vec<u64> = report.anomalies.iter().map(|a| a.item.0).collect();
+        let slow: Vec<u64> = (1..20).map(|k| k * 100 + 7).collect();
+        assert_eq!(flagged, slow);
+        assert!(
+            report.reduction_factor() > 20.0,
+            "reduction only {}x",
+            report.reduction_factor()
+        );
+    }
+
+    #[test]
     fn split_batches_across_item_boundary() {
         // Marks and samples of one item arriving in separate batches.
         let (symtab, f) = symtab();

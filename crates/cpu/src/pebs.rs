@@ -15,7 +15,7 @@
 //!   it to storage. The paper's prototype does this synchronously to an
 //!   SSD; double buffering (re-arming PEBS immediately) is the
 //!   optimisation §III.E leaves for future work — both modes are
-//!   implemented here and compared in the ablation bench.
+//!   implemented here and compared by an `acl_experiment` test.
 
 use crate::pmu::HwEvent;
 use crate::storage::StorageSink;

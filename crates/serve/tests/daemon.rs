@@ -21,6 +21,17 @@ fn lossless(seed: u64) -> ServeConfig {
     cfg
 }
 
+/// The steady-state shape: lossless, and long enough to close at least
+/// 64 windows against an 8-window retention ring.
+fn steady(seed: u64) -> ServeConfig {
+    let mut cfg = lossless(seed);
+    cfg.cores = 4;
+    cfg.max_batches = Some(128);
+    cfg.window.window_items = 32;
+    cfg.window.max_windows = 8;
+    cfg
+}
+
 /// Replay one shard's full stream offline and return the batch-pipeline
 /// estimate table — the golden the drained daemon must reproduce.
 fn batch_table(cfg: &ServeConfig, shard: u32) -> EstimateTable {
@@ -37,38 +48,58 @@ fn batch_table(cfg: &ServeConfig, shard: u32) -> EstimateTable {
 
 #[test]
 fn drained_cumulative_tables_equal_the_batch_run() {
-    let cfg = lossless(1234);
-    let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
-    let addr = daemon.addr().to_string();
-    daemon.wait_drained();
+    // (shape, windows the shards must close between them)
+    for (cfg, min_closed) in [(lossless(1234), 24), (steady(7), 64)] {
+        let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
+        let addr = daemon.addr().to_string();
+        daemon.wait_drained();
 
-    let response = query(&addr, "table").unwrap();
-    for shard in 0..cfg.shards as u32 {
-        let expected = serde_json::to_string(&batch_table(&cfg, shard)).unwrap();
-        assert!(
-            response.contains(&expected),
-            "shard {shard} cumulative table != batch pipeline table\n\
-             response: {response}\nexpected fragment: {expected}"
+        let response = query(&addr, "table").unwrap();
+        for shard in 0..cfg.shards as u32 {
+            let expected = serde_json::to_string(&batch_table(&cfg, shard)).unwrap();
+            assert!(
+                response.contains(&expected),
+                "shard {shard} cumulative table != batch pipeline table\n\
+                 response: {response}\nexpected fragment: {expected}"
+            );
+        }
+        // Byte-stable across repeated queries once drained.
+        assert_eq!(response, query(&addr, "table").unwrap());
+        assert_eq!(
+            query(&addr, "snapshot").unwrap(),
+            query(&addr, "snapshot").unwrap()
         );
-    }
-    // Byte-stable across repeated queries once drained.
-    assert_eq!(response, query(&addr, "table").unwrap());
 
-    let loss = query(&addr, "loss").unwrap();
-    assert!(loss.contains("\"conserves_samples\":true"), "{loss}");
-    // Lossless mode: nothing dropped, evicted, thinned, or discarded.
-    for counter in [
-        "\"batches_dropped\":0",
-        "\"samples_dropped\":0",
-        "\"samples_thinned\":0",
-        "\"samples_evicted\":0",
-        "\"samples_discarded\":0",
-    ] {
-        assert!(loss.contains(counter), "missing {counter} in {loss}");
-    }
+        let loss = query(&addr, "loss").unwrap();
+        assert!(loss.contains("\"conserves_samples\":true"), "{loss}");
+        // Lossless mode: nothing dropped, evicted, thinned, or discarded.
+        for counter in [
+            "\"batches_dropped\":0",
+            "\"samples_dropped\":0",
+            "\"samples_thinned\":0",
+            "\"samples_evicted\":0",
+            "\"samples_discarded\":0",
+        ] {
+            assert!(loss.contains(counter), "missing {counter} in {loss}");
+        }
 
-    daemon.quiesce();
-    daemon.join();
+        // Every shard sheds nothing while its bounded ring keeps evicting.
+        let (mut closed, mut evicted) = (0, 0);
+        for view in daemon.shards() {
+            let report = view.integrator.lock().report();
+            assert!(report.conserves_samples(), "{report:?}");
+            assert_eq!(report.loss.batches_dropped, 0, "{report:?}");
+            assert_eq!(report.loss.samples_dropped, 0, "{report:?}");
+            assert_eq!(report.loss.samples_thinned, 0, "{report:?}");
+            closed += report.windows_closed;
+            evicted += report.windows_evicted;
+        }
+        assert!(closed >= min_closed, "{closed} windows closed");
+        assert!(evicted > 0, "no window evicted");
+
+        daemon.quiesce();
+        daemon.join();
+    }
 }
 
 #[test]

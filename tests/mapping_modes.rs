@@ -1,17 +1,40 @@
 //! Cross-crate checks of the two sample→item mapping modes:
 //!
 //! * on a self-switching app, interval mapping and register tagging
-//!   must produce identical per-item estimates;
+//!   must produce identical per-item estimates (a synthetic loop and
+//!   the traced firewall, every `(item, function)` row);
 //! * on a timer-switching (ULT) app, interval mapping has nothing to
 //!   work with, scheduler-logged marks recover intervals, and register
 //!   tagging attributes preempted items correctly.
 
-use fluctrace::core::{integrate, EstimateTable, MappingMode};
+use fluctrace::acl::{table3_rules, AclBuildConfig};
+use fluctrace::apps::{AclCostModel, Firewall, Tester};
+use fluctrace::core::{integrate, EstimateTable, FuncEstimate, MappingMode};
 use fluctrace::cpu::{
     CoreConfig, Exec, ItemId, Machine, MachineConfig, PebsConfig, SymbolTableBuilder,
 };
 use fluctrace::rt::{UltJob, UltScheduler, UltSchedulerConfig};
 use fluctrace::sim::{Freq, SimDuration, SimTime};
+
+/// Integrate `machine`'s trace both ways and require every
+/// `(item, function)` row to agree on presence, elapsed estimate and
+/// sample count. Returns (items, rows) compared.
+fn assert_modes_agree(machine: &mut Machine) -> (usize, usize) {
+    let (bundle, _) = machine.collect();
+    let table = |mode| {
+        EstimateTable::from_integrated(&integrate(&bundle, machine.symtab(), Freq::ghz(3), mode))
+    };
+    let rows = |t: &EstimateTable| -> Vec<FuncEstimate> {
+        t.items().flat_map(|ie| ie.funcs.iter().copied()).collect()
+    };
+    let by_interval = table(MappingMode::Intervals);
+    let (a, b) = (rows(&by_interval), rows(&table(MappingMode::RegisterTag)));
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(x, y, "modes disagree on a row");
+    }
+    assert_eq!(a.len(), b.len(), "modes disagree on row presence");
+    (by_interval.len(), a.len())
+}
 
 #[test]
 fn self_switching_modes_agree() {
@@ -28,33 +51,25 @@ fn self_switching_modes_agree() {
         core.mark_item_end(ItemId(item));
         core.idle(SimDuration::from_us(3));
     }
-    let (bundle, _) = machine.collect();
-    let symtab = machine.symtab();
-    let by_interval = EstimateTable::from_integrated(&integrate(
-        &bundle,
-        symtab,
-        Freq::ghz(3),
-        MappingMode::Intervals,
-    ));
-    let by_tag = EstimateTable::from_integrated(&integrate(
-        &bundle,
-        symtab,
-        Freq::ghz(3),
-        MappingMode::RegisterTag,
-    ));
-    assert_eq!(by_interval.len(), 20);
-    for item in 0..20u64 {
-        let a = by_interval.get(ItemId(item), work);
-        let b = by_tag.get(ItemId(item), work);
-        match (a, b) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.elapsed, b.elapsed, "item {item}");
-                assert_eq!(a.samples, b.samples, "item {item}");
-            }
-            (None, None) => {}
-            other => panic!("item {item}: modes disagree on presence: {other:?}"),
-        }
-    }
+    assert_eq!(assert_modes_agree(&mut machine).0, 20);
+
+    // The paper's firewall at R = 8 000 over 3 cores: 300 packets,
+    // every stage and function row.
+    let (symtab, funcs) = Firewall::symtab();
+    let core_cfg = CoreConfig::bare()
+        .with_pebs(PebsConfig::new(8_000))
+        .with_reg_tagging();
+    let mut machine = Machine::new(MachineConfig::new(3, core_cfg), symtab);
+    let fw = Firewall::new(
+        &table3_rules(200, 100, 0),
+        AclBuildConfig::paper_patched(),
+        AclCostModel::default(),
+        funcs,
+    );
+    let (_, ingress) =
+        Tester::send_round_robin(SimTime::from_us(10), SimDuration::from_us(60), 100);
+    fw.run(&mut machine, ingress);
+    assert_eq!(assert_modes_agree(&mut machine), (300, 324));
 }
 
 fn ult_machine(emit_marks: bool) -> (Machine, fluctrace::cpu::FuncId) {
