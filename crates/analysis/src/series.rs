@@ -132,16 +132,6 @@ impl Figure {
     pub fn from_json(s: &str) -> Result<Figure, serde_json::Error> {
         serde_json::from_str(s)
     }
-
-    /// Write the JSON artifact to `dir/<id>.json`; returns the path.
-    /// Errors are propagated so harnesses can decide whether artifact
-    /// loss is fatal.
-    pub fn write_artifact(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
 }
 
 #[cfg(test)]
@@ -182,14 +172,5 @@ mod tests {
         assert_eq!(parsed.id, "fig_test");
         assert_eq!(parsed.series.len(), 1);
         assert_eq!(parsed.series[0].points[1].err, Some(0.1));
-    }
-
-    #[test]
-    fn artifact_write() {
-        let dir = std::env::temp_dir().join("fluctrace-test-artifacts");
-        let path = fig().write_artifact(&dir).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("fig_test"));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -11,8 +11,7 @@
 //! state, cache warmth — lands on both sides of the fit instead of
 //! biasing one.
 
-use fluctrace_bench::figures::fig4_data;
-use fluctrace_bench::Scale;
+use fluctrace_bench::{figures, Scale};
 use fluctrace_core::fit_instrumentation;
 use std::time::Instant; // lint:allow(clock-hygiene): the obs budget gate times instrumented against uninstrumented runs; readings reach stdout only
 
@@ -28,20 +27,22 @@ fn main() {
         .unwrap_or(5);
 
     println!("obs self-overhead gate — fig4 workload, {reps} interleaved pairs\n");
+    let fig4 = figures::entry("fig4").expect("fig4 is a registry entry");
+    let run_fig4 = || (fig4.run)(scale, false);
 
     // Warm caches and the thread pool before any timed run.
-    let _ = fig4_data(scale);
+    let _ = run_fig4();
 
     let mut pairs = Vec::with_capacity(reps);
     for rep in 0..reps {
         fluctrace_obs::set_recording(false);
         let t = Instant::now(); // lint:allow(clock-hygiene): the obs budget gate times instrumented against uninstrumented runs; readings reach stdout only
-        let _ = fig4_data(scale);
+        let _ = run_fig4();
         let base_s = t.elapsed().as_secs_f64();
 
         fluctrace_obs::set_recording(true);
         let t = Instant::now(); // lint:allow(clock-hygiene): the obs budget gate times instrumented against uninstrumented runs; readings reach stdout only
-        let _ = fig4_data(scale);
+        let _ = run_fig4();
         let instrumented_s = t.elapsed().as_secs_f64();
 
         println!(

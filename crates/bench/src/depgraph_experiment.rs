@@ -77,7 +77,7 @@ impl DepgraphReport {
     }
 }
 
-/// Everything the `overload --diagnose` mode emits.
+/// Everything the `figures depgraph` entry reports.
 #[derive(Debug, Clone)]
 pub struct DepgraphData {
     /// Recovery figure (one point per case).
@@ -302,20 +302,6 @@ pub fn depgraph_data(scale: Scale) -> DepgraphData {
         all_recovered,
         all_exact,
     }
-}
-
-/// One-line summaries for stdout (`overload --diagnose`).
-pub fn explanations(report: &DepgraphReport) -> Vec<String> {
-    report
-        .cases
-        .iter()
-        .flat_map(|c| {
-            c.diagnosis
-                .episodes
-                .iter()
-                .map(move |ep| format!("{}: {}", c.label, ep.explanation))
-        })
-        .collect()
 }
 
 #[cfg(test)]

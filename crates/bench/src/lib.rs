@@ -1,16 +1,18 @@
 //! # fluctrace-bench
 //!
-//! The reproduction harness. One binary per paper table/figure
-//! (`cargo run -p fluctrace-bench --release --bin fig9`), built on the
-//! shared experiment runners in this library, plus `perf-hunt`, the
-//! hot-path bisect tool. Speed is measured only by the repository's
-//! benchmark (`benchmark/README.md`).
+//! The reproduction harness. One binary, `figures`, regenerates every
+//! paper table, figure and section (`cargo run -p fluctrace-bench
+//! --release --bin figures -- fig9`, or `-- all`) from the registry in
+//! [`figures`], built on the shared experiment runners in this library;
+//! beside it are `perf-hunt`, the hot-path bisect tool, and
+//! `obs_overhead`, the obs budget gate. Speed is measured only by the
+//! repository's benchmark (`benchmark/README.md`).
 //!
 //! Scale: the paper averages Fig. 9 over 10 000 packets per type and
-//! sends 300 K requests at NGINX; the binaries default to a scale that
-//! finishes in seconds and accept `FLUCTRACE_SCALE=paper` for the full
-//! workload. Every binary prints its table *and* writes a JSON artifact
-//! under `artifacts/` (override with `FLUCTRACE_ARTIFACTS`).
+//! sends 300 K requests at NGINX; `figures` defaults to a scale that
+//! finishes in seconds and accepts `FLUCTRACE_SCALE=paper` for the full
+//! workload. Every entry prints its report and writes it, with its JSON
+//! documents, under `artifacts/` (override with `FLUCTRACE_ARTIFACTS`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -110,15 +112,6 @@ where
         fluctrace_obs::counter!("bench.sweep.configs").add(configs.len() as u64);
     }
     fluctrace_core::run_indexed(configs, fluctrace_core::configured_threads(), |_, c| f(c))
-}
-
-/// Print a figure's table header comment and write its artifact,
-/// reporting the path (shared tail of every binary).
-pub fn emit(figure: &fluctrace_analysis::Figure) {
-    match figure.write_artifact(&artifact_dir()) {
-        Ok(path) => println!("\n[artifact] {}", path.display()),
-        Err(e) => eprintln!("\n[artifact] write failed: {e}"),
-    }
 }
 
 #[cfg(test)]

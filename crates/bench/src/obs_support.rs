@@ -1,11 +1,11 @@
-//! Shared `--obs` plumbing for the figure binaries.
+//! Shared `--obs` plumbing for the binaries.
 //!
-//! Every bin calls [`init`] first (installs the wall clock so the span
-//! journal carries real nanoseconds, and parses the flags every bin
-//! shares — [`SharedArgs`]) and [`finish`] last; when `--obs <path>` is
-//! on the command line, `finish` runs the deterministic [`obs_probe`]
-//! and writes the canonical JSON snapshot of the process-wide registry
-//! to that path.
+//! Every bin calls [`init`] first: it installs the wall clock so the
+//! span journal carries real nanoseconds, and parses the flags every
+//! bin shares ([`SharedArgs`]). When `--obs <path>` is on the command
+//! line, `figures` runs the deterministic [`obs_probe`] last and writes
+//! the canonical JSON snapshot of the process-wide registry to that
+//! path ([`write_snapshot`]).
 //!
 //! The snapshot is byte-identical across runs and `FLUCTRACE_THREADS`
 //! settings: the registry records only deterministic quantities (event
@@ -18,13 +18,12 @@ use crate::overload_experiment::{run_degradation, run_overload, OverloadConfig};
 use fluctrace_core::AdaptiveConfig;
 use fluctrace_sim::FaultPlan;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 /// Seed for the probe's fault schedule.
 const PROBE_SEED: u64 = 0x0b5e_0b5e;
 
-/// The flags every bin shares. Bin-specific flags are the bin's own to
-/// parse; these are skipped over.
+/// The flags every bin shares. Bin-specific arguments are the bin's own
+/// to parse; they are kept, in order, in [`SharedArgs::rest`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharedArgs {
     /// `--obs <path>` / `--obs=<path>`: write the registry snapshot.
@@ -33,14 +32,14 @@ pub struct SharedArgs {
     pub store: Option<PathBuf>,
     /// `--from-store <path>`: replay a store instead of running.
     pub from_store: Option<PathBuf>,
+    /// Every argument that is neither a shared flag nor its path.
+    pub rest: Vec<String>,
 }
-
-static ARGS: OnceLock<SharedArgs> = OnceLock::new();
 
 /// Parse the shared flags out of `args` (program name excluded). A
 /// flag whose path is missing, empty, or itself looks like a flag is an
 /// error.
-fn parse_shared(args: &[String]) -> Result<SharedArgs, String> {
+pub(crate) fn parse_shared(args: &[String]) -> Result<SharedArgs, String> {
     let mut out = SharedArgs::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -52,7 +51,10 @@ fn parse_shared(args: &[String]) -> Result<SharedArgs, String> {
             "--obs" => &mut out.obs,
             "--store" => &mut out.store,
             "--from-store" => &mut out.from_store,
-            _ => continue,
+            _ => {
+                out.rest.push(a.clone());
+                continue;
+            }
         };
         match inline.or_else(|| it.next().map(String::as_str)) {
             Some(v) if !v.is_empty() && !v.starts_with("--") => *slot = Some(PathBuf::from(v)),
@@ -66,25 +68,19 @@ fn parse_shared(args: &[String]) -> Result<SharedArgs, String> {
 /// flags, exiting 2 on a malformed one before any work runs. Call first
 /// in `main`; library and test code must never call this (ticks stay
 /// sim-domain there so flight-recorder output is reproducible).
-pub fn init() {
+pub fn init() -> SharedArgs {
     fluctrace_obs::install_wall_clock();
     let argv: Vec<String> = std::env::args().collect();
-    let parsed = parse_shared(argv.get(1..).unwrap_or_default()).unwrap_or_else(|e| {
+    parse_shared(argv.get(1..).unwrap_or_default()).unwrap_or_else(|e| {
         let bin = argv.first().map(Path::new).and_then(Path::file_name);
         eprintln!("{}: {e}", bin.unwrap_or_default().to_string_lossy());
         std::process::exit(2)
-    });
-    let _ = ARGS.set(parsed);
-}
-
-/// The shared flags [`init`] parsed (all unset before `init`).
-pub fn args() -> &'static SharedArgs {
-    ARGS.get_or_init(SharedArgs::default)
+    })
 }
 
 /// Exercise every instrumented subsystem with fixed inputs so an
 /// `--obs` snapshot has a nonzero, reproducible value for each catalog
-/// section regardless of which figure the host bin computes.
+/// section regardless of which entries the run computed.
 pub fn obs_probe() {
     // ACL pipeline: integrate / estimate / parallel plus rt stages and
     // Pipeline::run, all in the sim-clock domain.
@@ -178,18 +174,6 @@ pub fn write_snapshot(path: &Path) -> std::io::Result<()> {
     std::fs::write(path, fluctrace_obs::snapshot_json())
 }
 
-/// Bin tail: when `--obs` was requested, run the probe and write the
-/// snapshot, reporting the path like `emit` does for figure artifacts.
-pub fn finish() {
-    if let Some(path) = &args().obs {
-        obs_probe();
-        match write_snapshot(path) {
-            Ok(()) => println!("\n[obs] {}", path.display()),
-            Err(e) => eprintln!("\n[obs] write failed: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,14 +197,17 @@ mod tests {
 
     #[test]
     fn shared_flags_parse_beside_bin_flags() {
-        let a = parse("diagnose --label x --store a.flt --obs o.json --from-store b.flt").unwrap();
+        let a = parse("fig9 --label x --store a.flt --obs o.json --from-store b.flt").unwrap();
         let path = |p: &str| Some(PathBuf::from(p));
         assert_eq!(a.store, path("a.flt"));
         assert_eq!(a.obs, path("o.json"));
         assert_eq!(a.from_store, path("b.flt"));
-        // perf-hunt's flags are skipped, not rejected.
-        let hunt = parse("--bisect --slack 0.2 --baseline b.json --label x").unwrap();
-        assert_eq!(hunt, SharedArgs::default());
+        assert_eq!(a.rest, ["fig9", "--label", "x"]);
+        // perf-hunt's flags are kept for perf-hunt, not rejected.
+        let line = "--bisect --slack 0.2 --baseline b.json --label x";
+        let hunt = parse(line).unwrap();
+        assert_eq!(hunt.rest, line.split_whitespace().collect::<Vec<_>>());
+        assert_eq!((hunt.obs, hunt.store, hunt.from_store), (None, None, None));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn measure_interval(
 }
 
 /// [`measure_interval`], also returning the raw trace bundle (for
-/// `--store` spill in the Fig. 4 bin).
+/// `--store` spill in the Fig. 4 entry).
 pub fn measure_interval_capture(
     kernel: Kernel,
     sampler: Sampler,

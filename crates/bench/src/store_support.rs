@@ -1,6 +1,6 @@
-//! `--store` / `--from-store` plumbing shared by the figure bins.
+//! `--store` / `--from-store` plumbing of the `figures` binary.
 //!
-//! Any bin that produces raw trace bundles can spill them to the
+//! Any entry that produces raw trace bundles can spill them to the
 //! columnar on-disk store (`--store <path>`, one segment per run) and
 //! later replay a store instead of re-running the experiment
 //! (`--from-store <path>`). The store layer is transparent by
@@ -19,7 +19,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 
-/// Environment knob enabling redundancy suppression in bin spills.
+/// Environment knob enabling redundancy suppression in spills.
 pub const SUPPRESS_ENV: &str = "FLUCTRACE_STORE_SUPPRESS";
 
 /// The spill configuration: chunking from `FLUCTRACE_STORE_CHUNK`,
@@ -34,24 +34,6 @@ pub fn spill_config() -> StoreConfig {
         cfg.tolerance = tol;
     }
     cfg
-}
-
-/// Write `bundles` to `path`, one segment per bundle, and print a
-/// summary line. Errors are reported, not fatal — spilling is a side
-/// channel of the figure run.
-pub fn spill(path: &Path, bundles: &[&TraceBundle]) {
-    match write_segments(path, bundles, spill_config()) {
-        Ok(stats) => println!(
-            "[store] {}: {} segment(s), {} samples (+{} elided), {} marks, {} bytes",
-            path.display(),
-            bundles.len(),
-            stats.samples,
-            stats.elided,
-            stats.marks,
-            stats.bytes
-        ),
-        Err(e) => eprintln!("[store] write {} failed: {e}", path.display()),
-    }
 }
 
 /// Write `bundles` to `path` as consecutive segments under `config`,
@@ -86,7 +68,7 @@ pub fn write_segments(
 
 /// Open `path` and read everything back: the per-segment table, the
 /// merged totals, and the elision ledger. Returns the merged bundle so
-/// bins can feed it back into their pipeline.
+/// an entry can feed it back into its pipeline.
 pub fn replay(path: &Path) -> Result<TraceBundle, String> {
     let file = File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let mut reader = TraceReader::open(file).map_err(|e| e.to_string())?;

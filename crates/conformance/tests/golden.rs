@@ -1,160 +1,120 @@
-//! Golden artifact snapshots: the figure JSON the bench bins emit at
-//! Quick scale, pinned byte-for-byte under `tests/golden/`.
+//! Golden outputs: every `figures` report at Quick scale, pinned
+//! byte-for-byte against the one committed copy in `artifacts/`.
 //!
-//! Every figure is content-derived (no wall-clock, no host state), so
+//! The test loops over `fluctrace_bench::figures::REGISTRY` and compares
+//! each entry's text with `artifacts/<id>.txt` and each JSON document
+//! with `artifacts/<stem>.json` — the same files `figures all` writes.
+//! An entry that can spill raw bundles runs a second time with
+//! `keep_bundles`, against the same bytes: `--store` must not change
+//! what it reports.
+//!
+//! Every report is content-derived (no wall-clock, no host state), so
 //! any drift here is a real behavior change in the simulator, the
-//! pipeline or the figure assembly. When a change is intentional, bless
-//! new snapshots with:
+//! pipeline or the report assembly. When a change is intentional,
+//! rewrite `artifacts/` with:
 //!
 //! ```text
 //! FLUCTRACE_BLESS=1 cargo test -p fluctrace-conformance --test golden
 //! ```
 //!
-//! and commit the updated files (they must match a fresh
-//! `artifacts/` regeneration at Quick scale — CI checks both).
+//! and commit the updated files.
 
-use fluctrace_analysis::Figure;
-use fluctrace_bench::depgraph_experiment::depgraph_data;
-use fluctrace_bench::figures::{fig10_data, fig4_data, fig9_data, overload_data};
+use fluctrace_bench::figures::REGISTRY;
 use fluctrace_bench::Scale;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
+/// Written by `perf-hunt --record`, not by any registry entry.
+const NOT_A_REPORT: &str = "BENCH_hotpath.json";
+
+fn artifacts_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../artifacts")
 }
 
 fn blessing() -> bool {
     std::env::var_os("FLUCTRACE_BLESS").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// First differing line plus a bounded summary of all differing lines —
-/// enough to see *what* moved without dumping whole artifacts.
+/// The first differing lines and how many differ — enough to see *what*
+/// moved without dumping whole artifacts.
 fn diff_summary(expected: &str, actual: &str) -> String {
-    let exp: Vec<&str> = expected.lines().collect();
-    let act: Vec<&str> = actual.lines().collect();
+    let (exp, act): (Vec<&str>, Vec<&str>) = (expected.lines().collect(), actual.lines().collect());
+    let differing: Vec<usize> = (0..exp.len().max(act.len()))
+        .filter(|&i| exp.get(i) != act.get(i))
+        .collect();
     let mut out = String::new();
-    let mut shown = 0usize;
-    let mut differing = 0usize;
-    let n = exp.len().max(act.len());
-    for i in 0..n {
-        let e = exp.get(i).copied();
-        let a = act.get(i).copied();
-        if e != a {
-            differing += 1;
-            if shown < 8 {
-                out.push_str(&format!(
-                    "  line {}:\n    golden: {}\n    actual: {}\n",
-                    i + 1,
-                    e.unwrap_or("<eof>"),
-                    a.unwrap_or("<eof>")
-                ));
-                shown += 1;
+    for &i in differing.iter().take(8) {
+        let (e, a) = (
+            exp.get(i).unwrap_or(&"<eof>"),
+            act.get(i).unwrap_or(&"<eof>"),
+        );
+        out += &format!("  line {}:\n    golden: {e}\n    actual: {a}\n", i + 1);
+    }
+    let (n, e, a) = (differing.len(), exp.len(), act.len());
+    out + &format!("  {n} differing line(s) of {e} (golden) / {a} (actual)")
+}
+
+/// Compare `actual` with `artifacts/<name>`, or write it there when
+/// `bless`; returns the drift, if any.
+fn check_golden(name: &str, actual: &str, bless: bool) -> Option<String> {
+    let path = artifacts_dir().join(name);
+    if bless {
+        std::fs::write(&path, actual).expect("write golden");
+        eprintln!("blessed {}", path.display());
+        return None;
+    }
+    match std::fs::read_to_string(&path) {
+        Ok(expected) if expected == actual => None,
+        Ok(expected) => Some(format!("{name}:\n{}", diff_summary(&expected, actual))),
+        Err(e) => Some(format!(
+            "{name}: missing ({e}); bless it with FLUCTRACE_BLESS=1"
+        )),
+    }
+}
+
+#[test]
+fn every_figure_matches_artifacts() {
+    let mut drift = Vec::new();
+    let mut written = BTreeSet::from([NOT_A_REPORT.to_string()]);
+    for entry in REGISTRY {
+        let inputs: &[bool] = if entry.replay.is_some() {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &keep_bundles in inputs {
+            let r = (entry.run)(Scale::Quick, keep_bundles);
+            let label = format!("{} (keep_bundles={keep_bundles})", entry.id);
+            assert!(r.failures.is_empty(), "{label}: {:?}", r.failures);
+            assert_eq!(!r.bundles.is_empty(), keep_bundles, "{label}: bundles");
+            // Only the plain run blesses; the bundle run must match it.
+            let bless = blessing() && !keep_bundles;
+            for (name, body) in r.files(entry.id) {
+                if let Some(d) = check_golden(&name, body, bless) {
+                    drift.push(format!("{label} {d}"));
+                }
+                written.insert(name);
             }
         }
     }
-    out.push_str(&format!(
-        "  {} differing line(s) of {} (golden) / {} (actual)",
-        differing,
-        exp.len(),
-        act.len()
-    ));
-    out
-}
-
-fn check_golden(fig: &Figure) {
-    let path = golden_dir().join(format!("{}.json", fig.id));
-    let actual = fig.to_json();
-    if blessing() {
-        std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-        std::fs::write(&path, &actual).expect("write golden");
-        eprintln!("blessed {}", path.display());
-        return;
+    let committed: BTreeSet<String> = std::fs::read_dir(artifacts_dir())
+        .expect("artifacts/ exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    for stale in committed.difference(&written) {
+        drift.push(format!(
+            "{stale}: committed, but no registry entry writes it"
+        ));
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); bless it with FLUCTRACE_BLESS=1",
-            path.display()
-        )
-    });
     assert!(
-        expected == actual,
-        "golden artifact drift in {}:\n{}\nIf intentional, re-bless with \
-         FLUCTRACE_BLESS=1 and regenerate artifacts/ (see TESTING.md).",
-        path.display(),
-        diff_summary(&expected, &actual)
+        drift.is_empty(),
+        "golden artifact drift:\n{}\nIf intentional, re-bless with FLUCTRACE_BLESS=1 \
+         (see TESTING.md).",
+        drift.join("\n")
     );
-}
-
-#[test]
-fn fig4_matches_golden() {
-    check_golden(&fig4_data(Scale::Quick).figure);
-}
-
-#[test]
-fn fig9_matches_golden() {
-    check_golden(&fig9_data(Scale::Quick).figure);
-}
-
-#[test]
-fn fig10_matches_golden() {
-    check_golden(&fig10_data(Scale::Quick).figure);
-}
-
-#[test]
-fn overload_matches_golden() {
-    let data = overload_data(Scale::Quick);
-    assert!(
-        data.all_exact,
-        "overload loss accounting must match the injected schedule"
-    );
-    check_golden(&data.figure);
-    check_golden(&data.degrade_figure);
-}
-
-#[test]
-fn depgraph_matches_golden() {
-    let data = depgraph_data(Scale::Quick);
-    assert!(
-        data.all_recovered && data.all_exact,
-        "depgraph walker must recover every declared root with exact accounting"
-    );
-    check_golden(&data.figure);
-    check_golden_text("depgraph_report", &data.report.to_canonical_json());
-}
-
-/// Like [`check_golden`] but for non-figure canonical-JSON documents
-/// (the depgraph recovery report).
-fn check_golden_text(id: &str, actual: &str) {
-    let path = golden_dir().join(format!("{id}.json"));
-    if blessing() {
-        std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-        std::fs::write(&path, actual).expect("write golden");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); bless it with FLUCTRACE_BLESS=1",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "golden artifact drift in {}:\n{}\nIf intentional, re-bless with \
-         FLUCTRACE_BLESS=1 and regenerate artifacts/ (see TESTING.md).",
-        path.display(),
-        diff_summary(&expected, actual)
-    );
-}
-
-/// Blessing is deterministic: building the same figure twice yields the
-/// same bytes, so a blessed golden never depends on run order or thread
-/// count.
-#[test]
-fn figure_serialization_is_deterministic() {
-    let a = fig10_data(Scale::Quick).figure.to_json();
-    let b = fig10_data(Scale::Quick).figure.to_json();
-    assert_eq!(a, b);
 }

@@ -1,10 +1,10 @@
 //! Golden snapshot of the fig4 `--obs` export, pinned byte-for-byte.
 //!
-//! Reproduces in-process exactly what `cargo run --bin fig4 -- --obs`
-//! writes: the fig4 sweep followed by the deterministic obs probe, then
-//! the canonical JSON snapshot of the process-wide registry. CI runs
-//! the bin twice (different `FLUCTRACE_THREADS`) and diffs both outputs
-//! against this golden.
+//! Reproduces in-process exactly what `figures fig4 --obs <path>`
+//! writes: the fig4 registry entry followed by the deterministic obs
+//! probe, then the canonical JSON snapshot of the process-wide
+//! registry. CI runs the binary twice (different `FLUCTRACE_THREADS`)
+//! and diffs both outputs against this golden.
 //!
 //! Deliberately a single `#[test]` in its own binary: the snapshot
 //! covers the whole process-wide registry, so no other test may share
@@ -14,7 +14,7 @@
 //! FLUCTRACE_BLESS=1 cargo test -p fluctrace-conformance --test golden_obs
 //! ```
 
-use fluctrace_bench::figures::fig4_data;
+use fluctrace_bench::figures::entry;
 use fluctrace_bench::obs_support::obs_probe;
 use fluctrace_bench::Scale;
 use std::path::PathBuf;
@@ -32,7 +32,8 @@ fn blessing() -> bool {
 
 #[test]
 fn fig4_obs_export_matches_golden() {
-    let _ = fig4_data(Scale::Quick);
+    let fig4 = entry("fig4").expect("fig4 is a registry entry");
+    let _ = (fig4.run)(Scale::Quick, false);
     obs_probe();
     let actual = fluctrace_obs::snapshot_json();
 
