@@ -11,7 +11,9 @@
 //!   never increases any per-`(item, func)` sample count, and never
 //!   invents items or functions the full stream didn't have.
 //! * **Core-relabeling symmetry** — permuting core ids leaves the
-//!   estimate table and the online loss accounting untouched.
+//!   estimate table and the online loss accounting untouched, and so
+//!   does spreading them sparse up to `u32::MAX` (the windowed report
+//!   too).
 //! * **SoA ingest-order invariance** — however the raw records were
 //!   permuted before the canonical sort, the columnar fast path builds
 //!   the same table, and that table equals the AoS reference's.
@@ -22,7 +24,8 @@
 use fluctrace_conformance::{generate, spec_from_seed, CanonicalTable, Workload};
 use fluctrace_core::online::{OnlineConfig, OnlineReport, OnlineTracer};
 use fluctrace_core::{
-    integrate_soa_with_threads, integrate_with_threads, EstimateTable, MappingMode,
+    integrate_soa_with_threads, integrate_with_threads, EstimateTable, MappingMode, WindowConfig,
+    WindowReport, WindowedIntegrator,
 };
 use fluctrace_cpu::{CoreId, TraceBundle};
 use proptest::prelude::*;
@@ -46,6 +49,20 @@ fn online_report(w: &Workload, batches: &[TraceBundle]) -> OnlineReport {
         tracer.submit(batch.clone()).expect("worker alive");
     }
     tracer.finish().expect("worker finished")
+}
+
+fn windowed_report(w: &Workload, batches: &[TraceBundle]) -> WindowReport {
+    let mut config = WindowConfig::new(w.freq);
+    config.window_items = 5;
+    config.divergence_factor = 0.0;
+    config.warmup = 0;
+    config.max_pending = w.spec.max_pending;
+    let mut integ = WindowedIntegrator::new(Arc::clone(&w.symtab), config);
+    for batch in batches {
+        integ.ingest(batch.clone());
+    }
+    integ.finish_stream();
+    integ.report()
 }
 
 /// `(item, func, elapsed_ps, raw_samples)` of one anomaly.
@@ -97,8 +114,23 @@ fn thin_per_core(bundle: &TraceBundle, k: u64) -> TraceBundle {
 
 /// Reverse the core-id space — a permutation with no fixed points for
 /// any multi-core workload.
-fn relabel_cores(bundle: &TraceBundle, cores: u32) -> TraceBundle {
-    let map = |c: CoreId| CoreId(cores.saturating_sub(1).saturating_sub(c.0));
+fn reverse_cores(cores: u32) -> impl Fn(CoreId) -> CoreId {
+    move |c| CoreId(cores.saturating_sub(1).saturating_sub(c.0))
+}
+
+/// Spread the core ids apart, order kept: `c ↦ c·2²⁹ + 5`, and the
+/// last core to `u32::MAX` — ids no dense per-core array could index.
+fn sparse_cores(cores: u32) -> impl Fn(CoreId) -> CoreId {
+    move |c| {
+        if c.0 + 1 >= cores {
+            CoreId(u32::MAX)
+        } else {
+            CoreId((c.0 << 29) + 5)
+        }
+    }
+}
+
+fn relabel_cores(bundle: &TraceBundle, map: &impl Fn(CoreId) -> CoreId) -> TraceBundle {
     let mut out = bundle.clone();
     for s in &mut out.samples {
         s.core = map(s.core);
@@ -241,19 +273,31 @@ proptest! {
         let w = generate(&spec_from_seed(seed));
         prop_assume!(w.spec.cores > 1);
         let original = CanonicalTable::from_pipeline(&offline_table(&w, &w.bundle)).to_json();
-        let relabeled_bundle = relabel_cores(&w.bundle, w.spec.cores);
+        let map = reverse_cores(w.spec.cores);
+        let relabeled_bundle = relabel_cores(&w.bundle, &map);
         let relabeled = CanonicalTable::from_pipeline(&offline_table(&w, &relabeled_bundle))
             .to_json();
         prop_assert_eq!(&original, &relabeled, "seed {}", seed);
         // Online: relabel each batch in place (cut positions unchanged,
         // so per-core arrival order is preserved).
-        let batches: Vec<TraceBundle> = w
-            .batches
-            .iter()
-            .map(|b| relabel_cores(b, w.spec.cores))
-            .collect();
+        let batches: Vec<TraceBundle> = w.batches.iter().map(|b| relabel_cores(b, &map)).collect();
         let a = report_fingerprint(&online_report(&w, &w.batches));
         let b = report_fingerprint(&online_report(&w, &batches));
         prop_assert_eq!(&a, &b, "seed {}", seed);
+    }
+
+    #[test]
+    fn sparse_core_ids_are_a_symmetry(seed in 0u64..1_000_000) {
+        let w = generate(&spec_from_seed(seed));
+        let map = sparse_cores(w.spec.cores);
+        let original = CanonicalTable::from_pipeline(&offline_table(&w, &w.bundle)).to_json();
+        let sparse = CanonicalTable::from_pipeline(&offline_table(&w, &relabel_cores(&w.bundle, &map)))
+            .to_json();
+        prop_assert_eq!(&original, &sparse, "seed {}", seed);
+        let batches: Vec<TraceBundle> = w.batches.iter().map(|b| relabel_cores(b, &map)).collect();
+        let a = report_fingerprint(&online_report(&w, &w.batches));
+        let b = report_fingerprint(&online_report(&w, &batches));
+        prop_assert_eq!(&a, &b, "seed {}", seed);
+        prop_assert_eq!(windowed_report(&w, &w.batches), windowed_report(&w, &batches), "seed {}", seed);
     }
 }

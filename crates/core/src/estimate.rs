@@ -507,15 +507,17 @@ pub(crate) fn assemble_table(
     // The run-driven SoA scan emits spans already grouped by ascending
     // item, so item-sorted input only needs per-group sorts by func —
     // each a handful of elements. Time-order scans interleave items and
-    // take the full sort. Both end states are sorted by (item, func),
-    // and every downstream fold over equal keys is commutative, so the
-    // resulting table is identical whichever branch ran.
+    // take the full sort — a stable one, because a window's span list is
+    // a few ascending runs (one per batch) that it merges instead of
+    // re-sorting. Both end states are sorted by (item, func), and every
+    // downstream fold over equal keys is commutative, so the resulting
+    // table is identical whichever branch ran.
     if flat.is_sorted_by_key(|&(item, _, _, _, _)| item) {
         for group in flat.chunk_by_mut(|a, b| a.0 == b.0) {
             group.sort_unstable_by_key(|&(_, func, _, _, _)| func);
         }
     } else {
-        flat.sort_unstable_by_key(|&(item, func, _, _, _)| (item, func));
+        flat.sort_by_key(|&(item, func, _, _, _)| (item, func));
     }
 
     // Exact totals from marks, coalesced into a sorted list.
@@ -525,7 +527,7 @@ pub(crate) fn assemble_table(
     let mut totals: Vec<(ItemId, u64)> = Vec::with_capacity(raw_totals.len());
     for &(item, cycles) in &raw_totals {
         match totals.last_mut() {
-            Some((last_item, acc)) if *last_item == item => *acc += cycles,
+            Some((last_item, acc)) if *last_item == item => *acc = acc.wrapping_add(cycles),
             _ => totals.push((item, cycles)),
         }
     }
@@ -573,7 +575,7 @@ pub(crate) fn assemble_table(
             let mut cycles = 0u64;
             for &(_, _, first_tsc, last_tsc, count) in func_group {
                 samples += count;
-                cycles += last_tsc.wrapping_sub(first_tsc);
+                cycles = cycles.wrapping_add(last_tsc.wrapping_sub(first_tsc));
             }
             funcs.push(FuncEstimate {
                 item,

@@ -7,14 +7,21 @@
 //! only in the closure that receives each completed item. The offline
 //! `interval::build_intervals` and the conformance oracle stay separate:
 //! they are what this is checked against.
+//!
+//! No tree is touched per sample or per item: per-core state is a short
+//! sorted `Vec` with the last core's slot cached (a sorted batch hits it
+//! on every record but the first of each core run), symbol lookup is
+//! memoized on the last function's address range, an item's spans are
+//! built in a scratch `Vec` kept across items, and the divergence
+//! baselines are dense over the symbol table.
 
 use crate::interval::ItemInterval;
 use fluctrace_cpu::{
-    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
+    AddrRange, CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
+    VirtAddr,
 };
 use fluctrace_sim::{Freq, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Exact accounting of everything the online tracer shed, evicted, or
@@ -108,8 +115,8 @@ pub(crate) struct Completed<'a> {
     /// per-core buffer outlives its item.
     pub samples: Vec<PebsRecord>,
     /// Per-function `(first tsc, last tsc, sample count)` inside the
-    /// interval; iterates in ascending `FuncId`.
-    pub spans: &'a BTreeMap<FuncId, (u64, u64, u32)>,
+    /// interval, one entry per function, in ascending `FuncId`.
+    pub spans: &'a [(FuncId, (u64, u64, u32))],
     /// Samples inside the interval whose IP resolved to no function.
     pub unknown: u32,
     /// The divergence rule's verdict: the worst diverging function
@@ -147,24 +154,73 @@ impl CoreState {
     }
 }
 
+/// Per-core state in a `Vec` sorted by core id, plus the slot of the
+/// last core used. Core ids come from store files, so the id is never
+/// an index: `CoreId(u32::MAX)` costs one slot like any other.
+#[derive(Default)]
+struct Cores {
+    slots: Vec<(CoreId, CoreState)>,
+    last: usize,
+}
+
+impl Cores {
+    /// The state of `core`, created empty on first use.
+    fn get(&mut self, core: CoreId) -> Option<&mut CoreState> {
+        if !matches!(self.slots.get(self.last), Some((c, _)) if *c == core) {
+            self.last = match self.slots.binary_search_by_key(&core, |(c, _)| *c) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.slots.insert(i, (core, CoreState::default()));
+                    i
+                }
+            };
+        }
+        self.slots.get_mut(self.last).map(|(_, state)| state)
+    }
+}
+
+/// Resolve `ip`, answering from `memo` (the last function resolved and
+/// its address range) when the IP falls inside it.
+fn resolve(
+    symtab: &SymbolTable,
+    memo: &mut Option<(FuncId, AddrRange)>,
+    ip: VirtAddr,
+) -> Option<FuncId> {
+    match *memo {
+        Some((func, range)) if range.contains(ip) => Some(func),
+        _ => {
+            let func = symtab.resolve(ip)?;
+            *memo = Some((func, symtab.range(func)));
+            Some(func)
+        }
+    }
+}
+
 /// The streaming pairing state machine. See the module docs.
 pub(crate) struct Pairing {
     symtab: Arc<SymbolTable>,
+    /// The last function resolved and its address range.
+    memo: Option<(FuncId, AddrRange)>,
     config: PairingConfig,
-    cores: BTreeMap<CoreId, CoreState>,
-    /// Running per-function baselines (count, mean in ps), carried for
-    /// the life of the stream.
-    baselines: BTreeMap<FuncId, (u64, f64)>,
+    cores: Cores,
+    /// Scratch for the spans of the item being finished, kept across
+    /// items; lent to `on_item` as [`Completed::spans`].
+    spans: Vec<(FuncId, (u64, u64, u32))>,
+    /// Running per-function baselines (count, mean in ps), indexed by
+    /// `FuncId` and carried for the life of the stream.
+    baselines: Vec<(u64, f64)>,
     counts: PairingCounts,
 }
 
 impl Pairing {
     pub(crate) fn new(symtab: Arc<SymbolTable>, config: PairingConfig) -> Self {
         Pairing {
+            baselines: vec![(0, 0.0); symtab.len()],
             symtab,
+            memo: None,
             config,
-            cores: BTreeMap::new(),
-            baselines: BTreeMap::new(),
+            cores: Cores::default(),
+            spans: Vec::new(),
             counts: PairingCounts::default(),
         }
     }
@@ -175,7 +231,7 @@ impl Pairing {
 
     /// Cores seen so far.
     pub(crate) fn cores(&self) -> usize {
-        self.cores.len()
+        self.cores.slots.len()
     }
 
     /// Ingest one batch, calling `on_item` once per completed item.
@@ -214,7 +270,7 @@ impl Pairing {
     /// exact. A second call finds nothing buffered and changes nothing;
     /// a later `ingest` simply starts the next stream segment.
     pub(crate) fn finish_stream(&mut self) {
-        for state in self.cores.values_mut() {
+        for (_, state) in &mut self.cores.slots {
             if state.abandon(&mut self.counts.loss) {
                 self.counts.loss.starts_truncated += 1;
             }
@@ -223,7 +279,9 @@ impl Pairing {
 
     fn push_sample(&mut self, s: PebsRecord) {
         let cap = self.config.max_pending.max(1);
-        let state = self.cores.entry(s.core).or_default();
+        let Some(state) = self.cores.get(s.core) else {
+            return;
+        };
         state.pending.push(s);
         self.counts.pending_peak = self.counts.pending_peak.max(state.pending.len() as u64);
         if state.pending.len() > cap {
@@ -237,7 +295,9 @@ impl Pairing {
 
     fn apply_mark(&mut self, m: MarkRecord, on_item: &mut impl FnMut(Completed<'_>)) {
         let loss = &mut self.counts.loss;
-        let state = self.cores.entry(m.core).or_default();
+        let Some(state) = self.cores.get(m.core) else {
+            return;
+        };
         match (m.kind, state.open) {
             (MarkKind::Start, _) => {
                 if state.abandon(loss) {
@@ -282,10 +342,13 @@ impl Pairing {
         self.counts.samples_attributed += samples.len() as u64;
         // Per-function first/last/count within the interval — one
         // occupancy span per completed interval, the quantum the batch
-        // estimator folds per interval index. BTreeMap, not HashMap: the
-        // worst-function tie-break below iterates this map, and
-        // serialized anomalies must not depend on hash order.
-        let mut spans: BTreeMap<FuncId, (u64, u64, u32)> = BTreeMap::new();
+        // estimator folds per interval index. Built as one entry per run
+        // of samples in the same function, then sorted by `FuncId` and
+        // merged: min, max and sum do not depend on the order of the
+        // runs, and the worst-function tie-break below needs ascending
+        // ids.
+        let spans = &mut self.spans;
+        spans.clear();
         let mut unknown = 0u32;
         for s in &samples {
             if !interval.contains(s.tsc) {
@@ -294,20 +357,34 @@ impl Pairing {
             if interval.is_boundary(s.tsc) {
                 self.counts.loss.boundary_samples += 1;
             }
-            match self.symtab.resolve(s.ip) {
-                Some(func) => {
-                    let e = spans.entry(func).or_insert((s.tsc, s.tsc, 0));
-                    e.0 = e.0.min(s.tsc);
-                    e.1 = e.1.max(s.tsc);
-                    e.2 += 1;
-                }
+            match resolve(&self.symtab, &mut self.memo, s.ip) {
+                Some(func) => match spans.last_mut() {
+                    Some((f, (first, last, count))) if *f == func => {
+                        *first = (*first).min(s.tsc);
+                        *last = (*last).max(s.tsc);
+                        *count += 1;
+                    }
+                    _ => spans.push((func, (s.tsc, s.tsc, 1))),
+                },
                 None => unknown += 1,
             }
         }
+        spans.sort_unstable_by_key(|&(func, _)| func);
+        spans.dedup_by(|(func, (first, last, count)), (kept_func, kept)| {
+            let same = *func == *kept_func;
+            if same {
+                kept.0 = kept.0.min(*first);
+                kept.1 = kept.1.max(*last);
+                kept.2 += *count;
+            }
+            same
+        });
         let mut divergence: Option<(FuncId, SimDuration, SimDuration)> = None;
-        for (&func, &(first, last, _)) in &spans {
+        for &(func, (first, last, _)) in &self.spans {
             let elapsed = self.config.freq.cycles_to_dur(last.wrapping_sub(first));
-            let (count, mean_ps) = self.baselines.entry(func).or_insert((0, 0.0));
+            let Some((count, mean_ps)) = self.baselines.get_mut(func.index()) else {
+                continue;
+            };
             let diverges = *count >= self.config.warmup
                 && elapsed.as_ps() as f64 > *mean_ps * self.config.divergence_factor
                 && elapsed > SimDuration::ZERO;
@@ -329,10 +406,528 @@ impl Pairing {
         on_item(Completed {
             interval,
             samples,
-            spans: &spans,
+            spans: &self.spans,
             unknown,
             divergence,
             counts: &self.counts,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! `Pairing::ingest` against a naive fold written here, which calls
+    //! nothing in this module: one stable whole-batch sort under the tie
+    //! rule, `BTreeMap` state, a linear scan of the symbol table and a
+    //! `BTreeMap` span fold — no slot cache, no memo, no run merge.
+
+    use super::*;
+    use fluctrace_cpu::{HwEvent, SymbolTableBuilder, NO_TAG};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Functions in the test table: more than 20, so one item can visit
+    /// over 20 distinct ones.
+    const FUNCS: u32 = 24;
+    /// Function size; the builder's 16-byte padding leaves an 8-byte gap
+    /// after each function.
+    const SIZE: u64 = 40;
+    /// Sparse core ids a case draws from, besides `u32::MAX`.
+    const SPARSE: [u32; 6] = [0, 1, 5, 1 << 29, 3 << 29, u32::MAX - 1];
+
+    fn symtab() -> Arc<SymbolTable> {
+        let mut b = SymbolTableBuilder::new();
+        for i in 0..FUNCS {
+            b.add(&format!("f{i}"), SIZE);
+        }
+        b.build().into_shared()
+    }
+
+    /// `(loss, items, seen, attributed, pending_peak)`.
+    type CountsKey = (LossStats, u64, u64, u64, u64);
+
+    fn key(c: &PairingCounts) -> CountsKey {
+        (
+            c.loss,
+            c.items_processed,
+            c.samples_seen,
+            c.samples_attributed,
+            c.pending_peak,
+        )
+    }
+
+    /// One completed item, owned.
+    #[derive(Debug, PartialEq)]
+    struct Done {
+        interval: ItemInterval,
+        samples: Vec<PebsRecord>,
+        spans: Vec<(FuncId, (u64, u64, u32))>,
+        unknown: u32,
+        divergence: Option<(FuncId, SimDuration, SimDuration)>,
+        counts: CountsKey,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Rec {
+        Sample(PebsRecord),
+        Mark(MarkRecord),
+    }
+
+    /// A core's pending samples and open Start.
+    type NaiveCore = (Vec<PebsRecord>, Option<(ItemId, u64)>);
+
+    /// The reference fold.
+    struct Naive {
+        symtab: Arc<SymbolTable>,
+        config: PairingConfig,
+        cores: BTreeMap<CoreId, NaiveCore>,
+        baselines: BTreeMap<FuncId, (u64, f64)>,
+        counts: PairingCounts,
+        done: Vec<Done>,
+    }
+
+    impl Naive {
+        fn new(symtab: Arc<SymbolTable>, config: PairingConfig) -> Self {
+            Naive {
+                symtab,
+                config,
+                cores: BTreeMap::new(),
+                baselines: BTreeMap::new(),
+                counts: PairingCounts::default(),
+                done: Vec::new(),
+            }
+        }
+
+        fn ingest(&mut self, batch: &TraceBundle) {
+            self.counts.samples_seen += batch.samples.len() as u64;
+            // The tie rule at one (core, tsc): where an End sits, samples
+            // go first, then the Ends, then the Starts; elsewhere Starts
+            // go before samples.
+            let ends: BTreeSet<(CoreId, u64)> = batch
+                .marks
+                .iter()
+                .filter(|m| m.kind == MarkKind::End)
+                .map(|m| (m.core, m.tsc))
+                .collect();
+            let mut recs: Vec<(CoreId, u64, u8, Rec)> = batch
+                .samples
+                .iter()
+                .map(|&s| (s.core, s.tsc, 1, Rec::Sample(s)))
+                .collect();
+            for &m in &batch.marks {
+                let rank = match m.kind {
+                    MarkKind::End => 2,
+                    MarkKind::Start if ends.contains(&(m.core, m.tsc)) => 3,
+                    MarkKind::Start => 0,
+                };
+                recs.push((m.core, m.tsc, rank, Rec::Mark(m)));
+            }
+            recs.sort_by_key(|&(core, tsc, rank, _)| (core, tsc, rank));
+            for (.., rec) in recs {
+                match rec {
+                    Rec::Sample(s) => self.sample(s),
+                    Rec::Mark(m) => self.mark(m),
+                }
+            }
+        }
+
+        fn sample(&mut self, s: PebsRecord) {
+            let (pending, _) = self.cores.entry(s.core).or_default();
+            pending.push(s);
+            self.counts.pending_peak = self.counts.pending_peak.max(pending.len() as u64);
+            while pending.len() > self.config.max_pending.max(1) {
+                pending.remove(0);
+                self.counts.loss.samples_evicted += 1;
+            }
+        }
+
+        fn mark(&mut self, m: MarkRecord) {
+            let loss = &mut self.counts.loss;
+            let (pending, open) = self.cores.entry(m.core).or_default();
+            let buffered = pending.len() as u64;
+            match (m.kind, *open) {
+                (MarkKind::Start, prev) => {
+                    if prev.is_some() {
+                        loss.starts_abandoned += 1;
+                        loss.samples_discarded += buffered;
+                    } else {
+                        loss.samples_spin += buffered;
+                    }
+                    pending.clear();
+                    *open = Some((m.item, m.tsc));
+                }
+                (MarkKind::End, Some((item, start_tsc))) if item == m.item => {
+                    *open = None;
+                    let samples = std::mem::take(pending);
+                    let interval = ItemInterval {
+                        core: m.core,
+                        item,
+                        start_tsc,
+                        end_tsc: m.tsc,
+                    };
+                    self.complete(interval, samples);
+                }
+                (MarkKind::End, Some(_)) => {
+                    loss.marks_mismatched += 1;
+                    loss.samples_discarded += buffered;
+                    pending.clear();
+                    *open = None;
+                }
+                (MarkKind::End, None) => {
+                    loss.marks_orphaned += 1;
+                    loss.samples_spin += buffered;
+                    pending.clear();
+                }
+            }
+        }
+
+        fn finish(&mut self) {
+            let loss = &mut self.counts.loss;
+            for (pending, open) in self.cores.values_mut() {
+                if open.take().is_some() {
+                    loss.starts_truncated += 1;
+                    loss.samples_discarded += pending.len() as u64;
+                } else {
+                    loss.samples_spin += pending.len() as u64;
+                }
+                pending.clear();
+            }
+        }
+
+        fn complete(&mut self, interval: ItemInterval, samples: Vec<PebsRecord>) {
+            self.counts.items_processed += 1;
+            self.counts.samples_attributed += samples.len() as u64;
+            let mut spans: BTreeMap<FuncId, (u64, u64, u32)> = BTreeMap::new();
+            let mut unknown = 0;
+            for s in &samples {
+                if s.tsc < interval.start_tsc || s.tsc > interval.end_tsc {
+                    continue;
+                }
+                if s.tsc == interval.start_tsc || s.tsc == interval.end_tsc {
+                    self.counts.loss.boundary_samples += 1;
+                }
+                let func = self
+                    .symtab
+                    .iter()
+                    .find(|(_, f)| f.range.start <= s.ip && s.ip < f.range.end);
+                match func {
+                    Some((func, _)) => {
+                        let e = spans.entry(func).or_insert((s.tsc, s.tsc, 0));
+                        e.0 = e.0.min(s.tsc);
+                        e.1 = e.1.max(s.tsc);
+                        e.2 += 1;
+                    }
+                    None => unknown += 1,
+                }
+            }
+            let mut divergence: Option<(FuncId, SimDuration, SimDuration)> = None;
+            for (&func, &(first, last, _)) in &spans {
+                let elapsed = self.config.freq.cycles_to_dur(last.wrapping_sub(first));
+                let (count, mean_ps) = self.baselines.entry(func).or_insert((0, 0.0));
+                if *count >= self.config.warmup
+                    && elapsed.as_ps() as f64 > *mean_ps * self.config.divergence_factor
+                    && elapsed > SimDuration::ZERO
+                {
+                    if divergence.is_none_or(|(_, worst, _)| worst < elapsed) {
+                        divergence = Some((func, elapsed, SimDuration::from_ps(*mean_ps as u64)));
+                    }
+                } else {
+                    *count += 1;
+                    *mean_ps += (elapsed.as_ps() as f64 - *mean_ps) / *count as f64;
+                }
+            }
+            self.done.push(Done {
+                interval,
+                samples,
+                spans: spans.into_iter().collect(),
+                unknown,
+                divergence,
+                counts: key(&self.counts),
+            });
+        }
+    }
+
+    /// SplitMix64, for input shapes.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n.max(1)
+        }
+
+        fn chance(&mut self, per_mille: u64) -> bool {
+            self.below(1000) < per_mille
+        }
+    }
+
+    fn inside(symtab: &SymbolTable, rng: &mut Rng, f: u32) -> VirtAddr {
+        VirtAddr(symtab.range(FuncId(f)).start.0 + rng.below(SIZE))
+    }
+
+    /// In the padding after `f`.
+    fn gap(symtab: &SymbolTable, rng: &mut Rng, f: u32) -> VirtAddr {
+        VirtAddr(symtab.range(FuncId(f)).end.0 + rng.below(16 - SIZE % 16))
+    }
+
+    fn past_last(symtab: &SymbolTable, rng: &mut Rng) -> VirtAddr {
+        VirtAddr(symtab.range(FuncId(FUNCS - 1)).end.0 + rng.below(1 << 12))
+    }
+
+    fn below_first(symtab: &SymbolTable, rng: &mut Rng) -> VirtAddr {
+        VirtAddr(rng.below(symtab.range(FuncId(0)).start.0))
+    }
+
+    /// The IPs of one item's body.
+    fn body(symtab: &SymbolTable, rng: &mut Rng, pattern: u64) -> Vec<VirtAddr> {
+        let mut ips = Vec::new();
+        match pattern {
+            // A → B → A: the first function's runs must merge.
+            0 => {
+                let a = rng.below(u64::from(FUNCS - 1)) as u32;
+                let b = a + 1 + rng.below(u64::from(FUNCS - 1 - a)) as u32;
+                for f in [a, b, a] {
+                    for _ in 0..1 + rng.below(3) {
+                        ips.push(inside(symtab, rng, f));
+                    }
+                }
+            }
+            // Every function once, shuffled: over 20 in one item.
+            1 => {
+                let mut funcs: Vec<u32> = (0..FUNCS).collect();
+                for i in (1..funcs.len()).rev() {
+                    funcs.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                for f in funcs {
+                    ips.push(inside(symtab, rng, f));
+                }
+            }
+            // Right after a memo hit on `f`: its gap, a higher function,
+            // past the last function, below the first.
+            2 => {
+                let f = rng.below(u64::from(FUNCS - 1)) as u32;
+                let higher = f + 1 + rng.below(u64::from(FUNCS - 1 - f)) as u32;
+                let mut hit_then = |ip: VirtAddr, rng: &mut Rng| {
+                    ips.push(inside(symtab, rng, f));
+                    ips.push(inside(symtab, rng, f));
+                    ips.push(ip);
+                };
+                let ip = gap(symtab, rng, f);
+                hit_then(ip, rng);
+                let ip = past_last(symtab, rng);
+                hit_then(ip, rng);
+                let ip = below_first(symtab, rng);
+                hit_then(ip, rng);
+                let ip = inside(symtab, rng, higher);
+                hit_then(ip, rng);
+            }
+            // Anything, with some locality.
+            _ => {
+                let mut f = rng.below(u64::from(FUNCS)) as u32;
+                for _ in 0..rng.below(10) {
+                    if rng.chance(400) {
+                        f = rng.below(u64::from(FUNCS)) as u32;
+                    }
+                    let ip = match rng.below(10) {
+                        0 => gap(symtab, rng, f),
+                        1 => past_last(symtab, rng),
+                        2 => below_first(symtab, rng),
+                        _ => inside(symtab, rng, f),
+                    };
+                    ips.push(ip);
+                }
+            }
+        }
+        ips
+    }
+
+    /// One step of a core's arrival stream: a record, or the end of the
+    /// batch being filled.
+    enum Step {
+        Rec(Rec),
+        Cut,
+    }
+
+    /// One core's arrival stream. With `forced`, the first three items
+    /// are clean and take body patterns 0, 1, 2, and the first one's End
+    /// arrives a batch after its Start.
+    fn core_steps(
+        symtab: &SymbolTable,
+        rng: &mut Rng,
+        core: CoreId,
+        forced: bool,
+        next_item: &mut u64,
+    ) -> Vec<Step> {
+        let sample = |tsc: u64, ip: VirtAddr| {
+            Step::Rec(Rec::Sample(PebsRecord {
+                core,
+                tsc,
+                ip,
+                r13: NO_TAG,
+                event: HwEvent::UopsRetired,
+            }))
+        };
+        let mark = |tsc: u64, item: u64, kind: MarkKind| {
+            Step::Rec(Rec::Mark(MarkRecord {
+                core,
+                tsc,
+                item: ItemId(item),
+                kind,
+            }))
+        };
+        let any_ip = |rng: &mut Rng| {
+            let f = rng.below(u64::from(FUNCS)) as u32;
+            inside(symtab, rng, f)
+        };
+        let mut steps = Vec::new();
+        let mut tsc = rng.below(1 << 40);
+        for k in 0..3 + rng.below(8) {
+            let item = *next_item;
+            *next_item += 1;
+            let clean = forced && k < 3;
+            if rng.chance(200) {
+                // Inter-item spin.
+                for _ in 0..1 + rng.below(3) {
+                    tsc += 1 + rng.below(20);
+                    steps.push(sample(tsc, any_ip(rng)));
+                }
+            }
+            tsc += 1 + rng.below(20);
+            let shape = if clean { 0 } else { rng.below(12) };
+            match shape {
+                // Start, sample and End at one tsc: the End sorts first,
+                // so this item never completes.
+                1 => {
+                    steps.push(mark(tsc, item, MarkKind::Start));
+                    steps.push(sample(tsc, any_ip(rng)));
+                    steps.push(mark(tsc, item, MarkKind::End));
+                    continue;
+                }
+                // Orphan End.
+                2 => {
+                    steps.push(mark(tsc, item, MarkKind::End));
+                    continue;
+                }
+                _ => {}
+            }
+            steps.push(mark(tsc, item, MarkKind::Start));
+            if rng.chance(300) {
+                steps.push(sample(tsc, any_ip(rng)));
+            }
+            let pattern = if clean { k } else { rng.below(5) };
+            let ips = body(symtab, rng, pattern);
+            // Shape 3 restarts the item midway, abandoning the first half.
+            let restart = (shape == 3).then(|| rng.below(ips.len() as u64 + 1));
+            for (i, ip) in (0u64..).zip(ips) {
+                if restart == Some(i) {
+                    steps.push(mark(tsc, item, MarkKind::Start));
+                }
+                tsc += rng.below(20);
+                steps.push(sample(tsc, ip));
+            }
+            tsc += rng.below(20);
+            if rng.chance(300) {
+                steps.push(sample(tsc, any_ip(rng)));
+            }
+            if (forced && k == 0) || rng.chance(150) {
+                steps.push(Step::Cut);
+            }
+            match shape {
+                // Mismatched End.
+                4 => steps.push(mark(tsc, item | 1 << 41, MarkKind::End)),
+                // Lost End: the next Start abandons the item.
+                5 => {}
+                _ => steps.push(mark(tsc, item, MarkKind::End)),
+            }
+        }
+        steps
+    }
+
+    /// Interleave the cores' streams at random, keeping each core's
+    /// order, into batches cut at every `Cut` and at random.
+    fn batches(rng: &mut Rng, streams: Vec<Vec<Step>>) -> Vec<TraceBundle> {
+        let mut queues: Vec<_> = streams.into_iter().map(Vec::into_iter).collect();
+        let mut out = Vec::new();
+        let mut cur = TraceBundle::default();
+        while !queues.is_empty() {
+            let i = rng.below(queues.len() as u64) as usize;
+            match queues[i].next() {
+                None => {
+                    queues.swap_remove(i);
+                }
+                Some(Step::Cut) => out.push(std::mem::take(&mut cur)),
+                Some(Step::Rec(Rec::Sample(s))) => cur.samples.push(s),
+                Some(Step::Rec(Rec::Mark(m))) => cur.marks.push(m),
+            }
+            if rng.chance(30) {
+                out.push(std::mem::take(&mut cur));
+            }
+        }
+        out.push(cur);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::cases_from_env(256))]
+
+        #[test]
+        fn ingest_matches_a_naive_fold(seed in any::<u64>(), small_cap in 0u8..4) {
+            let symtab = symtab();
+            let mut rng = Rng(seed);
+            let mut cores = vec![CoreId(u32::MAX)];
+            for _ in 0..1 + rng.below(3) {
+                let c = CoreId(SPARSE[rng.below(SPARSE.len() as u64) as usize]);
+                if !cores.contains(&c) {
+                    cores.push(c);
+                }
+            }
+            let forced = rng.below(cores.len() as u64) as usize;
+            let mut next_item = 0;
+            let streams = cores
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| core_steps(&symtab, &mut rng, c, i == forced, &mut next_item))
+                .collect();
+            let batches = batches(&mut rng, streams);
+            let config = PairingConfig {
+                freq: Freq::ghz(3),
+                divergence_factor: 1.5,
+                warmup: 2,
+                max_pending: if small_cap == 0 { 2 + rng.below(6) as usize } else { 1 << 16 },
+            };
+
+            let mut pairing = Pairing::new(Arc::clone(&symtab), config);
+            let mut naive = Naive::new(symtab, config);
+            let mut got = Vec::new();
+            for b in &batches {
+                pairing.ingest(b.clone(), |d| {
+                    got.push(Done {
+                        interval: d.interval,
+                        samples: d.samples,
+                        spans: d.spans.to_vec(),
+                        unknown: d.unknown,
+                        divergence: d.divergence,
+                        counts: key(d.counts),
+                    })
+                });
+                naive.ingest(b);
+            }
+            prop_assert_eq!(&got, &naive.done, "seed {}", seed);
+            pairing.finish_stream();
+            naive.finish();
+            prop_assert_eq!(key(pairing.counts()), key(&naive.counts), "seed {}", seed);
+            prop_assert_eq!(pairing.cores(), cores.len(), "seed {}", seed);
+            if small_cap != 0 {
+                // The forced sweep item completed whole.
+                prop_assert!(got.iter().any(|d| d.spans.len() > 20), "seed {}", seed);
+            }
+        }
     }
 }

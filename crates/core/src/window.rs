@@ -234,8 +234,9 @@ enum Accum {
         unknown: BTreeMap<ItemId, u32>,
     },
     Folded {
-        /// Func → (samples, cycles).
-        funcs: BTreeMap<FuncId, (u64, u64)>,
+        /// (samples, cycles) indexed by `FuncId`, dense over the symbol
+        /// table and allocated once.
+        funcs: Vec<(u64, u64)>,
         marked_cycles: u64,
         unknown_samples: u64,
         items: u64,
@@ -278,7 +279,7 @@ impl WindowedIntegrator {
                 unknown: BTreeMap::new(),
             },
             CumulativeMode::Folded => Accum::Folded {
-                funcs: BTreeMap::new(),
+                funcs: vec![(0, 0); symtab.len()],
                 marked_cycles: 0,
                 unknown_samples: 0,
                 items: 0,
@@ -419,9 +420,10 @@ impl WindowedIntegrator {
                 unknown_samples,
                 items,
             } => FoldedTotals {
-                funcs: funcs
-                    .iter()
-                    .map(|(&func, &(samples, cycles))| (func, samples, cycles))
+                funcs: (0u32..)
+                    .zip(funcs)
+                    .filter(|(_, &(samples, _))| samples > 0)
+                    .map(|(func, &(samples, cycles))| (FuncId(func), samples, cycles))
                     .collect(),
                 marked_cycles: *marked_cycles,
                 unknown_samples: *unknown_samples,
@@ -491,13 +493,15 @@ impl Folds {
                 marked,
                 unknown,
             } => {
-                for (&func, &(first, last, count)) in done.spans {
+                for &(func, (first, last, count)) in done.spans {
                     let e = funcs.entry((interval.item, func)).or_insert((0, 0));
                     e.0 = e.0.wrapping_add(count);
                     e.1 = e.1.wrapping_add(last.wrapping_sub(first));
                 }
-                *marked.entry(interval.item).or_insert(0) =
-                    marked.get(&interval.item).copied().unwrap_or(0) + interval.cycles();
+                // Wraps like the `Folded` twin and `folded_totals()`:
+                // an End below its Start marks nearly 2⁶⁴ cycles.
+                let m = marked.entry(interval.item).or_insert(0);
+                *m = m.wrapping_add(interval.cycles());
                 if done.unknown > 0 {
                     *unknown.entry(interval.item).or_insert(0) += done.unknown;
                 }
@@ -508,17 +512,18 @@ impl Folds {
                 unknown_samples,
                 items,
             } => {
-                for (&func, &(first, last, count)) in done.spans {
-                    let e = funcs.entry(func).or_insert((0, 0));
-                    e.0 += u64::from(count);
-                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                for &(func, (first, last, count)) in done.spans {
+                    if let Some(e) = funcs.get_mut(func.index()) {
+                        e.0 += u64::from(count);
+                        e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                    }
                 }
                 *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
                 *unknown_samples += u64::from(done.unknown);
                 *items += 1;
             }
         }
-        for (&func, &(first, last, count)) in done.spans {
+        for &(func, (first, last, count)) in done.spans {
             self.open
                 .flat
                 .push((interval.item, func, first, last, count));
@@ -870,6 +875,30 @@ mod tests {
         assert_eq!(exact.folded_totals(), folded.folded_totals());
         assert!(folded.cumulative_table().is_none());
         assert_eq!(folded.report(), exact.report());
+    }
+
+    #[test]
+    fn an_end_below_its_start_wraps_the_cycle_sums() {
+        // Item 7 opens twice on core 0, each End arriving in the next
+        // batch at a tsc 50 below its Start: two intervals of 2⁶⁴ − 50
+        // cycles each, whose sums must wrap, not panic.
+        let (symtab, _) = symtab(2);
+        let mut batches = Vec::new();
+        for (start, end) in [(1_000, 950), (2_000, 1_950)] {
+            let mut open = TraceBundle::default();
+            open.marks.push(mark(0, start, 7, MarkKind::Start));
+            let mut close = TraceBundle::default();
+            close.marks.push(mark(0, end, 7, MarkKind::End));
+            batches.extend([open, close]);
+        }
+        let mut cfg = WindowConfig::new(freq());
+        let exact = run_windowed(&batches, &symtab, cfg);
+        cfg.cumulative = CumulativeMode::Folded;
+        let folded = run_windowed(&batches, &symtab, cfg);
+        assert_eq!(exact.report().items_processed, 2);
+        assert_eq!(exact.folded_totals().marked_cycles, u64::MAX - 99);
+        assert_eq!(exact.folded_totals(), folded.folded_totals());
+        assert!(exact.cumulative_table().is_some());
     }
 
     #[test]
