@@ -391,11 +391,7 @@ pub const CATALOG: &[MetricDef] = &[
         "bytes",
         "Store bytes written, magic/footer/tail included",
     ),
-    counter(
-        "store.reader.segments",
-        "segments",
-        "Store segments opened by full reads",
-    ),
+    counter("store.reader.segments", "segments", "Store segments opened"),
     counter(
         "store.reader.samples",
         "samples",

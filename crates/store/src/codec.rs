@@ -7,7 +7,9 @@
 //! chosen bytes depend only on the column's contents). The encoding
 //! loops and the size arithmetic that picks among them live in
 //! `encode.rs`; the functions here are their allocating, one-column
-//! front ends. Decoders
+//! front ends. Each decoder has an `_into` form that fills a caller's
+//! buffer (the reader keeps one per column across chunks) and an
+//! allocating front end over it. Decoders
 //! take the row count the footer promised and fail with a
 //! [`StoreError`] on any disagreement — a corrupt count can never
 //! cause a silent short read or an unbounded allocation.
@@ -38,7 +40,27 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read an LEB128 varint at `*pos`, advancing it.
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
+    // Most column values, deltas, indices and run lengths fit one or
+    // two bytes.
+    if let Some(&b0) = buf.get(*pos) {
+        if b0 & 0x80 == 0 {
+            *pos += 1;
+            return Ok(u64::from(b0));
+        }
+        if let Some(&b1) = buf.get(*pos + 1) {
+            if b1 & 0x80 == 0 {
+                *pos += 2;
+                return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
+            }
+        }
+    }
+    read_varint_wide(buf, pos)
+}
+
+/// [`read_varint`] past the one- and two-byte cases (and every error).
+fn read_varint_wide(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
     let mut v: u64 = 0;
     let mut shift: u32 = 0;
     loop {
@@ -90,12 +112,25 @@ pub fn encode_raw(values: &[u64]) -> Vec<u8> {
 
 /// Decode a [`TAG_RAW`] payload of exactly `expect` rows.
 pub fn decode_raw(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>, StoreError> {
+    let mut out = Vec::new();
+    decode_raw_into(buf, pos, expect, &mut out).map(|()| out)
+}
+
+/// [`decode_raw`] into `out`, replacing its contents (undefined after
+/// an error).
+pub fn decode_raw_into(
+    buf: &[u8],
+    pos: &mut usize,
+    expect: usize,
+    out: &mut Vec<u64>,
+) -> Result<(), StoreError> {
     let n = read_count(buf, pos, expect)?;
-    let mut out = Vec::with_capacity(capacity_hint(buf, *pos, n));
+    out.clear();
+    out.reserve(capacity_hint(buf, *pos, n));
     for _ in 0..n {
         out.push(read_varint(buf, pos)?);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode as first value + zigzag deltas. Deltas use `wrapping_sub`, so
@@ -109,19 +144,31 @@ pub fn encode_delta(values: &[u64]) -> Vec<u8> {
 
 /// Decode a [`TAG_DELTA`] payload of exactly `expect` rows.
 pub fn decode_delta(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>, StoreError> {
+    let mut out = Vec::new();
+    decode_delta_into(buf, pos, expect, &mut out).map(|()| out)
+}
+
+/// [`decode_delta`] into `out`, replacing its contents (undefined after
+/// an error).
+pub fn decode_delta_into(
+    buf: &[u8],
+    pos: &mut usize,
+    expect: usize,
+    out: &mut Vec<u64>,
+) -> Result<(), StoreError> {
     let n = read_count(buf, pos, expect)?;
-    let mut out = Vec::with_capacity(capacity_hint(buf, *pos, n));
-    let mut prev: u64 = 0;
-    for i in 0..n {
-        let v = if i == 0 {
-            read_varint(buf, pos)?
-        } else {
-            prev.wrapping_add(unzigzag(read_varint(buf, pos)?) as u64)
-        };
-        out.push(v);
-        prev = v;
+    out.clear();
+    out.reserve(capacity_hint(buf, *pos, n));
+    if n == 0 {
+        return Ok(());
     }
-    Ok(out)
+    let mut prev = read_varint(buf, pos)?;
+    out.push(prev);
+    for _ in 1..n {
+        prev = prev.wrapping_add(unzigzag(read_varint(buf, pos)?) as u64);
+        out.push(prev);
+    }
+    Ok(())
 }
 
 /// Encode as a sorted distinct-value dictionary (delta-coded, strictly
@@ -136,6 +183,19 @@ pub fn encode_dict(values: &[u64]) -> Vec<u8> {
 
 /// Decode a [`TAG_DICT`] payload of exactly `expect` rows.
 pub fn decode_dict(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>, StoreError> {
+    let mut out = Vec::new();
+    decode_dict_into(buf, pos, expect, &mut out, &mut Vec::new()).map(|()| out)
+}
+
+/// [`decode_dict`] into `out`, replacing its contents; `dict` is scratch
+/// for the dictionary entries. Both are undefined after an error.
+pub fn decode_dict_into(
+    buf: &[u8],
+    pos: &mut usize,
+    expect: usize,
+    out: &mut Vec<u64>,
+    dict: &mut Vec<u64>,
+) -> Result<(), StoreError> {
     let n = read_count(buf, pos, expect)?;
     let dict_len = read_varint(buf, pos)?;
     if n > 0 && dict_len == 0 {
@@ -145,7 +205,8 @@ pub fn decode_dict(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64
         .ok()
         .map(|l| capacity_hint(buf, *pos, l))
         .ok_or(StoreError::Corrupt("dictionary longer than addressable"))?;
-    let mut dict = Vec::with_capacity(dict_cap);
+    dict.clear();
+    dict.reserve(dict_cap);
     let mut prev: u64 = 0;
     for i in 0..dict_len {
         let d = if i == 0 {
@@ -164,7 +225,8 @@ pub fn decode_dict(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64
         dict.push(d);
         prev = d;
     }
-    let mut out = Vec::with_capacity(capacity_hint(buf, *pos, n));
+    out.clear();
+    out.reserve(capacity_hint(buf, *pos, n));
     for _ in 0..n {
         let idx = read_varint(buf, pos)?;
         let v = usize::try_from(idx)
@@ -174,7 +236,7 @@ pub fn decode_dict(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64
             .ok_or(StoreError::Corrupt("dictionary index out of range"))?;
         out.push(v);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode as (value, run-length) pairs. Wins on constant and
@@ -189,8 +251,21 @@ pub fn encode_rle(values: &[u64]) -> Vec<u8> {
 /// until exactly `expect` rows are produced; a run overshooting the
 /// count is corruption, never an over-allocation.
 pub fn decode_rle(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>, StoreError> {
+    let mut out = Vec::new();
+    decode_rle_into(buf, pos, expect, &mut out).map(|()| out)
+}
+
+/// [`decode_rle`] into `out`, replacing its contents (undefined after
+/// an error).
+pub fn decode_rle_into(
+    buf: &[u8],
+    pos: &mut usize,
+    expect: usize,
+    out: &mut Vec<u64>,
+) -> Result<(), StoreError> {
     let n = read_count(buf, pos, expect)?;
-    let mut out = Vec::with_capacity(n.min(crate::format::MAX_CHUNK_ROWS as usize));
+    out.clear();
+    out.reserve(n.min(crate::format::MAX_CHUNK_ROWS as usize));
     while out.len() < n {
         let value = read_varint(buf, pos)?;
         let len = read_varint(buf, pos)?;
@@ -201,11 +276,9 @@ pub fn decode_rle(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>
         if len > remaining {
             return Err(StoreError::Corrupt("RLE run overshoots row count"));
         }
-        for _ in 0..len {
-            out.push(value);
-        }
+        out.resize(out.len() + len as usize, value);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode a column under the smallest of the four codecs, prefixed by
@@ -220,13 +293,27 @@ pub fn encode_column(values: &[u64]) -> Vec<u8> {
 
 /// Decode one tagged column of exactly `expect` rows at `*pos`.
 pub fn decode_column(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>, StoreError> {
+    let mut out = Vec::new();
+    decode_column_into(buf, pos, expect, &mut out, &mut Vec::new()).map(|()| out)
+}
+
+/// [`decode_column`] into `out`, replacing its contents; `dict` is
+/// scratch for a dictionary column's entries. Both are undefined after
+/// an error.
+pub fn decode_column_into(
+    buf: &[u8],
+    pos: &mut usize,
+    expect: usize,
+    out: &mut Vec<u64>,
+    dict: &mut Vec<u64>,
+) -> Result<(), StoreError> {
     let tag = *buf.get(*pos).ok_or(StoreError::Truncated("column tag"))?;
     *pos = pos.saturating_add(1);
     match tag {
-        TAG_RAW => decode_raw(buf, pos, expect),
-        TAG_DELTA => decode_delta(buf, pos, expect),
-        TAG_DICT => decode_dict(buf, pos, expect),
-        TAG_RLE => decode_rle(buf, pos, expect),
+        TAG_RAW => decode_raw_into(buf, pos, expect, out),
+        TAG_DELTA => decode_delta_into(buf, pos, expect, out),
+        TAG_DICT => decode_dict_into(buf, pos, expect, out, dict),
+        TAG_RLE => decode_rle_into(buf, pos, expect, out),
         _ => Err(StoreError::Corrupt("unknown codec tag")),
     }
 }

@@ -3,9 +3,12 @@
 //! sequences, single-row chunks, all-equal columns, empty columns.
 
 use fluctrace_store::codec::{
-    decode_column, decode_delta, decode_dict, decode_raw, decode_rle, encode_column, encode_delta,
-    encode_dict, encode_raw, encode_rle, read_varint, unzigzag, write_varint, zigzag,
+    decode_column, decode_column_into, decode_delta, decode_delta_into, decode_dict,
+    decode_dict_into, decode_raw, decode_raw_into, decode_rle, decode_rle_into, encode_column,
+    encode_delta, encode_dict, encode_raw, encode_rle, read_varint, unzigzag, write_varint, zigzag,
+    TAG_DELTA, TAG_DICT, TAG_RAW, TAG_RLE,
 };
+use fluctrace_store::StoreError;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random column from a seed: mixes wraparound
@@ -38,6 +41,43 @@ fn column_from_seed(seed: u64, len: usize) -> Vec<u64> {
     out
 }
 
+type Decode = fn(&[u8], &mut usize, usize) -> Result<Vec<u64>, StoreError>;
+
+/// `len` values that are nobody's decoded column.
+fn garbage(len: usize) -> Vec<u64> {
+    (1..=len as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect()
+}
+
+/// The `_into` form, writing into buffers pre-filled with garbage of
+/// other lengths, returns what the allocating form returns and leaves
+/// `pos` at the same place — on the payload, on a wrong row count and
+/// on the payload cut short by a byte.
+fn assert_into_agrees(
+    name: &str,
+    bytes: &[u8],
+    n: usize,
+    alloc: Decode,
+    into: impl Fn(&[u8], &mut usize, usize, &mut Vec<u64>, &mut Vec<u64>) -> Result<(), StoreError>,
+) {
+    let short = &bytes[..bytes.len().saturating_sub(1)];
+    for (input, expect) in [(bytes, n), (bytes, n + 1), (short, n)] {
+        let mut want_pos = 0;
+        let want = alloc(input, &mut want_pos, expect);
+        let (mut out, mut dict) = (garbage(n + 3), garbage(5));
+        let mut got_pos = 0;
+        let got = into(input, &mut got_pos, expect, &mut out, &mut dict).map(|()| out);
+        assert_eq!(
+            got,
+            want,
+            "{name}_into, {} bytes, expect {expect}",
+            input.len()
+        );
+        assert_eq!(got_pos, want_pos, "{name}_into pos");
+    }
+}
+
 fn roundtrip_each(values: &[u64]) {
     let n = values.len();
 
@@ -65,6 +105,30 @@ fn roundtrip_each(values: &[u64]) {
     let mut pos = 0;
     assert_eq!(decode_column(&col, &mut pos, n).unwrap(), values, "column");
     assert_eq!(pos, col.len(), "column consumed exactly");
+
+    assert_into_agrees("raw", &raw, n, decode_raw, |b, p, e, o, _| {
+        decode_raw_into(b, p, e, o)
+    });
+    assert_into_agrees("delta", &delta, n, decode_delta, |b, p, e, o, _| {
+        decode_delta_into(b, p, e, o)
+    });
+    assert_into_agrees("dict", &dict, n, decode_dict, decode_dict_into);
+    assert_into_agrees("rle", &rle, n, decode_rle, |b, p, e, o, _| {
+        decode_rle_into(b, p, e, o)
+    });
+    assert_into_agrees("column", &col, n, decode_column, decode_column_into);
+    for (tag, payload) in [
+        (TAG_RAW, &raw),
+        (TAG_DELTA, &delta),
+        (TAG_DICT, &dict),
+        (TAG_RLE, &rle),
+    ] {
+        let tagged: Vec<u8> = std::iter::once(tag)
+            .chain(payload.iter().copied())
+            .collect();
+        assert_into_agrees("column", &tagged, n, decode_column, decode_column_into);
+    }
+
     // The adaptive pick never loses to any single codec (plus its tag).
     for (name, enc) in [
         ("raw", &raw),

@@ -1,7 +1,8 @@
 //! Malformed-input fixture suite: every truncation of a valid store,
 //! and a sweep of single-byte corruptions, must surface as a
 //! [`StoreError`] or decode to different rows — never a panic and
-//! never a silent short read that passes for the original.
+//! never a silent short read that passes for the original — through
+//! every read entry point.
 
 use std::io::Cursor;
 
@@ -52,6 +53,66 @@ fn read_all(bytes: &[u8]) -> Result<TraceBundle, StoreError> {
     TraceReader::open(Cursor::new(bytes.to_vec()))?.read_bundle()
 }
 
+/// A window over a few dozen of the fixture's samples.
+const NARROW: (u64, u64) = (1_200, 1_260);
+
+fn in_window(r: &PebsRecord, (lo, hi): (u64, u64)) -> bool {
+    r.tsc >= lo && r.tsc <= hi
+}
+
+/// Drive every read entry point over `bytes`: `read_bundle`,
+/// `read_retained`, and `read_samples_in` over the whole axis and over
+/// [`NARROW`]. Each must return an error or a result consistent with
+/// the footers and with the full read. Returns `(full read failed,
+/// entry points that failed)`.
+fn read_every_way(bytes: &[u8]) -> (bool, usize) {
+    let Ok(mut reader) = TraceReader::open(Cursor::new(bytes.to_vec())) else {
+        return (true, 4);
+    };
+    let (samples, marks) = reader.logical_rows();
+    let bundle = reader.read_bundle();
+    let mut failed = usize::from(bundle.is_err());
+    if let Ok(b) = &bundle {
+        assert_eq!(b.samples.len() as u64, samples, "read_bundle vs footer");
+        assert_eq!(b.marks.len() as u64, marks, "read_bundle vs footer");
+    }
+    match reader.read_retained() {
+        Ok((retained, report)) => {
+            assert_eq!(retained.samples.len() as u64 + report.elided, samples);
+            assert_eq!(retained.marks.len() as u64, marks);
+            let sites: u64 = report.sites.iter().map(|(_, _, d)| d.len() as u64).sum();
+            assert_eq!(sites, report.elided);
+        }
+        Err(_) => failed += 1,
+    }
+    for window in [(0, u64::MAX), NARROW] {
+        let Ok(rows) = reader.read_samples_in(window.0, window.1) else {
+            failed += 1;
+            continue;
+        };
+        assert!(rows.iter().all(|r| in_window(r, window)));
+        let Ok(b) = &bundle else { continue };
+        let expect: Vec<PebsRecord> = b
+            .samples
+            .iter()
+            .copied()
+            .filter(|r| in_window(r, window))
+            .collect();
+        if window == NARROW {
+            // A corrupt footer TSC bound may prune a chunk that holds
+            // window rows; what is returned is still in order and real.
+            let mut rest = expect.iter();
+            assert!(
+                rows.iter().all(|r| rest.any(|e| e == r)),
+                "not a subsequence"
+            );
+        } else {
+            assert_eq!(rows, expect, "the full-axis window is the full read");
+        }
+    }
+    (bundle.is_err(), failed)
+}
+
 /// Every strict prefix of a valid store must fail loudly.
 #[test]
 fn every_truncation_errors() {
@@ -68,16 +129,14 @@ fn every_truncation_errors() {
         let bytes = fixture_bytes(config);
         let original = read_all(&bytes).expect("fixture reads back");
         assert_eq!(original.samples.len(), 200);
+        assert_eq!(read_every_way(&bytes), (false, 0));
         for cut in 0..bytes.len() {
-            let truncated = &bytes[..cut];
-            match read_all(truncated) {
-                Err(_) => {}
-                Ok(got) => panic!(
-                    "prefix of {cut}/{} bytes read back 'successfully' ({} samples)",
-                    bytes.len(),
-                    got.samples.len()
-                ),
-            }
+            assert_eq!(
+                read_every_way(&bytes[..cut]),
+                (true, 4),
+                "a prefix of {cut}/{} bytes read back 'successfully'",
+                bytes.len()
+            );
         }
     }
 }
@@ -98,7 +157,7 @@ fn single_byte_corruption_never_panics() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0xA5;
         // Must return — any panic fails the test harness.
-        if read_all(&mutated).is_err() {
+        if read_every_way(&mutated).0 {
             errors += 1;
         }
     }

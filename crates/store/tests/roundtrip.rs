@@ -9,8 +9,8 @@ use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, TraceBundle, VirtAddr,
 };
 use fluctrace_store::{
-    split_suppressed, write_bundle_to_vec, SharedBuf, StoreConfig, TraceReader, TraceWriter,
-    DEFAULT_CHUNK_ROWS,
+    split_suppressed, write_bundle_to_vec, ElisionReport, SharedBuf, StoreConfig, StoreError,
+    TraceReader, TraceWriter, DEFAULT_CHUNK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -65,6 +65,69 @@ fn synth_bundle(seed: u64, n: usize) -> TraceBundle {
         }
     }
     b
+}
+
+/// Samples in short bursts on one of three far-apart IPs (a dictionary
+/// column), on long runs of one core and one event (run-length
+/// columns), a few TSC cycles apart, so suppression elides most
+/// repeats. TSCs start at `base`.
+fn burst_bundle(seed: u64, n: usize, base: u64) -> TraceBundle {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut step = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut b = TraceBundle::default();
+    let (mut tsc, mut ip) = (base, 0u64);
+    for i in 0..n as u64 {
+        if step() % 4 == 0 {
+            ip = (step() % 3) << 40;
+        }
+        tsc += 1 + step() % 60;
+        b.samples.push(PebsRecord {
+            core: CoreId((i / 50 % 3) as u32),
+            tsc,
+            ip: VirtAddr(ip),
+            r13: i / 25,
+            event: HwEvent::ALL[(i / 90 % 4) as usize],
+        });
+        if i % 6 == 0 {
+            b.marks.push(MarkRecord {
+                core: CoreId((i / 50 % 3) as u32),
+                tsc,
+                item: ItemId(i),
+                kind: MarkKind::Start,
+            });
+        }
+    }
+    b
+}
+
+/// What one read returned: samples, marks and (for `read_retained`)
+/// the elision report.
+type Got = Result<(Vec<PebsRecord>, Vec<MarkRecord>, ElisionReport), StoreError>;
+
+/// Read `op` of a sequence: `read_bundle`, `read_samples_in` over a
+/// window picked by `a` and `b`, `read_retained`, or `read_segment`
+/// (index 2 is out of range).
+fn read_op(reader: &mut TraceReader<Cursor<Vec<u8>>>, (op, a, b): (u8, u64, u64)) -> Got {
+    match op {
+        0 => reader
+            .read_bundle()
+            .map(|r| (r.samples, r.marks, ElisionReport::default())),
+        1 => {
+            let lo = 1_000_000 + a % 60_000;
+            reader
+                .read_samples_in(lo, lo + b % 20_000)
+                .map(|s| (s, Vec::new(), ElisionReport::default()))
+        }
+        2 => reader.read_retained().map(|(r, e)| (r.samples, r.marks, e)),
+        _ => reader
+            .read_segment((a % 3) as usize)
+            .map(|r| (r.samples, r.marks, ElisionReport::default())),
+    }
 }
 
 fn read_bytes(bytes: Vec<u8>) -> TraceBundle {
@@ -159,6 +222,33 @@ proptest! {
                 prop_assert_eq!(&d.marks, &first.marks);
             }
             prop_assert_eq!(&first.samples, &bundle.samples);
+        }
+    }
+
+    /// One reader driven through any sequence of reads returns, call
+    /// for call, what a freshly opened reader returns: nothing the chunk
+    /// decoder keeps across chunks and calls leaks into a result. The
+    /// store is a suppressed segment then a plain one, chunked at 7
+    /// rows and at the default, so columns of every length follow each
+    /// other through the same buffers.
+    #[test]
+    fn reused_scratch_never_leaks(
+        seed in 0u64..50_000,
+        n in 1usize..800,
+        small_first in any::<bool>(),
+        ops in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 1..10),
+    ) {
+        let (rows_a, rows_b) = if small_first { (7, DEFAULT_CHUNK_ROWS) } else { (DEFAULT_CHUNK_ROWS, 7) };
+        let a = StoreConfig { chunk_rows: rows_a, ..StoreConfig::suppressed(40) };
+        let b = StoreConfig { chunk_rows: rows_b, ..StoreConfig::default() };
+        let (mut bytes, stats) = write_bundle_to_vec(&burst_bundle(seed, n, 1_000_000), a).expect("write a");
+        prop_assert!(n < 100 || stats.elided > 0, "the ledger is exercised");
+        let (tail, _) = write_bundle_to_vec(&burst_bundle(!seed, n / 2 + 1, 1_010_000), b).expect("write b");
+        bytes.extend_from_slice(&tail);
+        let mut reused = TraceReader::open(Cursor::new(bytes.clone())).expect("open");
+        for op in ops {
+            let mut fresh = TraceReader::open(Cursor::new(bytes.clone())).expect("open fresh");
+            prop_assert_eq!(read_op(&mut reused, op), read_op(&mut fresh, op), "{:?}", op);
         }
     }
 
