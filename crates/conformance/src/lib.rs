@@ -4,7 +4,7 @@
 //! paper's whole claim rests on attribution being *exact* — every PEBS
 //! sample lands in the one mark interval and function range containing
 //! it, and every sample the tracer sheds is explicitly counted. This
-//! crate pins those invariants with four independent pieces:
+//! crate pins those invariants with five independent pieces:
 //!
 //! * [`oracle`] — a deliberately naive, obviously-correct reference:
 //!   an `O(items × samples)` brute-force attribution plus a dumb
@@ -18,6 +18,9 @@
 //! * [`naive_codec`] — the store's original four-way trial encoder
 //!   (encode under every codec, keep the first smallest), kept as the
 //!   byte-level reference for the writer's one-pass codec choice.
+//! * [`naive_detect`] — the fluctuation detector's original
+//!   `BTreeMap`-of-populations, sort-twice body, kept as the reference
+//!   `core::fluct::detect` must match byte for byte.
 //! * [`driver`] — runs each workload through the sharded offline
 //!   pipeline (`core::integrate`/`estimate`), the online tracer
 //!   (`core::online`), and the oracle, and asserts byte-level agreement
@@ -35,11 +38,13 @@
 pub mod driver;
 pub mod gen;
 pub mod naive_codec;
+pub mod naive_detect;
 pub mod oracle;
 pub mod windowed;
 
 pub use driver::{check_workload, CanonicalTable, DiffSummary, Disagreement};
 pub use gen::{generate, spec_from_seed, Workload, WorkloadSpec};
 pub use naive_codec::{check_store_columns, naive_encode_column};
+pub use naive_detect::naive_detect;
 pub use oracle::{OracleLoss, OracleOffline, OracleOnline};
 pub use windowed::{check_windowed, WindowedSummary};

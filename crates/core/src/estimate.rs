@@ -8,6 +8,25 @@
 //! scheduler logging, or several tag runs in register mode), first/last
 //! differences are taken *per occupancy span* and summed, so time the
 //! item spent switched-out is not counted.
+//!
+//! ## One assembly, several front ends
+//!
+//! Every estimator ends in the same private per-item builder, which
+//! takes items in ascending id order with their per-function estimates
+//! folded, interleaves the items that have intervals but no estimable
+//! samples, attaches marked totals and unresolvable-sample counts,
+//! tallies the `core.estimate.*` obs volumes and builds the final map.
+//! The front ends differ only in how they reach it:
+//!
+//! * interval-mode [`EstimateTable::from_soa`] folds each item in one
+//!   pass over its runs in the `(item, start)`-sorted run index: each
+//!   span's per-function `(first, last, count)` goes straight into the
+//!   item's `(func, samples, cycles)` accumulator, so no span list, sort
+//!   or tree is built;
+//! * the AoS scan, register-mode `from_soa` and [`crate::window`] see
+//!   samples in time order: they collect a flat span list, and
+//!   `assemble_table` sorts it by `(item, func)` and feeds each item's
+//!   group to the same builder.
 
 use crate::integrate::{IntegratedTrace, MappingMode};
 use crate::interval::ItemInterval;
@@ -109,20 +128,19 @@ impl EstimateTable {
     /// span's per-function `(first, last, count)` into a small scratch
     /// vector, flushing it whenever the span id advances. The flat span
     /// list is then sorted once by `(item, func)` and group-folded into
-    /// the final table — the only tree left is at the API boundary.
+    /// the final table by [`assemble_table`].
     pub fn from_integrated(it: &IntegratedTrace) -> Self {
         obs::span!("estimate.run", it.samples.len());
         // All flushed spans: (item, func, first, last, count).
         let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
-        // The current span's per-function accumulator. Spans touch few
-        // distinct functions, so a linear probe beats any map.
-        let mut scratch: Vec<(FuncId, u64, u64, u32)> = Vec::new();
+        // The current span's per-function accumulator.
+        let mut scratch: Vec<(u32, u64, u64, u32)> = Vec::new();
         let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
         let mut samples_missing_span = 0u64;
 
         let mut run_id = 0u64;
         let mut last: Option<(fluctrace_cpu::CoreId, Option<ItemId>)> = None;
-        let mut cur_span: Option<(ItemId, u64)> = None;
+        let mut cur_span: Option<(u64, u64)> = None;
         for s in &it.samples {
             // Track register-mode runs (for *all* samples: a gap of
             // unattributed samples still splits a run).
@@ -146,18 +164,11 @@ impl EstimateTable {
                 },
                 MappingMode::RegisterTag => run_id,
             };
-            if cur_span != Some((item, span)) {
+            if cur_span != Some((item.0, span)) {
                 flush_span(&mut scratch, cur_span, &mut flat);
-                cur_span = Some((item, span));
+                cur_span = Some((item.0, span));
             }
-            match scratch.iter_mut().find(|e| e.0 == func) {
-                Some(e) => {
-                    e.1 = e.1.min(s.tsc);
-                    e.2 = e.2.max(s.tsc);
-                    e.3 += 1;
-                }
-                None => scratch.push((func, s.tsc, s.tsc, 1)),
-            }
+            fold_sample(&mut scratch, func.0, s.tsc);
         }
         flush_span(&mut scratch, cur_span, &mut flat);
 
@@ -166,19 +177,25 @@ impl EstimateTable {
 
     /// Build the table from a columnar trace ([`crate::integrate_soa`]).
     /// Byte-identical to [`Self::from_integrated`] on the equivalent AoS
-    /// trace — both scans feed the same [`assemble_table`] fold, and the
+    /// trace — both scans feed the same per-item builder, and the
     /// conformance sweep pins the agreement against the oracle.
     ///
     /// The scan is the columnar twin of [`Self::from_integrated`].
     /// In interval mode it is driven by the trace's item-run index
     /// instead of walking every row: attributed samples come in maximal
-    /// same-item runs, so the scan jumps from run to run, touches only
-    /// the three columns it needs (`tsc`/`func`/`span`) and skips
-    /// unattributed gap samples without reading them at all. Register
-    /// mode keeps the row walk (run splitting needs the `core` column).
-    /// Either way the flat span list feeds the same [`assemble_table`]
-    /// fold as the AoS scan; span sums are commutative, so the run
-    /// ordering (by item, not by time) cannot change the table.
+    /// same-item runs, sorted by `(item, start)`, so the scan jumps from
+    /// run to run, touches only the three columns it needs
+    /// (`tsc`/`func`/`span`) and skips unattributed gap samples without
+    /// reading them at all. One item's runs are adjacent in the index,
+    /// so each item is finished in one pass: every span's per-function
+    /// `(first, last, count)` is folded straight into the item's
+    /// `(func, samples, cycles)` accumulator, which is sorted by function
+    /// and handed, with the item's unresolvable-sample count, to the same
+    /// per-item builder [`assemble_table`] feeds — no flat span list, no
+    /// re-sort, no tree. Span sums are commutative, so folding by item
+    /// instead of by time cannot change the table. Register mode keeps
+    /// the row walk (run splitting needs the `core` column) and the
+    /// [`assemble_table`] path.
     pub fn from_soa(soa: &SoaTrace) -> Self {
         if let Some(aos) = &soa.aos_fallback {
             // Reserved-id trace: the columns are ambiguous, the boxed
@@ -186,109 +203,10 @@ impl EstimateTable {
             return Self::from_integrated(aos);
         }
         obs::span!("estimate.run", soa.cols.len());
-        let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
-        let mut scratch: Vec<(u32, u64, u64, u32)> = Vec::new();
-        let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
-        let mut samples_missing_span = 0u64;
-
         match soa.mode {
-            MappingMode::Intervals => {
-                for &(item, start, end) in &soa.item_index {
-                    let (lo, hi) = (start as usize, end as usize);
-                    let (Some(tscs), Some(funcs), Some(spans)) = (
-                        soa.cols.tsc.get(lo..hi),
-                        soa.cols.func.get(lo..hi),
-                        soa.cols.span.get(lo..hi),
-                    ) else {
-                        continue;
-                    };
-                    let mut unknown_in_run = 0u32;
-                    // NO_SPAN doubles as "no open span": sentinel-valued
-                    // samples are skipped before the comparison, so a
-                    // real span index can never collide with it.
-                    let mut cur = NO_SPAN;
-                    for ((&tsc, &func), &span_idx) in tscs.iter().zip(funcs).zip(spans) {
-                        if func == NO_FUNC {
-                            unknown_in_run += 1;
-                            continue;
-                        }
-                        if span_idx == NO_SPAN {
-                            samples_missing_span += 1;
-                            continue;
-                        }
-                        if span_idx != cur {
-                            for (f, first, last, count) in scratch.drain(..) {
-                                flat.push((item, FuncId(f), first, last, count));
-                            }
-                            cur = span_idx;
-                        }
-                        match scratch.iter_mut().find(|e| e.0 == func) {
-                            Some(e) => {
-                                e.1 = e.1.min(tsc);
-                                e.2 = e.2.max(tsc);
-                                e.3 += 1;
-                            }
-                            None => scratch.push((func, tsc, tsc, 1)),
-                        }
-                    }
-                    for (f, first, last, count) in scratch.drain(..) {
-                        flat.push((item, FuncId(f), first, last, count));
-                    }
-                    if unknown_in_run > 0 {
-                        *unknown.entry(item).or_insert(0) += unknown_in_run;
-                    }
-                }
-            }
-            MappingMode::RegisterTag => {
-                let mut run_id = 0u64;
-                let mut last: Option<(u32, u64)> = None;
-                let mut cur_span: Option<(u64, u64)> = None;
-                let rows = soa
-                    .cols
-                    .core
-                    .iter()
-                    .zip(&soa.cols.tsc)
-                    .zip(&soa.cols.item)
-                    .zip(&soa.cols.func);
-                for (((&core, &tsc), &item), &func) in rows {
-                    // Track runs for *all* samples: a gap of
-                    // unattributed samples still splits a run.
-                    let cur = (core, item);
-                    if last != Some(cur) {
-                        run_id += 1;
-                        last = Some(cur);
-                    }
-                    if item == NO_ITEM {
-                        continue;
-                    }
-                    if func == NO_FUNC {
-                        *unknown.entry(ItemId(item)).or_insert(0) += 1;
-                        continue;
-                    }
-                    if cur_span != Some((item, run_id)) {
-                        flush_span_cols(&mut scratch, cur_span, &mut flat);
-                        cur_span = Some((item, run_id));
-                    }
-                    match scratch.iter_mut().find(|e| e.0 == func) {
-                        Some(e) => {
-                            e.1 = e.1.min(tsc);
-                            e.2 = e.2.max(tsc);
-                            e.3 += 1;
-                        }
-                        None => scratch.push((func, tsc, tsc, 1)),
-                    }
-                }
-                flush_span_cols(&mut scratch, cur_span, &mut flat);
-            }
+            MappingMode::Intervals => fold_item_runs(soa),
+            MappingMode::RegisterTag => scan_register_runs(soa),
         }
-
-        assemble_table(
-            flat,
-            unknown,
-            samples_missing_span,
-            &soa.intervals,
-            soa.freq,
-        )
     }
 
     /// The previous `BTreeMap`-per-sample implementation, kept as an
@@ -448,23 +366,9 @@ impl EstimateTable {
 
 /// Move a finished span's per-function accumulators into the flat span
 /// list (tagged with the span's item), clearing the scratch for reuse.
+/// The scratch keys are raw ids; typed ids are minted here, at the flat
+/// boundary.
 fn flush_span(
-    scratch: &mut Vec<(FuncId, u64, u64, u32)>,
-    span: Option<(ItemId, u64)>,
-    flat: &mut Vec<(ItemId, FuncId, u64, u64, u32)>,
-) {
-    let Some((item, _)) = span else {
-        debug_assert!(scratch.is_empty());
-        return;
-    };
-    for (func, first, last, count) in scratch.drain(..) {
-        flat.push((item, func, first, last, count));
-    }
-}
-
-/// [`flush_span`] with raw column ids (the SoA scan's scratch keys are
-/// plain `u32`/`u64`; typed ids are minted here, at the flat boundary).
-fn flush_span_cols(
     scratch: &mut Vec<(u32, u64, u64, u32)>,
     span: Option<(u64, u64)>,
     flat: &mut Vec<(ItemId, FuncId, u64, u64, u32)>,
@@ -478,12 +382,278 @@ fn flush_span_cols(
     }
 }
 
-/// The shared tail of both estimators: sort the flat span list, fold
-/// per-(item, func), backfill sample-less items from the exact marked
-/// totals, and record the deterministic obs volumes. Factoring this out
-/// structurally guarantees the AoS and SoA scans produce the same table
-/// whenever they produce the same flat spans — the differential sweep
-/// then pins that the scans agree too.
+/// Fold one sample into a span's per-function `(func, first, last,
+/// count)` accumulator. Spans touch few distinct functions, so a linear
+/// probe beats any map.
+fn fold_sample(scratch: &mut Vec<(u32, u64, u64, u32)>, func: u32, tsc: u64) {
+    match scratch.iter_mut().find(|e| e.0 == func) {
+        Some(e) => {
+            e.1 = e.1.min(tsc);
+            e.2 = e.2.max(tsc);
+            e.3 += 1;
+        }
+        None => scratch.push((func, tsc, tsc, 1)),
+    }
+}
+
+/// Register-mode [`EstimateTable::from_soa`]: the row walk (a run ends
+/// where the `(core, item)` pair changes, so every row is read) into a
+/// time-ordered flat span list for [`assemble_table`].
+fn scan_register_runs(soa: &SoaTrace) -> EstimateTable {
+    let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
+    let mut scratch: Vec<(u32, u64, u64, u32)> = Vec::new();
+    let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
+    let mut run_id = 0u64;
+    let mut last: Option<(u32, u64)> = None;
+    let mut cur_span: Option<(u64, u64)> = None;
+    let rows = soa
+        .cols
+        .core
+        .iter()
+        .zip(&soa.cols.tsc)
+        .zip(&soa.cols.item)
+        .zip(&soa.cols.func);
+    for (((&core, &tsc), &item), &func) in rows {
+        // Track runs for *all* samples: a gap of unattributed samples
+        // still splits a run.
+        let cur = (core, item);
+        if last != Some(cur) {
+            run_id += 1;
+            last = Some(cur);
+        }
+        if item == NO_ITEM {
+            continue;
+        }
+        if func == NO_FUNC {
+            *unknown.entry(ItemId(item)).or_insert(0) += 1;
+            continue;
+        }
+        if cur_span != Some((item, run_id)) {
+            flush_span(&mut scratch, cur_span, &mut flat);
+            cur_span = Some((item, run_id));
+        }
+        fold_sample(&mut scratch, func, tsc);
+    }
+    flush_span(&mut scratch, cur_span, &mut flat);
+    assemble_table(flat, unknown, 0, &soa.intervals, soa.freq)
+}
+
+/// Interval-mode [`EstimateTable::from_soa`]: one pass per item over its
+/// runs in the `(item, start)`-sorted run index. Each finished span's
+/// per-function `(first, last, count)` goes straight into the item's
+/// `(func, samples, cycles)` accumulator; when the item's last run is
+/// done the accumulator is sorted by function and the item is handed to
+/// the [`TableBuilder`]. Both scratch vectors are reused across items.
+fn fold_item_runs(soa: &SoaTrace) -> EstimateTable {
+    let freq = soa.freq;
+    let mut builder = TableBuilder::new(&soa.intervals, freq);
+    // The open span's (func, first, last, count) and the open item's
+    // (func, samples, cycles).
+    let mut span_acc: Vec<(u32, u64, u64, u32)> = Vec::new();
+    let mut item_acc: Vec<(u32, u32, u64)> = Vec::new();
+    let mut samples_missing_span = 0u64;
+    for runs in soa.item_index.chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(item, ..)) = runs.first() else {
+            continue;
+        };
+        let mut unknown = 0u32;
+        for &(_, start, end) in runs {
+            let (lo, hi) = (start as usize, end as usize);
+            let (Some(tscs), Some(funcs), Some(spans)) = (
+                soa.cols.tsc.get(lo..hi),
+                soa.cols.func.get(lo..hi),
+                soa.cols.span.get(lo..hi),
+            ) else {
+                continue;
+            };
+            // NO_SPAN doubles as "no open span": sentinel-valued samples
+            // are skipped before the comparison, so a real span index
+            // can never collide with it.
+            let mut cur = NO_SPAN;
+            for ((&tsc, &func), &span_idx) in tscs.iter().zip(funcs).zip(spans) {
+                if func == NO_FUNC {
+                    unknown += 1;
+                    continue;
+                }
+                if span_idx == NO_SPAN {
+                    samples_missing_span += 1;
+                    continue;
+                }
+                if span_idx != cur {
+                    fold_span(&mut span_acc, &mut item_acc, &mut builder);
+                    cur = span_idx;
+                }
+                fold_sample(&mut span_acc, func, tsc);
+            }
+            fold_span(&mut span_acc, &mut item_acc, &mut builder);
+        }
+        item_acc.sort_unstable_by_key(|&(func, _, _)| func);
+        let mut funcs = Vec::with_capacity(item_acc.len());
+        funcs.extend(
+            item_acc
+                .drain(..)
+                .map(|(func, samples, cycles)| FuncEstimate {
+                    item,
+                    func: FuncId(func),
+                    samples,
+                    elapsed: freq.cycles_to_dur(cycles),
+                }),
+        );
+        builder.push(item, funcs, unknown);
+    }
+    builder.finish(samples_missing_span)
+}
+
+/// Close the open span: fold its per-function `(first, last, count)`
+/// into the item accumulator and count it for the obs volumes.
+fn fold_span(
+    span_acc: &mut Vec<(u32, u64, u64, u32)>,
+    item_acc: &mut Vec<(u32, u32, u64)>,
+    builder: &mut TableBuilder,
+) {
+    for (func, first, last, count) in span_acc.drain(..) {
+        builder.span(first, last);
+        let cycles = last.wrapping_sub(first);
+        match item_acc.iter_mut().find(|e| e.0 == func) {
+            Some(e) => {
+                e.1 += count;
+                e.2 = e.2.wrapping_add(cycles);
+            }
+            None => item_acc.push((func, count, cycles)),
+        }
+    }
+}
+
+/// The one assembly every estimator front end feeds. Items arrive in
+/// ascending id order with their per-function estimates already folded
+/// and sorted; the builder interleaves the items that have intervals but
+/// no attributable samples (merge join against the exact marked totals),
+/// attaches each item's marked total and unresolvable-sample count,
+/// tallies the deterministic `core.estimate.*` obs volumes and builds
+/// the final map. Because every front end ends here, the AoS scan, both
+/// SoA scans and the windowed integrator produce the same table whenever
+/// they fold the same spans.
+struct TableBuilder {
+    freq: Freq,
+    /// Exact cycles from marks per item, coalesced and sorted by item.
+    totals: Vec<(ItemId, u64)>,
+    /// First entry of `totals` not yet emitted.
+    next_total: usize,
+    items: Vec<(ItemId, ItemEstimate)>,
+    /// Spans folded so far (`core.estimate.spans`).
+    spans: u64,
+    /// `core.estimate.span_cycles`.
+    span_cycles: &'static obs::Histogram,
+}
+
+impl TableBuilder {
+    fn new(intervals: &[ItemInterval], freq: Freq) -> Self {
+        let mut raw_totals: Vec<(ItemId, u64)> =
+            intervals.iter().map(|iv| (iv.item, iv.cycles())).collect();
+        raw_totals.sort_unstable_by_key(|&(item, _)| item);
+        let mut totals: Vec<(ItemId, u64)> = Vec::with_capacity(raw_totals.len());
+        for &(item, cycles) in &raw_totals {
+            match totals.last_mut() {
+                Some((last_item, acc)) if *last_item == item => *acc = acc.wrapping_add(cycles),
+                _ => totals.push((item, cycles)),
+            }
+        }
+        TableBuilder {
+            freq,
+            items: Vec::with_capacity(totals.len()),
+            totals,
+            next_total: 0,
+            spans: 0,
+            span_cycles: obs::histogram!("core.estimate.span_cycles"),
+        }
+    }
+
+    /// Count one folded span (one function's first→last within one
+    /// occupancy span) for the obs volumes.
+    fn span(&mut self, first: u64, last: u64) {
+        self.spans += 1;
+        self.span_cycles.record(last.wrapping_sub(first));
+    }
+
+    /// Emit every interval-only item with an id below `item` (all that
+    /// are left, for `None`). Such items still appear, with empty
+    /// function lists, so their totals stay queryable.
+    fn backfill_below(&mut self, item: Option<ItemId>) {
+        while let Some(&(t_item, cycles)) = self.totals.get(self.next_total) {
+            if item.is_some_and(|item| t_item >= item) {
+                break;
+            }
+            self.items.push((
+                t_item,
+                ItemEstimate {
+                    item: t_item,
+                    marked_total: Some(self.freq.cycles_to_dur(cycles)),
+                    funcs: Vec::new(),
+                    unknown_func_samples: 0,
+                },
+            ));
+            self.next_total += 1;
+        }
+    }
+
+    /// Emit `item` (ids strictly ascending across calls) with its
+    /// function estimates, sorted by function, and its count of samples
+    /// whose IP resolved to no function. An item with no estimate and no
+    /// interval is left out, so its unresolvable count is dropped.
+    fn push(&mut self, item: ItemId, funcs: Vec<FuncEstimate>, unknown: u32) {
+        self.backfill_below(Some(item));
+        let marked_total = match self.totals.get(self.next_total) {
+            Some(&(t_item, cycles)) if t_item == item => {
+                self.next_total += 1;
+                Some(self.freq.cycles_to_dur(cycles))
+            }
+            _ => None,
+        };
+        if funcs.is_empty() && marked_total.is_none() {
+            return;
+        }
+        self.items.push((
+            item,
+            ItemEstimate {
+                item,
+                marked_total,
+                funcs,
+                unknown_func_samples: unknown,
+            },
+        ));
+    }
+
+    /// Emit the interval-only items past the last pushed one, record the
+    /// obs volumes and build the table.
+    fn finish(mut self, samples_missing_span: u64) -> EstimateTable {
+        self.backfill_below(None);
+        // Self-observability: volumes and sim-cycle span widths only
+        // (deterministic; estimator tick timings never enter the
+        // registry).
+        if obs::recording() {
+            obs::counter!("core.estimate.runs").inc();
+            obs::counter!("core.estimate.spans").add(self.spans);
+            obs::counter!("core.estimate.samples_missing_span").add(samples_missing_span);
+        }
+        EstimateTable {
+            items: self.items.into_iter().collect(),
+            freq: self.freq,
+            samples_missing_span,
+        }
+    }
+}
+
+/// The flat-span-list front of [`TableBuilder`], for the scans that see
+/// samples in time order (the AoS scan, the register-mode SoA scan) and
+/// for [`crate::window`]: sort the span list by `(item, func)`, fold
+/// each item's group into per-function estimates and feed the builder,
+/// merge-joining the unresolvable-sample counts on the way. Counts for
+/// items absent from the table (no span, no interval) are dropped.
+///
+/// The sort is a stable one: a window's span list is a few ascending
+/// runs (one per batch) that it merges instead of re-sorting, and the
+/// cumulative window table's list, built from a map, is already sorted
+/// and costs one scan.
 ///
 /// `pub(crate)` for [`crate::window`]: the windowed integrator feeds its
 /// per-window and cumulative span folds through this exact assembly so
@@ -495,145 +665,60 @@ pub(crate) fn assemble_table(
     intervals: &[ItemInterval],
     freq: Freq,
 ) -> EstimateTable {
-    // Fold spans into per-(item, func) estimates; convert cycles to
-    // time once at the end so truncation does not accumulate per
-    // span. Sorting the span list groups equal (item, func) pairs
-    // and yields the ascending push order the table guarantees. From
-    // here on every input is sorted by item, so the whole assembly is
-    // merge joins over sorted lists — no tree lookups on the hot path;
-    // the one `BTreeMap` left is built from the sorted result at the
-    // API boundary.
-    //
-    // The run-driven SoA scan emits spans already grouped by ascending
-    // item, so item-sorted input only needs per-group sorts by func —
-    // each a handful of elements. Time-order scans interleave items and
-    // take the full sort — a stable one, because a window's span list is
-    // a few ascending runs (one per batch) that it merges instead of
-    // re-sorting. Both end states are sorted by (item, func), and every
-    // downstream fold over equal keys is commutative, so the resulting
-    // table is identical whichever branch ran.
-    if flat.is_sorted_by_key(|&(item, _, _, _, _)| item) {
-        for group in flat.chunk_by_mut(|a, b| a.0 == b.0) {
-            group.sort_unstable_by_key(|&(_, func, _, _, _)| func);
-        }
-    } else {
-        flat.sort_by_key(|&(item, func, _, _, _)| (item, func));
+    flat.sort_by_key(|&(item, func, _, _, _)| (item, func));
+    let mut builder = TableBuilder::new(intervals, freq);
+    let mut groups = flat.chunk_by(|a, b| a.0 == b.0).peekable();
+    let mut unknown = unknown.into_iter().peekable();
+    loop {
+        let next_group = groups
+            .peek()
+            .and_then(|g| g.first())
+            .map(|&(item, ..)| item);
+        let next_unknown = unknown.peek().map(|&(item, _)| item);
+        let item = match (next_group, next_unknown) {
+            (Some(g), Some(u)) => g.min(u),
+            (Some(item), None) | (None, Some(item)) => item,
+            (None, None) => break,
+        };
+        let funcs = match groups.next_if(|g| g.first().is_some_and(|e| e.0 == item)) {
+            Some(group) => fold_func_groups(item, group, &mut builder, freq),
+            None => Vec::new(),
+        };
+        let n = unknown.next_if(|&(u, _)| u == item).map_or(0, |(_, n)| n);
+        builder.push(item, funcs, n);
     }
+    builder.finish(samples_missing_span)
+}
 
-    // Exact totals from marks, coalesced into a sorted list.
-    let mut raw_totals: Vec<(ItemId, u64)> =
-        intervals.iter().map(|iv| (iv.item, iv.cycles())).collect();
-    raw_totals.sort_unstable_by_key(|&(item, _)| item);
-    let mut totals: Vec<(ItemId, u64)> = Vec::with_capacity(raw_totals.len());
-    for &(item, cycles) in &raw_totals {
-        match totals.last_mut() {
-            Some((last_item, acc)) if *last_item == item => *acc = acc.wrapping_add(cycles),
-            _ => totals.push((item, cycles)),
-        }
-    }
-
-    // Items that have intervals but no attributable samples still
-    // appear (with empty func lists) so totals stay queryable — the
-    // merge join interleaves them in item order.
-    let backfill = |item: ItemId, cycles: u64| {
-        (
-            item,
-            ItemEstimate {
-                item,
-                marked_total: Some(freq.cycles_to_dur(cycles)),
-                funcs: Vec::new(),
-                unknown_func_samples: 0,
-            },
-        )
-    };
-    let mut items: Vec<(ItemId, ItemEstimate)> = Vec::with_capacity(totals.len());
-    let mut totals_iter = totals.iter().peekable();
-    for group in flat.chunk_by(|a, b| a.0 == b.0) {
-        let Some(&(item, ..)) = group.first() else {
+/// Fold one item's `(func)`-sorted spans into per-function estimates;
+/// cycles are converted to time once per function so truncation does not
+/// accumulate per span.
+fn fold_func_groups(
+    item: ItemId,
+    group: &[(ItemId, FuncId, u64, u64, u32)],
+    builder: &mut TableBuilder,
+    freq: Freq,
+) -> Vec<FuncEstimate> {
+    let mut funcs = Vec::with_capacity(group.chunk_by(|a, b| a.1 == b.1).count());
+    for func_group in group.chunk_by(|a, b| a.1 == b.1) {
+        let Some(&(_, func, ..)) = func_group.first() else {
             continue;
         };
-        while let Some(&&(t_item, cycles)) = totals_iter.peek() {
-            if t_item >= item {
-                break;
-            }
-            items.push(backfill(t_item, cycles));
-            totals_iter.next();
+        let mut samples = 0u32;
+        let mut cycles = 0u64;
+        for &(_, _, first_tsc, last_tsc, count) in func_group {
+            builder.span(first_tsc, last_tsc);
+            samples += count;
+            cycles = cycles.wrapping_add(last_tsc.wrapping_sub(first_tsc));
         }
-        let marked_total = match totals_iter.peek() {
-            Some(&&(t_item, cycles)) if t_item == item => {
-                totals_iter.next();
-                Some(freq.cycles_to_dur(cycles))
-            }
-            _ => None,
-        };
-        let mut funcs = Vec::with_capacity(group.chunk_by(|a, b| a.1 == b.1).count());
-        for func_group in group.chunk_by(|a, b| a.1 == b.1) {
-            let Some(&(_, func, ..)) = func_group.first() else {
-                continue;
-            };
-            let mut samples = 0u32;
-            let mut cycles = 0u64;
-            for &(_, _, first_tsc, last_tsc, count) in func_group {
-                samples += count;
-                cycles = cycles.wrapping_add(last_tsc.wrapping_sub(first_tsc));
-            }
-            funcs.push(FuncEstimate {
-                item,
-                func,
-                samples,
-                elapsed: freq.cycles_to_dur(cycles),
-            });
-        }
-        items.push((
+        funcs.push(FuncEstimate {
             item,
-            ItemEstimate {
-                item,
-                marked_total,
-                funcs,
-                unknown_func_samples: 0,
-            },
-        ));
+            func,
+            samples,
+            elapsed: freq.cycles_to_dur(cycles),
+        });
     }
-    for &(t_item, cycles) in totals_iter {
-        items.push(backfill(t_item, cycles));
-    }
-
-    // Unknown-function counts: merge join; counts for items absent from
-    // the table (no span, no interval) are dropped, as before.
-    let mut cursor = items.iter_mut().peekable();
-    for (u_item, n) in unknown {
-        while let Some((item, _)) = cursor.peek() {
-            if *item < u_item {
-                cursor.next();
-            } else {
-                break;
-            }
-        }
-        if let Some((item, ie)) = cursor.peek_mut() {
-            if *item == u_item {
-                ie.unknown_func_samples = n;
-                cursor.next();
-            }
-        }
-    }
-
-    // Self-observability: volumes and sim-cycle span widths only
-    // (deterministic; estimator tick timings never enter the registry).
-    if obs::recording() {
-        obs::counter!("core.estimate.runs").inc();
-        obs::counter!("core.estimate.spans").add(flat.len() as u64);
-        obs::counter!("core.estimate.samples_missing_span").add(samples_missing_span);
-        let span_cycles = obs::histogram!("core.estimate.span_cycles");
-        for &(_, _, first_tsc, last_tsc, _) in &flat {
-            span_cycles.record(last_tsc.wrapping_sub(first_tsc));
-        }
-    }
-
-    EstimateTable {
-        items: items.into_iter().collect(),
-        freq,
-        samples_missing_span,
-    }
+    funcs
 }
 
 #[cfg(test)]
