@@ -4,9 +4,8 @@
 //! paper table, figure and section (`cargo run -p fluctrace-bench
 //! --release --bin figures -- fig9`, or `-- all`) from the registry in
 //! [`figures`], built on the shared experiment runners in this library;
-//! beside it are `perf-hunt`, the hot-path bisect tool, and
-//! `obs_overhead`, the obs budget gate. Speed is measured only by the
-//! repository's benchmark (`benchmark/README.md`).
+//! beside it is `obs_overhead`, the obs budget gate. Speed is measured
+//! only by the repository's benchmark (`benchmark/README.md`).
 //!
 //! Scale: the paper averages Fig. 9 over 10 000 packets per type and
 //! sends 300 K requests at NGINX; `figures` defaults to a scale that
@@ -22,7 +21,6 @@ pub mod depgraph_experiment;
 pub mod figures;
 pub mod obs_support;
 pub mod overload_experiment;
-pub mod perf_hunt;
 pub mod sampling_experiment;
 pub mod store_support;
 

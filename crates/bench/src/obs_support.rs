@@ -203,11 +203,6 @@ mod tests {
         assert_eq!(a.obs, path("o.json"));
         assert_eq!(a.from_store, path("b.flt"));
         assert_eq!(a.rest, ["fig9", "--label", "x"]);
-        // perf-hunt's flags are kept for perf-hunt, not rejected.
-        let line = "--bisect --slack 0.2 --baseline b.json --label x";
-        let hunt = parse(line).unwrap();
-        assert_eq!(hunt.rest, line.split_whitespace().collect::<Vec<_>>());
-        assert_eq!((hunt.obs, hunt.store, hunt.from_store), (None, None, None));
     }
 
     #[test]

@@ -14,17 +14,19 @@
 //! FLUCTRACE_BLESS=1 cargo test -p fluctrace-conformance --test store_golden
 //! ```
 //!
-//! The same perf-hunt input also carries the store's volume claim: a
-//! columnar file is a small fraction of the JSON dump it replaces, and
-//! suppression elides most rows of a hot-loop trace.
+//! The same `synth_workload` input also carries the store's volume
+//! claim: a columnar file is a small fraction of the JSON dump it
+//! replaces, and suppression elides most rows of a hot-loop trace.
 
-use fluctrace_bench::perf_hunt::{synth_workload, HuntConfig};
 use fluctrace_conformance::driver::suppressible_twin;
 use fluctrace_conformance::{generate, spec_from_seed};
 use fluctrace_core::anomaly_trace;
 use fluctrace_core::online::{OnlineConfig, OnlineTracer};
-use fluctrace_cpu::{SymbolTable, TraceBundle};
-use fluctrace_sim::Freq;
+use fluctrace_cpu::{
+    CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, SymbolTableBuilder,
+    TraceBundle, VirtAddr,
+};
+use fluctrace_sim::{Freq, Rng};
 use fluctrace_store::{write_bundle_to_vec, StoreConfig, TraceReader};
 use std::fmt::Write as _;
 use std::io::Cursor;
@@ -60,16 +62,111 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The perf-hunt shape, large enough that 16 384-row chunks split it
-/// (few far-apart IPs per chunk: dictionary country).
+/// Seed of every [`synth_workload`] input here.
+const WORKLOAD_SEED: u64 = 0x0507_14A7;
+
+/// The shape of a [`synth_workload`] trace.
+struct SynthConfig {
+    /// Cores in the synthetic trace.
+    cores: u32,
+    /// Data-items per core.
+    items_per_core: usize,
+    /// PEBS samples inside each item's interval.
+    samples_per_item: usize,
+    /// Functions in the symbol table (binary-search depth ≈ log₂ n).
+    funcs: usize,
+    /// Workload seed.
+    seed: u64,
+}
+
+/// Build a synthetic multi-core trace shaped like the paper's workloads:
+/// per-core streams of bracketed items, strong temporal IP locality
+/// (tight classify loops), occasional unresolvable IPs and stray
+/// samples between items (exercising the unknown-function and
+/// missing-span paths).
+fn synth_workload(cfg: &SynthConfig) -> (TraceBundle, SymbolTable) {
+    let mut b = SymbolTableBuilder::new();
+    let mut ranges = Vec::with_capacity(cfg.funcs);
+    for f in 0..cfg.funcs {
+        let id = b.add(&format!("fn_{f:04}"), 48 + (f as u64 % 7) * 16);
+        ranges.push(id);
+    }
+    let symtab = b.build();
+    let spans: Vec<_> = ranges.iter().map(|&f| symtab.range(f)).collect();
+
+    let mut bundle = TraceBundle::default();
+    let mut rng = Rng::new(cfg.seed);
+    for core in 0..cfg.cores {
+        let mut core_rng = rng.fork();
+        let mut tsc: u64 = 1_000 + core as u64 * 13;
+        let mut cur_fn = core_rng.gen_below(spans.len() as u64) as usize;
+        for i in 0..cfg.items_per_core {
+            let item = core as u64 * cfg.items_per_core as u64 + i as u64;
+            tsc += core_rng.gen_range(20, 120);
+            bundle.marks.push(MarkRecord {
+                core: CoreId(core),
+                tsc,
+                item: ItemId(item),
+                kind: MarkKind::Start,
+            });
+            for s in 0..cfg.samples_per_item {
+                tsc += core_rng.gen_range(40, 160);
+                // ~1 in 8 samples hops to a new function; the rest stay
+                // put (temporal IP locality of a hot loop).
+                if core_rng.gen_bool(0.125) {
+                    cur_fn = core_rng.gen_below(spans.len() as u64) as usize;
+                }
+                // ~1 in 64 samples lands outside any known symbol.
+                let ip = if core_rng.gen_bool(1.0 / 64.0) {
+                    VirtAddr(2)
+                } else {
+                    let r = &spans[cur_fn];
+                    VirtAddr(r.start.as_u64() + core_rng.gen_below(r.size()))
+                };
+                bundle.samples.push(PebsRecord {
+                    core: CoreId(core),
+                    tsc,
+                    ip,
+                    r13: item + 1,
+                    event: HwEvent::UopsRetired,
+                });
+                let _ = s;
+            }
+            tsc += core_rng.gen_range(20, 120);
+            bundle.marks.push(MarkRecord {
+                core: CoreId(core),
+                tsc,
+                item: ItemId(item),
+                kind: MarkKind::End,
+            });
+            // One stray sample in the gap after every 16th item: no
+            // interval contains it (missing-span path), no tag either.
+            if i % 16 == 5 {
+                tsc += core_rng.gen_range(10, 40);
+                bundle.samples.push(PebsRecord {
+                    core: CoreId(core),
+                    tsc,
+                    ip: VirtAddr(spans[cur_fn].start.as_u64()),
+                    r13: fluctrace_cpu::NO_TAG,
+                    event: HwEvent::UopsRetired,
+                });
+            }
+        }
+    }
+    bundle.sort();
+    (bundle, symtab)
+}
+
+/// The `synth_workload` shape (the golden's `hunt` lines), large enough
+/// that 16 384-row chunks split it (few far-apart IPs per chunk:
+/// dictionary country).
 fn hunt_workload() -> (TraceBundle, SymbolTable) {
-    synth_workload(&HuntConfig {
+    synth_workload(&SynthConfig {
         cores: 2,
         items_per_core: 1_500,
         samples_per_item: 12,
         funcs: 48,
-        threads: 1,
-        ..HuntConfig::default()
+        seed: WORKLOAD_SEED,
     })
 }
 
@@ -195,4 +292,24 @@ fn store_is_a_fraction_of_the_json_dump_and_suppression_elides_hot_loops() {
     let back = read_back(&sup);
     assert_eq!(back.samples, twin.samples);
     assert_eq!(back.marks, twin.marks);
+}
+
+#[test]
+fn workload_is_deterministic_per_seed() {
+    let cfg = SynthConfig {
+        cores: 2,
+        items_per_core: 120,
+        samples_per_item: 12,
+        funcs: 64,
+        seed: WORKLOAD_SEED,
+    };
+    let (a, _) = synth_workload(&cfg);
+    let (b, _) = synth_workload(&cfg);
+    assert_eq!(a.samples.len(), b.samples.len());
+    assert_eq!(a.marks.len(), b.marks.len());
+    assert!(a
+        .samples
+        .iter()
+        .zip(&b.samples)
+        .all(|(x, y)| x.tsc == y.tsc && x.ip == y.ip && x.core == y.core));
 }

@@ -73,10 +73,7 @@ pub use online::{
     AdaptiveConfig, AdaptiveR, DegradeStats, LiveStats, LossStats, ObsSection, OnlineAnomaly,
     OnlineConfig, OnlineError, OnlineReport, OnlineTracer, SpillStats, SubmitError, SubmitOutcome,
 };
-pub use overhead::{
-    fit_instrumentation, fit_instrumentation_ci, fit_inverse_reset, InstrumentationFit,
-    OverheadModel, SlopeCi,
-};
+pub use overhead::{fit_instrumentation, fit_inverse_reset, InstrumentationFit, OverheadModel};
 pub use parallel::{configured_threads, run_indexed, run_parts};
 pub use profile::{FlatProfile, ProfileEntry};
 pub use report::{diagnosis, item_breakdown, item_breakdown_with_trace};

@@ -138,80 +138,6 @@ pub fn fit_instrumentation(pairs: &[(f64, f64)]) -> InstrumentationFit {
     }
 }
 
-/// A through-origin slope with its two-sided 95% confidence interval.
-///
-/// Produced by [`fit_instrumentation_ci`]; used by `perf-hunt --bisect`,
-/// where the slope of `(1, x)` pairs is the mean per-repetition
-/// throughput and HEAD regressed only if even `hi` sits below the
-/// baseline's bar.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SlopeCi {
-    /// The fitted slope (`Σxy / Σx²`).
-    pub slope: f64,
-    /// Lower bound of the 95% CI.
-    pub lo: f64,
-    /// Upper bound of the 95% CI.
-    pub hi: f64,
-}
-
-impl SlopeCi {
-    /// True when the interval excludes `value` on the low side — the
-    /// slope is significantly greater than `value` at the 95% level.
-    pub fn significantly_above(&self, value: f64) -> bool {
-        self.lo > value
-    }
-
-    /// True when the interval excludes `value` on the high side.
-    pub fn significantly_below(&self, value: f64) -> bool {
-        self.hi < value
-    }
-}
-
-/// Two-sided 95% t-quantiles for `df = 1..=30`; larger df use the
-/// normal 1.96 (the difference is under 2% from df ≈ 30 on).
-const T_95: [f64; 30] = [
-    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
-    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
-    2.052, 2.048, 2.045, 2.042,
-];
-
-fn t_quantile_95(df: usize) -> f64 {
-    match df {
-        0 => f64::INFINITY,
-        _ => *T_95.get(df - 1).unwrap_or(&1.96),
-    }
-}
-
-/// [`fit_instrumentation`]'s slope with a 95% confidence interval.
-///
-/// For the through-origin model `y = b·x + ε` the slope estimate is
-/// `b = Σxy / Σx²` with `Var(b) = σ² / Σx²`, `σ²` estimated from the
-/// residuals with `n − 1` degrees of freedom. Needs at least two pairs
-/// (one residual degree of freedom); with fewer the interval would be
-/// unbounded. Panics on an empty or single-pair input, like the point
-/// fit does on empty input.
-pub fn fit_instrumentation_ci(pairs: &[(f64, f64)]) -> SlopeCi {
-    assert!(pairs.len() >= 2, "need at least two timing pairs for a CI");
-    let fit = fit_instrumentation(pairs);
-    let b = fit.slope;
-    let mut sxx = 0.0;
-    let mut ss_res = 0.0;
-    for &(x, y) in pairs {
-        sxx += x * x;
-        let r = y - b * x;
-        ss_res += r * r;
-    }
-    let df = pairs.len() - 1;
-    let sigma2 = ss_res / df as f64;
-    let se = (sigma2 / sxx).sqrt();
-    let t = t_quantile_95(df);
-    SlopeCi {
-        slope: b,
-        lo: b - t * se,
-        hi: b + t * se,
-    }
-}
-
 /// Coefficient of determination (R²) of the `a + b/r` fit on `points`.
 pub fn r_squared_inverse_reset(points: &[(u64, f64)], a: f64, b: f64) -> f64 {
     let mean = points.iter().map(|&(_, y)| y).sum::<f64>() / points.len() as f64;
@@ -354,56 +280,5 @@ mod tests {
     #[should_panic(expected = "at least one timing pair")]
     fn instrumentation_fit_needs_a_pair() {
         fit_instrumentation(&[]);
-    }
-
-    #[test]
-    fn slope_ci_is_tight_on_clean_data_and_wide_on_noise() {
-        // Exact 2x speedup: the CI collapses onto the slope.
-        let clean: Vec<(f64, f64)> = (1..=8).map(|i| (i as f64, 2.0 * i as f64)).collect();
-        let ci = fit_instrumentation_ci(&clean);
-        assert!((ci.slope - 2.0).abs() < 1e-12);
-        assert!(ci.hi - ci.lo < 1e-9, "clean data → near-zero width");
-        assert!(ci.significantly_above(1.5));
-        assert!(ci.significantly_below(2.5));
-
-        // The same slope with heavy noise: wider interval, same center.
-        let noisy: Vec<(f64, f64)> = (1..=8)
-            .map(|i| {
-                let x = i as f64;
-                (x, 2.0 * x + if i % 2 == 0 { 1.5 } else { -1.5 })
-            })
-            .collect();
-        let wide = fit_instrumentation_ci(&noisy);
-        assert!(wide.hi - wide.lo > ci.hi - ci.lo);
-        assert!(wide.lo < wide.slope && wide.slope < wide.hi);
-    }
-
-    #[test]
-    fn slope_ci_covers_the_true_slope() {
-        // Alternating ±10% noise around slope 3: the 95% interval must
-        // contain 3 for this symmetric construction.
-        let pairs: Vec<(f64, f64)> = (1..=12)
-            .map(|i| {
-                let x = 5.0 + i as f64;
-                let noise = if i % 2 == 0 { 1.1 } else { 0.9 };
-                (x, 3.0 * x * noise)
-            })
-            .collect();
-        let ci = fit_instrumentation_ci(&pairs);
-        assert!(ci.lo < 3.0 && 3.0 < ci.hi, "{ci:?}");
-    }
-
-    #[test]
-    fn t_quantiles_decrease_toward_normal() {
-        assert!(t_quantile_95(1) > t_quantile_95(2));
-        assert!(t_quantile_95(30) > 1.96);
-        assert_eq!(t_quantile_95(31), 1.96);
-        assert_eq!(t_quantile_95(0), f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two timing pairs")]
-    fn slope_ci_needs_two_pairs() {
-        fit_instrumentation_ci(&[(1.0, 2.0)]);
     }
 }

@@ -24,8 +24,9 @@
 //! round-trip to the AoS trace bit for bit (unit + conformance tests),
 //! and [`crate::EstimateTable::from_soa`] must equal `from_integrated`
 //! and the PR 4 oracle byte for byte (the 240-seed differential sweep).
-//! Speed is the benchmark's `analyze_wide` workload; `perf-hunt --bisect`
-//! localises a regression of it to a commit.
+//! Speed is the benchmark's `analyze_wide` workload; its `--compare`
+//! also drives `git bisect` to the commit that slowed it (EXPERIMENTS.md,
+//! "Finding the commit").
 //!
 //! ## Sentinel safety
 //!

@@ -41,7 +41,6 @@ impl MachineConfig {
 
 /// A machine: cores plus the shared symbol table.
 pub struct Machine {
-    config: MachineConfig,
     symtab: Arc<SymbolTable>,
     cores: Vec<Option<Core>>,
 }
@@ -62,16 +61,7 @@ impl Machine {
                 ))
             })
             .collect();
-        Machine {
-            config,
-            symtab,
-            cores,
-        }
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.config.cores
+        Machine { symtab, cores }
     }
 
     /// The shared symbol table.

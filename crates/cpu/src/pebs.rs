@@ -89,13 +89,6 @@ pub struct PebsStats {
     pub bytes: u64,
 }
 
-impl PebsStats {
-    /// Total overhead the engine imposed on the core.
-    pub fn total_overhead(&self) -> SimDuration {
-        self.assist_time + self.interrupt_time
-    }
-}
-
 /// Per-core PEBS engine state.
 #[derive(Debug, Clone)]
 pub struct PebsEngine {

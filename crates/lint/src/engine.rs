@@ -48,6 +48,7 @@ pub fn run(root: &Path, config: &Config) -> io::Result<Vec<Violation>> {
 
 /// Like [`run`], but also returns the allow inventory.
 pub fn run_report(root: &Path, config: &Config) -> io::Result<Report> {
+    check_configured_paths(root, config)?;
     let mut paths = Vec::new();
     collect_rs_files(root, root, &config.exclude, &mut paths)?;
     paths.sort();
@@ -58,6 +59,40 @@ pub fn run_report(root: &Path, config: &Config) -> io::Result<Report> {
         files.push(load_source(root, path, &text));
     }
     Ok(lint_files(&files, config))
+}
+
+/// Every path `config` names must be a file or directory under `root`.
+/// Scoping matches by prefix, so a stale or misspelt entry would
+/// silently scope nothing and turn its rule off for the file it meant.
+fn check_configured_paths(root: &Path, config: &Config) -> io::Result<()> {
+    let sections: [(&str, &[String]); 11] = [
+        ("determinism", &config.determinism_paths),
+        ("panic-safety", &config.panic_safety_paths),
+        ("tsc-arithmetic", &config.tsc_arithmetic_paths),
+        ("unsafe-hygiene", &config.unsafe_hygiene_paths),
+        ("clock-hygiene", &config.clock_hygiene_paths),
+        ("entry-points", &config.entry_points),
+        ("panic-safety-transitive", &config.panic_transitive_paths),
+        ("hot-path-alloc", &config.hot_path_alloc_paths),
+        ("atomic-ordering", &config.atomic_ordering_paths),
+        ("shim-drift", config.shim_dir.as_slice()),
+        ("engine", &config.exclude),
+    ];
+    for (section, paths) in sections {
+        for rel in paths {
+            let path = root.join(rel);
+            if !path.is_file() && !path.is_dir() {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!(
+                        "lint.toml [{section}]: `{rel}` is neither a file nor a directory under {}",
+                        root.display()
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Lint in-memory sources — `(rel_path, text)` pairs — with the same

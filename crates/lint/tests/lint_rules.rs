@@ -47,6 +47,20 @@ fn determinism_fixture() {
 }
 
 #[test]
+fn a_configured_path_that_names_nothing_is_an_error() {
+    // Scoping matches by prefix: without the check, a stale entry
+    // would lint nothing and `run` would report a clean tree.
+    let config = Config::parse("[determinism]\npaths = [\"bad.rs\", \"crates/gone.rs\"]\n")
+        .expect("config parses");
+    let err = run(&fixture_root("determinism"), &config).expect_err("stale path accepted");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("[determinism]") && msg.contains("`crates/gone.rs`"),
+        "{msg}"
+    );
+}
+
+#[test]
 fn panic_safety_fixture() {
     let v = lint_fixture(
         "panic_safety",

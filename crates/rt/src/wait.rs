@@ -192,19 +192,6 @@ pub fn global_edges() -> Vec<WaitEdge> {
     lock_global().edges()
 }
 
-/// Edges dropped from the global log so far.
-pub fn global_dropped() -> u64 {
-    lock_global().dropped()
-}
-
-/// Swap the global log for an empty one and return the old contents.
-/// Bench bins call this between experiments; tests that share the
-/// process should filter [`global_edges`] by a sentinel core instead.
-pub fn take_global() -> WaitLog {
-    let mut guard = lock_global();
-    std::mem::replace(&mut *guard, WaitLog::new(GLOBAL_PER_CORE_CAPACITY))
-}
-
 /// RAII guard for an open wait on the global log.
 ///
 /// Created by [`begin_global`] when a worker starts waiting; the edge

@@ -107,11 +107,4 @@ impl ServeConfig {
             wait_capacity: 1 << 12,
         }
     }
-
-    /// Items one shard will generate over a bounded run (`None` when
-    /// unbounded).
-    pub fn items_per_shard(&self) -> Option<u64> {
-        self.max_batches
-            .map(|b| b * self.items_per_batch * u64::from(self.cores))
-    }
 }

@@ -1,7 +1,8 @@
 //! Deterministic continuous traffic: the seeded generator each shard
 //! runs forever.
 //!
-//! The stream shape follows the perf-hunt workload: per-core bracketed
+//! The stream follows the `synth_workload` shape of the store golden
+//! (`crates/conformance/tests/store_golden.rs`): per-core bracketed
 //! items (Start mark, samples, End mark) with IP locality inside a hot
 //! function, an occasional unresolvable IP, a stray inter-item spin
 //! sample, and periodic spiked items that run `spike_scale`× slower to
