@@ -99,31 +99,7 @@ pub fn split_batches(table: &EstimateTable, map: &BatchMap) -> EstimateTable {
     EstimateTable::from_items_map(items, table.freq)
 }
 
-/// [`split_batches`] taking the table by value: pass-through items are
-/// *moved* into the result instead of cloned. On bursty traces most
-/// items are ordinary (only ring accesses get batch ids), so the
-/// borrowing version's dominant cost is cloning untouched
-/// `ItemEstimate`s; hot-path callers that are done with the per-batch
-/// table (the batched pipeline stage in `fluctrace-bench`) use this.
-pub fn split_batches_owned(table: EstimateTable, map: &BatchMap) -> EstimateTable {
-    if map.is_empty() {
-        return table;
-    }
-    let freq = table.freq;
-    let mut items: BTreeMap<ItemId, ItemEstimate> = BTreeMap::new();
-    for ie in table.into_items() {
-        match map.members(ie.item) {
-            None => {
-                items.insert(ie.item, ie);
-            }
-            Some(members) => fan_out(&mut items, &ie, members),
-        }
-    }
-    EstimateTable::from_items_map(items, freq)
-}
-
-/// Distribute one batch entry over its members (shared by both split
-/// variants).
+/// Distribute one batch entry over its members.
 fn fan_out(
     items: &mut BTreeMap<ItemId, ItemEstimate>,
     ie: &ItemEstimate,
@@ -270,18 +246,6 @@ mod tests {
         let fe = split.get(ItemId(1), f).unwrap();
         let expected = Freq::ghz(3).cycles_to_dur(30_000) + Freq::ghz(3).cycles_to_dur(3_000);
         assert!(fe.elapsed.as_ps().abs_diff(expected.as_ps()) <= 2);
-    }
-
-    #[test]
-    fn owned_split_matches_borrowed() {
-        let (table, _, _) = setup();
-        let mut map = BatchMap::new();
-        map.register_weighted(ItemId(100), &[(ItemId(1), 3.0), (ItemId(2), 1.0)]);
-        let borrowed = split_batches(&table, &map);
-        let owned = split_batches_owned(table.clone(), &map);
-        assert_eq!(borrowed, owned);
-        // Empty map: the owned variant is a pass-through move.
-        assert_eq!(split_batches_owned(table.clone(), &BatchMap::new()), table);
     }
 
     #[test]

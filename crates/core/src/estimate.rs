@@ -334,13 +334,6 @@ impl EstimateTable {
         self.items.values()
     }
 
-    /// Consume the table, yielding item estimates in id order (lets
-    /// [`crate::batch::split_batches_owned`] move pass-through items
-    /// instead of cloning them).
-    pub fn into_items(self) -> impl Iterator<Item = ItemEstimate> {
-        self.items.into_values()
-    }
-
     /// Number of items with any information.
     pub fn len(&self) -> usize {
         self.items.len()

@@ -59,7 +59,7 @@ pub mod report;
 pub mod soa;
 pub mod window;
 
-pub use batch::{split_batches, split_batches_owned, BatchMap};
+pub use batch::{split_batches, BatchMap};
 pub use depgraph::{diagnose, ChainLink, DepgraphConfig, Diagnosis, EpisodeDiagnosis};
 pub use estimate::{EstimateTable, FuncEstimate, ItemEstimate};
 pub use export::{anomaly_trace, chrome_trace, chrome_trace_string, ExportOptions};

@@ -26,6 +26,10 @@
 //!   batch back. [`OnlineTracer::try_submit`] is the lossy alternative
 //!   for collection threads that must not stall: a full channel drops
 //!   the batch and counts it in [`LossStats`].
+//! * Both go through an [`Intake`], the stream front end every
+//!   `fluctrace-serve` shard uses too: one definition of thinning,
+//!   back-pressure or counted drop, and the producer-side
+//!   [`ShedLedger`] folded into [`LossStats`].
 //! * Per-core `pending` buffers are bounded by
 //!   [`OnlineConfig::max_pending`]; overflow evicts the oldest samples
 //!   and counts them (`samples_evicted`) instead of growing without
@@ -53,7 +57,7 @@
 
 pub use crate::pairing::LossStats;
 use crate::pairing::{Pairing, PairingConfig};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use fluctrace_cpu::{FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle, PEBS_RECORD_BYTES};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
@@ -370,17 +374,10 @@ pub struct OnlineReport {
 }
 
 impl OnlineReport {
-    /// Exact sample conservation: every sample the worker received was
-    /// either attributed to a completed item or landed in exactly one
-    /// worker-side loss/spin bucket. (`samples_dropped`/`samples_thinned`
-    /// are shed on the producer side *before* the worker counts
-    /// `samples_seen`, so they sit outside this identity.)
+    /// Exact sample conservation ([`LossStats::conserves`]).
     pub fn conserves_samples(&self) -> bool {
-        self.samples_seen
-            == self.samples_attributed
-                + self.loss.samples_evicted
-                + self.loss.samples_discarded
-                + self.loss.samples_spin
+        self.loss
+            .conserves(self.samples_seen, self.samples_attributed)
     }
 
     /// Volume reduction factor achieved by online filtering.
@@ -411,7 +408,6 @@ impl ObsSection {
     /// inside [`OnlineTracer::finish`]).
     pub fn from_report(report: &OnlineReport) -> Self {
         let mut snap = fluctrace_obs::Snapshot::default();
-        let l = &report.loss;
         for (name, v) in [
             ("core.online.items_processed", report.items_processed),
             ("core.online.samples_seen", report.samples_seen),
@@ -419,20 +415,12 @@ impl ObsSection {
             ("core.online.bytes_seen", report.bytes_seen),
             ("core.online.bytes_dumped", report.bytes_dumped),
             ("core.online.anomalies", report.anomalies.len() as u64),
-            ("core.online.batches_dropped", l.batches_dropped),
-            ("core.online.samples_dropped", l.samples_dropped),
-            ("core.online.samples_thinned", l.samples_thinned),
-            ("core.online.samples_evicted", l.samples_evicted),
-            ("core.online.samples_discarded", l.samples_discarded),
-            ("core.online.samples_spin", l.samples_spin),
-            ("core.online.boundary_samples", l.boundary_samples),
-            ("core.online.marks_orphaned", l.marks_orphaned),
-            ("core.online.marks_mismatched", l.marks_mismatched),
-            ("core.online.starts_abandoned", l.starts_abandoned),
-            ("core.online.starts_truncated", l.starts_truncated),
             ("core.online.degrade_episodes", report.degrade.episodes),
         ] {
             snap.counters.insert(name.to_string(), v);
+        }
+        for (name, v) in report.loss.named() {
+            snap.counters.insert(format!("core.online.{name}"), v);
         }
         snap.gauges.insert(
             "core.online.degrade_factor_peak_milli".to_string(),
@@ -653,23 +641,171 @@ impl<W: std::io::Write + Send> SpillSink for SpillWriter<W> {
     }
 }
 
-/// Producer-side shed counters (atomics: `submit`/`try_submit` take
-/// `&self` and may race with `live()` snapshots).
-#[derive(Default)]
-struct ShedCounters {
-    // lint:allow(atomic-ordering): statistical loss counter — a racing live() snapshot may under-count by one batch, never affects control flow
+/// Producer-side shed ledger: what an [`Intake`] dropped or thinned
+/// before its worker saw the batch. Shared (`Arc`) so a reader — a
+/// serve shard's protocol handlers — can fold it while the producer
+/// runs.
+#[derive(Debug, Default)]
+pub struct ShedLedger {
     batches_dropped: AtomicU64,
     samples_dropped: AtomicU64,
     samples_thinned: AtomicU64,
 }
 
-/// Handle to the online tracing worker.
-pub struct OnlineTracer {
+impl ShedLedger {
+    /// `loss` (a worker-side ledger) with the producer-side shed added:
+    /// the one place the two halves of the 11-counter ledger meet.
+    pub fn fold(&self, mut loss: LossStats) -> LossStats {
+        loss.batches_dropped += self.batches_dropped.load(Ordering::Acquire);
+        loss.samples_dropped += self.samples_dropped.load(Ordering::Acquire);
+        loss.samples_thinned += self.samples_thinned.load(Ordering::Acquire);
+        loss
+    }
+}
+
+/// What [`Intake::submit`] did with one batch, for the caller's own
+/// metrics (the intake records none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submitted {
+    /// Sent, or dropped on a full channel (non-blocking submission only).
+    pub outcome: SubmitOutcome,
+    /// Samples in the batch after thinning.
+    pub samples: u64,
+    /// Samples adaptive thinning shed from the batch.
+    pub thinned: u64,
+    /// Channel occupancy the policy saw, in milli-units of capacity.
+    pub occupancy_milli: u64,
+}
+
+/// One stream front end: a bounded channel, the overload policy in front
+/// of it and the named worker thread behind it. [`OnlineTracer`] and
+/// every `fluctrace-serve` shard submit through one.
+///
+/// [`Intake::submit`] applies the policy in order: [`AdaptiveR::thin`]
+/// by channel occupancy, then a blocking send (back-pressure) or a
+/// non-blocking one whose full channel drops the batch. Whatever it
+/// sheds is counted in its [`ShedLedger`].
+pub struct Intake<R> {
     tx: Option<Sender<TraceBundle>>,
-    handle: Option<JoinHandle<OnlineReport>>,
+    worker: Option<JoinHandle<R>>,
+    adaptive: Mutex<AdaptiveR>,
+    shed: Arc<ShedLedger>,
+}
+
+impl<R: Send + 'static> Intake<R> {
+    /// Open a channel of `capacity` batches and spawn thread `name`
+    /// running `worker` over its receiving end; shed lands in `shed`.
+    pub fn spawn(
+        name: &str,
+        capacity: usize,
+        adaptive: AdaptiveConfig,
+        shed: Arc<ShedLedger>,
+        worker: impl FnOnce(Receiver<TraceBundle>) -> R + Send + 'static,
+    ) -> Self {
+        let (tx, rx) = bounded(capacity);
+        let worker = std::thread::Builder::new()
+            .name(name.to_owned())
+            .spawn(move || worker(rx))
+            // lint:allow(panic-safety): spawn fails only when the OS is out
+            // of threads at startup, before any item is in flight.
+            .expect("spawn stream worker");
+        Intake {
+            tx: Some(tx),
+            worker: Some(worker),
+            adaptive: Mutex::new(AdaptiveR::new(adaptive)),
+            shed,
+        }
+    }
+}
+
+impl<R> Intake<R> {
+    /// Thin `batch` by channel occupancy, then send it: blocking, or
+    /// dropping (and counting) it on a full channel. Never panics: a
+    /// dead worker hands the batch back in the [`SubmitError`].
+    pub fn submit(&self, mut batch: TraceBundle, blocking: bool) -> Result<Submitted, SubmitError> {
+        let Some(tx) = self.tx.as_ref() else {
+            return Err(SubmitError { batch });
+        };
+        let occupancy = tx.len() as f64 / tx.capacity().max(1) as f64;
+        let thinned = self.adaptive.lock().thin(occupancy, &mut batch);
+        self.shed
+            .samples_thinned
+            .fetch_add(thinned, Ordering::AcqRel);
+        let mut submitted = Submitted {
+            outcome: SubmitOutcome::Sent,
+            samples: batch.samples.len() as u64,
+            thinned,
+            occupancy_milli: (occupancy * 1000.0) as u64,
+        };
+        if blocking {
+            tx.send(batch)
+                .map_err(|SendError(batch)| SubmitError { batch })?;
+        } else {
+            match tx.try_send(batch) {
+                Ok(()) => {}
+                Err(TrySendError::Full(_)) => {
+                    self.shed.batches_dropped.fetch_add(1, Ordering::AcqRel);
+                    self.shed
+                        .samples_dropped
+                        .fetch_add(submitted.samples, Ordering::AcqRel);
+                    submitted.outcome = SubmitOutcome::Dropped;
+                }
+                Err(TrySendError::Disconnected(batch)) => return Err(SubmitError { batch }),
+            }
+        }
+        Ok(submitted)
+    }
+
+    /// Batches currently queued for the worker.
+    pub fn backlog(&self) -> usize {
+        self.tx.as_ref().map_or(0, |tx| tx.len())
+    }
+
+    /// The producer-side shed ledger.
+    pub fn shed(&self) -> &Arc<ShedLedger> {
+        &self.shed
+    }
+
+    /// The adaptive policy's degradation counters so far.
+    pub fn degrade(&self) -> DegradeStats {
+        self.adaptive.lock().stats()
+    }
+
+    /// Close the channel and join the worker, returning what it returned.
+    ///
+    /// A panic on the worker thread is contained here and surfaced as
+    /// [`OnlineError::WorkerPanicked`] instead of propagating.
+    pub fn finish(mut self) -> Result<R, OnlineError> {
+        drop(self.tx.take());
+        let Some(worker) = self.worker.take() else {
+            // Unreachable: `finish` consumes self and is the only taker.
+            return Err(OnlineError::WorkerPanicked("no worker handle".into()));
+        };
+        worker.join().map_err(|payload| {
+            // Post-mortem: the flight recorder holds the spans and events
+            // leading up to the crash — surface them before reporting the
+            // contained panic.
+            eprintln!("{}", obs::flight().dump_text());
+            OnlineError::WorkerPanicked(panic_message(&*payload))
+        })
+    }
+}
+
+impl<R> Drop for Intake<R> {
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        if let Some(h) = self.worker.take() {
+            // A worker panic must not propagate out of Drop.
+            let _ = h.join();
+        }
+    }
+}
+
+/// Handle to the online tracing worker: an [`Intake`] whose worker
+/// retains divergent items.
+pub struct OnlineTracer {
+    intake: Intake<OnlineReport>,
     live: Arc<Mutex<LiveStats>>,
-    shed: Arc<ShedCounters>,
-    adaptive: Arc<Mutex<AdaptiveR>>,
 }
 
 struct Worker {
@@ -854,7 +990,6 @@ impl OnlineTracer {
         inspector: Option<BatchInspector>,
         spill: Option<Box<dyn SpillSink>>,
     ) -> Self {
-        let (tx, rx) = bounded(config.channel_capacity);
         let live = Arc::new(Mutex::new(LiveStats::default()));
         let worker = Worker {
             pairing: Pairing::new(
@@ -871,108 +1006,71 @@ impl OnlineTracer {
             inspector,
             spill,
         };
-        let handle = std::thread::Builder::new()
-            .name("fluctrace-online".into())
-            .spawn(move || worker.run(rx))
-            // lint:allow(panic-safety): spawn fails only when the OS is out
-            // of threads at tracer startup, before any item is in flight.
-            .expect("spawn online worker");
         OnlineTracer {
-            tx: Some(tx),
-            handle: Some(handle),
+            intake: Intake::spawn(
+                "fluctrace-online",
+                config.channel_capacity,
+                config.adaptive,
+                Arc::default(),
+                move |rx| worker.run(rx),
+            ),
             live,
-            shed: Arc::new(ShedCounters::default()),
-            adaptive: Arc::new(Mutex::new(AdaptiveR::new(config.adaptive))),
         }
     }
 
-    /// Run the adaptive policy against current channel occupancy and
-    /// thin the batch accordingly (counting what was shed).
-    fn degrade(&self, tx: &Sender<TraceBundle>, batch: &mut TraceBundle) {
-        let occupancy = tx.len() as f64 / tx.capacity().max(1) as f64;
-        let thinned = self.adaptive.lock().thin(occupancy, batch);
-        if thinned > 0 {
-            self.shed
-                .samples_thinned
-                .fetch_add(thinned, Ordering::Relaxed);
-            obs::counter!("core.online.samples_thinned").add(thinned);
+    /// The tracer's `core.online.*` series for one submission.
+    fn record(submitted: Submitted) -> SubmitOutcome {
+        if submitted.thinned > 0 {
+            obs::counter!("core.online.samples_thinned").add(submitted.thinned);
         }
+        match submitted.outcome {
+            SubmitOutcome::Sent => {
+                if obs::recording() {
+                    obs::counter!("core.online.batches_submitted").inc();
+                    obs::counter!("core.online.samples_submitted").add(submitted.samples);
+                    obs::histogram!("core.online.batch_samples").record(submitted.samples);
+                }
+            }
+            SubmitOutcome::Dropped => {
+                obs::counter!("core.online.batches_dropped").inc();
+                obs::counter!("core.online.samples_dropped").add(submitted.samples);
+            }
+        }
+        submitted.outcome
     }
 
     /// Submit a batch, blocking when the channel is full (back-pressure).
     ///
     /// Never panics: if the worker is gone the undelivered batch comes
     /// back in the [`SubmitError`].
-    pub fn submit(&self, mut batch: TraceBundle) -> Result<(), SubmitError> {
-        match self.tx.as_ref() {
-            Some(tx) => {
-                self.degrade(tx, &mut batch);
-                let samples = batch.samples.len() as u64;
-                match tx.send(batch) {
-                    Ok(()) => {
-                        Self::record_accepted(samples);
-                        Ok(())
-                    }
-                    Err(crossbeam::channel::SendError(batch)) => Err(SubmitError { batch }),
-                }
-            }
-            None => Err(SubmitError { batch }),
-        }
-    }
-
-    /// Obs bookkeeping for a batch the channel accepted.
-    fn record_accepted(samples: u64) {
-        if obs::recording() {
-            obs::counter!("core.online.batches_submitted").inc();
-            obs::counter!("core.online.samples_submitted").add(samples);
-            obs::histogram!("core.online.batch_samples").record(samples);
-        }
+    pub fn submit(&self, batch: TraceBundle) -> Result<(), SubmitError> {
+        self.intake.submit(batch, true).map(|s| {
+            Self::record(s);
+        })
     }
 
     /// Submit without blocking: a full channel **drops the batch** and
     /// counts it in [`LossStats`] — the mode for collection threads that
     /// must never stall the traced program.
-    pub fn try_submit(&self, mut batch: TraceBundle) -> Result<SubmitOutcome, SubmitError> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(SubmitError { batch });
-        };
-        self.degrade(tx, &mut batch);
-        let samples = batch.samples.len() as u64;
-        match tx.try_send(batch) {
-            Ok(()) => {
-                Self::record_accepted(samples);
-                Ok(SubmitOutcome::Sent)
-            }
-            Err(TrySendError::Full(batch)) => {
-                self.shed.batches_dropped.fetch_add(1, Ordering::Relaxed);
-                self.shed
-                    .samples_dropped
-                    .fetch_add(batch.samples.len() as u64, Ordering::Relaxed);
-                obs::counter!("core.online.batches_dropped").inc();
-                obs::counter!("core.online.samples_dropped").add(batch.samples.len() as u64);
-                Ok(SubmitOutcome::Dropped)
-            }
-            Err(TrySendError::Disconnected(batch)) => Err(SubmitError { batch }),
-        }
+    pub fn try_submit(&self, batch: TraceBundle) -> Result<SubmitOutcome, SubmitError> {
+        self.intake.submit(batch, false).map(Self::record)
     }
 
     /// Batches currently queued for the worker.
     pub fn backlog(&self) -> usize {
-        self.tx.as_ref().map_or(0, |tx| tx.len())
+        self.intake.backlog()
     }
 
     /// True when the worker has drained every submitted batch.
     pub fn is_idle(&self) -> bool {
-        self.tx.as_ref().is_none_or(|tx| tx.is_empty())
+        self.intake.backlog() == 0
     }
 
     /// Snapshot of live counters (worker progress plus producer-side
     /// shed accounting).
     pub fn live(&self) -> LiveStats {
         let mut stats = *self.live.lock();
-        stats.loss.batches_dropped += self.shed.batches_dropped.load(Ordering::Relaxed);
-        stats.loss.samples_dropped += self.shed.samples_dropped.load(Ordering::Relaxed);
-        stats.loss.samples_thinned += self.shed.samples_thinned.load(Ordering::Relaxed);
+        stats.loss = self.intake.shed().fold(stats.loss);
         stats
     }
 
@@ -980,29 +1078,14 @@ impl OnlineTracer {
     ///
     /// A panic on the worker thread is contained here and surfaced as
     /// [`OnlineError::WorkerPanicked`] instead of propagating.
-    pub fn finish(mut self) -> Result<OnlineReport, OnlineError> {
-        drop(self.tx.take());
-        let Some(handle) = self.handle.take() else {
-            // Unreachable: `finish` consumes self and is the only taker.
-            return Err(OnlineError::WorkerPanicked("no worker handle".into()));
-        };
-        match handle.join() {
-            Ok(mut report) => {
-                report.loss.batches_dropped += self.shed.batches_dropped.load(Ordering::Relaxed);
-                report.loss.samples_dropped += self.shed.samples_dropped.load(Ordering::Relaxed);
-                report.loss.samples_thinned += self.shed.samples_thinned.load(Ordering::Relaxed);
-                report.degrade = self.adaptive.lock().stats();
-                report.obs = ObsSection::from_report(&report);
-                Ok(report)
-            }
-            Err(payload) => {
-                // Post-mortem: the flight recorder holds the spans and
-                // events leading up to the crash — surface them before
-                // reporting the contained panic.
-                eprintln!("{}", obs::flight().dump_text());
-                Err(OnlineError::WorkerPanicked(panic_message(&*payload)))
-            }
-        }
+    pub fn finish(self) -> Result<OnlineReport, OnlineError> {
+        let shed = Arc::clone(self.intake.shed());
+        let degrade = self.intake.degrade();
+        let mut report = self.intake.finish()?;
+        report.loss = shed.fold(report.loss);
+        report.degrade = degrade;
+        report.obs = ObsSection::from_report(&report);
+        Ok(report)
     }
 }
 
@@ -1013,16 +1096,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".into()
-    }
-}
-
-impl Drop for OnlineTracer {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            // A worker panic must not propagate out of Drop.
-            let _ = h.join();
-        }
     }
 }
 

@@ -72,6 +72,33 @@ impl LossStats {
         self.samples_dropped + self.samples_thinned + self.samples_evicted + self.samples_discarded
     }
 
+    /// Exact sample conservation: every one of `seen` samples a worker
+    /// received was either among the `attributed` or landed in exactly
+    /// one worker-side loss/spin bucket. (`samples_dropped` and
+    /// `samples_thinned` are shed on the producer side before the worker
+    /// counts `seen`, so they sit outside this identity.)
+    pub fn conserves(&self, seen: u64, attributed: u64) -> bool {
+        seen == attributed + self.samples_evicted + self.samples_discarded + self.samples_spin
+    }
+
+    /// The eleven counters by field name, in name order: the form the
+    /// metric snapshots render.
+    pub fn named(&self) -> [(&'static str, u64); 11] {
+        [
+            ("batches_dropped", self.batches_dropped),
+            ("boundary_samples", self.boundary_samples),
+            ("marks_mismatched", self.marks_mismatched),
+            ("marks_orphaned", self.marks_orphaned),
+            ("samples_discarded", self.samples_discarded),
+            ("samples_dropped", self.samples_dropped),
+            ("samples_evicted", self.samples_evicted),
+            ("samples_spin", self.samples_spin),
+            ("samples_thinned", self.samples_thinned),
+            ("starts_abandoned", self.starts_abandoned),
+            ("starts_truncated", self.starts_truncated),
+        ]
+    }
+
     /// True when nothing was lost and the mark stream was well-formed
     /// (boundary and spin samples are attribution accounting, not loss).
     pub fn is_clean(&self) -> bool {
@@ -81,6 +108,23 @@ impl LossStats {
             && self.marks_mismatched == 0
             && self.starts_abandoned == 0
             && self.starts_truncated == 0
+    }
+}
+
+impl std::ops::AddAssign for LossStats {
+    /// Counter-wise sum (ledgers of several shards into one total).
+    fn add_assign(&mut self, other: LossStats) {
+        self.batches_dropped += other.batches_dropped;
+        self.samples_dropped += other.samples_dropped;
+        self.samples_thinned += other.samples_thinned;
+        self.samples_evicted += other.samples_evicted;
+        self.samples_discarded += other.samples_discarded;
+        self.marks_orphaned += other.marks_orphaned;
+        self.marks_mismatched += other.marks_mismatched;
+        self.starts_abandoned += other.starts_abandoned;
+        self.starts_truncated += other.starts_truncated;
+        self.samples_spin += other.samples_spin;
+        self.boundary_samples += other.boundary_samples;
     }
 }
 

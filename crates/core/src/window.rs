@@ -197,14 +197,10 @@ pub struct WindowReport {
 }
 
 impl WindowReport {
-    /// Exact sample conservation — the same identity as
-    /// [`crate::online::OnlineReport::conserves_samples`].
+    /// Exact sample conservation ([`LossStats::conserves`]).
     pub fn conserves_samples(&self) -> bool {
-        self.samples_seen
-            == self.samples_attributed
-                + self.loss.samples_evicted
-                + self.loss.samples_discarded
-                + self.loss.samples_spin
+        self.loss
+            .conserves(self.samples_seen, self.samples_attributed)
     }
 }
 

@@ -20,10 +20,13 @@
 //!   context switches) is what makes samples attributable again.
 //!
 //! The crate also ships a **real** lock-free single-producer
-//! single-consumer ring ([`spsc`]) used by the online tracer and the
-//! throughput benchmarks — the same data structure a DPDK-style pipeline
-//! uses between its pinned threads, implemented with acquire/release
-//! atomics.
+//! single-consumer ring ([`spsc`]) — the same data structure a
+//! DPDK-style pipeline uses between its pinned threads, implemented with
+//! acquire/release atomics. The online tracer and the serve shards do
+//! not use it: their `fluctrace_core::online::Intake` streams batches
+//! over the bounded channel of the `crossbeam` shim (a `Mutex` +
+//! `Condvar` queue). The benchmark's hand-off leg times the two against
+//! each other.
 //!
 //! For *why a core waited* (not just where time went), every blocking
 //! structure records typed wait/wakeup edges ([`wait`]) and the

@@ -2,9 +2,10 @@
 //! ring buffer.
 //!
 //! This is the data structure that connects pinned worker threads in a
-//! DPDK-style pipeline, and it is what the online tracer
-//! (`fluctrace-core::online`) uses to stream sample batches from the
-//! collection thread to the integration thread without locks.
+//! DPDK-style pipeline. The online tracer does not use it: its
+//! `Intake` (`fluctrace-core::online`) streams batches over the bounded
+//! channel of the `crossbeam` shim, and the benchmark's hand-off leg
+//! times this ring against that channel.
 //!
 //! The implementation is the classic bounded ring with monotonically
 //! increasing head/tail counters and acquire/release synchronization:

@@ -108,7 +108,7 @@ pub fn snapshot_doc(shards: &[ShardView]) -> Snapshot {
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
     for view in shards {
         let c = &view.counters;
-        let loss = c.fold_producer_loss(view.integrator.lock().loss());
+        let loss = c.shed.fold(view.integrator.lock().loss());
         let prefix = shard_prefix(view.id);
         let fields: [(&'static str, u64); 8] = [
             (
@@ -133,33 +133,10 @@ pub fn snapshot_doc(shards: &[ShardView]) -> Snapshot {
             counters.insert(format!("{prefix}.{name}"), value);
             *totals.entry(name).or_insert(0) += value;
         }
-        let loss_fields: [(&'static str, u64); 11] = [
-            ("batches_dropped", loss.batches_dropped),
-            ("boundary_samples", loss.boundary_samples),
-            ("marks_mismatched", loss.marks_mismatched),
-            ("marks_orphaned", loss.marks_orphaned),
-            ("samples_discarded", loss.samples_discarded),
-            ("samples_dropped", loss.samples_dropped),
-            ("samples_evicted", loss.samples_evicted),
-            ("samples_spin", loss.samples_spin),
-            ("samples_thinned", loss.samples_thinned),
-            ("starts_abandoned", loss.starts_abandoned),
-            ("starts_truncated", loss.starts_truncated),
-        ];
-        for (name, value) in loss_fields {
+        for (name, value) in loss.named() {
             counters.insert(format!("{prefix}.loss.{name}"), value);
         }
-        total_loss.batches_dropped += loss.batches_dropped;
-        total_loss.boundary_samples += loss.boundary_samples;
-        total_loss.marks_mismatched += loss.marks_mismatched;
-        total_loss.marks_orphaned += loss.marks_orphaned;
-        total_loss.samples_discarded += loss.samples_discarded;
-        total_loss.samples_dropped += loss.samples_dropped;
-        total_loss.samples_evicted += loss.samples_evicted;
-        total_loss.samples_spin += loss.samples_spin;
-        total_loss.samples_thinned += loss.samples_thinned;
-        total_loss.starts_abandoned += loss.starts_abandoned;
-        total_loss.starts_truncated += loss.starts_truncated;
+        total_loss += loss;
 
         // Satellite: the `ring_empty` WaitLog folded into utilization.
         let (edges, ring_cycles, dropped) = {
@@ -191,20 +168,7 @@ pub fn snapshot_doc(shards: &[ShardView]) -> Snapshot {
     for (name, value) in totals {
         counters.insert(format!("serve.total.{name}"), value);
     }
-    let total_loss_fields: [(&'static str, u64); 11] = [
-        ("batches_dropped", total_loss.batches_dropped),
-        ("boundary_samples", total_loss.boundary_samples),
-        ("marks_mismatched", total_loss.marks_mismatched),
-        ("marks_orphaned", total_loss.marks_orphaned),
-        ("samples_discarded", total_loss.samples_discarded),
-        ("samples_dropped", total_loss.samples_dropped),
-        ("samples_evicted", total_loss.samples_evicted),
-        ("samples_spin", total_loss.samples_spin),
-        ("samples_thinned", total_loss.samples_thinned),
-        ("starts_abandoned", total_loss.starts_abandoned),
-        ("starts_truncated", total_loss.starts_truncated),
-    ];
-    for (name, value) in total_loss_fields {
+    for (name, value) in total_loss.named() {
         counters.insert(format!("serve.total.loss.{name}"), value);
     }
     counters.insert("serve.total.shards".to_string(), shards.len() as u64);
@@ -331,21 +295,11 @@ pub fn loss_doc(shards: &[ShardView]) -> String {
             let (loss, conserves) = {
                 let wi = view.integrator.lock();
                 (
-                    view.counters.fold_producer_loss(wi.loss()),
+                    view.counters.shed.fold(wi.loss()),
                     wi.report().conserves_samples(),
                 )
             };
-            total.batches_dropped += loss.batches_dropped;
-            total.boundary_samples += loss.boundary_samples;
-            total.marks_mismatched += loss.marks_mismatched;
-            total.marks_orphaned += loss.marks_orphaned;
-            total.samples_discarded += loss.samples_discarded;
-            total.samples_dropped += loss.samples_dropped;
-            total.samples_evicted += loss.samples_evicted;
-            total.samples_spin += loss.samples_spin;
-            total.samples_thinned += loss.samples_thinned;
-            total.starts_abandoned += loss.starts_abandoned;
-            total.starts_truncated += loss.starts_truncated;
+            total += loss;
             ShardLoss {
                 shard: view.id,
                 loss,

@@ -1,26 +1,29 @@
-//! One shard: a seeded generator thread feeding a windowed-integrator
-//! worker thread over a bounded channel, with the online tracer's two
-//! overload policies composed in front of it.
+//! One shard: a seeded generator thread submitting into an
+//! [`Intake`] — the online tracer's stream front end — whose worker
+//! runs the windowed integrator.
+//!
+//! The intake applies the online tracer's two overload policies:
 //!
 //! * **Back-pressure** — `blocking: true` blocks the generator on a
 //!   full channel (lossless); `false` drops whole batches and counts
 //!   them (`batches_dropped` / `samples_dropped`), exactly like
 //!   `OnlineTracer::try_submit`.
 //! * **Adaptive effective-reset** — every submission feeds channel
-//!   occupancy to a per-shard [`AdaptiveR`]; a factor above 1× thins
-//!   the batch to every factor-th sample, counted in
-//!   `samples_thinned`.
+//!   occupancy to the intake's [`AdaptiveR`](fluctrace_core::AdaptiveR);
+//!   a factor above 1× thins the batch to every factor-th sample,
+//!   counted in `samples_thinned`.
 //!
-//! The worker folds `ring_empty` idle time into the shard's
+//! Both land in the intake's [`ShedLedger`], which the shard's counters
+//! share. The worker folds `ring_empty` idle time into the shard's
 //! [`WaitLog`] — one [`WaitCause::RingEmpty`] edge per empty-poll,
 //! measured in obs clock ticks — and the idle/busy tick split becomes
 //! the `serve.worker.utilization_milli` gauge surfaced in snapshots
 //! and `/metrics`.
 
 use crate::{ServeConfig, TrafficGen};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use fluctrace_core::online::AdaptiveR;
-use fluctrace_core::{LossStats, WindowReport, WindowedIntegrator};
+use crossbeam::channel::Receiver;
+use fluctrace_core::online::{Intake, ShedLedger};
+use fluctrace_core::{WindowReport, WindowedIntegrator};
 use fluctrace_cpu::{SymbolTable, TraceBundle};
 use fluctrace_obs as obs;
 use fluctrace_rt::{WaitCause, WaitEdge, WaitLog};
@@ -53,16 +56,17 @@ pub struct ShardCounters {
     pub evicted_bytes: AtomicU64,
     /// Anomaly episodes recorded.
     pub episodes: AtomicU64,
-    /// Producer-side: whole batches dropped on a full channel.
-    pub batches_dropped: AtomicU64,
-    /// Producer-side: samples inside those dropped batches.
-    pub samples_dropped: AtomicU64,
-    /// Producer-side: samples shed by adaptive thinning.
-    pub samples_thinned: AtomicU64,
+    /// Producer-side shed (dropped batches and samples, thinned
+    /// samples): the shard intake's own ledger.
+    pub shed: Arc<ShedLedger>,
     /// Worker ticks spent inside `ingest` (obs clock).
     pub busy_ticks: AtomicU64,
-    /// Worker ticks spent blocked on an empty ring (obs clock); always
-    /// equals the sum of this shard's `ring_empty` wait-edge cycles.
+    /// Worker ticks spent blocked on an empty ring (obs clock). Each
+    /// such wait is also offered to the shard's [`WaitLog`] as a
+    /// `ring_empty` edge, so this equals the sum of the log's
+    /// `ring_empty` cycles while the log has dropped no edge; once a
+    /// full log drops edges, their ticks are counted here only, and
+    /// this exceeds that sum.
     pub idle_ticks: AtomicU64,
     /// Channel occupancy at the last submission, in milli-units.
     pub occupancy_milli: AtomicU64,
@@ -80,19 +84,10 @@ impl ShardCounters {
         let total = busy.saturating_add(idle);
         busy.saturating_mul(1000).checked_div(total).unwrap_or(0)
     }
-
-    /// Producer-side shed counters merged into a [`LossStats`] base
-    /// (the integrator's ledger only sees what crossed the channel).
-    pub fn fold_producer_loss(&self, mut loss: LossStats) -> LossStats {
-        loss.batches_dropped += self.batches_dropped.load(Ordering::Acquire);
-        loss.samples_dropped += self.samples_dropped.load(Ordering::Acquire);
-        loss.samples_thinned += self.samples_thinned.load(Ordering::Acquire);
-        loss
-    }
 }
 
-/// One running shard: the two thread handles plus the shared state the
-/// protocol layer reads.
+/// One running shard: the generator thread (which owns the intake and
+/// with it the worker) plus the shared state the protocol layer reads.
 pub struct ShardHandle {
     /// Shard index (also the `core` id of its wait edges).
     pub id: u32,
@@ -103,17 +98,14 @@ pub struct ShardHandle {
     /// Live counters.
     pub counters: Arc<ShardCounters>,
     producer: Option<JoinHandle<()>>,
-    consumer: Option<JoinHandle<()>>,
 }
 
 impl ShardHandle {
-    /// Join both threads (the producer must already be finite or
-    /// stopped via the daemon's stop flag, or this blocks forever).
+    /// Join the generator, which finishes the intake and so joins the
+    /// worker (the generator must already be finite or stopped via the
+    /// daemon's stop flag, or this blocks forever).
     pub fn join(&mut self) {
         if let Some(h) = self.producer.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.consumer.take() {
             let _ = h.join();
         }
     }
@@ -151,77 +143,51 @@ fn publish(counters: &ShardCounters, report: &WindowReport, last: &WindowReport)
         obs::counter!("serve.windows.evicted_bytes")
             .add(report.evicted_bytes.saturating_sub(last.evicted_bytes));
         obs::counter!("serve.anomaly.episodes").add(report.episodes.saturating_sub(last.episodes));
+        obs::gauge!("serve.worker.utilization_milli").record(counters.utilization_milli());
     }
 }
 
+/// The generator loop: every batch goes through the intake, which
+/// thins, sends or drops it; the shard stores what the intake saw.
 fn run_producer(
     config: ServeConfig,
     id: u32,
     symtab: Arc<SymbolTable>,
-    tx: Sender<TraceBundle>,
+    intake: Intake<()>,
     counters: Arc<ShardCounters>,
     stop: Arc<AtomicBool>,
 ) {
     let mut traffic = TrafficGen::new(&config, id, symtab);
-    let mut adaptive = AdaptiveR::new(config.adaptive);
-    let cap = tx.capacity().max(1);
     let mut produced = 0u64;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(max) = config.max_batches {
-            if produced >= max {
-                break;
-            }
-        }
-        let mut batch = traffic.next_batch();
+    while !stop.load(Ordering::Acquire) && config.max_batches.is_none_or(|max| produced < max) {
+        let batch = traffic.next_batch();
         produced += 1;
         counters.batches_produced.store(produced, Ordering::Release);
-
-        // Overload policy 1: occupancy-driven adaptive thinning.
-        let occupancy = tx.len() as f64 / cap as f64;
-        let occ_milli = (occupancy * 1000.0) as u64;
-        counters.occupancy_milli.store(occ_milli, Ordering::Release);
-        if obs::recording() {
-            obs::gauge!("serve.queue.occupancy_milli").record(occ_milli);
-        }
-        let thinned = adaptive.thin(occupancy, &mut batch);
+        let Ok(submitted) = intake.submit(batch, config.blocking) else {
+            break;
+        };
         counters
-            .samples_thinned
-            .fetch_add(thinned, Ordering::AcqRel);
-
-        // Overload policy 2: back-pressure or counted drop.
-        if config.blocking {
-            if tx.send(batch).is_err() {
-                break;
-            }
-        } else {
-            match tx.try_send(batch) {
-                Ok(()) => {}
-                Err(TrySendError::Full(b)) => {
-                    counters.batches_dropped.fetch_add(1, Ordering::AcqRel);
-                    counters
-                        .samples_dropped
-                        .fetch_add(b.samples.len() as u64, Ordering::AcqRel);
-                }
-                Err(TrySendError::Disconnected(_)) => break,
-            }
-        }
+            .occupancy_milli
+            .store(submitted.occupancy_milli, Ordering::Release);
         if obs::recording() {
+            obs::gauge!("serve.queue.occupancy_milli").record(submitted.occupancy_milli);
             obs::counter!("serve.traffic.batches").inc();
         }
     }
-    // Dropping the sender closes the channel; the worker drains what is
-    // queued, finishes the stream, and raises `drained`.
+    // Closing the channel lets the worker drain what is queued, finish
+    // the stream and raise `drained`; a worker panic is contained here.
+    let _ = intake.finish();
 }
 
-fn run_consumer(
+/// The window loop: ingest each batch under the integrator lock and
+/// publish, recording every wait on an empty ring as a `ring_empty`
+/// edge.
+fn run_window_loop(
     id: u32,
     rx: Receiver<TraceBundle>,
-    integrator: Arc<Mutex<WindowedIntegrator>>,
-    wait: Arc<Mutex<WaitLog>>,
-    counters: Arc<ShardCounters>,
+    integrator: &Mutex<WindowedIntegrator>,
+    wait: &Mutex<WaitLog>,
+    counters: &ShardCounters,
 ) {
     let mut last = WindowReport::default();
     let mut ingested = 0u64;
@@ -229,28 +195,8 @@ fn run_consumer(
         // Idle accounting: an empty poll means the worker is about to
         // block on its ring — the `ring_empty` wait of the staged
         // pipelines, measured here in obs clock ticks.
-        let waited = if rx.is_empty() {
-            Some(obs::now_ticks())
-        } else {
-            None
-        };
-        let batch = match rx.recv() {
-            Ok(b) => b,
-            Err(_) => {
-                if let Some(t0) = waited {
-                    let cycles = obs::now_ticks().wrapping_sub(t0);
-                    counters.idle_ticks.fetch_add(cycles, Ordering::AcqRel);
-                    wait.lock().record(WaitEdge {
-                        core: id,
-                        tsc: t0,
-                        cycles,
-                        cause: WaitCause::RingEmpty,
-                        peer: id,
-                    });
-                }
-                break;
-            }
-        };
+        let waited = rx.is_empty().then(obs::now_ticks);
+        let received = rx.recv();
         if let Some(t0) = waited {
             let cycles = obs::now_ticks().wrapping_sub(t0);
             counters.idle_ticks.fetch_add(cycles, Ordering::AcqRel);
@@ -262,6 +208,9 @@ fn run_consumer(
                 peer: id,
             });
         }
+        let Ok(batch) = received else {
+            break;
+        };
         let t0 = obs::now_ticks();
         let report = {
             let mut wi = integrator.lock();
@@ -273,10 +222,7 @@ fn run_consumer(
             .fetch_add(obs::now_ticks().wrapping_sub(t0), Ordering::AcqRel);
         ingested += 1;
         counters.batches_ingested.store(ingested, Ordering::Release);
-        publish(&counters, &report, &last);
-        if obs::recording() {
-            obs::gauge!("serve.worker.utilization_milli").record(counters.utilization_milli());
-        }
+        publish(counters, &report, &last);
         last = report;
     }
     // Channel closed: account for truncated items and flush the final
@@ -286,38 +232,40 @@ fn run_consumer(
         wi.finish_stream();
         wi.report()
     };
-    publish(&counters, &report, &last);
-    if obs::recording() {
-        obs::gauge!("serve.worker.utilization_milli").record(counters.utilization_milli());
-    }
+    publish(counters, &report, &last);
     counters.drained.store(true, Ordering::Release);
 }
 
-/// Spawn one shard's generator + worker pair.
+/// Spawn one shard: the intake with its window-loop worker, and the
+/// generator thread that owns the intake.
 pub fn spawn_shard(
     config: &ServeConfig,
     id: u32,
     symtab: Arc<SymbolTable>,
     stop: Arc<AtomicBool>,
 ) -> ShardHandle {
-    let (tx, rx) = bounded::<TraceBundle>(config.channel_capacity.max(1));
     let integrator = Arc::new(Mutex::new(WindowedIntegrator::new(
         Arc::clone(&symtab),
         config.window,
     )));
     let wait = Arc::new(Mutex::new(WaitLog::new(config.wait_capacity)));
     let counters = Arc::new(ShardCounters::default());
-
-    let producer = {
-        let config = *config;
-        let counters = Arc::clone(&counters);
-        std::thread::spawn(move || run_producer(config, id, symtab, tx, counters, stop))
-    };
-    let consumer = {
+    let intake = {
         let integrator = Arc::clone(&integrator);
         let wait = Arc::clone(&wait);
         let counters = Arc::clone(&counters);
-        std::thread::spawn(move || run_consumer(id, rx, integrator, wait, counters))
+        Intake::spawn(
+            &format!("fluctrace-shard-{id}"),
+            config.channel_capacity.max(1),
+            config.adaptive,
+            Arc::clone(&counters.shed),
+            move |rx| run_window_loop(id, rx, &integrator, &wait, &counters),
+        )
+    };
+    let producer = {
+        let config = *config;
+        let counters = Arc::clone(&counters);
+        std::thread::spawn(move || run_producer(config, id, symtab, intake, counters, stop))
     };
 
     ShardHandle {
@@ -326,6 +274,5 @@ pub fn spawn_shard(
         wait,
         counters,
         producer: Some(producer),
-        consumer: Some(consumer),
     }
 }

@@ -268,7 +268,7 @@ fn lossy_modes_account_for_every_offered_sample() {
 
         let view = &daemon.shards()[0];
         let report = view.integrator.lock().report();
-        let loss = view.counters.fold_producer_loss(report.loss);
+        let loss = view.counters.shed.fold(report.loss);
         assert_eq!(
             offered,
             report.samples_seen + loss.samples_dropped + loss.samples_thinned,
@@ -310,4 +310,47 @@ fn an_overlong_request_line_is_refused() {
 
     daemon.quiesce();
     daemon.join();
+}
+
+/// `idle_ticks` counts every `ring_empty` wait, the wait log only the
+/// edges it had room for. A default 4 096-edge log cannot fill in 64
+/// batches (at most one edge per batch plus the closing one), so the
+/// two agree exactly; a one-edge log may drop edges, and then
+/// `idle_ticks` is at least the logged sum. How often the worker finds
+/// its ring empty depends on thread timing, so only these conditional
+/// forms are asserted, never a drop count.
+#[test]
+fn idle_ticks_match_ring_empty_cycles_until_the_wait_log_drops() {
+    for wait_capacity in [ServeConfig::new(0).wait_capacity, 1] {
+        let mut cfg = lossless(2024);
+        cfg.max_batches = Some(64);
+        cfg.wait_capacity = wait_capacity;
+        let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
+        daemon.wait_drained();
+
+        for view in daemon.shards() {
+            let idle = view
+                .counters
+                .idle_ticks
+                .load(std::sync::atomic::Ordering::Acquire);
+            let wait = view.wait.lock();
+            let logged = wait
+                .cycles_by_cause()
+                .get("ring_empty")
+                .copied()
+                .unwrap_or(0);
+            let dropped = wait.dropped();
+            if wait_capacity == 1 {
+                assert!(idle >= logged, "idle {idle} < logged {logged}");
+            } else {
+                assert_eq!(dropped, 0, "a {wait_capacity}-edge log dropped edges");
+            }
+            if dropped == 0 {
+                assert_eq!(idle, logged, "capacity {wait_capacity}");
+            }
+        }
+
+        daemon.quiesce();
+        daemon.join();
+    }
 }
