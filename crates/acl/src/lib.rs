@@ -33,7 +33,6 @@ pub mod builder;
 pub mod compile;
 pub mod key;
 pub mod meter;
-pub mod parse;
 pub mod reference;
 pub mod rule;
 pub mod trie;
@@ -42,7 +41,6 @@ pub use builder::{table3_rules, AclBuildConfig, MultiTrieAcl};
 pub use compile::{CompiledAcl, CompiledTrie};
 pub use key::{PacketKey, KEY_BYTES};
 pub use meter::{CountingMeter, NullMeter, WorkMeter};
-pub use parse::{format_rule, parse_rule, parse_ruleset, ParseError};
 pub use reference::LinearAcl;
 pub use rule::{AclRule, Action, Ipv4Prefix, PortRange};
 pub use trie::{MatchEntry, Trie};

@@ -4,7 +4,7 @@
 //!
 //! * [`table`] — fixed-width ASCII tables (every `fig*`/`table*` binary
 //!   prints through this, so EXPERIMENTS.md rows match tool output);
-//! * [`series`] — named data series and figures with CSV / JSON export
+//! * [`series`] — named data series and figures with JSON export
 //!   (machine-readable artifacts the experiment records are built from);
 //! * [`regression`] — ordinary least squares on transformed axes;
 //! * [`shape`] — the "does the reproduction have the paper's shape?"

@@ -1,4 +1,4 @@
-//! Named data series and figures with CSV / JSON export.
+//! Named data series and figures with JSON export.
 //!
 //! Every reproduction binary materialises its result as a [`Figure`]
 //! (a set of named `(x, y[, err])` series), prints it as a table, and
@@ -56,11 +56,6 @@ impl Series {
     pub fn ys(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.y).collect()
     }
-
-    /// Y value at the given x, if present (exact match).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|p| p.x == x).map(|p| p.y)
-    }
 }
 
 /// A figure: several series plus identifying metadata.
@@ -106,31 +101,9 @@ impl Figure {
         self.series.iter().find(|s| s.name == name)
     }
 
-    /// Export as CSV: `series,x,y,err` rows.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,x,y,err\n");
-        for s in &self.series {
-            for p in &s.points {
-                out.push_str(&format!(
-                    "{},{},{},{}\n",
-                    s.name,
-                    p.x,
-                    p.y,
-                    p.err.map(|e| e.to_string()).unwrap_or_default()
-                ));
-            }
-        }
-        out
-    }
-
     /// Export as pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("figure serializes")
-    }
-
-    /// Parse back from JSON.
-    pub fn from_json(s: &str) -> Result<Figure, serde_json::Error> {
-        serde_json::from_str(s)
     }
 }
 
@@ -151,24 +124,13 @@ mod tests {
         let f = fig();
         let s = f.series("pebs").unwrap();
         assert_eq!(s.ys(), vec![1.25, 2.5]);
-        assert_eq!(s.y_at(8000.0), Some(1.25));
-        assert_eq!(s.y_at(1.0), None);
         assert!(f.series("nope").is_none());
-    }
-
-    #[test]
-    fn csv_export() {
-        let csv = fig().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "series,x,y,err");
-        assert_eq!(lines[1], "pebs,8000,1.25,");
-        assert_eq!(lines[2], "pebs,16000,2.5,0.1");
     }
 
     #[test]
     fn json_round_trip() {
         let f = fig();
-        let parsed = Figure::from_json(&f.to_json()).unwrap();
+        let parsed: Figure = serde_json::from_str(&f.to_json()).unwrap();
         assert_eq!(parsed.id, "fig_test");
         assert_eq!(parsed.series.len(), 1);
         assert_eq!(parsed.series[0].points[1].err, Some(0.1));

@@ -124,33 +124,6 @@ impl Tester {
         )
     }
 
-    /// Build a single-type schedule.
-    pub fn send_uniform(
-        start: SimTime,
-        interval: SimDuration,
-        count: usize,
-        ptype: PacketType,
-    ) -> (Tester, Vec<Timed<TestPacket>>) {
-        let schedule: Vec<Timed<TestPacket>> = (0..count)
-            .map(|i| {
-                Timed::new(
-                    start + interval * i as u64,
-                    TestPacket {
-                        seq: i as u64,
-                        ptype,
-                        key: ptype.key(),
-                    },
-                )
-            })
-            .collect();
-        (
-            Tester {
-                sent: schedule.clone(),
-            },
-            schedule,
-        )
-    }
-
     /// Compute per-type latency statistics from the egress schedule.
     /// Packets dropped by the firewall simply never come back.
     pub fn receive(&self, egress: &[Timed<TestPacket>]) -> TesterReport {
@@ -218,18 +191,17 @@ mod tests {
 
     #[test]
     fn dropped_packets_do_not_count() {
-        let (tester, sched) =
-            Tester::send_uniform(SimTime::ZERO, SimDuration::from_us(10), 5, PacketType::C);
-        // Only 3 come back.
+        let (tester, sched) = Tester::send_round_robin(SimTime::ZERO, SimDuration::from_us(10), 2);
+        // Only the first A and B come back.
         let egress: Vec<_> = sched
             .iter()
-            .take(3)
+            .take(2)
             .map(|p| Timed::new(p.at + SimDuration::from_us(1), p.value))
             .collect();
         let report = tester.receive(&egress);
-        assert_eq!(report.sent, 5);
-        assert_eq!(report.received, 3);
-        assert!(report.for_type(PacketType::A).is_none());
+        assert_eq!(report.sent, 6);
+        assert_eq!(report.received, 2);
+        assert!(report.for_type(PacketType::C).is_none());
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl WebServer {
         FUNCTIONS
     }
 
-    /// Mean request cost implied by the inventory, in ns.
-    pub fn mean_request_ns() -> u64 {
-        FUNCTIONS.iter().map(|&(_, ns, _)| ns).sum()
-    }
-
     /// Process one request on `core`: every function runs once with
     /// ±25% deterministic jitter around its mean cost.
     pub fn process_request(&mut self, core: &mut Core) {
@@ -114,31 +109,6 @@ impl WebServer {
             let uops = (cycles as u128 * IPC_MILLI as u128 / 1000) as u64;
             core.exec(Exec::new(self.funcs.funcs[i], uops.max(1)).ipc_milli(IPC_MILLI));
         }
-    }
-
-    /// Build one request as a preemptible ULT job (NGINX is a
-    /// *timer-switching* architecture per §III.C — under load its
-    /// event loop interleaves requests). Each modelled function becomes
-    /// one preemptible chunk; tracing such a run requires the §V.A
-    /// register-tagging extension.
-    pub fn ult_job(
-        &mut self,
-        core_freq: fluctrace_sim::Freq,
-        item: ItemId,
-        arrival: SimTime,
-    ) -> fluctrace_rt::UltJob {
-        let chunks = FUNCTIONS
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, mean_ns, _))| {
-                let jitter = 0.75 + self.rng.gen_f64() * 0.5;
-                let ns = (mean_ns as f64 * jitter) as u64;
-                let cycles = core_freq.dur_to_cycles(SimDuration::from_ns(ns));
-                let uops = (cycles as u128 * IPC_MILLI as u128 / 1000) as u64;
-                Exec::new(self.funcs.funcs[i], uops.max(1)).ipc_milli(IPC_MILLI)
-            })
-            .collect();
-        fluctrace_rt::UltJob::new(item, arrival, chunks)
     }
 
     /// Serve `n` requests arriving `interval` apart on machine core 0,
@@ -177,7 +147,7 @@ mod tests {
     #[test]
     fn inventory_sums_to_paper_request_time() {
         // 149 µs ± 5 µs.
-        let total = WebServer::mean_request_ns();
+        let total: u64 = FUNCTIONS.iter().map(|&(_, ns, _)| ns).sum();
         assert!(
             (144_000..=154_000).contains(&total),
             "inventory sums to {total} ns"
@@ -220,64 +190,6 @@ mod tests {
         assert_eq!(out.len(), 20);
         let (bundle, _) = machine.collect();
         assert_eq!(bundle.marks.len(), 40);
-    }
-
-    #[test]
-    fn timer_switched_requests_trace_via_register_tags() {
-        // The paper's §V.A scenario on the Fig. 2 app: requests
-        // interleave under a preemptive ULT scheduler; register tags
-        // attribute the samples interval mapping cannot.
-        use fluctrace_rt::{UltScheduler, UltSchedulerConfig};
-        let mut b = fluctrace_cpu::SymbolTableBuilder::new();
-        let sched = b.add("ngx_ult_sched", 512);
-        // Re-create the server functions in the same table.
-        let funcs: Vec<_> = super::FUNCTIONS
-            .iter()
-            .map(|&(name, _, size)| b.add(name, size))
-            .collect();
-        let wfuncs = WebServerFuncs {
-            worker_loop: sched,
-            funcs,
-        };
-        let core_cfg = CoreConfig::bare()
-            .with_reg_tagging()
-            .with_pebs(fluctrace_cpu::PebsConfig::new(4_000));
-        let mut machine = Machine::new(MachineConfig::new(1, core_cfg), b.build());
-        let mut core = machine.take_core(0);
-        let mut server = WebServer::new(wfuncs, 5);
-        let jobs: Vec<_> = (0..6)
-            .map(|i| {
-                server.ult_job(
-                    core.freq(),
-                    fluctrace_cpu::ItemId(i),
-                    fluctrace_sim::SimTime::from_us(i * 30),
-                )
-            })
-            .collect();
-        let done = UltScheduler::new(UltSchedulerConfig::new(sched)).run(&mut core, jobs);
-        assert_eq!(done.len(), 6);
-        machine.return_core(core);
-        let (bundle, _) = machine.collect();
-        assert!(bundle.marks.is_empty(), "timer switching: no marks");
-        let it = fluctrace_core::integrate(
-            &bundle,
-            machine.symtab(),
-            fluctrace_sim::Freq::ghz(3),
-            fluctrace_core::MappingMode::RegisterTag,
-        );
-        assert!(it.attribution_ratio() > 0.9);
-        let table = fluctrace_core::EstimateTable::from_integrated(&it);
-        assert_eq!(table.len(), 6, "every request observed");
-        // Heavy functions are estimable per request.
-        let writev = machine.symtab().lookup("ngx_writev").unwrap();
-        let estimable = (0..6)
-            .filter(|&i| {
-                table
-                    .get(fluctrace_cpu::ItemId(i), writev)
-                    .is_some_and(|fe| fe.is_estimable())
-            })
-            .count();
-        assert!(estimable >= 4, "ngx_writev estimable for {estimable}/6");
     }
 
     #[test]

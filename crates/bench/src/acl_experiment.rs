@@ -21,9 +21,9 @@ pub struct AclRunConfig {
     pub drain: DrainMode,
     /// RNG seed.
     pub seed: u64,
-    /// Keep the raw [`TraceBundle`] on the result (for `--store`
-    /// spill). Off by default: bundles are large and the figures only
-    /// need the reduced statistics.
+    /// Keep the raw [`TraceBundle`](fluctrace_cpu::TraceBundle) on the
+    /// result (for `--store` spill). Off by default: bundles are large
+    /// and the figures only need the reduced statistics.
     pub keep_bundle: bool,
 }
 

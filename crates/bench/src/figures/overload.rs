@@ -98,51 +98,42 @@ pub(super) fn overload(scale: Scale, keep_bundles: bool) -> Report {
     }
     degrade_fig.add(factor);
 
-    // Ledger for the harshest sweep point. The observed side reads the
-    // report's unified obs snapshot, so the ledger, the `--obs` export,
-    // and the raw report fields are provably one source of truth (the
-    // `ObsSection` round-trip test pins snapshot == report).
+    // Ledger for the harshest sweep point: each expected count beside
+    // the report field that observed it.
     let [.., worst_rate] = RATES_PER_MILLE;
     let worst = &results[RATES_PER_MILLE.len() - 1];
-    let (expected, obs) = (&worst.expected, &worst.report.obs);
-    let row = |label: &str, expected: u64, counter: &str| {
-        LossRow::new(label, expected, obs.counter(counter))
-    };
+    let (expected, report) = (&worst.expected, &worst.report);
     let rows = vec![
-        row(
+        LossRow::new(
             "items processed",
             expected.items_processed,
-            "core.online.items_processed",
+            report.items_processed,
         ),
-        row(
-            "samples seen",
-            expected.samples_seen,
-            "core.online.samples_seen",
-        ),
-        row(
+        LossRow::new("samples seen", expected.samples_seen, report.samples_seen),
+        LossRow::new(
             "marks orphaned",
             expected.marks_orphaned,
-            "core.online.marks_orphaned",
+            report.loss.marks_orphaned,
         ),
-        row(
+        LossRow::new(
             "marks mismatched",
             expected.marks_mismatched,
-            "core.online.marks_mismatched",
+            report.loss.marks_mismatched,
         ),
-        row(
+        LossRow::new(
             "samples discarded",
             expected.samples_discarded,
-            "core.online.samples_discarded",
+            report.loss.samples_discarded,
         ),
-        row(
+        LossRow::new(
             "samples evicted",
             expected.samples_evicted,
-            "core.online.samples_evicted",
+            report.loss.samples_evicted,
         ),
-        row(
+        LossRow::new(
             "boundary samples",
             expected.boundary_samples,
-            "core.online.boundary_samples",
+            report.loss.boundary_samples,
         ),
     ];
     say!(r, "loss ledger at {worst_rate} per-mille faults:");

@@ -14,7 +14,7 @@
 //! suppression with the given TSC tolerance.
 
 use fluctrace_cpu::TraceBundle;
-use fluctrace_store::{StoreConfig, TraceReader, TraceWriter, WriteStats};
+use fluctrace_store::{StoreConfig, TraceReader, WriteStats};
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -49,18 +49,8 @@ pub fn write_segments(
         }
     }
     let file = File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
-    let mut sink = BufWriter::new(file);
-    let mut total = WriteStats::default();
-    for bundle in bundles {
-        let mut w = TraceWriter::new(&mut sink, config).map_err(|e| e.to_string())?;
-        w.append(bundle).map_err(|e| e.to_string())?;
-        let (_, stats) = w.finish().map_err(|e| e.to_string())?;
-        total.samples += stats.samples;
-        total.marks += stats.marks;
-        total.elided += stats.elided;
-        total.chunks += stats.chunks;
-        total.bytes += stats.bytes;
-    }
+    let (mut sink, total) = fluctrace_store::write_bundles(BufWriter::new(file), bundles, config)
+        .map_err(|e| e.to_string())?;
     use std::io::Write as _;
     sink.flush().map_err(|e| format!("flush: {e}"))?;
     Ok(total)

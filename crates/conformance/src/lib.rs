@@ -18,7 +18,7 @@
 //! * [`naive_codec`] — the store's original four-way trial encoder
 //!   (encode under every codec, keep the first smallest), kept as the
 //!   byte-level reference for the writer's one-pass codec choice.
-//! * [`naive_detect`] — the fluctuation detector's original
+//! * [`naive_detect`](mod@naive_detect) — the fluctuation detector's original
 //!   `BTreeMap`-of-populations, sort-twice body, kept as the reference
 //!   `core::fluct::detect` must match byte for byte.
 //! * [`driver`] — runs each workload through the sharded offline

@@ -128,7 +128,7 @@ impl EstimateTable {
     /// span's per-function `(first, last, count)` into a small scratch
     /// vector, flushing it whenever the span id advances. The flat span
     /// list is then sorted once by `(item, func)` and group-folded into
-    /// the final table by [`assemble_table`].
+    /// the final table by `assemble_table`.
     pub fn from_integrated(it: &IntegratedTrace) -> Self {
         obs::span!("estimate.run", it.samples.len());
         // All flushed spans: (item, func, first, last, count).
@@ -191,11 +191,11 @@ impl EstimateTable {
     /// `(first, last, count)` is folded straight into the item's
     /// `(func, samples, cycles)` accumulator, which is sorted by function
     /// and handed, with the item's unresolvable-sample count, to the same
-    /// per-item builder [`assemble_table`] feeds — no flat span list, no
+    /// per-item builder `assemble_table` feeds — no flat span list, no
     /// re-sort, no tree. Span sums are commutative, so folding by item
     /// instead of by time cannot change the table. Register mode keeps
     /// the row walk (run splitting needs the `core` column) and the
-    /// [`assemble_table`] path.
+    /// `assemble_table` path.
     pub fn from_soa(soa: &SoaTrace) -> Self {
         if let Some(aos) = &soa.aos_fallback {
             // Reserved-id trace: the columns are ambiguous, the boxed
@@ -347,13 +347,18 @@ impl EstimateTable {
     /// Elapsed estimates of `func` across items that have ≥2 samples
     /// for it, in item order (convenience for the evaluation harness).
     pub fn series_for_func(&self, func: FuncId) -> Vec<(ItemId, SimDuration)> {
-        self.items()
-            .filter_map(|ie| {
-                ie.func(func)
-                    .filter(|fe| fe.is_estimable())
-                    .map(|fe| (ie.item, fe.elapsed))
-            })
-            .collect()
+        // A plain loop, not `filter_map(..).collect()`: that collect's
+        // `Vec::from_iter` instance may land in a codegen unit where the
+        // map iterator is not inlined, which made `analyze_wide`'s series
+        // query measurably slower when an unrelated module of this crate
+        // shrank.
+        let mut out = Vec::new();
+        for ie in self.items.values() {
+            if let Some(fe) = ie.func(func).filter(|fe| fe.is_estimable()) {
+                out.push((ie.item, fe.elapsed));
+            }
+        }
+        out
     }
 }
 

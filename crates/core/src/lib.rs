@@ -70,13 +70,13 @@ pub use integrate::{
 pub use interval::{build_intervals, IntervalError, ItemInterval};
 pub use metrics::{effective_reset, metric_counts, MetricTable};
 pub use online::{
-    AdaptiveConfig, AdaptiveR, DegradeStats, LiveStats, LossStats, ObsSection, OnlineAnomaly,
-    OnlineConfig, OnlineError, OnlineReport, OnlineTracer, SpillStats, SubmitError, SubmitOutcome,
+    AdaptiveConfig, AdaptiveR, DegradeStats, LiveStats, LossStats, OnlineAnomaly, OnlineConfig,
+    OnlineError, OnlineReport, OnlineTracer, SpillStats, SubmitError, SubmitOutcome,
 };
 pub use overhead::{fit_instrumentation, fit_inverse_reset, InstrumentationFit, OverheadModel};
 pub use parallel::{configured_threads, run_indexed, run_parts};
 pub use profile::{FlatProfile, ProfileEntry};
-pub use report::{diagnosis, item_breakdown, item_breakdown_with_trace};
+pub use report::{diagnosis, item_breakdown};
 pub use soa::{integrate_soa, integrate_soa_with_threads, SampleColumns, SoaTrace};
 pub use window::{
     CumulativeMode, Episode, FoldedTotals, WindowConfig, WindowReport, WindowSummary,

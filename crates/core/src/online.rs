@@ -63,7 +63,7 @@ use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use fluctrace_store::{StoreError, TraceWriter, WriteStats};
 use parking_lot::Mutex;
-use serde::{DeError, Deserialize, Num, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -367,10 +367,6 @@ pub struct OnlineReport {
     pub degrade: DegradeStats,
     /// Spill-on-flush store writer accounting.
     pub spill: SpillStats,
-    /// The report rendered under its `core.online.*` metric names (the
-    /// unified self-observability vocabulary); filled by
-    /// [`OnlineTracer::finish`].
-    pub obs: ObsSection,
 }
 
 impl OnlineReport {
@@ -387,154 +383,6 @@ impl OnlineReport {
         } else {
             self.bytes_seen as f64 / self.bytes_dumped as f64
         }
-    }
-}
-
-/// An [`OnlineReport`] rendered under its `core.online.*` metric names —
-/// the same vocabulary as the process-wide registry, so loss ledgers and
-/// `--obs` exports draw observed values from one source of truth.
-///
-/// Built from the finished report itself rather than from the global
-/// registry: the section stays deterministic (and scoped to exactly this
-/// session) even when several tracers or pipelines share the process.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObsSection {
-    snapshot: fluctrace_obs::Snapshot,
-}
-
-impl ObsSection {
-    /// Render a finished report into metric-name form. `report.loss`
-    /// must already include the producer-side shed counters (as it does
-    /// inside [`OnlineTracer::finish`]).
-    pub fn from_report(report: &OnlineReport) -> Self {
-        let mut snap = fluctrace_obs::Snapshot::default();
-        for (name, v) in [
-            ("core.online.items_processed", report.items_processed),
-            ("core.online.samples_seen", report.samples_seen),
-            ("core.online.samples_attributed", report.samples_attributed),
-            ("core.online.bytes_seen", report.bytes_seen),
-            ("core.online.bytes_dumped", report.bytes_dumped),
-            ("core.online.anomalies", report.anomalies.len() as u64),
-            ("core.online.degrade_episodes", report.degrade.episodes),
-        ] {
-            snap.counters.insert(name.to_string(), v);
-        }
-        for (name, v) in report.loss.named() {
-            snap.counters.insert(format!("core.online.{name}"), v);
-        }
-        snap.gauges.insert(
-            "core.online.degrade_factor_peak_milli".to_string(),
-            report.degrade.peak_factor_milli,
-        );
-        ObsSection { snapshot: snap }
-    }
-
-    /// Counter value by metric name (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.snapshot.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge watermark by metric name (0 when absent).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.snapshot.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// The underlying plain-data snapshot.
-    pub fn snapshot(&self) -> &fluctrace_obs::Snapshot {
-        &self.snapshot
-    }
-
-    /// Canonical JSON rendering (byte-stable for equal contents).
-    pub fn to_json(&self) -> String {
-        self.snapshot.to_json()
-    }
-}
-
-// Manual serde-shim impls: `fluctrace-obs` is dependency-free by design,
-// so its `Snapshot` cannot implement the workspace serde traits itself,
-// and the orphan rule keeps us from implementing them for the foreign
-// type — hence this local wrapper.
-impl Serialize for ObsSection {
-    fn to_value(&self) -> Value {
-        fn num(v: u64) -> Value {
-            Value::Number(Num::PosInt(v))
-        }
-        fn map_obj(m: &std::collections::BTreeMap<String, u64>) -> Value {
-            Value::Object(m.iter().map(|(k, &v)| (k.clone(), num(v))).collect())
-        }
-        let histograms = Value::Object(
-            self.snapshot
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let buckets = h
-                        .nonzero_buckets()
-                        .map(|(i, c)| Value::Array(vec![num(i as u64), num(c)]))
-                        .collect();
-                    (
-                        k.clone(),
-                        Value::Object(vec![
-                            ("count".to_string(), num(h.count())),
-                            ("sum".to_string(), num(h.sum)),
-                            ("buckets".to_string(), Value::Array(buckets)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Value::Object(vec![
-            ("counters".to_string(), map_obj(&self.snapshot.counters)),
-            ("gauges".to_string(), map_obj(&self.snapshot.gauges)),
-            ("histograms".to_string(), histograms),
-        ])
-    }
-}
-
-impl Deserialize for ObsSection {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        fn entries<'a>(v: &'a Value, key: &str) -> Result<&'a [(String, Value)], DeError> {
-            match v.get(key) {
-                Some(Value::Object(m)) => Ok(m),
-                Some(other) => Err(DeError::msg(format!(
-                    "obs.{key}: expected object, got {other}"
-                ))),
-                None => Err(DeError::msg(format!("obs: missing section {key}"))),
-            }
-        }
-        let mut snapshot = fluctrace_obs::Snapshot::default();
-        for (k, val) in entries(v, "counters")? {
-            snapshot.counters.insert(k.clone(), u64::from_value(val)?);
-        }
-        for (k, val) in entries(v, "gauges")? {
-            snapshot.gauges.insert(k.clone(), u64::from_value(val)?);
-        }
-        for (k, val) in entries(v, "histograms")? {
-            let mut h = fluctrace_obs::HistogramSnapshot::new();
-            h.sum = val
-                .get("sum")
-                .map(u64::from_value)
-                .transpose()?
-                .unwrap_or(0);
-            if let Some(Value::Array(pairs)) = val.get("buckets") {
-                for pair in pairs {
-                    let Value::Array(iv) = pair else {
-                        return Err(DeError::msg(format!("obs histogram {k}: bad bucket pair")));
-                    };
-                    match (iv.first(), iv.get(1)) {
-                        (Some(i), Some(c)) => {
-                            h.set_bucket(u64::from_value(i)? as usize, u64::from_value(c)?);
-                        }
-                        _ => {
-                            return Err(DeError::msg(format!(
-                                "obs histogram {k}: bucket pair needs [index, count]"
-                            )))
-                        }
-                    }
-                }
-            }
-            snapshot.histograms.insert(k.clone(), h);
-        }
-        Ok(ObsSection { snapshot })
     }
 }
 
@@ -1061,11 +909,6 @@ impl OnlineTracer {
         self.intake.backlog()
     }
 
-    /// True when the worker has drained every submitted batch.
-    pub fn is_idle(&self) -> bool {
-        self.intake.backlog() == 0
-    }
-
     /// Snapshot of live counters (worker progress plus producer-side
     /// shed accounting).
     pub fn live(&self) -> LiveStats {
@@ -1084,7 +927,6 @@ impl OnlineTracer {
         let mut report = self.intake.finish()?;
         report.loss = shed.fold(report.loss);
         report.degrade = degrade;
-        report.obs = ObsSection::from_report(&report);
         Ok(report)
     }
 }
@@ -1610,11 +1452,11 @@ mod tests {
     }
 
     #[test]
-    fn fractional_peak_factor_survives_stats_and_snapshot() {
+    fn fractional_peak_factor_survives_stats() {
         // Regression: the old gauge recorded `factor as u64`, so a
         // fractional factor (cap at 7, then halve: 7 -> 3.5 -> 1.75)
         // truncated (1.75 -> 1). Milli-units must preserve it through
-        // the stats, the ObsSection snapshot, and the serde round-trip.
+        // the stats.
         let mut policy = AdaptiveR::new(AdaptiveConfig {
             max_factor: 7,
             ..AdaptiveConfig::new()
@@ -1631,20 +1473,6 @@ mod tests {
             stats.final_factor_milli, 1750,
             "fractional factor must not truncate"
         );
-        // The non-integral value survives into the snapshot vocabulary…
-        let report = OnlineReport {
-            degrade: stats,
-            ..OnlineReport::default()
-        };
-        let obs = ObsSection::from_report(&report);
-        assert_eq!(obs.gauge("core.online.degrade_factor_peak_milli"), 7000);
-        // …and a report whose *peak* is fractional round-trips exactly.
-        let mut fractional = report;
-        fractional.degrade.peak_factor_milli = 1750;
-        let obs = ObsSection::from_report(&fractional);
-        assert_eq!(obs.gauge("core.online.degrade_factor_peak_milli"), 1750);
-        let back = ObsSection::from_value(&obs.to_value()).unwrap();
-        assert_eq!(&back, &obs);
     }
 
     #[test]
@@ -1715,7 +1543,7 @@ mod tests {
     }
 
     #[test]
-    fn is_idle_and_backlog_report_channel_state() {
+    fn backlog_reports_channel_state() {
         let (symtab, f) = symtab();
         // Gate the worker so batches stay queued deterministically.
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
@@ -1723,7 +1551,6 @@ mod tests {
             OnlineTracer::spawn_with_inspector(Arc::clone(&symtab), config(), move |_batch| {
                 let _ = gate_rx.recv();
             });
-        assert!(tracer.is_idle());
         assert_eq!(tracer.backlog(), 0);
         tracer.submit(item_batch(&symtab, f, 0, 0, 3_000)).unwrap();
         tracer
@@ -1734,55 +1561,6 @@ mod tests {
         gate_tx.send(()).unwrap();
         let report = tracer.finish().unwrap();
         assert_eq!(report.items_processed, 2);
-    }
-
-    #[test]
-    fn report_obs_section_mirrors_the_report_and_round_trips() {
-        let (symtab, f) = symtab();
-        let mut cfg = config();
-        cfg.max_pending = 8;
-        let tracer = OnlineTracer::spawn(Arc::clone(&symtab), cfg);
-        for i in 0..5u64 {
-            tracer
-                .submit(item_batch(&symtab, f, i, i * 100_000, 3_000))
-                .unwrap();
-        }
-        // A Start whose End never arrives, to populate loss buckets.
-        let mut bundle = TraceBundle::default();
-        bundle.marks.push(mark(10_000_000, 99, MarkKind::Start));
-        for i in 0..20u64 {
-            bundle.samples.push(sample(&symtab, f, 10_000_100 + i));
-        }
-        tracer.submit(bundle).unwrap();
-        let report = tracer.finish().unwrap();
-
-        // Every ledger quantity reads identically from the report fields
-        // and from the unified obs vocabulary.
-        let obs = &report.obs;
-        assert_eq!(
-            obs.counter("core.online.items_processed"),
-            report.items_processed
-        );
-        assert_eq!(obs.counter("core.online.samples_seen"), report.samples_seen);
-        assert_eq!(
-            obs.counter("core.online.samples_evicted"),
-            report.loss.samples_evicted
-        );
-        assert_eq!(
-            obs.counter("core.online.starts_truncated"),
-            report.loss.starts_truncated
-        );
-        assert!(obs.counter("core.online.samples_evicted") > 0);
-        assert_eq!(obs.counter("core.online.no_such_metric"), 0);
-        assert_eq!(
-            obs.gauge("core.online.degrade_factor_peak_milli"),
-            report.degrade.peak_factor_milli
-        );
-
-        // The section survives the serde shim round-trip byte-exactly.
-        let back = ObsSection::from_value(&obs.to_value()).unwrap();
-        assert_eq!(&back, obs);
-        assert_eq!(back.to_json(), obs.to_json());
     }
 
     /// Spill-on-flush: every submitted batch lands in the store, the

@@ -9,7 +9,6 @@
 //! and data-volume curves follow (used to validate Fig. 10 and the
 //! §IV.C.3 volume table against the model).
 
-use fluctrace_cpu::PEBS_RECORD_BYTES;
 use fluctrace_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -58,11 +57,6 @@ impl OverheadModel {
     pub fn added_latency(&self, r: u64, base: SimDuration) -> SimDuration {
         let samples = self.event_rate_per_sec * base.as_secs_f64() / r as f64;
         SimDuration::from_ns_f64(samples * self.assist.as_ns_f64())
-    }
-
-    /// PEBS data volume in bytes/second of target execution.
-    pub fn bytes_per_sec(&self, r: u64) -> f64 {
-        self.samples_per_sec(r) * PEBS_RECORD_BYTES as f64
     }
 
     /// Smallest reset value whose relative overhead stays below
@@ -190,15 +184,6 @@ mod tests {
         // → ~1.7 µs added.
         let added = m.added_latency(8_000, SimDuration::from_us(12));
         assert!((added.as_ns_f64() - 1687.5).abs() < 1.0, "{}", added);
-    }
-
-    #[test]
-    fn bytes_per_sec_inverse_in_reset() {
-        let m = model();
-        let b8 = m.bytes_per_sec(8_000);
-        let b24 = m.bytes_per_sec(24_000);
-        assert!((b8 / b24 - 3.0).abs() < 1e-9);
-        assert!((b8 - 4.5e9 / 8000.0 * 96.0).abs() < 1.0);
     }
 
     #[test]

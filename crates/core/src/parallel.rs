@@ -1,6 +1,6 @@
 //! Bounded worker-pool helpers for the parallel analysis pipeline.
 //!
-//! Both the per-core sharded integration ([`crate::integrate`]) and the
+//! Both the per-core sharded integration ([`crate::integrate()`]) and the
 //! figure sweep runner in `fluctrace-bench` fan independent units of
 //! work over a small pool of scoped threads. The helpers here guarantee
 //! the property everything downstream relies on: **results are

@@ -4,7 +4,6 @@
 
 use crate::estimate::EstimateTable;
 use crate::fluct::FluctuationReport;
-use crate::integrate::IntegratedTrace;
 use fluctrace_cpu::{ItemId, SymbolTable};
 use std::fmt::Write as _;
 
@@ -49,30 +48,6 @@ pub fn item_breakdown(table: &EstimateTable, symtab: &SymbolTable, item: ItemId)
             out,
             "  {:<24} {:>12}   ({} samples outside the symbol table)",
             "<unknown>", "-", ie.unknown_func_samples
-        );
-    }
-    out
-}
-
-/// [`item_breakdown`] plus the item's raw-sample window from the
-/// integrated trace. The window is answered by the trace's per-item
-/// sample index, so pulling it for one suspicious item costs
-/// `O(log r + k)` rather than a scan of every sample in the trace.
-pub fn item_breakdown_with_trace(
-    table: &EstimateTable,
-    it: &IntegratedTrace,
-    symtab: &SymbolTable,
-    item: ItemId,
-) -> String {
-    let mut out = item_breakdown(table, symtab, item);
-    let window = it.samples_of_item(item).fold(None, |acc, s| match acc {
-        None => Some((1u64, s.tsc, s.tsc)),
-        Some((n, lo, hi)) => Some((n + 1, lo.min(s.tsc), hi.max(s.tsc))),
-    });
-    if let Some((n, lo, hi)) = window {
-        let _ = writeln!(
-            out,
-            "  {n} raw sample(s) attributed, tsc window [{lo}, {hi}]"
         );
     }
     out
@@ -154,7 +129,7 @@ mod tests {
     };
     use fluctrace_sim::{Freq, SimDuration};
 
-    fn setup() -> (EstimateTable, IntegratedTrace, SymbolTable) {
+    fn setup() -> (EstimateTable, SymbolTable) {
         let mut b = SymbolTableBuilder::new();
         let f = b.add("fetch_rows", 100);
         let symtab = b.build();
@@ -193,12 +168,12 @@ mod tests {
         }
         bundle.sort();
         let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-        (EstimateTable::from_integrated(&it), it, symtab)
+        (EstimateTable::from_integrated(&it), symtab)
     }
 
     #[test]
     fn breakdown_mentions_function_and_total() {
-        let (table, _, symtab) = setup();
+        let (table, symtab) = setup();
         let text = item_breakdown(&table, &symtab, ItemId(2));
         assert!(text.contains("#2"));
         assert!(text.contains("fetch_rows"));
@@ -208,19 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_with_trace_adds_sample_window() {
-        let (table, it, symtab) = setup();
-        let text = item_breakdown_with_trace(&table, &it, &symtab, ItemId(2));
-        assert!(text.contains("fetch_rows"));
-        assert!(text.contains("2 raw sample(s) attributed"));
-        // An item with no samples gets no window line.
-        let text = item_breakdown_with_trace(&table, &it, &symtab, ItemId(99));
-        assert!(!text.contains("raw sample"));
-    }
-
-    #[test]
     fn diagnosis_names_the_culprit() {
-        let (table, _, symtab) = setup();
+        let (table, symtab) = setup();
         let report = detect(&table, |_| Some("q".into()), 3.0, SimDuration::from_us(1));
         let text = diagnosis(&report, &symtab);
         assert!(text.contains("1 function-level fluctuation(s)"));
@@ -232,7 +196,7 @@ mod tests {
 
     #[test]
     fn clean_run_reports_no_fluctuations() {
-        let (table, _, symtab) = setup();
+        let (table, symtab) = setup();
         // Absurd absolute guard: nothing flagged (the group's MAD is 0,
         // so the sigma threshold alone would still fire on any item —
         // the min_abs guard is what turns detection off).

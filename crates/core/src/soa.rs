@@ -1,7 +1,7 @@
 //! Structure-of-arrays fast path for the integrate→estimate hot
 //! pipeline.
 //!
-//! The AoS path ([`crate::integrate`]) materializes a 48-byte
+//! The AoS path ([`crate::integrate()`]) materializes a 48-byte
 //! [`AttributedSample`] per sample, with three `Option` discriminants
 //! that every downstream loop re-branches on. At the sample rates the
 //! paper targets (hundreds of thousands of samples per second of traced
@@ -122,7 +122,7 @@ pub struct SoaTrace {
     pub(crate) aos_fallback: Option<Box<IntegratedTrace>>,
 }
 
-/// [`crate::integrate`]'s columnar twin: same inputs, same attribution,
+/// [`crate::integrate()`]'s columnar twin: same inputs, same attribution,
 /// columnar output. Pool size from `FLUCTRACE_THREADS`, sequential for
 /// tiny bundles.
 pub fn integrate_soa(
@@ -396,7 +396,7 @@ impl SoaTrace {
     }
 
     /// Transpose back into the AoS [`IntegratedTrace`]. Bit-identical to
-    /// running [`crate::integrate`] on the same bundle — the round-trip
+    /// running [`crate::integrate()`] on the same bundle — the round-trip
     /// is one of the fast path's correctness anchors.
     pub fn to_integrated(&self) -> IntegratedTrace {
         if let Some(aos) = &self.aos_fallback {

@@ -8,7 +8,7 @@
 //! eviction and the 11-counter [`LossStats`] ledger are one definition
 //! — but cuts the completed-item stream into **windows** of
 //! [`WindowConfig::window_items`] items. Each closed window is folded
-//! through the same [`estimate`](crate::estimate) assembly as a batch
+//! through the same [`estimate`] assembly as a batch
 //! run into a per-window [`EstimateTable`] summary, the raw samples are
 //! dropped, and old summaries are evicted once
 //! [`WindowConfig::max_windows`] are retained. Loss counters, anomaly

@@ -62,7 +62,8 @@ const fn histogram(name: &'static str, unit: &'static str, help: &'static str) -
 /// Every metric the workspace records. Only deterministic quantities
 /// (event counts, sim-TSC cycle values, data sizes) are allowed here —
 /// never clock-derived durations, which would break snapshot
-/// byte-determinism. Wall-time lives in `BENCH_*.json`, not in metrics.
+/// byte-determinism. Wall time is measured by the `benchmark/` harness,
+/// not recorded in metrics.
 pub const CATALOG: &[MetricDef] = &[
     // --- core::integrate -------------------------------------------------
     counter(

@@ -120,9 +120,10 @@ static WALL: OnceLock<WallClock> = OnceLock::new();
 
 /// Switch the process-wide clock to wall time (nanosecond ticks).
 ///
-/// Bench binaries call this first thing in `main` so their stdout
-/// throughput numbers and `BENCH_*.json` timings are real; library code
-/// and tests never call it and stay on the deterministic [`TickClock`].
+/// Binaries call this first thing in `main` (the `benchmark/` harness,
+/// the serve daemon and, through `obs_support::init`, every bench
+/// binary) so span and latency timings are real; library code and tests
+/// never call it and stay on the deterministic [`TickClock`].
 /// Idempotent; there is deliberately no way back — a process either
 /// reports wall time or it does not.
 pub fn install_wall_clock() {

@@ -30,7 +30,7 @@
 //!   `clock-hygiene` lint rule enforces this split.
 //!
 //! The metric catalog (names, kinds, units) is pinned in [`catalog`] and
-//! pre-registered into the global [`registry`], so every snapshot
+//! pre-registered into the global [`registry()`], so every snapshot
 //! carries the full name set even for stages that did not run — another
 //! ingredient of byte-stability. See `OBSERVABILITY.md` at the repo root
 //! for the catalog, the span taxonomy and the 3% self-overhead budget

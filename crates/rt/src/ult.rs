@@ -257,7 +257,7 @@ mod tests {
         // Both items' work got sampled, interleaved on one core.
         assert!(tagged[0] > 5, "item 0 samples: {}", tagged[0]);
         assert!(tagged[1] > 5, "item 1 samples: {}", tagged[1]);
-        // Scheduler samples are untagged.
+        // Samples in the ULT scheduler itself are untagged.
         let sched_range = core.symtab().range(sched);
         for sample in bundle.samples.iter().filter(|s| sched_range.contains(s.ip)) {
             assert_eq!(decode_tag(sample.r13), None);

@@ -186,18 +186,31 @@ fn handle_connection(stream: TcpStream, state: &DaemonState) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let read = reader.by_ref().take(MAX_REQUEST_LINE).read_line(&mut line);
+    let mut raw = Vec::new();
+    let read = reader
+        .by_ref()
+        .take(MAX_REQUEST_LINE)
+        .read_until(b'\n', &mut raw);
     if read.is_err() {
         return true;
     }
     let mut stream = reader.into_inner();
-    if line.len() as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') {
-        let _ = stream.write_all(proto::error_doc("request line too long").as_bytes());
-        let _ = stream.write_all(b"\n");
-        return true;
-    }
-    if let Some(path) = http_request_path(&line) {
+    // Bytes, not `read_line`: a non-UTF-8 line (or a cut inside a
+    // multi-byte character) must still get an answer.
+    let line = if raw.len() as u64 == MAX_REQUEST_LINE && !raw.ends_with(b"\n") {
+        Err("request line too long")
+    } else {
+        std::str::from_utf8(&raw).map_err(|_| "request line is not UTF-8")
+    };
+    let line = match line {
+        Ok(line) => line,
+        Err(detail) => {
+            let _ = stream.write_all(proto::error_doc(detail).as_bytes());
+            let _ = stream.write_all(b"\n");
+            return true;
+        }
+    };
+    if let Some(path) = http_request_path(line) {
         let response = http_response(&path);
         let _ = stream.write_all(response.as_bytes());
         return true;

@@ -312,6 +312,41 @@ fn an_overlong_request_line_is_refused() {
     daemon.join();
 }
 
+/// Send `bytes` as the whole request and read the reply to EOF.
+fn raw_request(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+/// A request line that is not UTF-8 gets an error document, and so does
+/// one whose 4 096-byte cut falls inside a multi-byte character; either
+/// way the next client is served. Each request is read in full, so no
+/// unread input can reset the connection before the reply arrives.
+#[test]
+fn a_non_utf8_request_line_gets_an_error_document() {
+    let cfg = lossless(13);
+    let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
+    let addr = daemon.addr().to_string();
+    daemon.wait_drained();
+
+    let response = raw_request(daemon.addr(), b"\xff\xfe snapshot\n");
+    assert!(response.contains("\"error\""), "{response:?}");
+    assert!(query(&addr, "drained").unwrap().contains("true"));
+
+    let mut cut = vec![b'a'; 4095];
+    cut.push("é".as_bytes()[0]);
+    let response = raw_request(daemon.addr(), &cut);
+    assert!(response.contains("request line too long"), "{response:?}");
+    assert!(query(&addr, "drained").unwrap().contains("true"));
+
+    daemon.quiesce();
+    daemon.join();
+}
+
 /// `idle_ticks` counts every `ring_empty` wait, the wait log only the
 /// edges it had room for. A default 4 096-edge log cannot fill in 64
 /// batches (at most one edge per batch plus the closing one), so the

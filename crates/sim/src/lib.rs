@@ -1,11 +1,13 @@
 //! # fluctrace-sim
 //!
-//! Deterministic discrete-event simulation substrate used by every other
-//! `fluctrace` crate.
+//! Deterministic simulation substrate used by every other `fluctrace`
+//! crate.
 //!
 //! The crate deliberately contains **no domain knowledge** (no CPUs, no
-//! packets): it provides the four primitives that the CPU model, the
-//! pipeline runtime, and the benchmark harness are built from:
+//! packets): it provides the primitives that the CPU model, the pipeline
+//! runtime, and the benchmark harness are built from. There is no global
+//! event queue: each simulated core advances its own clock.
+//!
 //!
 //! * [`time`] — integer picosecond simulated time ([`SimTime`],
 //!   [`SimDuration`]) and frequency/cycle conversions ([`Freq`]). Using
@@ -14,8 +16,6 @@
 //! * [`rng`] — a self-contained xoshiro256++ PRNG ([`Rng`]) with
 //!   splitmix64 seeding and stream forking. The simulation path does not
 //!   depend on external RNG crates, so a single seed pins every run.
-//! * [`event`] — a stable (FIFO-on-tie) event queue ([`EventQueue`]) and
-//!   a cancellable scheduler ([`Scheduler`]).
 //! * [`stats`] — Welford running statistics, percentile summaries and
 //!   histograms used throughout the evaluation harness.
 //! * [`fault`] — deterministic fault schedules (dropped/corrupted item
@@ -25,26 +25,26 @@
 //! ## Example
 //!
 //! ```
-//! use fluctrace_sim::{EventQueue, SimTime, SimDuration};
+//! use fluctrace_sim::{Rng, SimDuration, SimTime};
 //!
-//! let mut q = EventQueue::new();
-//! q.push(SimTime::ZERO + SimDuration::from_ns(50), "second");
-//! q.push(SimTime::ZERO + SimDuration::from_ns(10), "first");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!(ev, "first");
-//! assert_eq!(t.as_ns(), 10);
+//! // The same seed draws the same delays, so the clock lands on the same
+//! // picosecond on every run.
+//! let advance = |seed| {
+//!     let mut rng = Rng::new(seed);
+//!     (0..4).fold(SimTime::ZERO, |t, _| t + SimDuration::from_ns(rng.gen_range(1, 100)))
+//! };
+//! assert_eq!(advance(7), advance(7));
+//! assert!(advance(7) > SimTime::ZERO);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod fault;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventHandle, EventQueue, Scheduler};
 pub use fault::{
     occupancy_wave, DeclaredCause, DeclaredRootCause, DepPlan, DepScenario, DepSchedule, Fault,
     FaultCounts, FaultPlan, FaultSchedule,

@@ -106,23 +106,6 @@ impl Rng {
         self.gen_f64() < p
     }
 
-    /// Approximately normally distributed value with the given mean and
-    /// standard deviation (Irwin–Hall sum of 12 uniforms; exact enough
-    /// for cost-model jitter and fully deterministic).
-    pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let mut acc = 0.0;
-        for _ in 0..12 {
-            acc += self.gen_f64();
-        }
-        mean + (acc - 6.0) * std_dev
-    }
-
-    /// Exponentially distributed value with the given mean (inverse CDF).
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.gen_f64(); // avoid ln(0)
-        -mean * u.ln()
-    }
-
     /// Shuffle a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         let n = items.len();
@@ -233,31 +216,6 @@ mod tests {
             let v = r.gen_f64();
             assert!((0.0..1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn gen_normal_moments() {
-        let mut r = Rng::new(13);
-        let n = 50_000;
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        for _ in 0..n {
-            let v = r.gen_normal(10.0, 2.0);
-            sum += v;
-            sum2 += v * v;
-        }
-        let mean = sum / n as f64;
-        let var = sum2 / n as f64 - mean * mean;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn gen_exp_mean() {
-        let mut r = Rng::new(17);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| r.gen_exp(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
     }
 
     #[test]

@@ -212,16 +212,6 @@ impl Histogram {
         self.count
     }
 
-    /// Count in the bucket containing `x` (0 if out of range).
-    pub fn count_at(&self, x: f64) -> u64 {
-        if x < self.lo || x >= self.hi {
-            return 0;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        let idx = (((x - self.lo) / width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx]
-    }
-
     /// Iterate `(bucket_low_edge, count)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         let width = (self.hi - self.lo) / self.buckets.len() as f64;
@@ -239,22 +229,6 @@ impl Histogram {
     /// Observations at or above the upper bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Fraction of in-range observations strictly below `x`
-    /// (bucket-granular empirical CDF).
-    pub fn cdf_below(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut acc = self.underflow;
-        for (edge, c) in self.iter() {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            if edge + width <= x {
-                acc += c;
-            }
-        }
-        acc as f64 / self.count as f64
     }
 }
 
@@ -338,21 +312,10 @@ mod tests {
             h.record(x);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.count_at(0.9), 1);
-        assert_eq!(h.count_at(1.0), 2);
-        assert_eq!(h.count_at(9.5), 1);
+        let counts: Vec<u64> = h.iter().map(|(_, c)| c).collect();
+        assert_eq!(counts, [1, 2, 0, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-    }
-
-    #[test]
-    fn histogram_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        assert!((h.cdf_below(5.0) - 0.5).abs() < 1e-12);
-        assert!((h.cdf_below(10.0) - 1.0).abs() < 1e-12);
     }
 
     proptest::proptest! {

@@ -80,11 +80,6 @@ impl SimTime {
         debug_assert!(earlier.0 <= self.0, "SimTime::since: earlier > self");
         SimDuration(self.0 - earlier.0)
     }
-    /// Saturating duration since `earlier` (zero if `earlier > self`).
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
     /// The later of two times.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -345,7 +340,6 @@ mod tests {
         assert_eq!((t + d).as_ns(), 140);
         assert_eq!((t + d) - t, d);
         assert_eq!((t + d).since(t), d);
-        assert_eq!(t.saturating_since(t + d), SimDuration::ZERO);
         assert_eq!(d * 3, SimDuration::from_ns(120));
         assert_eq!(d / 4, SimDuration::from_ns(10));
     }

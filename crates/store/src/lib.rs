@@ -10,7 +10,7 @@
 //! [`codec`]; the writer prices all four from one pass of column
 //! statistics and encodes only the winner), with a back-parseable footer carrying chunk offsets, row
 //! counts, and TSC min/max so [`TraceReader`] opens and prunes without
-//! deserializing chunk data (see [`format`]).
+//! deserializing chunk data (see [`format`](mod@format)).
 //!
 //! Redundancy suppression (à la Arafa et al., "Redundancy Suppression
 //! In Time-Aware Dynamic Binary Instrumentation") optionally elides a
@@ -42,6 +42,6 @@ pub use error::StoreError;
 pub use format::{ChunkDesc, Footer, MAX_CHUNK_ROWS, VERSION};
 pub use reader::{ElisionReport, SegmentMeta, TraceReader};
 pub use writer::{
-    split_suppressed, write_bundle_to_vec, write_bundles_to_vec, LedgerGroup, SharedBuf,
-    StoreConfig, TraceWriter, WriteStats, CHUNK_ENV, DEFAULT_CHUNK_ROWS,
+    split_suppressed, write_bundle_to_vec, write_bundles, LedgerGroup, SharedBuf, StoreConfig,
+    TraceWriter, WriteStats, CHUNK_ENV, DEFAULT_CHUNK_ROWS,
 };

@@ -519,7 +519,7 @@ impl<'a> Ledger<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{write_bundles_to_vec, StoreConfig};
+    use crate::{write_bundle_to_vec, write_bundles, StoreConfig, WriteStats};
     use std::io::Cursor;
 
     /// 300 samples 10 cycles apart in runs of 20 equal rows (so the
@@ -569,8 +569,20 @@ mod tests {
             chunk_rows: 64,
             ..StoreConfig::suppressed(10)
         };
-        let (bytes, stats) = write_bundles_to_vec(&[bundle(1_000), bundle(9_000)], config).unwrap();
+        let (bytes, stats) =
+            write_bundles(Vec::new(), &[bundle(1_000), bundle(9_000)], config).unwrap();
         assert!(stats.elided > 400, "the ledger replay is exercised");
+        // The two-segment totals are the field-wise sum of two
+        // one-segment writes (every field is nonzero in each).
+        let (_, a) = write_bundle_to_vec(&bundle(1_000), config).unwrap();
+        let (_, b) = write_bundle_to_vec(&bundle(9_000), config).unwrap();
+        let fields = |s: WriteStats| [s.samples, s.marks, s.elided, s.chunks, s.bytes];
+        assert!(fields(a).into_iter().chain(fields(b)).all(|v| v > 0));
+        assert_eq!(
+            fields(stats),
+            std::array::from_fn(|i| fields(a)[i] + fields(b)[i])
+        );
+        assert_eq!(stats.bytes, bytes.len() as u64);
 
         let before = counts();
         let mut reader = TraceReader::open(Cursor::new(bytes)).unwrap();

@@ -8,6 +8,7 @@
 //! whose TSC advanced by at most the declared tolerance — every elision
 //! lands in the chunk's ledger, so the reader replays bit-exact rows.
 
+use std::borrow::Borrow;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -92,6 +93,17 @@ pub struct WriteStats {
     /// Bytes handed to the sink so far: the head magic and every chunk
     /// written, plus footer and tail once the segment is finished.
     pub bytes: u64,
+}
+
+impl std::ops::AddAssign for WriteStats {
+    /// Field-wise sum (the segments of one file into one total).
+    fn add_assign(&mut self, other: WriteStats) {
+        self.samples += other.samples;
+        self.marks += other.marks;
+        self.elided += other.elided;
+        self.chunks += other.chunks;
+        self.bytes += other.bytes;
+    }
 }
 
 /// Streaming columnar writer over any [`Write`] sink.
@@ -338,25 +350,22 @@ pub fn split_suppressed(
     (retained, ledger)
 }
 
-/// Write each bundle as its own segment into one byte vector.
-pub fn write_bundles_to_vec(
-    bundles: &[TraceBundle],
+/// Write each bundle as its own segment into `sink`, returning the sink
+/// and the summed stats.
+pub fn write_bundles<W: Write, B: Borrow<TraceBundle>>(
+    mut sink: W,
+    bundles: &[B],
     config: StoreConfig,
-) -> Result<(Vec<u8>, WriteStats), StoreError> {
-    let mut out = Vec::new();
+) -> Result<(W, WriteStats), StoreError> {
     let mut total = WriteStats::default();
     for b in bundles {
-        let mut w = TraceWriter::new(out, config)?;
-        w.append(b)?;
-        let (sink, stats) = w.finish()?;
-        out = sink;
-        total.samples += stats.samples;
-        total.marks += stats.marks;
-        total.elided += stats.elided;
-        total.chunks += stats.chunks;
-        total.bytes += stats.bytes;
+        let mut w = TraceWriter::new(sink, config)?;
+        w.append(b.borrow())?;
+        let (back, stats) = w.finish()?;
+        sink = back;
+        total += stats;
     }
-    Ok((out, total))
+    Ok((sink, total))
 }
 
 /// Write one bundle as a single-segment store into a byte vector.
@@ -364,7 +373,7 @@ pub fn write_bundle_to_vec(
     bundle: &TraceBundle,
     config: StoreConfig,
 ) -> Result<(Vec<u8>, WriteStats), StoreError> {
-    write_bundles_to_vec(std::slice::from_ref(bundle), config)
+    write_bundles(Vec::new(), std::slice::from_ref(bundle), config)
 }
 
 /// A cloneable in-memory [`Write`] sink: lets callers hand a writer to

@@ -2,7 +2,7 @@
 //! with parking_lot's non-poisoning API (a panicked holder does not
 //! poison the lock for everyone else).
 
-use std::sync::{self, MutexGuard, RwLockWriteGuard};
+use std::sync::{self, MutexGuard};
 
 /// Mutual exclusion, `lock()` returning the guard directly.
 #[derive(Debug, Default)]
@@ -27,22 +27,6 @@ impl<T> Mutex<T> {
     }
 }
 
-/// Reader-writer lock, non-poisoning.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// New lock holding `value`.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,12 +37,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
         assert_eq!(m.into_inner(), 6);
-    }
-
-    #[test]
-    fn rwlock_write() {
-        let l = RwLock::new(1);
-        *l.write() = 2;
-        assert_eq!(*l.write(), 2);
     }
 }

@@ -211,7 +211,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
