@@ -13,8 +13,12 @@
 //! 3. the cumulative estimate table — windows closed, summarized, and
 //!    evicted along the way — serializes byte-identically to the
 //!    brute-force offline oracle whenever the two are comparable (no
-//!    eviction, no discard, unique item ids), and
-//! 4. the `Folded` steady-memory mode agrees with the fold of the
+//!    eviction, no discard, unique item ids),
+//! 4. under the same condition, every row of every retained window's
+//!    table equals that item's oracle row (with unique ids an item
+//!    completes in exactly one window, so its window row is its
+//!    whole-run row), and
+//! 5. the `Folded` steady-memory mode agrees with the fold of the
 //!    `Exact` accumulator.
 //!
 //! Sweeping `check_windowed` across window sizes (see
@@ -44,6 +48,9 @@ pub struct WindowedSummary {
     /// True when the cumulative-table-vs-offline-oracle comparison
     /// applied (no eviction or discard, unique item ids).
     pub table_checked: bool,
+    /// Rows of retained window tables compared with the oracle (zero
+    /// unless `table_checked`).
+    pub window_rows_checked: u64,
     /// Canonical JSON of the cumulative table, for cross-window-size
     /// byte comparison by the caller.
     pub table_json: String,
@@ -137,15 +144,18 @@ pub fn check_windowed(w: &Workload, window_items: u64) -> Result<WindowedSummary
     let comparable = oracle_on.loss.samples_evicted == 0
         && oracle_on.loss.samples_discarded == 0
         && !w.spec.shared_items;
+    let mut window_rows_checked = 0;
     if comparable {
-        let golden = CanonicalTable::from_oracle(&oracle_off).to_json();
-        if table_json != golden {
+        let golden = CanonicalTable::from_oracle(&oracle_off);
+        let golden_json = golden.to_json();
+        if table_json != golden_json {
             return Err(fail(
                 seed,
                 "windowed-table",
-                format!("W={window_items}:\n  windowed: {table_json}\n  oracle:   {golden}"),
+                format!("W={window_items}:\n  windowed: {table_json}\n  oracle:   {golden_json}"),
             ));
         }
+        window_rows_checked = check_window_rows(seed, window_items, &integ, &golden)?;
     }
 
     check_folded_twin(w, window_items, &integ)?;
@@ -157,8 +167,43 @@ pub fn check_windowed(w: &Workload, window_items: u64) -> Result<WindowedSummary
         windows_evicted: report.windows_evicted,
         episodes: report.episodes,
         table_checked: comparable,
+        window_rows_checked,
         table_json,
     })
+}
+
+/// Every row of every retained window's table against the oracle's row
+/// for that item, as canonical JSON. Returns the rows compared.
+fn check_window_rows(
+    seed: u64,
+    window_items: u64,
+    integ: &WindowedIntegrator,
+    golden: &CanonicalTable,
+) -> Result<u64, Disagreement> {
+    let mut checked = 0;
+    for window in integ.windows() {
+        for row in CanonicalTable::from_pipeline(&window.table()).rows {
+            let want = golden
+                .rows
+                .binary_search_by_key(&row.item, |r| r.item)
+                .ok()
+                .and_then(|i| golden.rows.get(i));
+            let got = serde_json::to_string(&row);
+            let want = want.map(serde_json::to_string);
+            if !matches!((&got, &want), (Ok(g), Some(Ok(w))) if g == w) {
+                return Err(fail(
+                    seed,
+                    "windowed-window-row",
+                    format!(
+                        "W={window_items} window {}:\n  window: {got:?}\n  oracle: {want:?}",
+                        window.index
+                    ),
+                ));
+            }
+            checked += 1;
+        }
+    }
+    Ok(checked)
 }
 
 /// The 11-counter ledger plus attribution totals vs the online oracle.

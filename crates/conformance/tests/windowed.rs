@@ -23,6 +23,7 @@ const SWEEP_SEEDS: u64 = 96;
 #[test]
 fn windowed_integration_is_window_size_invariant() {
     let mut table_checked = 0u32;
+    let mut window_rows = 0u64;
     let mut evicting = 0u32;
     let mut episodic = 0u32;
     for seed in 0..SWEEP_SEEDS {
@@ -42,6 +43,7 @@ fn windowed_integration_is_window_size_invariant() {
             if summary.table_checked {
                 table_checked += 1;
             }
+            window_rows += summary.window_rows_checked;
             // Byte-identical cumulative table and episode count across
             // every window size, including the no-intermediate-close
             // degenerate case.
@@ -65,6 +67,10 @@ fn windowed_integration_is_window_size_invariant() {
     assert!(
         table_checked >= 40,
         "only {table_checked} runs were table-comparable"
+    );
+    assert!(
+        window_rows >= 400,
+        "only {window_rows} window rows were compared with the oracle"
     );
     assert!(evicting >= 40, "only {evicting} runs evicted windows");
     assert!(episodic >= 40, "only {episodic} runs recorded episodes");

@@ -23,10 +23,14 @@
 //!   span's per-function `(first, last, count)` goes straight into the
 //!   item's `(func, samples, cycles)` accumulator, so no span list, sort
 //!   or tree is built;
-//! * the AoS scan, register-mode `from_soa` and [`crate::window`] see
-//!   samples in time order: they collect a flat span list, and
-//!   `assemble_table` sorts it by `(item, func)` and feeds each item's
-//!   group to the same builder.
+//! * the AoS scan and register-mode `from_soa` see samples in time
+//!   order: they collect a flat span list, and `assemble_table` sorts it
+//!   by `(item, func)` and feeds each item's group to the same builder;
+//! * [`crate::window`] already holds each completed item folded in the
+//!   cycle domain — its marked cycles, its unresolvable-sample count and
+//!   its per-function `(func, samples, cycles)` — and hands those rows,
+//!   in item order, to `table_from_items`. Its per-window tables and
+//!   its exact cumulative table both go this way.
 
 use crate::integrate::{IntegratedTrace, MappingMode};
 use crate::interval::ItemInterval;
@@ -510,8 +514,8 @@ fn fold_span(
     builder: &mut TableBuilder,
 ) {
     for (func, first, last, count) in span_acc.drain(..) {
-        builder.span(first, last);
         let cycles = last.wrapping_sub(first);
+        builder.span(cycles);
         match item_acc.iter_mut().find(|e| e.0 == func) {
             Some(e) => {
                 e.1 += count;
@@ -566,11 +570,11 @@ impl TableBuilder {
         }
     }
 
-    /// Count one folded span (one function's first→last within one
-    /// occupancy span) for the obs volumes.
-    fn span(&mut self, first: u64, last: u64) {
+    /// Count one folded span (one function's first→last cycles within
+    /// one occupancy span) for the obs volumes.
+    fn span(&mut self, cycles: u64) {
         self.spans += 1;
-        self.span_cycles.record(last.wrapping_sub(first));
+        self.span_cycles.record(cycles);
     }
 
     /// Emit every interval-only item with an id below `item` (all that
@@ -607,6 +611,18 @@ impl TableBuilder {
             }
             _ => None,
         };
+        self.emit(item, marked_total, funcs, unknown);
+    }
+
+    /// Emit `item` with its marked total already known; the interval
+    /// merge join of [`Self::push`] is bypassed.
+    fn emit(
+        &mut self,
+        item: ItemId,
+        marked_total: Option<SimDuration>,
+        funcs: Vec<FuncEstimate>,
+        unknown: u32,
+    ) {
         if funcs.is_empty() && marked_total.is_none() {
             return;
         }
@@ -642,21 +658,12 @@ impl TableBuilder {
 }
 
 /// The flat-span-list front of [`TableBuilder`], for the scans that see
-/// samples in time order (the AoS scan, the register-mode SoA scan) and
-/// for [`crate::window`]: sort the span list by `(item, func)`, fold
-/// each item's group into per-function estimates and feed the builder,
-/// merge-joining the unresolvable-sample counts on the way. Counts for
-/// items absent from the table (no span, no interval) are dropped.
-///
-/// The sort is a stable one: a window's span list is a few ascending
-/// runs (one per batch) that it merges instead of re-sorting, and the
-/// cumulative window table's list, built from a map, is already sorted
-/// and costs one scan.
-///
-/// `pub(crate)` for [`crate::window`]: the windowed integrator feeds its
-/// per-window and cumulative span folds through this exact assembly so
-/// window tables are structurally the same artifact as batch tables.
-pub(crate) fn assemble_table(
+/// samples in time order (the AoS scan, the register-mode SoA scan):
+/// sort the span list by `(item, func)`, fold each item's group into
+/// per-function estimates and feed the builder, merge-joining the
+/// unresolvable-sample counts on the way. Counts for items absent from
+/// the table (no span, no interval) are dropped.
+fn assemble_table(
     mut flat: Vec<(ItemId, FuncId, u64, u64, u32)>,
     unknown: BTreeMap<ItemId, u32>,
     samples_missing_span: u64,
@@ -688,6 +695,72 @@ pub(crate) fn assemble_table(
     builder.finish(samples_missing_span)
 }
 
+/// One completed item folded in the cycle domain, as
+/// [`table_from_items`] takes it.
+pub(crate) struct ItemCycles<F> {
+    pub item: ItemId,
+    /// Cycles between the item's Start and End marks.
+    pub marked: u64,
+    /// Samples inside the item whose IP resolved to no function.
+    pub unknown: u32,
+    /// Per-function `(func, samples, cycles)`, one entry per function
+    /// in ascending `func`; each entry counts as one span.
+    pub funcs: F,
+}
+
+/// The per-item front of [`TableBuilder`], for [`crate::window`]: rows
+/// arrive in non-decreasing item order with their folds already in the
+/// cycle domain, so there is no span list to sort. Consecutive rows of
+/// one id (an item id that completed more than once) are merged the
+/// way the flat-span fold merges them: marked and span cycles summed
+/// with wrap-around, sample and unresolvable counts summed. Cycles are
+/// converted to time once per function and once per item.
+pub(crate) fn table_from_items<F>(
+    rows: impl IntoIterator<Item = ItemCycles<F>>,
+    freq: Freq,
+) -> EstimateTable
+where
+    F: IntoIterator<Item = (FuncId, u32, u64)>,
+{
+    let mut builder = TableBuilder::new(&[], freq);
+    let mut rows = rows.into_iter().peekable();
+    // The item's `(func, samples, cycles)` entries, reused across items.
+    let mut acc: Vec<(FuncId, u32, u64)> = Vec::new();
+    while let Some(row) = rows.next() {
+        let item = row.item;
+        let (mut marked, mut unknown) = (row.marked, row.unknown);
+        acc.clear();
+        acc.extend(row.funcs);
+        while let Some(again) = rows.next_if(|r| r.item == item) {
+            marked = marked.wrapping_add(again.marked);
+            unknown += again.unknown;
+            acc.extend(again.funcs);
+        }
+        acc.sort_unstable_by_key(|&(func, ..)| func);
+        let mut funcs = Vec::with_capacity(acc.len());
+        for group in acc.chunk_by(|a, b| a.0 == b.0) {
+            let Some(&(func, ..)) = group.first() else {
+                continue;
+            };
+            let mut samples = 0u32;
+            let mut cycles = 0u64;
+            for &(_, n, c) in group {
+                builder.span(c);
+                samples += n;
+                cycles = cycles.wrapping_add(c);
+            }
+            funcs.push(FuncEstimate {
+                item,
+                func,
+                samples,
+                elapsed: freq.cycles_to_dur(cycles),
+            });
+        }
+        builder.emit(item, Some(freq.cycles_to_dur(marked)), funcs, unknown);
+    }
+    builder.finish(0)
+}
+
 /// Fold one item's `(func)`-sorted spans into per-function estimates;
 /// cycles are converted to time once per function so truncation does not
 /// accumulate per span.
@@ -705,9 +778,10 @@ fn fold_func_groups(
         let mut samples = 0u32;
         let mut cycles = 0u64;
         for &(_, _, first_tsc, last_tsc, count) in func_group {
-            builder.span(first_tsc, last_tsc);
+            let span_cycles = last_tsc.wrapping_sub(first_tsc);
+            builder.span(span_cycles);
             samples += count;
-            cycles = cycles.wrapping_add(last_tsc.wrapping_sub(first_tsc));
+            cycles = cycles.wrapping_add(span_cycles);
         }
         funcs.push(FuncEstimate {
             item,

@@ -724,7 +724,10 @@ impl Worker {
 
     /// Pair one batch; of each completed item keep only what the report
     /// needs — the raw samples of a divergent item move into its
-    /// anomaly, everything else is dropped on the spot.
+    /// anomaly, everything else is dropped on the spot. A kept buffer
+    /// is shrunk to its length (a no-op unless the item outgrew the
+    /// buffer it was handed), so it holds exactly the records
+    /// `bytes_dumped` counts.
     fn process(&mut self, batch: TraceBundle) {
         obs::span!("online.batch", batch.samples.len());
         let report = &mut self.report;
@@ -732,12 +735,14 @@ impl Worker {
             if let Some((func, elapsed, baseline_mean)) = done.divergence {
                 obs::event("online.anomaly", done.interval.item.0);
                 report.bytes_dumped += done.samples.len() as u64 * PEBS_RECORD_BYTES;
+                let mut raw_samples = done.samples;
+                raw_samples.shrink_to_fit();
                 report.anomalies.push(OnlineAnomaly {
                     item: done.interval.item,
                     func,
                     elapsed,
                     baseline_mean,
-                    raw_samples: done.samples,
+                    raw_samples,
                 });
             }
         });

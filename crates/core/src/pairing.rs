@@ -13,7 +13,9 @@
 //! on every record but the first of each core run), symbol lookup is
 //! memoized on the last function's address range, an item's spans are
 //! built in a scratch `Vec` kept across items, and the divergence
-//! baselines are dense over the symbol table.
+//! baselines are dense over the symbol table. The one allocation per
+//! completed item is the core's next sample buffer (see
+//! [`Completed::samples`]).
 
 use crate::interval::ItemInterval;
 use fluctrace_cpu::{
@@ -156,7 +158,11 @@ pub(crate) struct Completed<'a> {
     pub interval: ItemInterval,
     /// The item's samples, handed over by value: the online side keeps
     /// them for divergent items, everyone else drops them here, so no
-    /// per-core buffer outlives its item.
+    /// per-core buffer outlives its item. The core's next buffer is
+    /// allocated at this buffer's length, so a stream of equal-sized
+    /// items allocates once per item instead of once per doubling; a
+    /// longer item grows it, and a consumer that keeps the buffer can
+    /// `shrink_to_fit` it.
     pub samples: Vec<PebsRecord>,
     /// Per-function `(first tsc, last tsc, sample count)` inside the
     /// interval, one entry per function, in ascending `FuncId`.
@@ -357,7 +363,8 @@ impl Pairing {
                     end_tsc: m.tsc,
                 };
                 state.open = None;
-                let samples = std::mem::take(&mut state.pending);
+                let len = state.pending.len();
+                let samples = std::mem::replace(&mut state.pending, Vec::with_capacity(len));
                 self.finish_item(interval, samples, on_item);
             }
             (MarkKind::End, Some(_)) => {

@@ -7,10 +7,14 @@
 //! same `pairing` state machine as the online worker, so pairing,
 //! eviction and the 11-counter [`LossStats`] ledger are one definition
 //! — but cuts the completed-item stream into **windows** of
-//! [`WindowConfig::window_items`] items. Each closed window is folded
-//! through the same [`estimate`] assembly as a batch
-//! run into a per-window [`EstimateTable`] summary, the raw samples are
-//! dropped, and old summaries are evicted once
+//! [`WindowConfig::window_items`] items. A completed item's raw samples
+//! are dropped as soon as it is folded: the open window keeps, per item,
+//! `(item, marked cycles, unknown samples, end of its entries)` and, per
+//! `(item, func)`, `(func, samples, cycles)` — two flat columns that are
+//! reused from window to window. Closing a window copies them, sized
+//! exactly, into a [`WindowSummary`]; its [`EstimateTable`] is built
+//! only when [`WindowSummary::table`] is called, through the same
+//! [`estimate`] assembly as a batch run. Old summaries are evicted once
 //! [`WindowConfig::max_windows`] are retained. Loss counters, anomaly
 //! baselines and the cumulative accumulator carry forward across every
 //! window boundary, so nothing about the *accounting* is windowed —
@@ -24,7 +28,7 @@
 //! function. The cumulative accumulator therefore stays in the *cycle*
 //! domain — per-`(item, func)` sample and cycle sums, per-item marked
 //! cycles — and converts once at render time, exactly as the batch
-//! estimator's `assemble_table` fold does. The conformance `windowed`
+//! estimator does. The conformance `windowed`
 //! leg pins `cumulative_table()` byte-identical to the one-shot batch
 //! pipeline across window sizes.
 //!
@@ -40,10 +44,9 @@
 //!   per-item axis, and says so instead of pretending otherwise — see
 //!   `SERVE.md`'s steady-memory argument.
 
-use crate::estimate::{self, EstimateTable};
-use crate::interval::ItemInterval;
+use crate::estimate::{self, EstimateTable, ItemCycles};
 use crate::pairing::{Completed, LossStats, Pairing, PairingConfig};
-use fluctrace_cpu::{CoreId, FuncId, ItemId, SymbolTable, TraceBundle};
+use fluctrace_cpu::{FuncId, ItemId, SymbolTable, TraceBundle};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -128,8 +131,10 @@ pub struct Episode {
 }
 
 /// Summary of one closed window. The raw marks and samples that built
-/// it are gone by the time this exists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// it are gone by the time this exists: it keeps each item's folds in
+/// the cycle domain, and [`Self::table`] assembles the window's
+/// [`EstimateTable`] from them on request.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSummary {
     /// Zero-based window index.
     pub index: u64,
@@ -139,24 +144,66 @@ pub struct WindowSummary {
     pub samples: u64,
     /// Anomaly episodes recorded while this window was open.
     pub anomalies: u64,
-    /// Per-item per-function estimates for this window only.
-    pub table: EstimateTable,
     /// Snapshot of the *cumulative* loss ledger at window close — the
     /// counters never reset, so consecutive snapshots are monotone and
     /// differencing two of them gives the per-window loss exactly.
     pub loss: LossStats,
+    freq: Freq,
+    /// One row per completed item, in completion order.
+    rows: Vec<ItemRow>,
+    /// One entry per `(item, func)`; each row's entries follow the
+    /// previous row's, ascending by function.
+    funcs: Vec<FuncEntry>,
+}
+
+/// `(func, samples, cycles)` of one function within one completed item.
+type FuncEntry = (FuncId, u32, u64);
+
+/// One completed item of a window: its id, the cycles between its
+/// marks, its samples whose IP resolved to no function, and the end of
+/// its entries in the window's `funcs` column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ItemRow {
+    item: ItemId,
+    marked_cycles: u64,
+    unknown: u32,
+    funcs_end: usize,
 }
 
 impl WindowSummary {
-    /// Rough heap footprint, for the eviction byte ledger. An estimate
-    /// (containers over-allocate), but a deterministic one.
+    /// Per-item per-function estimates for this window only, assembled
+    /// from the kept folds by the batch estimator's builder; an item id
+    /// completed more than once in the window gets one row, as in a
+    /// batch table.
+    pub fn table(&self) -> EstimateTable {
+        let mut start = 0;
+        let mut rows: Vec<(&ItemRow, &[FuncEntry])> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            rows.push((
+                row,
+                self.funcs.get(start..row.funcs_end).unwrap_or_default(),
+            ));
+            start = row.funcs_end;
+        }
+        rows.sort_by_key(|(row, _)| row.item);
+        estimate::table_from_items(
+            rows.into_iter().map(|(row, funcs)| ItemCycles {
+                item: row.item,
+                marked: row.marked_cycles,
+                unknown: row.unknown,
+                funcs: funcs.iter().copied(),
+            }),
+            self.freq,
+        )
+    }
+
+    /// Heap footprint of the kept columns plus the summary itself, for
+    /// the eviction byte ledger. The columns are sized exactly at close,
+    /// so this is what the summary holds.
     pub fn approx_bytes(&self) -> u64 {
-        let funcs: u64 = self
-            .table
-            .items()
-            .map(|ie| ie.funcs.len() as u64)
-            .sum::<u64>();
-        std::mem::size_of::<WindowSummary>() as u64 + self.table.len() as u64 * 96 + funcs * 40
+        (std::mem::size_of::<WindowSummary>()
+            + self.rows.len() * std::mem::size_of::<ItemRow>()
+            + self.funcs.len() * std::mem::size_of::<FuncEntry>()) as u64
     }
 }
 
@@ -204,15 +251,13 @@ impl WindowReport {
     }
 }
 
-/// The open window's accumulating state: flat `(item, func, first,
-/// last, count)` spans plus the intervals and unknown counts the
-/// assembly needs. Dropped wholesale at window close.
+/// The open window's accumulating state: the same two columns a
+/// [`WindowSummary`] keeps, cleared (not freed) at close so a steady
+/// stream stops allocating for them after the first windows.
 #[derive(Default)]
 struct OpenWindow {
-    flat: Vec<(ItemId, FuncId, u64, u64, u32)>,
-    intervals: Vec<ItemInterval>,
-    unknown: BTreeMap<ItemId, u32>,
-    items: u64,
+    rows: Vec<ItemRow>,
+    funcs: Vec<FuncEntry>,
     samples: u64,
     anomalies: u64,
 }
@@ -369,11 +414,9 @@ impl WindowedIntegrator {
     /// Render the exact cumulative table — `None` in
     /// [`CumulativeMode::Folded`]. Byte-identical to
     /// `EstimateTable::from_integrated` over the concatenated stream:
-    /// the accumulator's cycle sums are handed to the same
-    /// `assemble_table` fold as one synthetic span per `(item, func)`
-    /// (first = 0, last = cycles) plus one synthetic interval per item
-    /// carrying its marked cycles, so the conversion-once arithmetic is
-    /// literally the batch estimator's.
+    /// each item's accumulated cycle sums go, in item order, through the
+    /// same per-item assembly as a window's table, so the
+    /// conversion-once arithmetic is literally the batch estimator's.
     pub fn cumulative_table(&self) -> Option<EstimateTable> {
         let Accum::Exact {
             funcs,
@@ -383,24 +426,17 @@ impl WindowedIntegrator {
         else {
             return None;
         };
-        let flat: Vec<(ItemId, FuncId, u64, u64, u32)> = funcs
-            .iter()
-            .map(|(&(item, func), &(samples, cycles))| (item, func, 0, cycles, samples))
-            .collect();
-        let intervals: Vec<ItemInterval> = marked
-            .iter()
-            .map(|(&item, &cycles)| ItemInterval {
-                core: CoreId(0),
+        // Every completed item has a `marked` entry, so walking `marked`
+        // visits every item that has funcs or unknown samples too.
+        Some(estimate::table_from_items(
+            marked.iter().map(|(&item, &cycles)| ItemCycles {
                 item,
-                start_tsc: 0,
-                end_tsc: cycles,
-            })
-            .collect();
-        Some(estimate::assemble_table(
-            flat,
-            unknown.clone(),
-            0,
-            &intervals,
+                marked: cycles,
+                unknown: unknown.get(&item).copied().unwrap_or(0),
+                funcs: funcs
+                    .range((item, FuncId(0))..=(item, FuncId(u32::MAX)))
+                    .map(|(&(_, func), &(samples, cycles))| (func, samples, cycles)),
+            }),
             self.folds.config.freq,
         ))
     }
@@ -477,22 +513,30 @@ impl Folds {
 
         // Feed the open window and the cumulative accumulator from the
         // same fold — one source of truth for both granularities.
-        self.open.items += 1;
         self.open.samples += done.samples.len() as u64;
-        self.open.intervals.push(interval);
-        if done.unknown > 0 {
-            *self.open.unknown.entry(interval.item).or_insert(0) += done.unknown;
-        }
+        let start = self.open.funcs.len();
+        self.open.funcs.extend(
+            done.spans
+                .iter()
+                .map(|&(func, (first, last, count))| (func, count, last.wrapping_sub(first))),
+        );
+        self.open.rows.push(ItemRow {
+            item: interval.item,
+            marked_cycles: interval.cycles(),
+            unknown: done.unknown,
+            funcs_end: self.open.funcs.len(),
+        });
+        let item_funcs = self.open.funcs.get(start..).unwrap_or_default();
         match &mut self.accum {
             Accum::Exact {
                 funcs,
                 marked,
                 unknown,
             } => {
-                for &(func, (first, last, count)) in done.spans {
+                for &(func, count, cycles) in item_funcs {
                     let e = funcs.entry((interval.item, func)).or_insert((0, 0));
                     e.0 = e.0.wrapping_add(count);
-                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                    e.1 = e.1.wrapping_add(cycles);
                 }
                 // Wraps like the `Folded` twin and `folded_totals()`:
                 // an End below its Start marks nearly 2⁶⁴ cycles.
@@ -508,10 +552,10 @@ impl Folds {
                 unknown_samples,
                 items,
             } => {
-                for &(func, (first, last, count)) in done.spans {
+                for &(func, count, cycles) in item_funcs {
                     if let Some(e) = funcs.get_mut(func.index()) {
                         e.0 += u64::from(count);
-                        e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                        e.1 = e.1.wrapping_add(cycles);
                     }
                 }
                 *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
@@ -519,41 +563,37 @@ impl Folds {
                 *items += 1;
             }
         }
-        for &(func, (first, last, count)) in done.spans {
-            self.open
-                .flat
-                .push((interval.item, func, first, last, count));
-        }
 
-        if self.open.items >= self.config.window_items.max(1) {
+        if self.open.rows.len() as u64 >= self.config.window_items.max(1) {
             self.close_window(done.counts.loss);
         }
     }
 
-    /// Close the open window: assemble its table through the batch
-    /// estimator's fold, pin the cumulative ledger `loss`, drop the raw
-    /// spans, and evict the oldest summary past the retention bound.
+    /// Close the open window: copy its columns, sized exactly, into a
+    /// summary that pins the cumulative ledger `loss`, clear the open
+    /// columns for reuse, and evict the oldest summary past the
+    /// retention bound. No table is built here; see
+    /// [`WindowSummary::table`].
     fn close_window(&mut self, loss: LossStats) {
-        if self.open.items == 0 {
+        if self.open.rows.is_empty() {
             return;
         }
-        let open = std::mem::take(&mut self.open);
-        obs::span!("window.close", open.items);
-        let table = estimate::assemble_table(
-            open.flat,
-            open.unknown,
-            0,
-            &open.intervals,
-            self.config.freq,
-        );
+        let open = &mut self.open;
+        obs::span!("window.close", open.rows.len() as u64);
         let summary = WindowSummary {
             index: self.windows_closed,
-            items: open.items,
+            items: open.rows.len() as u64,
             samples: open.samples,
             anomalies: open.anomalies,
-            table,
             loss,
+            freq: self.config.freq,
+            rows: open.rows.to_vec(),
+            funcs: open.funcs.to_vec(),
         };
+        open.rows.clear();
+        open.funcs.clear();
+        open.samples = 0;
+        open.anomalies = 0;
         self.windows_closed += 1;
         self.windows.push_back(summary);
         while self.windows.len() > self.config.max_windows.max(1) {
@@ -571,7 +611,7 @@ mod tests {
     use crate::integrate::{integrate, MappingMode};
     use crate::online::{OnlineConfig, OnlineTracer};
     use fluctrace_cpu::{
-        HwEvent, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder, VirtAddr, NO_TAG,
+        CoreId, HwEvent, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder, VirtAddr, NO_TAG,
     };
 
     fn freq() -> Freq {
@@ -845,19 +885,15 @@ mod tests {
         }
         // Per-window tables sum (in the cycle-free sample dimension) to
         // the cumulative table.
-        let cum = wi.cumulative_table().unwrap();
-        let window_samples: u64 = wi
-            .windows()
-            .flat_map(|w| w.table.items())
-            .flat_map(|ie| ie.funcs.iter())
-            .map(|fe| u64::from(fe.samples))
-            .sum();
-        let cum_samples: u64 = cum
-            .items()
-            .flat_map(|ie| ie.funcs.iter())
-            .map(|fe| u64::from(fe.samples))
-            .sum();
-        assert_eq!(window_samples, cum_samples);
+        let samples_of = |table: &EstimateTable| -> u64 {
+            table
+                .items()
+                .flat_map(|ie| ie.funcs.iter())
+                .map(|fe| u64::from(fe.samples))
+                .sum()
+        };
+        let window_samples: u64 = wi.windows().map(|w| samples_of(&w.table())).sum();
+        assert_eq!(window_samples, samples_of(&wi.cumulative_table().unwrap()));
     }
 
     #[test]

@@ -127,11 +127,18 @@ impl TraceBundle {
     }
 
     /// Sort both streams by `(core, tsc)`; integration requires per-core
-    /// chronological order.
+    /// chronological order. A stream that is already in order is left as
+    /// it is without the stable sort's scratch allocation (the result is
+    /// the same either way).
     pub fn sort(&mut self) {
-        self.samples.sort_by_key(|s| (s.core, s.tsc));
-        self.marks
-            .sort_by_key(|m| (m.core, m.tsc, matches!(m.kind, MarkKind::Start) as u8));
+        let sample_key = |s: &PebsRecord| (s.core, s.tsc);
+        let mark_key = |m: &MarkRecord| (m.core, m.tsc, matches!(m.kind, MarkKind::Start) as u8);
+        if !self.samples.is_sorted_by_key(sample_key) {
+            self.samples.sort_by_key(sample_key);
+        }
+        if !self.marks.is_sorted_by_key(mark_key) {
+            self.marks.sort_by_key(mark_key);
+        }
     }
 
     /// Total bytes of PEBS data, for the data-volume accounting.

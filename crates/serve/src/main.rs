@@ -25,10 +25,15 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    match value.and_then(|v| v.parse::<u64>().ok()) {
+/// Parse a numeric flag's value straight into its field's type, so a
+/// value the field cannot hold is a usage error, never a truncation.
+fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    match value.and_then(|v| v.parse::<T>().ok()) {
         Some(v) => v,
-        None => fail(&format!("{flag} needs an unsigned integer")),
+        None => fail(&format!(
+            "{flag} needs an unsigned integer that fits in {}",
+            std::any::type_name::<T>()
+        )),
     }
 }
 
@@ -62,14 +67,14 @@ fn main() {
                 Some(a) => addr = a,
                 None => fail("--addr needs a value"),
             },
-            "--shards" => config.shards = parse_u64("--shards", args.next()).max(1) as usize,
-            "--cores" => config.cores = parse_u64("--cores", args.next()).max(1) as u32,
-            "--seed" => config.seed = parse_u64("--seed", args.next()),
+            "--shards" => config.shards = parse::<usize>("--shards", args.next()).max(1),
+            "--cores" => config.cores = parse::<u32>("--cores", args.next()).max(1),
+            "--seed" => config.seed = parse("--seed", args.next()),
             "--window-items" => {
-                config.window.window_items = parse_u64("--window-items", args.next()).max(1)
+                config.window.window_items = parse::<u64>("--window-items", args.next()).max(1)
             }
             "--max-windows" => {
-                config.window.max_windows = parse_u64("--max-windows", args.next()).max(1) as usize
+                config.window.max_windows = parse::<usize>("--max-windows", args.next()).max(1)
             }
             "--mode" => match args.next().as_deref() {
                 Some("exact") => config.window.cumulative = CumulativeMode::Exact,
@@ -85,18 +90,18 @@ fn main() {
                 None => fail("--batches needs a value"),
             },
             "--capacity" => {
-                config.channel_capacity = parse_u64("--capacity", args.next()).max(1) as usize
+                config.channel_capacity = parse::<usize>("--capacity", args.next()).max(1)
             }
             "--adaptive" => config.adaptive = AdaptiveConfig::new(),
             "--drop" => config.blocking = false,
-            "--funcs" => config.funcs = parse_u64("--funcs", args.next()).max(1) as usize,
+            "--funcs" => config.funcs = parse::<usize>("--funcs", args.next()).max(1),
             "--items-per-batch" => {
-                config.items_per_batch = parse_u64("--items-per-batch", args.next()).max(1)
+                config.items_per_batch = parse::<u64>("--items-per-batch", args.next()).max(1)
             }
             "--samples-per-item" => {
-                config.samples_per_item = parse_u64("--samples-per-item", args.next()).max(1)
+                config.samples_per_item = parse::<u64>("--samples-per-item", args.next()).max(1)
             }
-            "--spike-every" => config.spike_every = parse_u64("--spike-every", args.next()),
+            "--spike-every" => config.spike_every = parse("--spike-every", args.next()),
             other => fail(&format!("unknown flag {other:?}")),
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests: drained-shutdown equality with the batch
-//! pipeline, snapshot byte-stability, the protocol surface, and the
-//! Prometheus endpoint.
+//! pipeline, snapshot byte-stability, the protocol surface, the
+//! Prometheus endpoint, and the binary's flag parsing.
 
 use fluctrace_core::{integrate, AdaptiveConfig, CumulativeMode, EstimateTable, MappingMode};
 use fluctrace_cpu::TraceBundle;
@@ -388,4 +388,18 @@ fn idle_ticks_match_ring_empty_cycles_until_the_wait_log_drops() {
         daemon.quiesce();
         daemon.join();
     }
+}
+
+#[test]
+fn a_flag_value_its_field_cannot_hold_is_a_usage_error() {
+    // 2³² does not fit `ServeConfig::cores` (u32): exit 2 before any
+    // daemon starts, instead of truncating to zero cores.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fluctrace-serve"))
+        .args(["--cores", "4294967296", "--batches", "1"])
+        .output()
+        .expect("run fluctrace-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--cores"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "a daemon started: {:?}", out.stdout);
 }
