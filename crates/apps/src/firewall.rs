@@ -426,23 +426,18 @@ mod tests {
         );
         let table = fluctrace_core::EstimateTable::from_integrated(&it);
         let mut compared = 0;
-        for ie in table.items() {
-            if let Some(fe) = ie.func(funcs.rte_acl_classify) {
-                if fe.is_estimable() {
-                    let t = truth[&ie.item.0];
-                    let e = fe.elapsed.as_us_f64();
-                    // Estimation within the sampling resolution: the
-                    // first/last-sample method loses up to ~2 sample
-                    // intervals (~2.7us at R=4000, IPC 1.5, 3 GHz).
-                    assert!(
-                        (t - e).abs() < 3.0,
-                        "item {} truth {t:.2}us estimate {e:.2}us",
-                        ie.item
-                    );
-                    assert!(e <= t + 1e-6, "estimate cannot exceed truth");
-                    compared += 1;
-                }
-            }
+        for &(item, elapsed) in table.series_for_func(funcs.rte_acl_classify) {
+            let t = truth[&item.0];
+            let e = elapsed.as_us_f64();
+            // Estimation within the sampling resolution: the
+            // first/last-sample method loses up to ~2 sample
+            // intervals (~2.7us at R=4000, IPC 1.5, 3 GHz).
+            assert!(
+                (t - e).abs() < 3.0,
+                "item {item} truth {t:.2}us estimate {e:.2}us"
+            );
+            assert!(e <= t + 1e-6, "estimate cannot exceed truth");
+            compared += 1;
         }
         // Type-C packets only get ~1 sample at this reset value (their
         // classify span is shorter than the sample period), so roughly

@@ -15,6 +15,15 @@
 //! Two in-test mutants prove the comparison has teeth: one takes the
 //! upper middle of an even population as its median, the other reverses
 //! item order inside a population. Each must be caught.
+//!
+//! The same tables pin `EstimateTable::series_for_func`, which answers
+//! from a lazily built by-function index, against a plain scan of
+//! `items()`: for every function present and for absent ids below,
+//! between and above them. Equality, `Debug` and JSON must not depend on
+//! which copies of a table have built their index, and a clone or a
+//! table rebuilt from its JSON must answer the same. The hand tables
+//! name `FuncId(u32::MAX)`, so an index sized by the largest id could
+//! not be built here.
 
 use fluctrace_conformance::{generate, naive_detect, spec_from_seed};
 use fluctrace_core::{
@@ -23,7 +32,7 @@ use fluctrace_core::{
 use fluctrace_cpu::{FuncId, ItemId};
 use fluctrace_sim::SimDuration;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Labels whose byte order (`""`, `"10"`, `"9"`, `"B"`, `"a"`, `"b"`)
 /// differs from the order items first see them.
@@ -266,6 +275,148 @@ fn generated_tables(seed: u64) -> Vec<EstimateTable> {
         .collect()
 }
 
+/// The by-function read as a scan of every item: the oracle for
+/// `series_for_func`.
+fn naive_series(table: &EstimateTable, func: FuncId) -> Vec<(ItemId, SimDuration)> {
+    let mut out = Vec::new();
+    for ie in table.items() {
+        if let Some(fe) = ie.func(func).filter(|fe| fe.is_estimable()) {
+            out.push((ie.item, fe.elapsed));
+        }
+    }
+    out
+}
+
+/// Every function `table` names, and absent ids around them: the ends
+/// of the id range, each present id ± 1 and the midpoint of each pair
+/// of neighbours.
+fn probe_funcs(table: &EstimateTable) -> Vec<FuncId> {
+    let present: BTreeSet<u32> = table
+        .items()
+        .flat_map(|ie| ie.funcs.iter().map(|fe| fe.func.0))
+        .collect();
+    let mut probes: BTreeSet<u32> = [0, 1, u32::MAX / 2, u32::MAX - 1, u32::MAX].into();
+    let mut prev: Option<u32> = None;
+    for &f in &present {
+        probes.insert(f);
+        probes.extend(f.checked_sub(1));
+        probes.extend(f.checked_add(1));
+        probes.extend(prev.map(|p| p.midpoint(f)));
+        prev = Some(f);
+    }
+    probes.into_iter().map(FuncId).collect()
+}
+
+/// Where `table`'s indexed series first differs from the scan, if it
+/// does. Building the index is a side effect.
+fn series_disagreement(table: &EstimateTable) -> Option<String> {
+    probe_funcs(table).into_iter().find_map(|func| {
+        let got = table.series_for_func(func);
+        let want = naive_series(table, func);
+        (got != want.as_slice()).then(|| format!("{func:?}:\n got  {got:?}\n want {want:?}"))
+    })
+}
+
+/// `series_for_func` equals the scan on `table`, on its clones and on
+/// its JSON round trip, and no comparison or rendering of two copies
+/// depends on which of them has built its index.
+fn assert_series_agree(table: &EstimateTable, what: &str) {
+    let json = serde_json::to_string(table).unwrap_or_default();
+    let debug_len = format!("{table:?}").len();
+    let (a, b) = (table.clone(), table.clone());
+    let same = |step: &str, x: &EstimateTable, y: &EstimateTable| {
+        assert!(x == y, "{what}: copies differ {step}");
+        assert_eq!(x, table, "{what}: a copy differs from the table {step}");
+        for t in [x, y] {
+            assert_eq!(
+                serde_json::to_string(t).unwrap_or_default(),
+                json,
+                "{what}: JSON moved {step}"
+            );
+            assert_eq!(
+                format!("{t:?}").len(),
+                debug_len,
+                "{what}: Debug moved {step}"
+            );
+        }
+    };
+    same("with neither index built", &a, &b);
+    if let Some(d) = series_disagreement(&a) {
+        panic!("series_for_func differs from the scan on {what}: {d}");
+    }
+    same("with one index built", &a, &b);
+    same("with one index built", &b, &a);
+    if let Some(d) = series_disagreement(&b) {
+        panic!("series_for_func differs from the scan on {what} (second copy): {d}");
+    }
+    same("with both indexes built", &a, &b);
+    let clone = a.clone();
+    if let Some(d) = series_disagreement(&clone) {
+        panic!("series_for_func differs from the scan on a clone of {what}: {d}");
+    }
+    let back: EstimateTable =
+        serde_json::from_str(&json).unwrap_or_else(|e| panic!("{what}: JSON round trip: {e:?}"));
+    same("after a JSON round trip", &back, &clone);
+    if let Some(d) = series_disagreement(&back) {
+        panic!("series_for_func differs from the scan on {what} read back from JSON: {d}");
+    }
+}
+
+/// Item rows no builder makes but deserialization accepts: functions
+/// out of order, and one function listed twice, where only the first
+/// entry counts (as `ItemEstimate::func` answers) even when it is the
+/// one-sample entry.
+fn unsorted_and_repeated_table() -> EstimateTable {
+    let row = |item: u64, func: u32, samples: u32, elapsed: u64| {
+        format!(r#"{{"item":{item},"func":{func},"samples":{samples},"elapsed":{elapsed}}}"#)
+    };
+    let item = |id: u64, rows: &[String]| {
+        format!(
+            r#""{id}":{{"item":{id},"marked_total":null,"funcs":[{}],"unknown_func_samples":0}}"#,
+            rows.join(",")
+        )
+    };
+    let items = [
+        item(1, &[row(1, 5, 1, 10), row(1, 5, 3, 20)]),
+        item(
+            2,
+            &[row(2, 9, 2, 30), row(2, 2, 2, 40), row(2, u32::MAX, 2, 45)],
+        ),
+        item(3, &[row(3, 5, 2, 50), row(3, 5, 2, 60), row(3, 0, 1, 70)]),
+        item(
+            u64::MAX,
+            &[row(u64::MAX, 5, 2, 80), row(u64::MAX, 2, 9, 90)],
+        ),
+    ];
+    let json = format!(
+        r#"{{"items":{{{}}},"freq":3000000000,"samples_missing_span":0}}"#,
+        items.join(",")
+    );
+    serde_json::from_str(&json).unwrap_or_else(|e| panic!("hand table {json}: {e:?}"))
+}
+
+#[test]
+fn series_index_matches_the_scan() {
+    let unsorted = unsorted_and_repeated_table();
+    assert_eq!(
+        unsorted.series_for_func(FuncId(5)),
+        [
+            (ItemId(3), SimDuration::from_ps(50)),
+            (ItemId(u64::MAX), SimDuration::from_ps(80))
+        ]
+    );
+    assert_series_agree(&unsorted, "unsorted and repeated rows");
+    for (what, table) in corner_tables() {
+        assert_series_agree(&table, what);
+    }
+    for seed in 0..16 {
+        assert_series_agree(&random_table(seed), &format!("random table {seed}"));
+        for table in generated_tables(seed) {
+            assert_series_agree(&table, &format!("generated seed {seed}"));
+        }
+    }
+}
+
 #[test]
 fn corner_tables_agree() {
     for (what, table) in corner_tables() {
@@ -422,13 +573,16 @@ proptest! {
 
     #[test]
     fn random_hand_tables_agree(seed in any::<u64>()) {
-        assert_agrees(&random_table(seed), &format!("random table {seed}"));
+        let table = random_table(seed);
+        assert_agrees(&table, &format!("random table {seed}"));
+        assert_series_agree(&table, &format!("random table {seed}"));
     }
 
     #[test]
     fn generated_tables_agree(seed in any::<u64>()) {
         for table in generated_tables(seed) {
             assert_agrees(&table, &format!("generated seed {seed}"));
+            assert_series_agree(&table, &format!("generated seed {seed}"));
         }
     }
 }

@@ -31,6 +31,23 @@
 //!   its per-function `(func, samples, cycles)` — and hands those rows,
 //!   in item order, to `table_from_items`. Its per-window tables and
 //!   its exact cumulative table both go this way.
+//!
+//! ## Reads
+//!
+//! [`EstimateTable::series_for_func`] — one function across every item,
+//! the paper's Fig. 9 read — answers from a private per-function index
+//! that the table builds the first time it is asked, not by scanning
+//! every item. No front end above builds it, so building a table costs
+//! nothing extra; a table that is only rendered or compared never pays
+//! for it. The index holds exactly what the scan would return: the
+//! estimable rows (≥ 2 samples) grouped by function and in item order
+//! within each function, and for an item that lists a function twice
+//! only the first entry, as [`ItemEstimate::func`] answers. It is keyed
+//! by the functions that occur: a sorted list of distinct [`FuncId`]s,
+//! their start offsets and one flat row column, so its memory is
+//! O(estimable rows + distinct functions) whatever the largest id.
+//! It is derived state: equality, `Debug`, serialization and
+//! deserialization ignore it, and a clone starts without one.
 
 use crate::integrate::{IntegratedTrace, MappingMode};
 use crate::interval::ItemInterval;
@@ -40,6 +57,8 @@ use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Estimated elapsed time of one function for one data-item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,7 +111,7 @@ impl ItemEstimate {
 }
 
 /// Per-item per-function estimates for a whole trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimateTable {
     items: BTreeMap<ItemId, ItemEstimate>,
     /// TSC frequency the estimates were converted with.
@@ -103,6 +122,110 @@ pub struct EstimateTable {
     /// 0 — which would bridge unrelated timestamps into one bogus
     /// first→last difference — they are skipped and counted here.
     pub samples_missing_span: u64,
+    /// The by-function index of [`Self::series_for_func`], built on
+    /// first use.
+    #[serde(skip)]
+    series: SeriesIndex,
+}
+
+/// `Debug` shows the table's contents, never whether its index is built.
+impl fmt::Debug for EstimateTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EstimateTable")
+            .field("items", &self.items)
+            .field("freq", &self.freq)
+            .field("samples_missing_span", &self.samples_missing_span)
+            .finish()
+    }
+}
+
+/// The lazily built by-function index of a table (see the module doc's
+/// "Reads"). It is derived from the table's items, so it never makes
+/// two tables differ: every index equals every other, and a clone
+/// starts unbuilt and builds its own on demand.
+#[derive(Default)]
+struct SeriesIndex(OnceLock<ByFunc>);
+
+impl Clone for SeriesIndex {
+    fn clone(&self) -> Self {
+        SeriesIndex::default()
+    }
+}
+
+impl PartialEq for SeriesIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// A table's estimable rows grouped by function: `funcs` is sorted and
+/// distinct, and the rows of `funcs[k]` are `rows[starts[k]..starts[k +
+/// 1]]`, in item order.
+struct ByFunc {
+    funcs: Vec<FuncId>,
+    starts: Vec<usize>,
+    rows: Vec<(ItemId, SimDuration)>,
+}
+
+impl ByFunc {
+    fn build(items: &BTreeMap<ItemId, ItemEstimate>) -> ByFunc {
+        // One walk of the tree into a flat column, sized by every row,
+        // estimable or not.
+        let mut keyed = Vec::with_capacity(items.values().map(|ie| ie.funcs.len()).sum());
+        keyed.extend(estimable_rows(items));
+        // An item names a function at most once here, so the keys are
+        // distinct and the unstable sort has one possible result.
+        keyed.sort_unstable_by_key(|&(func, item, _)| (func, item));
+        let distinct = keyed.chunk_by(|a, b| a.0 == b.0).count();
+        let mut funcs = Vec::with_capacity(distinct);
+        let mut starts = Vec::with_capacity(distinct + 1);
+        let mut rows = Vec::with_capacity(keyed.len());
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+            if let Some(&(func, ..)) = group.first() {
+                funcs.push(func);
+                starts.push(rows.len());
+            }
+            rows.extend(group.iter().map(|&(_, item, elapsed)| (item, elapsed)));
+        }
+        starts.push(rows.len());
+        ByFunc {
+            funcs,
+            starts,
+            rows,
+        }
+    }
+
+    fn series(&self, func: FuncId) -> &[(ItemId, SimDuration)] {
+        let Ok(k) = self.funcs.binary_search(&func) else {
+            return &[];
+        };
+        match (self.starts.get(k), self.starts.get(k + 1)) {
+            (Some(&lo), Some(&hi)) => self.rows.get(lo..hi).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+}
+
+/// Every row [`EstimateTable::series_for_func`] returns, as `(func,
+/// item, elapsed)` in item order: the estimable estimates, and of an
+/// item that lists a function more than once (only a deserialized table
+/// can) just the first, as [`ItemEstimate::func`] finds it.
+fn estimable_rows(
+    items: &BTreeMap<ItemId, ItemEstimate>,
+) -> impl Iterator<Item = (FuncId, ItemId, SimDuration)> + '_ {
+    items.values().flat_map(|ie| {
+        let distinct = ie.funcs.is_sorted_by(|a, b| a.func < b.func);
+        ie.funcs
+            .iter()
+            .filter(move |fe| {
+                fe.is_estimable()
+                    && (distinct
+                        || ie
+                            .func(fe.func)
+                            .is_some_and(|first| std::ptr::eq(first, *fe)))
+            })
+            .map(move |fe| (fe.func, ie.item, fe.elapsed))
+    })
 }
 
 impl EstimateTable {
@@ -116,6 +239,7 @@ impl EstimateTable {
             items,
             freq,
             samples_missing_span: 0,
+            series: SeriesIndex::default(),
         }
     }
 
@@ -320,6 +444,7 @@ impl EstimateTable {
             items,
             freq: it.freq,
             samples_missing_span,
+            series: SeriesIndex::default(),
         }
     }
 
@@ -349,20 +474,16 @@ impl EstimateTable {
     }
 
     /// Elapsed estimates of `func` across items that have ≥2 samples
-    /// for it, in item order (convenience for the evaluation harness).
-    pub fn series_for_func(&self, func: FuncId) -> Vec<(ItemId, SimDuration)> {
-        // A plain loop, not `filter_map(..).collect()`: that collect's
-        // `Vec::from_iter` instance may land in a codegen unit where the
-        // map iterator is not inlined, which made `analyze_wide`'s series
-        // query measurably slower when an unrelated module of this crate
-        // shrank.
-        let mut out = Vec::new();
-        for ie in self.items.values() {
-            if let Some(fe) = ie.func(func).filter(|fe| fe.is_estimable()) {
-                out.push((ie.item, fe.elapsed));
-            }
-        }
-        out
+    /// for it, in item order; empty for a function no item estimates.
+    /// The first call builds the table's by-function index (one walk
+    /// of the rows and a sort of the estimable ones); every call
+    /// after it is a binary search over the distinct functions and
+    /// allocates nothing.
+    pub fn series_for_func(&self, func: FuncId) -> &[(ItemId, SimDuration)] {
+        self.series
+            .0
+            .get_or_init(|| ByFunc::build(&self.items))
+            .series(func)
     }
 }
 
@@ -653,6 +774,7 @@ impl TableBuilder {
             items: self.items.into_iter().collect(),
             freq: self.freq,
             samples_missing_span,
+            series: SeriesIndex::default(),
         }
     }
 }

@@ -9,6 +9,11 @@
 //! * enums with unit, tuple and struct variants (externally tagged,
 //!   matching serde's default representation).
 //!
+//! The one field attribute is `#[serde(skip)]` on a named field: the
+//! field is left out of the serialized object and deserialization fills
+//! it with `Default::default()`, as in real serde. Any other `serde`
+//! attribute is a compile error naming the shim.
+//!
 //! Generics are not supported (nothing in the workspace derives on a
 //! generic type); hitting one produces a compile error naming the shim.
 
@@ -17,7 +22,18 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Shape {
     Unit,
     Tuple(usize),
-    Named(Vec<String>),
+    Named(Vec<Field>),
+}
+
+/// One named field and whether it carries `#[serde(skip)]`.
+struct Field {
+    name: String,
+    skip: bool,
+}
+
+/// The names of the fields that are serialized, in order.
+fn kept(fields: &[Field]) -> impl Iterator<Item = &str> {
+    fields.iter().filter(|f| !f.skip).map(|f| f.name.as_str())
 }
 
 enum Input {
@@ -56,15 +72,21 @@ impl Parser {
         t
     }
 
-    fn skip_attrs(&mut self) {
+    /// Consume the attributes in front of an item, field or variant;
+    /// true when one of them is `#[serde(skip)]`.
+    fn skip_attrs(&mut self) -> bool {
+        let mut skip = false;
         while matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
             self.next();
             // #![...] inner attrs do not appear on items, but be lenient.
             if matches!(self.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '!') {
                 self.next();
             }
-            self.next(); // the [...] group
+            if let Some(TokenTree::Group(g)) = self.next() {
+                skip |= is_serde_skip(g.stream());
+            }
         }
+        skip
     }
 
     fn skip_vis(&mut self) {
@@ -84,6 +106,23 @@ impl Parser {
             Some(TokenTree::Ident(i)) => i.to_string(),
             other => panic!("serde shim derive: expected {what}, got {other:?}"),
         }
+    }
+}
+
+/// True for the body of `#[serde(skip)]`, false for any attribute not
+/// named `serde`; any other `serde(...)` body is refused.
+fn is_serde_skip(attr: TokenStream) -> bool {
+    let tokens: Vec<TokenTree> = attr.into_iter().collect();
+    match tokens.as_slice() {
+        [TokenTree::Ident(name), rest @ ..] if name.to_string() == "serde" => match rest {
+            [TokenTree::Group(g)] if g.stream().to_string() == "skip" => true,
+            _ => panic!(
+                "serde shim derive: the only supported serde attribute is \
+                 `#[serde(skip)]`, got `#[serde{}]`",
+                rest.iter().map(|t| t.to_string()).collect::<String>()
+            ),
+        },
+        _ => false,
     }
 }
 
@@ -117,17 +156,18 @@ fn count_tuple_fields(ts: TokenStream) -> usize {
     fields
 }
 
-/// Field names of a named-field body (struct or struct variant).
-fn parse_named_fields(ts: TokenStream) -> Vec<String> {
+/// The fields of a named-field body (struct or struct variant).
+fn parse_named_fields(ts: TokenStream) -> Vec<Field> {
     let mut p = Parser::new(ts);
     let mut fields = Vec::new();
     loop {
-        p.skip_attrs();
+        let skip = p.skip_attrs();
         if p.peek().is_none() {
             break;
         }
         p.skip_vis();
-        fields.push(p.expect_ident("field name"));
+        let name = p.expect_ident("field name");
+        fields.push(Field { name, skip });
         match p.next() {
             Some(TokenTree::Punct(pt)) if pt.as_char() == ':' => {}
             other => panic!("serde shim derive: expected `:`, got {other:?}"),
@@ -152,7 +192,9 @@ fn parse_named_fields(ts: TokenStream) -> Vec<String> {
 
 fn parse_input(ts: TokenStream) -> Input {
     let mut p = Parser::new(ts);
-    p.skip_attrs();
+    if p.skip_attrs() {
+        panic!("serde shim derive: `#[serde(skip)]` is supported on named fields only");
+    }
     p.skip_vis();
     let kind = p.expect_ident("`struct` or `enum`");
     let name = p.expect_ident("type name");
@@ -181,7 +223,9 @@ fn parse_input(ts: TokenStream) -> Input {
             let mut vp = Parser::new(body);
             let mut variants = Vec::new();
             loop {
-                vp.skip_attrs();
+                if vp.skip_attrs() {
+                    panic!("serde shim derive: `#[serde(skip)]` is supported on named fields only");
+                }
                 if vp.peek().is_none() {
                     break;
                 }
@@ -210,7 +254,7 @@ fn parse_input(ts: TokenStream) -> Input {
     }
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 // lint:allow(shim-drift): proc-macro entry point, invoked by
 // `#[derive(Serialize)]` attribute expansion rather than by name
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
@@ -226,8 +270,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     format!("::serde::Value::Array(vec![{}])", elems.join(", "))
                 }
                 Shape::Named(fields) => {
-                    let members: Vec<String> = fields
-                        .iter()
+                    let members: Vec<String> = kept(fields)
                         .map(|f| {
                             format!(
                                 "(String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f}))"
@@ -268,7 +311,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         )
                     }
                     Shape::Named(fields) => {
-                        let members: Vec<String> = fields
+                        let mut names: Vec<&str> = kept(fields).collect();
+                        let members: Vec<String> = names
                             .iter()
                             .map(|f| {
                                 format!(
@@ -276,9 +320,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                                 )
                             })
                             .collect();
+                        names.push("..");
                         format!(
                             "{name}::{v} {{ {} }} => ::serde::Value::Object(vec![(String::from(\"{v}\"), ::serde::Value::Object(vec![{}]))]),",
-                            fields.join(", "),
+                            names.join(", "),
                             members.join(", ")
                         )
                     }
@@ -299,7 +344,18 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde shim derive: generated Serialize impl parses")
 }
 
-#[proc_macro_derive(Deserialize)]
+/// The initializer of one named field in a derived `Deserialize`: read
+/// from the object `obj`, or `Default::default()` for a skipped field.
+fn field_from(f: &Field, obj: &str) -> String {
+    let name = &f.name;
+    if f.skip {
+        format!("{name}: ::std::default::Default::default(),")
+    } else {
+        format!("{name}: ::serde::from_field({obj}, \"{name}\")?,")
+    }
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
 // lint:allow(shim-drift): proc-macro entry point, invoked by
 // `#[derive(Deserialize)]` attribute expansion rather than by name
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
@@ -327,10 +383,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                     )
                 }
                 Shape::Named(fields) => {
-                    let members: Vec<String> = fields
-                        .iter()
-                        .map(|f| format!("{f}: ::serde::from_field(v, \"{f}\")?,"))
-                        .collect();
+                    let members: Vec<String> = fields.iter().map(|f| field_from(f, "v")).collect();
                     format!("Ok({name} {{\n{}\n}})", members.join("\n"))
                 }
             };
@@ -374,10 +427,8 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         ))
                     }
                     Shape::Named(fields) => {
-                        let members: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::from_field(inner, \"{f}\")?,"))
-                            .collect();
+                        let members: Vec<String> =
+                            fields.iter().map(|f| field_from(f, "inner")).collect();
                         Some(format!(
                             "\"{v}\" => Ok({name}::{v} {{\n{}\n}}),",
                             members.join("\n")

@@ -8,14 +8,22 @@
 //!
 //! The counter is per thread and switched on only around the calls
 //! being costed, so neither the harness nor any other thread enters it.
-//! Window ingest runs on the calling thread, so its counts are the same
-//! at every `FLUCTRACE_THREADS` setting.
+//! Window ingest, the series query and the table's JSON rendering run
+//! on the calling thread, so their counts are the same at every
+//! `FLUCTRACE_THREADS` setting.
 //!
 //! Run with `cargo test --test cost_budget -- --nocapture` to print the
 //! measured counts.
 
-use fluctrace_core::{CumulativeMode, WindowedIntegrator};
+use fluctrace_core::{
+    integrate_soa, CumulativeMode, EstimateTable, MappingMode, WindowedIntegrator,
+};
+use fluctrace_cpu::{
+    CoreId, FuncId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
+    TraceBundle, VirtAddr, NO_TAG,
+};
 use fluctrace_serve::{build_symtab, ServeConfig, TrafficGen};
+use fluctrace_sim::{Freq, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -107,11 +115,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 
 /// One case's counts as measured when its budget was last set: at most
 /// `allocs` allocations per `unit` and `bytes` bytes allocated per
-/// sample, each with [`SLACK`] on top.
+/// `byte_unit`, each with [`SLACK`] on top.
 struct Budget {
     case: &'static str,
     unit: &'static str,
     allocs: f64,
+    byte_unit: &'static str,
     bytes: f64,
 }
 
@@ -125,8 +134,8 @@ const STALE: f64 = 0.2;
 impl Budget {
     fn check(&self, allocs: f64, bytes: f64, failures: &mut Vec<String>) {
         println!(
-            "{:<20} {allocs:>8.3} allocations per {} (budget {:.3}), {bytes:>8.3} B per sample (budget {:.3})",
-            self.case, self.unit, self.allocs, self.bytes
+            "{:<20} {allocs:>8.3} allocations per {} (budget {:.3}), {bytes:>8.3} B per {} (budget {:.3})",
+            self.case, self.unit, self.allocs, self.byte_unit, self.bytes
         );
         for (what, got, budget) in [
             ("allocations", allocs, self.allocs),
@@ -189,6 +198,119 @@ fn window_ingest(mode: CumulativeMode) -> (f64, f64) {
     (allocs as f64 / items as f64, bytes as f64 / samples as f64)
 }
 
+/// A batch-analysis table of `analyze_wide`'s input at a quarter of its
+/// size: the benchmark's `wide_trace` generator, restated (4 cores, 384
+/// functions, 24 samples per item, 1-in-8 function hops, 1-in-64
+/// unresolvable samples, a stray sample after every 16th item) at
+/// 5 000 items per core, through `integrate_soa` → `from_soa`.
+fn wide_table() -> EstimateTable {
+    const CORES: u32 = 4;
+    const ITEMS_PER_CORE: u64 = 5_000;
+    let mut b = SymbolTableBuilder::new();
+    let ids: Vec<FuncId> = (0..384u64)
+        .map(|f| b.add(&format!("fn_{f:04}"), 48 + (f % 7) * 16))
+        .collect();
+    let symtab = b.build();
+    let ranges: Vec<_> = ids.iter().map(|&f| symtab.range(f)).collect();
+    let mut bundle = TraceBundle::default();
+    let mut rng = Rng::new(20180521);
+    for core in 0..CORES {
+        let mut rng = rng.fork();
+        let mut tsc = 1_000 + u64::from(core) * 13;
+        let mut hot = rng.gen_below(ranges.len() as u64) as usize;
+        let sample = |tsc: u64, ip: VirtAddr, r13: u64| PebsRecord {
+            core: CoreId(core),
+            tsc,
+            ip,
+            r13,
+            event: HwEvent::UopsRetired,
+        };
+        for i in 0..ITEMS_PER_CORE {
+            let item = ItemId(u64::from(core) * ITEMS_PER_CORE + i);
+            let mark = |tsc: u64, kind: MarkKind| MarkRecord {
+                core: CoreId(core),
+                tsc,
+                item,
+                kind,
+            };
+            tsc += rng.gen_range(20, 120);
+            bundle.marks.push(mark(tsc, MarkKind::Start));
+            for _ in 0..24 {
+                tsc += rng.gen_range(40, 160);
+                if rng.gen_bool(0.125) {
+                    hot = rng.gen_below(ranges.len() as u64) as usize;
+                }
+                let ip = if rng.gen_bool(1.0 / 64.0) {
+                    VirtAddr(2)
+                } else {
+                    let r = &ranges[hot];
+                    VirtAddr(r.start.as_u64() + rng.gen_below(r.size()))
+                };
+                bundle.samples.push(sample(tsc, ip, item.0 + 1));
+            }
+            tsc += rng.gen_range(20, 120);
+            bundle.marks.push(mark(tsc, MarkKind::End));
+            if i % 16 == 5 {
+                tsc += rng.gen_range(10, 40);
+                bundle.samples.push(sample(tsc, ranges[hot].start, NO_TAG));
+            }
+        }
+    }
+    bundle.sort();
+    let soa = integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
+    EstimateTable::from_soa(&soa)
+}
+
+/// `(item, function)` rows of `table`, and how many are estimable.
+fn rows(table: &EstimateTable) -> (u64, u64) {
+    let all = table.items().map(|ie| ie.funcs.len() as u64).sum();
+    let estimable = table
+        .items()
+        .flat_map(|ie| &ie.funcs)
+        .filter(|fe| fe.is_estimable())
+        .count() as u64;
+    (all, estimable)
+}
+
+/// `analyze_wide`'s read: 300 by-function queries over its 384
+/// functions, the first of which builds the table's index. Returns
+/// the build's `(allocations, bytes per estimable row)` and the
+/// `(allocations, bytes)` per query of the 300 queries after it.
+fn series_query(table: &EstimateTable) -> ((f64, f64), (f64, f64)) {
+    const QUERIES: u32 = 300;
+    let (all, estimable) = rows(table);
+    println!(
+        "series table: {} items, {all} rows, {estimable} estimable",
+        table.len()
+    );
+    let (first, build_allocs, build_bytes) = counted(|| table.series_for_func(FuncId(0)).len());
+    assert!(first > 0, "function 0 has estimable rows");
+    let (mut allocs, mut bytes) = (0, 0);
+    for q in 0..QUERIES {
+        let func = FuncId(q % 384);
+        let (series, a, b) = counted(|| table.series_for_func(func));
+        assert!(series
+            .iter()
+            .all(|&(item, _)| table.get(item, func).is_some()));
+        allocs += a;
+        bytes += b;
+    }
+    let per_query = f64::from(QUERIES);
+    (
+        (build_allocs as f64, build_bytes as f64 / estimable as f64),
+        (allocs as f64 / per_query, bytes as f64 / per_query),
+    )
+}
+
+/// `serde_json::to_string` of the whole table, per `(item, function)`
+/// row.
+fn table_json(table: &EstimateTable) -> (f64, f64) {
+    let (all, _) = rows(table);
+    let (json, allocs, bytes) = counted(|| serde_json::to_string(table));
+    assert!(json.is_ok_and(|j| !j.is_empty()));
+    (allocs as f64 / all as f64, bytes as f64 / all as f64)
+}
+
 #[test]
 fn cost_budgets_hold() {
     let mut failures = Vec::new();
@@ -199,6 +321,7 @@ fn cost_budgets_hold() {
                 case: "window ingest/folded",
                 unit: "item",
                 allocs: 1.002,
+                byte_unit: "sample",
                 bytes: 35.803,
             },
         ),
@@ -208,6 +331,7 @@ fn cost_budgets_hold() {
                 case: "window ingest/exact",
                 unit: "item",
                 allocs: 1.897,
+                byte_unit: "sample",
                 bytes: 48.231,
             },
         ),
@@ -215,5 +339,32 @@ fn cost_budgets_hold() {
         let (allocs, bytes) = window_ingest(mode);
         budget.check(allocs, bytes, &mut failures);
     }
+    let table = wide_table();
+    let ((build_allocs, build_bytes), (query_allocs, query_bytes)) = series_query(&table);
+    Budget {
+        case: "series index build",
+        unit: "build",
+        allocs: 4.0,
+        byte_unit: "estimable row",
+        bytes: 44.507,
+    }
+    .check(build_allocs, build_bytes, &mut failures);
+    Budget {
+        case: "series query",
+        unit: "query",
+        allocs: 0.0,
+        byte_unit: "query",
+        bytes: 0.0,
+    }
+    .check(query_allocs, query_bytes, &mut failures);
+    let (json_allocs, json_bytes) = table_json(&table);
+    Budget {
+        case: "table JSON",
+        unit: "row",
+        allocs: 6.822,
+        byte_unit: "row",
+        bytes: 581.979,
+    }
+    .check(json_allocs, json_bytes, &mut failures);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
