@@ -138,8 +138,8 @@ pub fn obs_probe() {
 
     // The lock-free ring, single-threaded so stall counts are exact:
     // the 9th push stalls on the full ring, the final pop observes it
-    // empty. The stall run and the empty pop each open a typed wait
-    // edge that the handle Drop closes, so `rt.wait.*` is nonzero.
+    // empty. The stall run and the empty pop each open a wait run
+    // that the handle Drop closes and counts, so `rt.wait.*` is nonzero.
     let (mut tx, mut rx) = fluctrace_rt::spsc_ring::<u64>(8);
     for i in 0..9 {
         let _ = tx.push(i);

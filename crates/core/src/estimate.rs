@@ -18,14 +18,15 @@
 //! tallies the `core.estimate.*` obs volumes and builds the final map.
 //! The front ends differ only in how they reach it:
 //!
-//! * interval-mode [`EstimateTable::from_soa`] folds each item in one
-//!   pass over its runs in the `(item, start)`-sorted run index: each
-//!   span's per-function `(first, last, count)` goes straight into the
-//!   item's `(func, samples, cycles)` accumulator, so no span list, sort
-//!   or tree is built;
-//! * the AoS scan and register-mode `from_soa` see samples in time
-//!   order: they collect a flat span list, and `assemble_table` sorts it
-//!   by `(item, func)` and feeds each item's group to the same builder;
+//! * [`EstimateTable::from_soa`], in either mapping mode, folds each
+//!   item in one pass over its runs in the `(item, start)`-sorted run
+//!   index: each span's per-function `(first, last, count)` goes
+//!   straight into the item's `(func, samples, cycles)` accumulator, so
+//!   no span list, sort or tree is built;
+//! * the AoS scan [`EstimateTable::from_integrated`] sees samples in
+//!   time order: it collects a flat span list, and `assemble_table`
+//!   sorts it by `(item, func)` and feeds each item's group to the same
+//!   builder;
 //! * [`crate::window`] already holds each completed item folded in the
 //!   cycle domain — its marked cycles, its unresolvable-sample count and
 //!   its per-function `(func, samples, cycles)` — and hands those rows,
@@ -51,7 +52,7 @@
 
 use crate::integrate::{IntegratedTrace, MappingMode};
 use crate::interval::ItemInterval;
-use crate::soa::{SoaTrace, NO_FUNC, NO_ITEM, NO_SPAN};
+use crate::soa::{SoaTrace, NO_FUNC, NO_SPAN};
 use fluctrace_cpu::{FuncId, ItemId};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
@@ -308,22 +309,22 @@ impl EstimateTable {
     /// trace — both scans feed the same per-item builder, and the
     /// conformance sweep pins the agreement against the oracle.
     ///
-    /// The scan is the columnar twin of [`Self::from_integrated`].
-    /// In interval mode it is driven by the trace's item-run index
-    /// instead of walking every row: attributed samples come in maximal
-    /// same-item runs, sorted by `(item, start)`, so the scan jumps from
-    /// run to run, touches only the three columns it needs
-    /// (`tsc`/`func`/`span`) and skips unattributed gap samples without
-    /// reading them at all. One item's runs are adjacent in the index,
-    /// so each item is finished in one pass: every span's per-function
+    /// The scan is the columnar twin of [`Self::from_integrated`],
+    /// driven by the trace's item-run index instead of walking every
+    /// row: attributed samples come in maximal same-item runs, sorted by
+    /// `(item, start)`, so the scan jumps from run to run, touches only
+    /// the three columns it needs (`tsc`, `func` and the span key) and
+    /// skips unattributed gap samples without reading them at all. One
+    /// item's runs are adjacent in the index, so each item is finished
+    /// in one pass: every span's per-function
     /// `(first, last, count)` is folded straight into the item's
     /// `(func, samples, cycles)` accumulator, which is sorted by function
     /// and handed, with the item's unresolvable-sample count, to the same
     /// per-item builder `assemble_table` feeds — no flat span list, no
     /// re-sort, no tree. Span sums are commutative, so folding by item
-    /// instead of by time cannot change the table. Register mode keeps
-    /// the row walk (run splitting needs the `core` column) and the
-    /// `assemble_table` path.
+    /// instead of by time cannot change the table. Register mode walks
+    /// the same index; its spans split where the `core` column changes
+    /// within a run.
     pub fn from_soa(soa: &SoaTrace) -> Self {
         if let Some(aos) = &soa.aos_fallback {
             // Reserved-id trace: the columns are ambiguous, the boxed
@@ -331,10 +332,7 @@ impl EstimateTable {
             return Self::from_integrated(aos);
         }
         obs::span!("estimate.run", soa.cols.len());
-        match soa.mode {
-            MappingMode::Intervals => fold_item_runs(soa),
-            MappingMode::RegisterTag => scan_register_runs(soa),
-        }
+        fold_item_runs(soa)
     }
 
     /// The previous `BTreeMap`-per-sample implementation, kept as an
@@ -519,56 +517,24 @@ fn fold_sample(scratch: &mut Vec<(u32, u64, u64, u32)>, func: u32, tsc: u64) {
     }
 }
 
-/// Register-mode [`EstimateTable::from_soa`]: the row walk (a run ends
-/// where the `(core, item)` pair changes, so every row is read) into a
-/// time-ordered flat span list for [`assemble_table`].
-fn scan_register_runs(soa: &SoaTrace) -> EstimateTable {
-    let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
-    let mut scratch: Vec<(u32, u64, u64, u32)> = Vec::new();
-    let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
-    let mut run_id = 0u64;
-    let mut last: Option<(u32, u64)> = None;
-    let mut cur_span: Option<(u64, u64)> = None;
-    let rows = soa
-        .cols
-        .core
-        .iter()
-        .zip(&soa.cols.tsc)
-        .zip(&soa.cols.item)
-        .zip(&soa.cols.func);
-    for (((&core, &tsc), &item), &func) in rows {
-        // Track runs for *all* samples: a gap of unattributed samples
-        // still splits a run.
-        let cur = (core, item);
-        if last != Some(cur) {
-            run_id += 1;
-            last = Some(cur);
-        }
-        if item == NO_ITEM {
-            continue;
-        }
-        if func == NO_FUNC {
-            *unknown.entry(ItemId(item)).or_insert(0) += 1;
-            continue;
-        }
-        if cur_span != Some((item, run_id)) {
-            flush_span(&mut scratch, cur_span, &mut flat);
-            cur_span = Some((item, run_id));
-        }
-        fold_sample(&mut scratch, func, tsc);
-    }
-    flush_span(&mut scratch, cur_span, &mut flat);
-    assemble_table(flat, unknown, 0, &soa.intervals, soa.freq)
-}
-
-/// Interval-mode [`EstimateTable::from_soa`]: one pass per item over its
-/// runs in the `(item, start)`-sorted run index. Each finished span's
-/// per-function `(first, last, count)` goes straight into the item's
-/// `(func, samples, cycles)` accumulator; when the item's last run is
-/// done the accumulator is sorted by function and the item is handed to
-/// the [`TableBuilder`]. Both scratch vectors are reused across items.
+/// [`EstimateTable::from_soa`]: one pass per item over its runs in the
+/// `(item, start)`-sorted run index. Within a run, a span is a stretch
+/// of one key: the `span` column (the interval index) in interval mode,
+/// the `core` column in register mode, so a register-mode span is one
+/// core's stretch of an item run — the AoS scan's `(core, item)` run.
+/// Each finished span's per-function `(first, last, count)` goes
+/// straight into the item's `(func, samples, cycles)` accumulator; when
+/// the item's last run is done the accumulator is sorted by function
+/// and the item is handed to the [`TableBuilder`]. Both scratch vectors
+/// are reused across items.
 fn fold_item_runs(soa: &SoaTrace) -> EstimateTable {
     let freq = soa.freq;
+    let intervals = soa.mode == MappingMode::Intervals;
+    let keys = if intervals {
+        &soa.cols.span
+    } else {
+        &soa.cols.core
+    };
     let mut builder = TableBuilder::new(&soa.intervals, freq);
     // The open span's (func, first, last, count) and the open item's
     // (func, samples, cycles).
@@ -582,29 +548,29 @@ fn fold_item_runs(soa: &SoaTrace) -> EstimateTable {
         let mut unknown = 0u32;
         for &(_, start, end) in runs {
             let (lo, hi) = (start as usize, end as usize);
-            let (Some(tscs), Some(funcs), Some(spans)) = (
+            let (Some(tscs), Some(funcs), Some(run_keys)) = (
                 soa.cols.tsc.get(lo..hi),
                 soa.cols.func.get(lo..hi),
-                soa.cols.span.get(lo..hi),
+                keys.get(lo..hi),
             ) else {
                 continue;
             };
-            // NO_SPAN doubles as "no open span": sentinel-valued samples
-            // are skipped before the comparison, so a real span index
-            // can never collide with it.
+            // The span accumulator is empty when a run starts, so a first
+            // key equal to this initial value (a core numbered
+            // `u32::MAX`) merely skips a no-op fold.
             let mut cur = NO_SPAN;
-            for ((&tsc, &func), &span_idx) in tscs.iter().zip(funcs).zip(spans) {
+            for ((&tsc, &func), &key) in tscs.iter().zip(funcs).zip(run_keys) {
                 if func == NO_FUNC {
                     unknown += 1;
                     continue;
                 }
-                if span_idx == NO_SPAN {
+                if key == NO_SPAN && intervals {
                     samples_missing_span += 1;
                     continue;
                 }
-                if span_idx != cur {
+                if key != cur {
                     fold_span(&mut span_acc, &mut item_acc, &mut builder);
-                    cur = span_idx;
+                    cur = key;
                 }
                 fold_sample(&mut span_acc, func, tsc);
             }
@@ -653,8 +619,8 @@ fn fold_span(
 /// no attributable samples (merge join against the exact marked totals),
 /// attaches each item's marked total and unresolvable-sample count,
 /// tallies the deterministic `core.estimate.*` obs volumes and builds
-/// the final map. Because every front end ends here, the AoS scan, both
-/// SoA scans and the windowed integrator produce the same table whenever
+/// the final map. Because every front end ends here, the AoS scan, the
+/// SoA fold and the windowed integrator produce the same table whenever
 /// they fold the same spans.
 struct TableBuilder {
     freq: Freq,
@@ -779,8 +745,8 @@ impl TableBuilder {
     }
 }
 
-/// The flat-span-list front of [`TableBuilder`], for the scans that see
-/// samples in time order (the AoS scan, the register-mode SoA scan):
+/// The flat-span-list front of [`TableBuilder`], for the AoS scan, which
+/// sees samples in time order:
 /// sort the span list by `(item, func)`, fold each item's group into
 /// per-function estimates and feed the builder, merge-joining the
 /// unresolvable-sample counts on the way. Counts for items absent from

@@ -125,9 +125,6 @@ pub struct AdaptiveR {
     factor: f64,
     episodes: u64,
     peak_factor: f64,
-    /// Observation count; the logical timestamp of degraded-mode wait
-    /// edges (the policy has no core clock).
-    observations: u64,
 }
 
 /// Render a factor in milli-units (1750 = 1.75x), the fixed-point form
@@ -145,7 +142,6 @@ impl AdaptiveR {
             factor: 1.0,
             episodes: 0,
             peak_factor: 1.0,
-            observations: 0,
         }
     }
 
@@ -157,7 +153,6 @@ impl AdaptiveR {
         if !self.config.enabled {
             return 1;
         }
-        self.observations += 1;
         let max = f64::from(self.config.max_factor.max(1));
         if occupancy >= self.config.high_water {
             if self.factor <= 1.0 && max > 1.0 {
@@ -174,17 +169,10 @@ impl AdaptiveR {
         let milli = factor_milli(self.factor);
         obs::gauge!("core.online.degrade_factor_peak_milli").record(milli);
         if self.factor > 1.0 {
-            // Degraded-worker wait edge: while the factor is above 1x
-            // the worker is effectively waiting on its own shed
-            // capacity. Logical clock = observation index; `cycles`
-            // carries the excess milli-factor.
-            fluctrace_rt::record_global(fluctrace_rt::WaitEdge {
-                core: 0,
-                tsc: self.observations,
-                cycles: milli.saturating_sub(1000),
-                cause: fluctrace_rt::WaitCause::Degraded,
-                peer: 0,
-            });
+            // Degraded-worker wait: while the factor is above 1x the
+            // worker is effectively waiting on its own shed capacity.
+            // The counted length is the excess milli-factor.
+            fluctrace_rt::wait::count_offered(milli.saturating_sub(1000));
         }
         self.factor.round().max(1.0) as u32
     }
@@ -669,21 +657,10 @@ struct Worker {
 
 impl Worker {
     fn run(mut self, rx: Receiver<TraceBundle>) -> OnlineReport {
-        let mut batch_seq = 0u64;
         while let Ok(batch) = rx.recv() {
             if let Some(inspect) = self.inspector.as_mut() {
-                // Gated-worker wait edge: the inspector may park the
-                // worker arbitrarily long (tests gate it on a channel).
-                // The RAII guard records the edge even when the
-                // inspector panics and the worker unwinds — the wait
-                // graph never holds a dangling open edge for a dead
-                // worker. Logical clock = batch sequence number.
-                let gate =
-                    fluctrace_rt::begin_global(0, batch_seq, fluctrace_rt::WaitCause::Gated, 0);
                 inspect(&batch);
-                gate.close(batch_seq);
             }
-            batch_seq += 1;
             self.spill_append(&batch);
             self.process(batch);
         }
@@ -1478,31 +1455,6 @@ mod tests {
             stats.final_factor_milli, 1750,
             "fractional factor must not truncate"
         );
-    }
-
-    #[test]
-    fn gated_worker_panic_closes_its_wait_edge() {
-        // S4: the worker parks in the gated-inspector wait; the
-        // inspector panics; the RAII guard must close the edge during
-        // unwind so the wait graph holds no dangling edge.
-        let (symtab, f) = symtab();
-        let before = fluctrace_rt::wait::global_edges()
-            .iter()
-            .filter(|e| e.cause == fluctrace_rt::WaitCause::Gated)
-            .count();
-        let tracer = OnlineTracer::spawn_with_inspector(Arc::clone(&symtab), config(), |_batch| {
-            panic!("die mid-gate");
-        });
-        let _ = tracer.submit(item_batch(&symtab, f, 0, 0, 3_000));
-        assert!(matches!(
-            tracer.finish(),
-            Err(OnlineError::WorkerPanicked(_))
-        ));
-        let after = fluctrace_rt::wait::global_edges()
-            .iter()
-            .filter(|e| e.cause == fluctrace_rt::WaitCause::Gated)
-            .count();
-        assert!(after > before, "panicked gate left no closed wait edge");
     }
 
     #[test]

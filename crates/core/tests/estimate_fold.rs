@@ -1,6 +1,6 @@
-//! The interval-mode SoA estimator's per-item fold on the edge cases of
-//! its run index, against the AoS scan and the `BTreeMap` reference —
-//! table and self-observability volumes alike.
+//! The SoA estimator's per-item fold on the edge cases of its run index,
+//! in both mapping modes, against the AoS scan and the `BTreeMap`
+//! reference — table and self-observability volumes alike.
 //!
 //! One test in its own binary: the obs registry is process-wide, so the
 //! `core.estimate.*` deltas measured here must not pick up another
@@ -8,8 +8,8 @@
 
 use fluctrace_core::{integrate, EstimateTable, MappingMode, SoaTrace};
 use fluctrace_cpu::{
-    CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder, TraceBundle,
-    VirtAddr, NO_TAG,
+    encode_tag, CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
+    TraceBundle, VirtAddr, NO_TAG,
 };
 use fluctrace_obs::Snapshot;
 use fluctrace_sim::Freq;
@@ -24,11 +24,15 @@ fn mark(core: u32, tsc: u64, item: u64, kind: MarkKind) -> MarkRecord {
 }
 
 fn sample(core: u32, tsc: u64, ip: VirtAddr) -> PebsRecord {
+    tagged(core, tsc, ip, NO_TAG)
+}
+
+fn tagged(core: u32, tsc: u64, ip: VirtAddr, r13: u64) -> PebsRecord {
     PebsRecord {
         core: CoreId(core),
         tsc,
         ip,
-        r13: NO_TAG,
+        r13,
         event: HwEvent::UopsRetired,
     }
 }
@@ -158,5 +162,41 @@ fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
             .and_then(|ie| ie.func(f))
             .map(|fe| fe.samples),
         Some(2)
+    );
+
+    // Register mode: item 5's tag on the last rows of core 0 and the
+    // first rows of core 1 is one index run (the rows are adjacent) but
+    // two spans, and an unresolvable sample inside it counts without
+    // splitting it. One span across the boundary would read 900 - 50
+    // cycles instead of 700 + 400.
+    let t5 = encode_tag(ItemId(5));
+    let mut bundle = TraceBundle::default();
+    bundle.samples.extend([
+        tagged(0, 100, fi, NO_TAG),
+        tagged(0, 200, fi, t5),
+        tagged(0, 300, bad, t5),
+        tagged(0, 900, fi, t5),
+        tagged(1, 50, fi, t5),
+        tagged(1, 450, fi, t5),
+    ]);
+    bundle.sort();
+    let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::RegisterTag);
+    let soa = SoaTrace::from_integrated(&it);
+    let reference = EstimateTable::from_integrated_reference(&it);
+    let (aos, aos_volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
+    let (columnar, soa_volumes) = estimate_volumes(|| EstimateTable::from_soa(&soa));
+    assert_eq!(aos, reference);
+    assert_eq!(columnar, reference);
+    assert_eq!(soa_volumes, aos_volumes, "register-mode volumes differ");
+    assert!(
+        soa_volumes.contains("\"core.estimate.spans\": 2"),
+        "{soa_volumes}"
+    );
+    let five = columnar.item(ItemId(5));
+    assert!(five.is_some_and(|ie| ie.unknown_func_samples == 1));
+    assert_eq!(
+        five.and_then(|ie| ie.func(f))
+            .map(|fe| (fe.samples, fe.elapsed)),
+        Some((4, Freq::ghz(3).cycles_to_dur(700 + 400)))
     );
 }

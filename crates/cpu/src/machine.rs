@@ -179,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn per_core_rng_streams_differ() {
+    fn core_rng_streams_differ() {
         // Two cores sampling the same workload must not produce identical
         // IP jitter sequences.
         let core_cfg = CoreConfig::bare().with_pebs(PebsConfig::new(100));

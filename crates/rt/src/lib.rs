@@ -28,11 +28,13 @@
 //! `Condvar` queue). The benchmark's hand-off leg times the two against
 //! each other.
 //!
-//! For *why a core waited* (not just where time went), every blocking
-//! structure records typed wait/wakeup edges ([`wait`]) and the
-//! bounded-ring executor ([`bounded`]) produces an exact, deterministic
-//! wait decomposition that `core::depgraph` walks to the root-cause
-//! stage of a tail-latency anomaly (see DIAGNOSIS.md).
+//! For *why a core waited* (not just where time went), the bounded-ring
+//! executor ([`bounded`]) records typed wait/wakeup edges ([`wait`])
+//! into its own log: an exact, deterministic wait decomposition that
+//! `core::depgraph` walks to the root-cause stage of a tail-latency
+//! anomaly (see DIAGNOSIS.md). The other blocking structures — the
+//! [`spsc`] ring's stall runs and a [`stage`]'s poll gaps — keep no
+//! edges; they only count their waits in the `rt.wait.*` metrics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -51,4 +53,4 @@ pub use spsc::{spsc_ring, RingConsumer, RingProducer};
 pub use stage::{run_stage, spin_until, StageOpts};
 pub use timed::Timed;
 pub use ult::{UltJob, UltScheduler, UltSchedulerConfig};
-pub use wait::{begin_global, record_global, OpenWait, WaitCause, WaitEdge, WaitLog};
+pub use wait::{WaitCause, WaitEdge, WaitLog};

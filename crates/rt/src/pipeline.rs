@@ -60,18 +60,9 @@ impl Pipeline {
         fluctrace_obs::counter!("rt.pipeline.runs").inc();
         fluctrace_obs::counter!("rt.pipeline.stages").add(stages.len() as u64);
         let mut items = input;
-        let mut upstream: Option<u32> = None;
         for mut stage in stages {
             let mut core = machine.take_core(stage.core);
-            // Stamp the upstream core as this stage's wait peer (unless
-            // the caller already labelled one) so ring-empty poll edges
-            // name the core the worker actually depends on.
-            let mut opts = stage.opts;
-            if opts.wait_peer.is_none() {
-                opts.wait_peer = upstream;
-            }
-            items = run_stage(&mut core, items, opts, &mut stage.process);
-            upstream = Some(core.id().0);
+            items = run_stage(&mut core, items, stage.opts, &mut stage.process);
             machine.return_core(core);
         }
         PipelineReport { outputs: items }

@@ -15,7 +15,7 @@
 //! (Bos, 2023). Head/tail are padded to separate cache lines to avoid
 //! false sharing between the two threads.
 
-use crate::wait::{self, WaitCause, WaitEdge};
+use crate::wait;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,20 +40,17 @@ struct Ring<T> {
 unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
-/// Wait-edge bookkeeping for one ring handle.
+/// Wait bookkeeping for one ring handle.
 ///
-/// The ring is real-threaded and has no sim clock, so edges use a
-/// *logical* clock: the handle's operation-attempt counter. A stall
-/// run (consecutive failed attempts) opens one edge at the first
-/// failure and closes it on the next success — or on handle drop, so
-/// a producer/consumer that dies (or panics) mid-stall never leaves a
-/// dangling open edge in the graph.
+/// The ring is real-threaded and has no sim clock, so waits are
+/// measured on a *logical* clock: the handle's operation-attempt
+/// counter. A stall run (consecutive failed attempts) opens at the
+/// first failure and closes on the next success — or on handle drop,
+/// so a producer/consumer that dies (or panics) mid-stall still offers
+/// its run. A closed run is only counted ([`wait::count_offered`]);
+/// no edge is stored.
 #[derive(Debug)]
 struct WaitSite {
-    /// Core label stamped on this handle's edges.
-    core: u32,
-    /// Peer core the handle depends on (the other half of the ring).
-    peer: u32,
     /// Logical clock: total push/pop attempts on this handle.
     attempts: u64,
     /// Attempt index at which the current stall run began.
@@ -63,8 +60,6 @@ struct WaitSite {
 impl WaitSite {
     fn new() -> Self {
         WaitSite {
-            core: 0,
-            peer: 0,
             attempts: 0,
             stalled_since: None,
         }
@@ -72,30 +67,25 @@ impl WaitSite {
 
     /// A failed attempt: open a stall run if none is open.
     fn stall(&mut self) {
-        let now = self.attempts;
+        self.stalled_since.get_or_insert(self.attempts);
         self.attempts += 1;
-        if self.stalled_since.is_none() {
-            self.stalled_since = Some(now);
-        }
     }
 
-    /// A successful attempt: close any open stall run as `cause`.
-    fn progress(&mut self, cause: WaitCause) {
-        let now = self.attempts;
+    /// A successful attempt: close any open stall run, returning the
+    /// length it offered.
+    fn progress(&mut self) -> Option<u64> {
+        let offered = self.close();
         self.attempts += 1;
-        self.close(cause, now);
+        offered
     }
 
-    fn close(&mut self, cause: WaitCause, now: u64) {
-        if let Some(begin) = self.stalled_since.take() {
-            wait::record_global(WaitEdge {
-                core: self.core,
-                tsc: begin,
-                cycles: now.saturating_sub(begin),
-                cause,
-                peer: self.peer,
-            });
-        }
+    /// Close the open stall run, if any, and return the length it
+    /// offered to the `rt.wait.*` metrics.
+    fn close(&mut self) -> Option<u64> {
+        let begin = self.stalled_since.take()?;
+        let cycles = self.attempts.saturating_sub(begin);
+        wait::count_offered(cycles);
+        Some(cycles)
     }
 }
 
@@ -104,7 +94,7 @@ pub struct RingProducer<T> {
     ring: Arc<Ring<T>>,
     /// Cached head to avoid an atomic load on every push.
     cached_head: usize,
-    /// Wait-edge bookkeeping (ring-full stalls).
+    /// Wait bookkeeping (ring-full stalls).
     site: WaitSite,
 }
 
@@ -113,7 +103,7 @@ pub struct RingConsumer<T> {
     ring: Arc<Ring<T>>,
     /// Cached tail to avoid an atomic load on every pop.
     cached_tail: usize,
-    /// Wait-edge bookkeeping (ring-empty polls).
+    /// Wait bookkeeping (ring-empty polls).
     site: WaitSite,
 }
 
@@ -160,7 +150,7 @@ impl<T> RingProducer<T> {
             }
         }
         fluctrace_obs::counter!("rt.spsc.pushes").inc();
-        self.site.progress(WaitCause::RingFull);
+        self.site.progress();
         // Depth as visible to the producer (cached head): no extra
         // atomic traffic on the hot path, exact in single-producer use.
         fluctrace_obs::gauge!("rt.spsc.depth_peak").record((tail + 1 - self.cached_head) as u64);
@@ -211,14 +201,6 @@ impl<T> RingProducer<T> {
         occupancy_of(self.len(), self.ring.capacity)
     }
 
-    /// Label this handle's wait edges with the waiting core and the
-    /// peer core on the other side of the ring. Without a site label
-    /// edges carry core 0 / peer 0.
-    pub fn set_wait_site(&mut self, core: u32, peer: u32) {
-        self.site.core = core;
-        self.site.peer = peer;
-    }
-
     /// True when the consumer half has been dropped.
     pub fn is_disconnected(&self) -> bool {
         Arc::strong_count(&self.ring) == 1
@@ -227,11 +209,9 @@ impl<T> RingProducer<T> {
 
 impl<T> Drop for RingProducer<T> {
     fn drop(&mut self) {
-        // Close any open ring-full stall so the wait graph never holds
-        // a dangling edge — including when the producer thread panics
-        // mid-stall and drops the handle during unwind.
-        let now = self.site.attempts;
-        self.site.close(WaitCause::RingFull, now);
+        // Offer any open ring-full stall — including when the producer
+        // thread panics mid-stall and drops the handle during unwind.
+        self.site.close();
     }
 }
 
@@ -258,7 +238,7 @@ impl<T> RingConsumer<T> {
             }
         }
         fluctrace_obs::counter!("rt.spsc.pops").inc();
-        self.site.progress(WaitCause::RingEmpty);
+        self.site.progress();
         let slot = &ring.buf[head % ring.capacity]; // lint:allow(panic-safety-transitive): index is `x % capacity` and `buf.len() == capacity`, proven in bounds
                                                     // SAFETY: head < tail (checked above), so the producer published
                                                     // this slot with a Release store and will not touch it again
@@ -301,14 +281,6 @@ impl<T> RingConsumer<T> {
         occupancy_of(self.len(), self.ring.capacity)
     }
 
-    /// Label this handle's wait edges with the waiting core and the
-    /// peer core on the other side of the ring. Without a site label
-    /// edges carry core 0 / peer 0.
-    pub fn set_wait_site(&mut self, core: u32, peer: u32) {
-        self.site.core = core;
-        self.site.peer = peer;
-    }
-
     /// True when the producer half has been dropped.
     pub fn is_disconnected(&self) -> bool {
         Arc::strong_count(&self.ring) == 1
@@ -317,10 +289,8 @@ impl<T> RingConsumer<T> {
 
 impl<T> Drop for RingConsumer<T> {
     fn drop(&mut self) {
-        // Mirror of the producer's drop: close any open ring-empty
-        // poll so no dangling edge survives the handle.
-        let now = self.site.attempts;
-        self.site.close(WaitCause::RingEmpty, now);
+        // Mirror of the producer's drop: offer any open ring-empty poll.
+        self.site.close();
     }
 }
 
@@ -404,48 +374,41 @@ mod tests {
     }
 
     #[test]
-    fn stall_runs_record_wait_edges() {
-        // A full-ring stall run (2 failed pushes) closes into one
-        // ring-full edge on the next success; an empty-ring poll run
-        // closes into one ring-empty edge. Sentinel cores keep this
-        // immune to other tests sharing the global log.
+    fn a_stall_run_offers_its_length_at_the_next_success() {
+        let mut site = WaitSite::new();
+        assert_eq!(site.progress(), None, "no stall, nothing offered");
+        for _ in 0..3 {
+            site.stall();
+        }
+        assert_eq!(
+            site.progress(),
+            Some(3),
+            "k failed attempts offer one length k"
+        );
+        assert_eq!(site.progress(), None, "the run is offered once");
+        // The ring drives its site: two failed pushes open a run at
+        // attempt 1, and the success that follows closes it.
         let (mut tx, mut rx) = spsc_ring(1);
-        tx.set_wait_site(9101, 9102);
-        rx.set_wait_site(9102, 9101);
         tx.push(1u32).unwrap();
         assert!(tx.push(2).is_err());
         assert!(tx.push(2).is_err());
+        assert_eq!(tx.site.stalled_since, Some(1));
         rx.pop().unwrap();
         tx.push(2).unwrap();
-        rx.pop().unwrap();
-        assert!(rx.pop().is_none());
-        assert!(rx.pop().is_none()); // the poll run extends, still one edge
-        tx.push(3).unwrap();
-        rx.pop().unwrap();
-        let edges = crate::wait::global_edges();
-        let full: Vec<_> = edges.iter().filter(|e| e.core == 9101).collect();
-        assert_eq!(full.len(), 1, "one stall run -> one ring-full edge");
-        assert_eq!(full[0].cause, WaitCause::RingFull);
-        assert_eq!(full[0].peer, 9102);
-        assert_eq!(full[0].cycles, 2, "two failed attempts in the run");
-        let empty: Vec<_> = edges.iter().filter(|e| e.core == 9102).collect();
-        assert_eq!(empty.len(), 1, "one poll run -> one ring-empty edge");
-        assert_eq!(empty[0].cause, WaitCause::RingEmpty);
+        assert_eq!(tx.site.stalled_since, None);
+        assert_eq!(tx.site.attempts, 4);
     }
 
     #[test]
-    fn dropping_a_stalled_producer_closes_its_edge() {
-        // S4: producer dies mid-stall (e.g. its thread panicked) — the
-        // handle's Drop must close the open edge.
+    fn a_dropped_stalled_producer_offers_its_open_run() {
+        // The producer dies mid-stall (e.g. its thread panicked): its
+        // `Drop` closes the site, which offers the run still open.
         let (mut tx, _rx) = spsc_ring(1);
-        tx.set_wait_site(9103, 9104);
         tx.push(1u32).unwrap();
         assert!(tx.push(2).is_err());
-        drop(tx);
-        let edges = crate::wait::global_edges();
-        let mine: Vec<_> = edges.iter().filter(|e| e.core == 9103).collect();
-        assert_eq!(mine.len(), 1, "drop left a dangling open edge");
-        assert_eq!(mine[0].cause, WaitCause::RingFull);
+        assert!(tx.push(2).is_err());
+        assert_eq!(tx.site.close(), Some(2), "what drop offers");
+        assert_eq!(tx.site.close(), None, "a run is offered once");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! those samples correctly fall *outside* any item's mark interval.
 
 use crate::timed::Timed;
-use crate::wait::{self, WaitCause, WaitEdge};
+use crate::wait;
 use fluctrace_cpu::{Core, Exec, FuncId};
 use fluctrace_sim::{SimDuration, SimTime};
 
@@ -23,10 +23,6 @@ pub struct StageOpts {
     pub pop_uops: u64,
     /// µops to push one item to the output ring.
     pub push_uops: u64,
-    /// Upstream core this stage's poll loop waits on; stamped as the
-    /// peer of ring-empty wait edges. `None` means the stage fronts
-    /// the external source and its poll edges are self-edges.
-    pub wait_peer: Option<u32>,
 }
 
 impl StageOpts {
@@ -38,24 +34,16 @@ impl StageOpts {
             poll_ipc_milli: 2000,
             pop_uops: 60,
             push_uops: 60,
-            wait_peer: None,
         }
-    }
-
-    /// Label the upstream core this stage waits on (see
-    /// [`StageOpts::wait_peer`]).
-    pub fn wait_peer(mut self, peer: u32) -> Self {
-        self.wait_peer = Some(peer);
-        self
     }
 }
 
-/// Record the worker's poll gap before `at` as a ring-empty wait edge
-/// on the global log (no-op when the gap is empty or the obs recording
-/// gate is closed). The gap is known *exactly* before spinning —
-/// `spin_until` burns precisely `until - now` — so the edge length is
-/// sim-deterministic.
-fn record_poll_gap(core: &Core, at: SimTime, opts: &StageOpts) {
+/// Count the worker's poll gap before `at` as a ring-empty wait in the
+/// `rt.wait.*` metrics (no-op when the gap is empty or the obs
+/// recording gate is closed). The gap is known *exactly* before
+/// spinning — `spin_until` burns precisely `until - now` — so the
+/// length is sim-deterministic.
+fn count_poll_gap(core: &Core, at: SimTime) {
     if !fluctrace_obs::recording() {
         return;
     }
@@ -64,17 +52,9 @@ fn record_poll_gap(core: &Core, at: SimTime, opts: &StageOpts) {
         return;
     }
     let cycles = core.freq().dur_to_cycles(at.since(now));
-    if cycles == 0 {
-        return;
+    if cycles > 0 {
+        wait::count_offered(cycles);
     }
-    let id = core.id().0;
-    wait::record_global(WaitEdge {
-        core: id,
-        tsc: core.tsc(),
-        cycles,
-        cause: WaitCause::RingEmpty,
-        peer: opts.wait_peer.unwrap_or(id),
-    });
 }
 
 /// Spin in `func` until the core's clock reaches `until`.
@@ -130,7 +110,7 @@ pub fn run_stage<T, U>(
     fluctrace_obs::counter!("rt.stage.runs").inc();
     let mut out = Vec::with_capacity(input.len());
     for Timed { at, value } in input {
-        record_poll_gap(core, at, &opts);
+        count_poll_gap(core, at);
         spin_until(core, at, opts.poll_func, opts.poll_ipc_milli);
         if opts.pop_uops > 0 {
             core.exec(Exec::new(opts.poll_func, opts.pop_uops).ipc_milli(opts.poll_ipc_milli));
@@ -169,7 +149,7 @@ pub fn run_stage_batched<T, U>(
     let mut out = Vec::with_capacity(input.len());
     let mut iter = input.into_iter().peekable();
     while let Some(first) = iter.next() {
-        record_poll_gap(core, first.at, &opts);
+        count_poll_gap(core, first.at);
         spin_until(core, first.at, opts.poll_func, opts.poll_ipc_milli);
         // Burst-pop everything already waiting, up to batch_max.
         let mut burst = vec![first.value];

@@ -8,15 +8,17 @@
 //!
 //! The counter is per thread and switched on only around the calls
 //! being costed, so neither the harness nor any other thread enters it.
-//! Window ingest, the series query and the table's JSON rendering run
-//! on the calling thread, so their counts are the same at every
-//! `FLUCTRACE_THREADS` setting.
+//! Window ingest, the estimator, the series query and the table's JSON
+//! rendering run on the calling thread, and integration is costed with
+//! one thread given explicitly (a pool worker's allocations would miss
+//! the tally), so every count is the same at every `FLUCTRACE_THREADS`
+//! setting.
 //!
 //! Run with `cargo test --test cost_budget -- --nocapture` to print the
 //! measured counts.
 
 use fluctrace_core::{
-    integrate_soa, CumulativeMode, EstimateTable, MappingMode, WindowedIntegrator,
+    integrate_soa_with_threads, CumulativeMode, EstimateTable, MappingMode, WindowedIntegrator,
 };
 use fluctrace_cpu::{
     CoreId, FuncId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
@@ -134,7 +136,7 @@ const STALE: f64 = 0.2;
 impl Budget {
     fn check(&self, allocs: f64, bytes: f64, failures: &mut Vec<String>) {
         println!(
-            "{:<20} {allocs:>8.3} allocations per {} (budget {:.3}), {bytes:>8.3} B per {} (budget {:.3})",
+            "{:<20} {allocs:>9.5} allocations per {} (budget {:.5}), {bytes:>8.3} B per {} (budget {:.3})",
             self.case, self.unit, self.allocs, self.byte_unit, self.bytes
         );
         for (what, got, budget) in [
@@ -202,8 +204,10 @@ fn window_ingest(mode: CumulativeMode) -> (f64, f64) {
 /// size: the benchmark's `wide_trace` generator, restated (4 cores, 384
 /// functions, 24 samples per item, 1-in-8 function hops, 1-in-64
 /// unresolvable samples, a stray sample after every 16th item) at
-/// 5 000 items per core, through `integrate_soa` → `from_soa`.
-fn wide_table() -> EstimateTable {
+/// 5 000 items per core, through `integrate_soa_with_threads` (one
+/// thread) → `from_soa`. Returns the table and the `(allocations, bytes)`
+/// per sample of each of the two stages.
+fn wide_table() -> (EstimateTable, (f64, f64), (f64, f64)) {
     const CORES: u32 = 4;
     const ITEMS_PER_CORE: u64 = 5_000;
     let mut b = SymbolTableBuilder::new();
@@ -257,8 +261,17 @@ fn wide_table() -> EstimateTable {
         }
     }
     bundle.sort();
-    let soa = integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-    EstimateTable::from_soa(&soa)
+    let (soa, soa_allocs, soa_bytes) = counted(|| {
+        integrate_soa_with_threads(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals, 1)
+    });
+    let (table, table_allocs, table_bytes) = counted(|| EstimateTable::from_soa(&soa));
+    let samples = bundle.samples.len() as f64;
+    let per_sample = |allocs: u64, bytes: u64| (allocs as f64 / samples, bytes as f64 / samples);
+    (
+        table,
+        per_sample(soa_allocs, soa_bytes),
+        per_sample(table_allocs, table_bytes),
+    )
 }
 
 /// `(item, function)` rows of `table`, and how many are estimable.
@@ -339,7 +352,23 @@ fn cost_budgets_hold() {
         let (allocs, bytes) = window_ingest(mode);
         budget.check(allocs, bytes, &mut failures);
     }
-    let table = wide_table();
+    let (table, (soa_allocs, soa_bytes), (est_allocs, est_bytes)) = wide_table();
+    Budget {
+        case: "integrate_soa",
+        unit: "sample",
+        allocs: 0.00027,
+        byte_unit: "sample",
+        bytes: 34.004,
+    }
+    .check(soa_allocs, soa_bytes, &mut failures);
+    Budget {
+        case: "from_soa",
+        unit: "sample",
+        allocs: 0.04536,
+        byte_unit: "sample",
+        bytes: 13.235,
+    }
+    .check(est_allocs, est_bytes, &mut failures);
     let ((build_allocs, build_bytes), (query_allocs, query_bytes)) = series_query(&table);
     Budget {
         case: "series index build",
