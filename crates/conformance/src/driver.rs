@@ -4,10 +4,11 @@
 //! [`check_workload`] runs a generated [`Workload`] through
 //!
 //! 1. the sharded offline pipeline (`integrate_with_threads` at 1, 2 and
-//!    4 workers, the `from_integrated_reference` estimator, and the
-//!    columnar fast path — `integrate_soa_with_threads` +
+//!    4 workers with `EstimateTable::from_integrated`, and the columnar
+//!    fast path — `integrate_soa_with_threads` +
 //!    `EstimateTable::from_soa`, with a byte-exact `to_integrated`
-//!    round-trip at one worker),
+//!    round-trip at one worker), in interval mode on the workload and in
+//!    register-tag mode on its [`tagged_twin`],
 //! 2. the online tracer (`OnlineTracer`, blocking submission, adaptive
 //!    degradation off), and
 //! 3. the naive oracles from [`crate::oracle`],
@@ -25,7 +26,8 @@ use fluctrace_core::online::{OnlineConfig, OnlineReport, OnlineTracer};
 use fluctrace_core::{
     integrate_soa_with_threads, integrate_with_threads, EstimateTable, IntervalError, MappingMode,
 };
-use fluctrace_cpu::{PebsRecord, TraceBundle};
+use fluctrace_cpu::{PebsRecord, TraceBundle, NO_TAG};
+use fluctrace_sim::Rng;
 use fluctrace_store::{write_bundle_to_vec, SharedBuf, StoreConfig, TraceReader, TraceWriter};
 use serde::Serialize;
 use std::io::Cursor;
@@ -122,6 +124,17 @@ pub struct DiffSummary {
     /// Store columns whose bytes were compared against the naive
     /// four-way trial encoder across the store legs of this workload.
     pub store_columns: u64,
+    /// Rows of the register-tag oracle table the register leg compared.
+    pub register_rows: u64,
+    /// Samples of the [`tagged_twin`] that resume their core's last
+    /// tag after one or more untagged samples: each splits that item's
+    /// tag runs.
+    pub tag_splits: u64,
+    /// Adjacent samples of the [`tagged_twin`], in canonical order, on
+    /// two cores with one tag: a tag run crossing a core boundary.
+    pub cross_core_runs: u64,
+    /// Tagged samples of the [`tagged_twin`] outside every interval.
+    pub stale_tagged: u64,
 }
 
 /// One divergence between two executions of the same workload.
@@ -531,26 +544,103 @@ fn check_store_spill(w: &Workload, summary: &mut DiffSummary) -> Result<(), Disa
     Ok(())
 }
 
-/// Offline pipeline (all thread counts + reference estimator) vs the
-/// brute-force oracle.
+/// Per-mille of the [`tagged_twin`]'s samples outside every interval
+/// that keep a stale tag.
+const STALE_TAG_PER_MILLE: u64 = 500;
+
+/// The register-tag twin of a workload: its records in canonical order,
+/// each sample's `r13` set from the interval oracle's own attribution —
+/// the tag of its item inside an interval. Outside every interval a
+/// seeded half of the samples keep the last tag set before them in
+/// canonical order (a register nobody cleared: on the sample's own core,
+/// or the previous core's at the head of a stream), the rest carry
+/// `NO_TAG`. So the twin has tag runs split by untagged samples, tag runs
+/// crossing a core boundary and tagged samples outside every interval.
+pub fn tagged_twin(w: &Workload) -> TraceBundle {
+    let mut rng = Rng::new(w.spec.seed ^ 0x7a99_ed70_a11e);
+    let mut stale = NO_TAG;
+    let mut twin = TraceBundle {
+        marks: w.bundle.marks.clone(),
+        samples: Vec::with_capacity(w.bundle.samples.len()),
+    };
+    for (mut s, item) in oracle::interval_items(&w.bundle.marks, &w.bundle.samples) {
+        s.r13 = match item {
+            Some(item) => {
+                stale = item.0 + 1;
+                stale
+            }
+            None if rng.gen_below(1000) < STALE_TAG_PER_MILLE => stale,
+            None => NO_TAG,
+        };
+        twin.samples.push(s);
+    }
+    twin.sort();
+    twin
+}
+
+/// Count the tag shapes the register leg must meet (see the
+/// [`DiffSummary`] fields) in a canonically sorted twin.
+fn count_tag_shapes(twin: &TraceBundle, summary: &mut DiffSummary) {
+    let mut prev: Option<&PebsRecord> = None;
+    // The core and tag of the last tagged sample, and whether an
+    // untagged sample followed it.
+    let mut last_tagged: Option<(u32, u64)> = None;
+    let mut gap = false;
+    for s in &twin.samples {
+        if s.r13 == NO_TAG {
+            gap = true;
+        } else {
+            if gap && last_tagged == Some((s.core.0, s.r13)) {
+                summary.tag_splits += 1;
+            }
+            if prev.is_some_and(|p| p.core != s.core && p.r13 == s.r13) {
+                summary.cross_core_runs += 1;
+            }
+            last_tagged = Some((s.core.0, s.r13));
+            gap = false;
+        }
+        prev = Some(s);
+    }
+}
+
+/// Offline pipeline (all thread counts, both estimators, both mapping
+/// modes) vs the brute-force oracle: interval mode on the workload,
+/// register-tag mode on its [`tagged_twin`].
 fn check_offline(
     w: &Workload,
     oracle_off: &OracleOffline,
     summary: &mut DiffSummary,
 ) -> Result<(), Disagreement> {
-    let seed = w.spec.seed;
     let mut bundle = w.bundle.clone();
     bundle.sort();
+    check_offline_mode(w, &bundle, MappingMode::Intervals, oracle_off, summary)?;
 
+    let twin = tagged_twin(w);
+    let oracle_reg = oracle::register_oracle(&twin.marks, &twin.samples, &w.symtab, w.freq);
+    count_tag_shapes(&twin, summary);
+    summary.register_rows = oracle_reg.items.len() as u64;
+    summary.stale_tagged = oracle_reg.attributed.saturating_sub(oracle_off.attributed);
+    check_offline_mode(w, &twin, MappingMode::RegisterTag, &oracle_reg, summary)
+}
+
+/// One mapping mode of [`check_offline`] on a sorted bundle.
+fn check_offline_mode(
+    w: &Workload,
+    bundle: &TraceBundle,
+    mode: MappingMode,
+    oracle_off: &OracleOffline,
+    summary: &mut DiffSummary,
+) -> Result<(), Disagreement> {
+    let seed = w.spec.seed;
     let golden = CanonicalTable::from_oracle(oracle_off).to_json();
     for threads in [1usize, 2, 4] {
-        let it =
-            integrate_with_threads(&bundle, &w.symtab, w.freq, MappingMode::Intervals, threads);
-        let soa =
-            integrate_soa_with_threads(&bundle, &w.symtab, w.freq, MappingMode::Intervals, threads);
+        let it = integrate_with_threads(bundle, &w.symtab, w.freq, mode, threads);
+        let soa = integrate_soa_with_threads(bundle, &w.symtab, w.freq, mode, threads);
 
         if threads == 1 {
-            summary.intervals = it.intervals.len() as u64;
+            if mode == MappingMode::Intervals {
+                summary.intervals = it.intervals.len() as u64;
+            }
             // Interval sets must agree exactly (count, order, bounds).
             let got: Vec<_> = it
                 .intervals
@@ -569,7 +659,7 @@ fn check_offline(
                 return Err(fail(
                     seed,
                     "offline-intervals",
-                    format!("pipeline {got:?} != oracle {want:?}"),
+                    format!("{mode:?}: pipeline {got:?} != oracle {want:?}"),
                 ));
             }
             let errs = tally_errors(&it.errors);
@@ -577,7 +667,10 @@ fn check_offline(
                 return Err(fail(
                     seed,
                     "offline-errors",
-                    format!("pipeline {errs:?} != oracle {:?}", oracle_off.errors),
+                    format!(
+                        "{mode:?}: pipeline {errs:?} != oracle {:?}",
+                        oracle_off.errors
+                    ),
                 ));
             }
             let attributed = it.samples.iter().filter(|s| s.item.is_some()).count() as u64;
@@ -587,7 +680,7 @@ fn check_offline(
                     seed,
                     "offline-attribution",
                     format!(
-                        "pipeline ({attributed}, {unattributed}) != oracle ({}, {})",
+                        "{mode:?}: pipeline ({attributed}, {unattributed}) != oracle ({}, {})",
                         oracle_off.attributed, oracle_off.unattributed
                     ),
                 ));
@@ -605,7 +698,7 @@ fn check_offline(
                     seed,
                     "soa-roundtrip",
                     format!(
-                        "to_integrated diverges from the AoS trace ({} vs {} bytes)",
+                        "{mode:?}: to_integrated diverges from the AoS trace ({} vs {} bytes)",
                         back.len(),
                         aos.len()
                     ),
@@ -615,10 +708,6 @@ fn check_offline(
 
         for (which, table) in [
             ("estimate", EstimateTable::from_integrated(&it)),
-            (
-                "estimate-reference",
-                EstimateTable::from_integrated_reference(&it),
-            ),
             ("estimate-soa", EstimateTable::from_soa(&soa)),
         ] {
             if table.samples_missing_span != 0 {
@@ -626,7 +715,7 @@ fn check_offline(
                     seed,
                     "offline-missing-span",
                     format!(
-                        "{which}@{threads}t: {} samples missing a span id",
+                        "{which}@{threads}t {mode:?}: {} samples missing a span id",
                         table.samples_missing_span
                     ),
                 ));
@@ -636,7 +725,9 @@ fn check_offline(
                 return Err(fail(
                     seed,
                     "offline-table",
-                    format!("{which}@{threads}t:\n  pipeline: {json}\n  oracle:   {golden}"),
+                    format!(
+                        "{which}@{threads}t {mode:?}:\n  pipeline: {json}\n  oracle:   {golden}"
+                    ),
                 ));
             }
         }

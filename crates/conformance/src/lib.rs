@@ -7,8 +7,10 @@
 //! crate pins those invariants with five independent pieces:
 //!
 //! * [`oracle`] — a deliberately naive, obviously-correct reference:
-//!   an `O(items × samples)` brute-force attribution plus a dumb
-//!   per-core replay of the online tracer's documented semantics. Zero
+//!   an `O(items × samples)` brute-force attribution (and a tag-run
+//!   reading for register-tag mode) plus a dumb per-core replay of the
+//!   online tracer's documented semantics — the workspace's one
+//!   reference estimator. Zero
 //!   cleverness by design; panic-free and lint-clean like the hot path
 //!   it judges.
 //! * [`gen`] — a seeded workload generator producing randomized
@@ -22,7 +24,8 @@
 //!   `BTreeMap`-of-populations, sort-twice body, kept as the reference
 //!   `core::fluct::detect` must match byte for byte.
 //! * [`driver`] — runs each workload through the sharded offline
-//!   pipeline (`core::integrate`/`estimate`), the online tracer
+//!   pipeline (`core::integrate`/`estimate`, in interval mode and in
+//!   register-tag mode on a tagged twin), the online tracer
 //!   (`core::online`), and the oracle, and asserts byte-level agreement
 //!   of estimates and exact agreement of loss accounting.
 //!

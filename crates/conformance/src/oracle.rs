@@ -1,9 +1,10 @@
 //! The naive reference implementations ("oracles").
 //!
 //! Everything here favours obviousness over speed: attribution is a
-//! brute-force scan over all intervals per sample, estimates are built
-//! with one `BTreeMap` insert per observation, and the online replay is
-//! a literal transcription of the documented per-core state machine.
+//! brute-force scan over all intervals per sample (or, in register-tag
+//! mode, a reading of each sample's tag), estimates are built with one
+//! `BTreeMap` insert per observation, and the online replay is a
+//! literal transcription of the documented per-core state machine.
 //! The oracles share **no code** with `fluctrace-core` beyond the plain
 //! data types (`MarkRecord`, `PebsRecord`, `SymbolTable`, `Freq`), so a
 //! bug in the real pipeline's sharding, merge cursors, span folding or
@@ -20,7 +21,9 @@
 //! order with plain stable sorts and a two-cursor walk, then apply the
 //! dumbest data structures that can express the semantics.
 
-use fluctrace_cpu::{CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable};
+use fluctrace_cpu::{
+    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, NO_TAG,
+};
 use fluctrace_sim::Freq;
 use std::collections::BTreeMap;
 
@@ -148,47 +151,130 @@ fn locate(intervals: &[OracleInterval], s: &PebsRecord) -> Option<usize> {
     found
 }
 
-/// Run the brute-force offline oracle: pair marks, attribute every
-/// sample by linear scan, and fold `(item, func)` estimates exactly as
-/// the paper specifies — per occupancy span, first→last timestamp
-/// difference, summed in cycles, converted to time once.
+/// Run the brute-force offline oracle in interval mode: pair marks,
+/// attribute every sample by linear scan, and fold `(item, func)`
+/// estimates exactly as the paper specifies — per occupancy span,
+/// first→last timestamp difference, summed in cycles, converted to time
+/// once. A sample's span is the interval it lies in, so preempted or
+/// duplicate items never bridge timestamps across intervals.
 pub fn offline_oracle(
     marks: &[MarkRecord],
     samples: &[PebsRecord],
     symtab: &SymbolTable,
     freq: Freq,
 ) -> OracleOffline {
+    let (intervals, errors, samples) = pair_and_sort(marks, samples);
+    let owners = interval_owners(&intervals, &samples);
+    fold_offline(&samples, &owners, intervals, errors, symtab, freq)
+}
+
+/// Run the offline oracle in register-tag mode (§V.A). A sample's item
+/// is `r13 − 1` when `r13 ≠ NO_TAG`; its span is its tag run, a maximal
+/// stretch of consecutive samples in canonical order with one `(core,
+/// tag)` — so a run ends where the core changes, the tag changes or an
+/// untagged sample sits in between. Marks still give the marked totals,
+/// the interval-only items and the error tallies, paired exactly as in
+/// [`offline_oracle`].
+pub fn register_oracle(
+    marks: &[MarkRecord],
+    samples: &[PebsRecord],
+    symtab: &SymbolTable,
+    freq: Freq,
+) -> OracleOffline {
+    let (intervals, errors, samples) = pair_and_sort(marks, samples);
+    // A run is named by the position of its first sample.
+    let mut owners: Vec<Option<(u64, usize)>> = Vec::with_capacity(samples.len());
+    let mut run: Option<(CoreId, u64, usize)> = None;
+    for (i, s) in samples.iter().enumerate() {
+        if s.r13 == NO_TAG {
+            run = None;
+            owners.push(None);
+            continue;
+        }
+        let first = match run {
+            Some((core, tag, first)) if core == s.core && tag == s.r13 => first,
+            _ => i,
+        };
+        run = Some((s.core, s.r13, first));
+        owners.push(Some((s.r13 - 1, first)));
+    }
+    fold_offline(&samples, &owners, intervals, errors, symtab, freq)
+}
+
+/// The canonically sorted samples of a bundle, each with the item the
+/// interval oracle attributes it to (`None` outside every interval).
+pub fn interval_items(
+    marks: &[MarkRecord],
+    samples: &[PebsRecord],
+) -> Vec<(PebsRecord, Option<ItemId>)> {
+    let (intervals, _, samples) = pair_and_sort(marks, samples);
+    let owners = interval_owners(&intervals, &samples);
+    samples
+        .into_iter()
+        .zip(owners)
+        .map(|(s, owner)| (s, owner.map(|(item, _)| ItemId(item))))
+        .collect()
+}
+
+/// Each sample's `(item, interval index)` by [`locate`], `None` outside
+/// every interval.
+fn interval_owners(
+    intervals: &[OracleInterval],
+    samples: &[PebsRecord],
+) -> Vec<Option<(u64, usize)>> {
+    samples
+        .iter()
+        .map(|s| {
+            let idx = locate(intervals, s)?;
+            intervals.get(idx).map(|iv| (iv.item.0, idx))
+        })
+        .collect()
+}
+
+/// Sort copies of both streams canonically and pair the marks.
+fn pair_and_sort(
+    marks: &[MarkRecord],
+    samples: &[PebsRecord],
+) -> (Vec<OracleInterval>, OracleErrors, Vec<PebsRecord>) {
     let mut marks = marks.to_vec();
     let mut samples = samples.to_vec();
     canonical_sort(&mut marks, &mut samples);
     let (intervals, errors) = pair_marks(&marks);
+    (intervals, errors, samples)
+}
 
-    // (item, interval index, func) -> (first, last, count). The interval
-    // index keys the occupancy span so preempted/duplicate items never
-    // bridge timestamps across spans.
+/// The estimate fold both mapping modes share. `owners[i]` is the
+/// `(item, span)` sample `i` belongs to, `None` when it belongs to no
+/// item; spans are only compared for equality, never across modes.
+fn fold_offline(
+    samples: &[PebsRecord],
+    owners: &[Option<(u64, usize)>],
+    intervals: Vec<OracleInterval>,
+    errors: OracleErrors,
+    symtab: &SymbolTable,
+    freq: Freq,
+) -> OracleOffline {
+    // (item, span, func) -> (first, last, count).
     let mut spans: BTreeMap<(u64, usize, u32), (u64, u64, u32)> = BTreeMap::new();
     let mut unknown: BTreeMap<u64, u32> = BTreeMap::new();
     let mut attributed = 0u64;
     let mut unattributed = 0u64;
-    for s in &samples {
-        let Some(idx) = locate(&intervals, s) else {
+    for (s, owner) in samples.iter().zip(owners) {
+        let Some((item, span)) = *owner else {
             unattributed += 1;
             continue;
         };
         attributed += 1;
-        let Some(iv) = intervals.get(idx) else {
-            continue; // unreachable: locate returned a valid index
-        };
         match symtab.resolve(s.ip) {
             Some(func) => {
                 let e = spans
-                    .entry((iv.item.0, idx, func.0))
+                    .entry((item, span, func.0))
                     .or_insert((s.tsc, s.tsc, 0));
                 e.0 = e.0.min(s.tsc);
                 e.1 = e.1.max(s.tsc);
                 e.2 += 1;
             }
-            None => *unknown.entry(iv.item.0).or_insert(0) += 1,
+            None => *unknown.entry(item).or_insert(0) += 1,
         }
     }
 
@@ -200,7 +286,7 @@ pub fn offline_oracle(
 
     // Sum spans per (item, func) in cycles; convert once.
     let mut cycle_sums: BTreeMap<(u64, u32), (u32, u64)> = BTreeMap::new();
-    for (&(item, _idx, func), &(first, last, count)) in &spans {
+    for (&(item, _span, func), &(first, last, count)) in &spans {
         let e = cycle_sums.entry((item, func)).or_insert((0, 0));
         e.0 += count;
         e.1 += last.wrapping_sub(first);

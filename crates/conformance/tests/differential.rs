@@ -56,6 +56,10 @@ fn sweep_seeds_agree_with_shape_coverage() {
     let mut store_bytes = 0u64;
     let mut store_elided = 0u64;
     let mut store_columns = 0u64;
+    let mut register_rows = 0u64;
+    let mut tag_splits = 0u64;
+    let mut cross_core_runs = 0u64;
+    let mut stale_tagged = 0u64;
     for seed in 0..SWEEP_SEEDS {
         let spec = spec_from_seed(seed);
         let summary = check_seed(seed);
@@ -80,7 +84,15 @@ fn sweep_seeds_agree_with_shape_coverage() {
         store_bytes += summary.store_bytes;
         store_elided += summary.store_elided;
         store_columns += summary.store_columns;
+        register_rows += summary.register_rows;
+        tag_splits += summary.tag_splits;
+        cross_core_runs += summary.cross_core_runs;
+        stale_tagged += summary.stale_tagged;
     }
+    println!(
+        "register leg: {register_rows} rows, {tag_splits} split tag runs, \
+         {cross_core_runs} cross-core tag runs, {stale_tagged} tagged gap samples"
+    );
     // Shape-coverage floor: each hard family appears many times.
     assert!(wrap >= 30, "only {wrap} near-wrap workloads");
     assert!(evicting >= 20, "only {evicting} eviction-bound workloads");
@@ -108,6 +120,24 @@ fn sweep_seeds_agree_with_shape_coverage() {
     assert!(
         store_columns >= SWEEP_SEEDS * 4 * 9,
         "only {store_columns} store columns compared against the naive encoder"
+    );
+    // The register-tag leg must meet the shapes that tell its span rule
+    // apart from a looser one: tag runs split by untagged samples, tag
+    // runs crossing a core boundary in canonical order, and tagged
+    // samples outside every interval (about 3 800, 1 500, 76 and 3 900
+    // over this range when the floors were set).
+    assert!(
+        register_rows >= 2_000,
+        "only {register_rows} register-mode rows compared"
+    );
+    assert!(tag_splits >= 500, "only {tag_splits} split tag runs");
+    assert!(
+        cross_core_runs >= 30,
+        "only {cross_core_runs} tag runs across a core boundary"
+    );
+    assert!(
+        stale_tagged >= 1_500,
+        "only {stale_tagged} tagged samples outside every interval"
     );
 }
 

@@ -88,8 +88,8 @@ pub struct ItemEstimate {
     /// The data-item.
     pub item: ItemId,
     /// Exact processing time from the instrumentation marks (sum over
-    /// the item's intervals). `None` in register-tag mode, where no
-    /// marks exist.
+    /// the item's intervals). `None` when the item has no interval, as
+    /// in register-tag mode on a trace without marks.
     pub marked_total: Option<SimDuration>,
     /// Per-function estimates, ordered by function id.
     pub funcs: Vec<FuncEstimate>,
@@ -252,12 +252,12 @@ impl EstimateTable {
     /// interval index in interval mode, the item-run id in register
     /// mode — are non-decreasing in that order, so all samples of one
     /// occupancy span are **contiguous**. Instead of a `BTreeMap` insert
-    /// per sample (the previous implementation, kept as
-    /// [`Self::from_integrated_reference`]), one linear scan folds each
-    /// span's per-function `(first, last, count)` into a small scratch
-    /// vector, flushing it whenever the span id advances. The flat span
-    /// list is then sorted once by `(item, func)` and group-folded into
-    /// the final table by `assemble_table`.
+    /// per sample, one linear scan folds each span's per-function
+    /// `(first, last, count)` into a small scratch vector, flushing it
+    /// whenever the span id advances. The flat span list is then sorted
+    /// once by `(item, func)` and group-folded into the final table by
+    /// `assemble_table`. The conformance oracle, which shares no code
+    /// with this crate, is the independent reference for both modes.
     pub fn from_integrated(it: &IntegratedTrace) -> Self {
         obs::span!("estimate.run", it.samples.len());
         // All flushed spans: (item, func, first, last, count).
@@ -333,117 +333,6 @@ impl EstimateTable {
         }
         obs::span!("estimate.run", soa.cols.len());
         fold_item_runs(soa)
-    }
-
-    /// The previous `BTreeMap`-per-sample implementation, kept as an
-    /// independently-written oracle for the linear-scan estimator (see
-    /// the equivalence property test and the `estimate` benchmark).
-    #[doc(hidden)]
-    pub fn from_integrated_reference(it: &IntegratedTrace) -> Self {
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct SpanKey {
-            item: ItemId,
-            func: FuncId,
-            span: u64,
-        }
-        let mut spans: BTreeMap<SpanKey, (u64, u64, u32)> = BTreeMap::new(); // (first, last, count)
-        let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
-        let mut samples_missing_span = 0u64;
-
-        let mut run_id = 0u64;
-        let mut last: Option<(fluctrace_cpu::CoreId, Option<ItemId>)> = None;
-        for s in &it.samples {
-            // Track register-mode runs.
-            let cur = (s.core, s.item);
-            if last != Some(cur) {
-                run_id += 1;
-                last = Some(cur);
-            }
-            let Some(item) = s.item else { continue };
-            let Some(func) = s.func else {
-                *unknown.entry(item).or_insert(0) += 1;
-                continue;
-            };
-            let span = match it.mode {
-                MappingMode::Intervals => match s.interval_idx {
-                    Some(idx) => idx as u64,
-                    None => {
-                        samples_missing_span += 1;
-                        continue;
-                    }
-                },
-                MappingMode::RegisterTag => run_id,
-            };
-            let key = SpanKey { item, func, span };
-            let entry = spans.entry(key).or_insert((s.tsc, s.tsc, 0));
-            entry.0 = entry.0.min(s.tsc);
-            entry.1 = entry.1.max(s.tsc);
-            entry.2 += 1;
-        }
-
-        // Fold spans into per-(item, func) cycle totals; convert to time
-        // once at the end so truncation does not accumulate per span.
-        let mut cycle_sums: BTreeMap<(ItemId, FuncId), (u32, u64)> = BTreeMap::new();
-        for (key, (first_tsc, last_tsc, count)) in spans {
-            let e = cycle_sums.entry((key.item, key.func)).or_insert((0, 0));
-            e.0 += count;
-            e.1 += last_tsc.wrapping_sub(first_tsc);
-        }
-        let funcs: BTreeMap<(ItemId, FuncId), FuncEstimate> = cycle_sums
-            .into_iter()
-            .map(|((item, func), (samples, cycles))| {
-                (
-                    (item, func),
-                    FuncEstimate {
-                        item,
-                        func,
-                        samples,
-                        elapsed: it.freq.cycles_to_dur(cycles),
-                    },
-                )
-            })
-            .collect();
-
-        // Exact totals from marks.
-        let mut totals: BTreeMap<ItemId, u64> = BTreeMap::new();
-        for iv in &it.intervals {
-            *totals.entry(iv.item).or_insert(0) += iv.cycles();
-        }
-
-        let mut items: BTreeMap<ItemId, ItemEstimate> = BTreeMap::new();
-        for ((item, _), fe) in funcs {
-            items
-                .entry(item)
-                .or_insert_with(|| ItemEstimate {
-                    item,
-                    marked_total: totals.get(&item).map(|&c| it.freq.cycles_to_dur(c)),
-                    funcs: Vec::new(),
-                    unknown_func_samples: 0,
-                })
-                .funcs
-                .push(fe);
-        }
-        // Items that have intervals but no attributable samples still
-        // appear (with empty func lists) so totals stay queryable.
-        for (&item, &cycles) in &totals {
-            items.entry(item).or_insert_with(|| ItemEstimate {
-                item,
-                marked_total: Some(it.freq.cycles_to_dur(cycles)),
-                funcs: Vec::new(),
-                unknown_func_samples: 0,
-            });
-        }
-        for (item, n) in unknown {
-            if let Some(ie) = items.get_mut(&item) {
-                ie.unknown_func_samples = n;
-            }
-        }
-        EstimateTable {
-            items,
-            freq: it.freq,
-            samples_missing_span,
-            series: SeriesIndex::default(),
-        }
     }
 
     /// Estimate for `{item, func}`.
@@ -1118,15 +1007,48 @@ mod tests {
             mode: MappingMode::Intervals,
             item_index: vec![],
         };
-        for table in [
-            EstimateTable::from_integrated(&it),
-            EstimateTable::from_integrated_reference(&it),
-        ] {
+        let aos = EstimateTable::from_integrated(&it);
+        let columnar = EstimateTable::from_soa(&crate::soa::SoaTrace::from_integrated(&it));
+        assert_eq!(columnar, aos);
+        for table in [aos, columnar] {
             assert_eq!(table.samples_missing_span, 1);
             let fe = table.get(ItemId(1), f).unwrap();
             assert_eq!(fe.samples, 2, "straggler not counted");
             assert_eq!(fe.elapsed, SimDuration::from_us(1), "span not bridged");
         }
+    }
+
+    /// `(item, marked ps, (func, samples, elapsed ps), unknown)` rows.
+    type Rows = Vec<(u64, Option<u64>, Vec<(u32, u32, u64)>, u32)>;
+
+    /// A table's rows in the shape of the conformance oracle's.
+    fn rows(table: &EstimateTable) -> Rows {
+        table
+            .items()
+            .map(|ie| {
+                let funcs = ie
+                    .funcs
+                    .iter()
+                    .map(|f| (f.func.0, f.samples, f.elapsed.as_ps()))
+                    .collect();
+                let marked = ie.marked_total.map(|d| d.as_ps());
+                (ie.item.0, marked, funcs, ie.unknown_func_samples)
+            })
+            .collect()
+    }
+
+    /// The conformance oracle's rows for a raw bundle.
+    fn oracle_rows(bundle: &TraceBundle, symtab: &SymbolTable, mode: MappingMode) -> Rows {
+        use fluctrace_conformance::oracle::{offline_oracle, register_oracle};
+        let oracle = match mode {
+            MappingMode::Intervals => offline_oracle,
+            MappingMode::RegisterTag => register_oracle,
+        };
+        oracle(&bundle.marks, &bundle.samples, symtab, freq())
+            .items
+            .into_iter()
+            .map(|r| (r.item, r.marked_total_ps, r.funcs, r.unknown_func_samples))
+            .collect()
     }
 
     #[test]
@@ -1158,19 +1080,23 @@ mod tests {
             }
             bundle.sort();
             let it = integrate(&bundle, &symtab, freq(), mode);
-            let fast = EstimateTable::from_integrated(&it);
-            let reference = EstimateTable::from_integrated_reference(&it);
-            assert_eq!(fast, reference, "mode {mode:?}");
-            // The columnar estimator agrees too, both from a directly
-            // built SoA trace and from an AoS conversion.
+            let aos = EstimateTable::from_integrated(&it);
+            // The columnar estimator agrees, both from a directly built
+            // SoA trace and from an AoS conversion, and the conformance
+            // oracle computes the same rows from the raw bundle.
             let soa = crate::soa::integrate_soa(&bundle, &symtab, freq(), mode);
             let columnar = EstimateTable::from_soa(&soa);
-            assert_eq!(columnar, reference, "soa mode {mode:?}");
+            assert_eq!(columnar, aos, "soa mode {mode:?}");
             let converted = crate::soa::SoaTrace::from_integrated(&it);
             assert_eq!(
                 EstimateTable::from_soa(&converted),
-                reference,
+                aos,
                 "converted soa mode {mode:?}"
+            );
+            assert_eq!(
+                rows(&aos),
+                oracle_rows(&bundle, &symtab, mode),
+                "oracle mode {mode:?}"
             );
         }
     }

@@ -1,11 +1,14 @@
 //! The SoA estimator's per-item fold on the edge cases of its run index,
-//! in both mapping modes, against the AoS scan and the `BTreeMap`
-//! reference — table and self-observability volumes alike.
+//! in both mapping modes, against the AoS scan — table and
+//! self-observability volumes alike — and, where the input is a raw
+//! bundle, against the conformance oracle.
 //!
 //! One test in its own binary: the obs registry is process-wide, so the
 //! `core.estimate.*` deltas measured here must not pick up another
 //! test's estimator run.
 
+use fluctrace_conformance::oracle::register_oracle;
+use fluctrace_conformance::CanonicalTable;
 use fluctrace_core::{integrate, EstimateTable, MappingMode, SoaTrace};
 use fluctrace_cpu::{
     encode_tag, CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
@@ -124,11 +127,9 @@ fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
     }
     let soa = SoaTrace::from_integrated(&it);
 
-    let reference = EstimateTable::from_integrated_reference(&it);
     let (aos, aos_volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
     let (columnar, soa_volumes) = estimate_volumes(|| EstimateTable::from_soa(&soa));
-    assert_eq!(aos, reference);
-    assert_eq!(columnar, reference);
+    assert_eq!(columnar, aos);
     assert_eq!(soa_volumes, aos_volumes, "core.estimate.* volumes differ");
     assert!(
         aos_volumes.contains("\"core.estimate.samples_missing_span\": 1"),
@@ -182,12 +183,15 @@ fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
     bundle.sort();
     let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::RegisterTag);
     let soa = SoaTrace::from_integrated(&it);
-    let reference = EstimateTable::from_integrated_reference(&it);
     let (aos, aos_volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
     let (columnar, soa_volumes) = estimate_volumes(|| EstimateTable::from_soa(&soa));
-    assert_eq!(aos, reference);
-    assert_eq!(columnar, reference);
+    assert_eq!(columnar, aos);
     assert_eq!(soa_volumes, aos_volumes, "register-mode volumes differ");
+    let oracle = register_oracle(&bundle.marks, &bundle.samples, &symtab, Freq::ghz(3));
+    assert_eq!(
+        CanonicalTable::from_pipeline(&aos),
+        CanonicalTable::from_oracle(&oracle)
+    );
     assert!(
         soa_volumes.contains("\"core.estimate.spans\": 2"),
         "{soa_volumes}"

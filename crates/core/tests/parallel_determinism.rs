@@ -1,9 +1,11 @@
 //! Property tests of the parallel pipeline's determinism guarantee:
 //! for any multi-core workload, integration output is bit-identical
 //! across worker-pool sizes (the `FLUCTRACE_THREADS` contract), and the
-//! linear-scan estimator reproduces the reference implementation
-//! exactly.
+//! AoS scan and the columnar fold estimate the same table as the
+//! conformance oracle, in both mapping modes.
 
+use fluctrace_conformance::oracle::{offline_oracle, register_oracle};
+use fluctrace_conformance::CanonicalTable;
 use fluctrace_core::{
     chrome_trace_string, integrate_soa_with_threads, integrate_with_threads, run_indexed,
     EstimateTable, ExportOptions, MappingMode,
@@ -107,9 +109,17 @@ proptest! {
         let (bundle, symtab) = trace(&w);
         for mode in [MappingMode::Intervals, MappingMode::RegisterTag] {
             let it = integrate_with_threads(&bundle, &symtab, Freq::ghz(3), mode, 4);
-            let fast = EstimateTable::from_integrated(&it);
-            let reference = EstimateTable::from_integrated_reference(&it);
-            prop_assert_eq!(fast, reference, "estimators disagree ({:?})", mode);
+            let soa = integrate_soa_with_threads(&bundle, &symtab, Freq::ghz(3), mode, 4);
+            let aos = EstimateTable::from_integrated(&it);
+            prop_assert_eq!(&EstimateTable::from_soa(&soa), &aos,
+                "scan and fold disagree ({:?})", mode);
+            let oracle = match mode {
+                MappingMode::Intervals => offline_oracle,
+                MappingMode::RegisterTag => register_oracle,
+            };
+            let oracle = oracle(&bundle.marks, &bundle.samples, &symtab, Freq::ghz(3));
+            prop_assert_eq!(CanonicalTable::from_pipeline(&aos),
+                CanonicalTable::from_oracle(&oracle), "oracle disagrees ({:?})", mode);
         }
     }
 

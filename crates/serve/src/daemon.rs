@@ -44,17 +44,6 @@ pub struct ShardView {
     pub counters: Arc<ShardCounters>,
 }
 
-impl ShardView {
-    fn of(handle: &ShardHandle) -> ShardView {
-        ShardView {
-            id: handle.id,
-            integrator: Arc::clone(&handle.integrator),
-            wait: Arc::clone(&handle.wait),
-            counters: Arc::clone(&handle.counters),
-        }
-    }
-}
-
 struct DaemonState {
     shards: Vec<ShardView>,
     stop: Arc<AtomicBool>,
@@ -98,7 +87,7 @@ impl Daemon {
         let mut shards = Vec::new();
         for id in 0..config.shards.max(1) as u32 {
             let handle = spawn_shard(&config, id, Arc::clone(&symtab), Arc::clone(&stop));
-            shards.push(ShardView::of(&handle));
+            shards.push(handle.view.clone());
             handles.push(handle);
         }
         let state = Arc::new(DaemonState {

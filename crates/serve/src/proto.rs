@@ -70,23 +70,11 @@ pub fn parse(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Render a protocol error as the error document.
+/// Render a protocol error as the error document. The detail may
+/// quote client input; it is rendered as a JSON string.
 pub fn error_doc(detail: &str) -> String {
-    // Hand-escaped: the derive shim does not serialize borrowed
-    // fields, and the detail string may quote client input.
-    let mut escaped = String::with_capacity(detail.len());
-    for c in detail.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
-    format!("{{\"error\":\"{escaped}\"}}")
+    let detail = serde_json::to_string(detail).unwrap_or_else(|_| String::from("\"\""));
+    format!("{{\"error\":{detail}}}")
 }
 
 fn shard_prefix(id: u32) -> String {
@@ -108,7 +96,10 @@ pub fn snapshot_doc(shards: &[ShardView]) -> Snapshot {
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
     for view in shards {
         let c = &view.counters;
-        let loss = c.shed.fold(view.integrator.lock().loss());
+        let (report, loss) = {
+            let wi = view.integrator.lock();
+            (wi.report(), c.shed.fold(wi.loss()))
+        };
         let prefix = shard_prefix(view.id);
         let fields: [(&'static str, u64); 8] = [
             (
@@ -119,15 +110,12 @@ pub fn snapshot_doc(shards: &[ShardView]) -> Snapshot {
                 "batches_produced",
                 c.batches_produced.load(Ordering::Acquire),
             ),
-            ("items", c.items.load(Ordering::Acquire)),
-            (
-                "samples_attributed",
-                c.samples_attributed.load(Ordering::Acquire),
-            ),
-            ("samples_seen", c.samples_seen.load(Ordering::Acquire)),
-            ("episodes", c.episodes.load(Ordering::Acquire)),
-            ("windows_closed", c.windows_closed.load(Ordering::Acquire)),
-            ("windows_evicted", c.windows_evicted.load(Ordering::Acquire)),
+            ("items", report.items_processed),
+            ("samples_attributed", report.samples_attributed),
+            ("samples_seen", report.samples_seen),
+            ("episodes", report.episodes),
+            ("windows_closed", report.windows_closed),
+            ("windows_evicted", report.windows_evicted),
         ];
         for (name, value) in fields {
             counters.insert(format!("{prefix}.{name}"), value);
@@ -375,6 +363,20 @@ mod tests {
         assert_eq!(parse("table"), Ok(Request::Table));
         assert_eq!(parse("drained"), Ok(Request::Drained));
         assert_eq!(parse("quiesce"), Ok(Request::Quiesce));
+    }
+
+    #[test]
+    fn error_doc_escapes_client_bytes() {
+        // A request with a quote, a backslash, a tab and a U+0001: the
+        // parse error quotes it (`{:?}`), and the document escapes that.
+        let request = "x\"\\\t\u{1}";
+        let detail = parse(request).err().unwrap_or_default();
+        assert_eq!(
+            error_doc(&detail),
+            r#"{"error":"unknown request \"x\\\"\\\\\\t\\u{1}\" (expected snapshot | windows <k> | episodes | loss | table | drained | quiesce)"}"#
+        );
+        // The same characters raw in a detail.
+        assert_eq!(error_doc(request), r#"{"error":"x\"\\\t\u0001"}"#);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! the `serve.worker.utilization_milli` gauge surfaced in snapshots
 //! and `/metrics`.
 
+use crate::daemon::ShardView;
 use crate::{ServeConfig, TrafficGen};
 use crossbeam::channel::Receiver;
 use fluctrace_core::online::{Intake, ShedLedger};
@@ -32,30 +33,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Monotonic counters of one shard, written by its two threads and
-/// read by the protocol handlers. All counters are cumulative totals
-/// (stores of the latest value, not deltas), so a reader sees a
-/// consistent-enough picture without locking the integrator.
+/// Counters of one shard that the integrator does not keep, written by
+/// its two threads and read by the protocol handlers without locking
+/// the integrator. The integrator's own counts (items, samples,
+/// windows, episodes) are read from its `report()`.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
     /// Batches the generator produced (including dropped ones).
     pub batches_produced: AtomicU64,
     /// Batches the worker ingested.
     pub batches_ingested: AtomicU64,
-    /// Items completed by the integrator.
-    pub items: AtomicU64,
-    /// Samples the integrator received.
-    pub samples_seen: AtomicU64,
-    /// Samples attributed to completed items.
-    pub samples_attributed: AtomicU64,
-    /// Windows closed.
-    pub windows_closed: AtomicU64,
-    /// Window summaries evicted by retention.
-    pub windows_evicted: AtomicU64,
-    /// Approximate bytes of evicted summaries.
-    pub evicted_bytes: AtomicU64,
-    /// Anomaly episodes recorded.
-    pub episodes: AtomicU64,
     /// Producer-side shed (dropped batches and samples, thinned
     /// samples): the shard intake's own ledger.
     pub shed: Arc<ShedLedger>,
@@ -89,14 +76,8 @@ impl ShardCounters {
 /// One running shard: the generator thread (which owns the intake and
 /// with it the worker) plus the shared state the protocol layer reads.
 pub struct ShardHandle {
-    /// Shard index (also the `core` id of its wait edges).
-    pub id: u32,
-    /// The windowed integrator, locked only for ingest and queries.
-    pub integrator: Arc<Mutex<WindowedIntegrator>>,
-    /// `ring_empty` wait edges of the worker.
-    pub wait: Arc<Mutex<WaitLog>>,
-    /// Live counters.
-    pub counters: Arc<ShardCounters>,
+    /// What the protocol layer reads.
+    pub view: ShardView,
     producer: Option<JoinHandle<()>>,
 }
 
@@ -111,28 +92,9 @@ impl ShardHandle {
     }
 }
 
-/// Copy the integrator's cumulative report into the shard counters and
-/// the global `serve.*` obs metrics (deltas against `last`).
+/// Add the integrator's progress since `last` to the global `serve.*`
+/// obs metrics and record the worker's utilization.
 fn publish(counters: &ShardCounters, report: &WindowReport, last: &WindowReport) {
-    counters
-        .items
-        .store(report.items_processed, Ordering::Release);
-    counters
-        .samples_seen
-        .store(report.samples_seen, Ordering::Release);
-    counters
-        .samples_attributed
-        .store(report.samples_attributed, Ordering::Release);
-    counters
-        .windows_closed
-        .store(report.windows_closed, Ordering::Release);
-    counters
-        .windows_evicted
-        .store(report.windows_evicted, Ordering::Release);
-    counters
-        .evicted_bytes
-        .store(report.evicted_bytes, Ordering::Release);
-    counters.episodes.store(report.episodes, Ordering::Release);
     if obs::recording() {
         obs::counter!("serve.traffic.items")
             .add(report.items_processed.saturating_sub(last.items_processed));
@@ -269,10 +231,12 @@ pub fn spawn_shard(
     };
 
     ShardHandle {
-        id,
-        integrator,
-        wait,
-        counters,
+        view: ShardView {
+            id,
+            integrator,
+            wait,
+            counters,
+        },
         producer: Some(producer),
     }
 }

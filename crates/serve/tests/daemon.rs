@@ -192,12 +192,7 @@ fn quiesce_drains_an_unbounded_run_and_answers_with_final_state() {
 
     // Let it work until every shard has closed a few windows.
     for view in daemon.shards() {
-        while view
-            .counters
-            .windows_closed
-            .load(std::sync::atomic::Ordering::Acquire)
-            < 3
-        {
+        while view.integrator.lock().windows_closed() < 3 {
             std::thread::yield_now();
         }
     }

@@ -8,8 +8,8 @@
 //!
 //! The counter is per thread and switched on only around the calls
 //! being costed, so neither the harness nor any other thread enters it.
-//! Window ingest, the estimator, the series query and the table's JSON
-//! rendering run on the calling thread, and integration is costed with
+//! Window ingest, the estimator, the detector, the series query and the
+//! table's JSON rendering run on the calling thread, and integration is costed with
 //! one thread given explicitly (a pool worker's allocations would miss
 //! the tally), so every count is the same at every `FLUCTRACE_THREADS`
 //! setting.
@@ -18,14 +18,15 @@
 //! measured counts.
 
 use fluctrace_core::{
-    integrate_soa_with_threads, CumulativeMode, EstimateTable, MappingMode, WindowedIntegrator,
+    detect, integrate_soa_with_threads, CumulativeMode, EstimateTable, MappingMode,
+    WindowedIntegrator,
 };
 use fluctrace_cpu::{
     CoreId, FuncId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
     TraceBundle, VirtAddr, NO_TAG,
 };
 use fluctrace_serve::{build_symtab, ServeConfig, TrafficGen};
-use fluctrace_sim::{Freq, Rng};
+use fluctrace_sim::{Freq, Rng, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -200,6 +201,9 @@ fn window_ingest(mode: CumulativeMode) -> (f64, f64) {
     (allocs as f64 / items as f64, bytes as f64 / samples as f64)
 }
 
+/// Items per core of [`wide_table`]'s input.
+const WIDE_ITEMS_PER_CORE: u64 = 5_000;
+
 /// A batch-analysis table of `analyze_wide`'s input at a quarter of its
 /// size: the benchmark's `wide_trace` generator, restated (4 cores, 384
 /// functions, 24 samples per item, 1-in-8 function hops, 1-in-64
@@ -209,7 +213,6 @@ fn window_ingest(mode: CumulativeMode) -> (f64, f64) {
 /// per sample of each of the two stages.
 fn wide_table() -> (EstimateTable, (f64, f64), (f64, f64)) {
     const CORES: u32 = 4;
-    const ITEMS_PER_CORE: u64 = 5_000;
     let mut b = SymbolTableBuilder::new();
     let ids: Vec<FuncId> = (0..384u64)
         .map(|f| b.add(&format!("fn_{f:04}"), 48 + (f % 7) * 16))
@@ -229,8 +232,8 @@ fn wide_table() -> (EstimateTable, (f64, f64), (f64, f64)) {
             r13,
             event: HwEvent::UopsRetired,
         };
-        for i in 0..ITEMS_PER_CORE {
-            let item = ItemId(u64::from(core) * ITEMS_PER_CORE + i);
+        for i in 0..WIDE_ITEMS_PER_CORE {
+            let item = ItemId(u64::from(core) * WIDE_ITEMS_PER_CORE + i);
             let mark = |tsc: u64, kind: MarkKind| MarkRecord {
                 core: CoreId(core),
                 tsc,
@@ -315,6 +318,25 @@ fn series_query(table: &EstimateTable) -> ((f64, f64), (f64, f64)) {
     )
 }
 
+/// `analyze_wide`'s detector call: `fluct::detect` with items grouped
+/// by the core that ran them (`item / items per core`, as the
+/// benchmark's `wide_group`), 4 robust sigmas and a 20 ns floor, per
+/// `(item, function)` row. The labels are built inside the call, as
+/// there.
+fn detect_rows(table: &EstimateTable) -> (f64, f64) {
+    let (all, _) = rows(table);
+    let (report, allocs, bytes) = counted(|| {
+        detect(
+            table,
+            |item| Some(format!("core{}", item.0 / WIDE_ITEMS_PER_CORE)),
+            4.0,
+            SimDuration::from_ns(20),
+        )
+    });
+    println!("detect: {} outliers", report.outliers.len());
+    (allocs as f64 / all as f64, bytes as f64 / all as f64)
+}
+
 /// `serde_json::to_string` of the whole table, per `(item, function)`
 /// row.
 fn table_json(table: &EstimateTable) -> (f64, f64) {
@@ -386,6 +408,15 @@ fn cost_budgets_hold() {
         bytes: 0.0,
     }
     .check(query_allocs, query_bytes, &mut failures);
+    let (detect_allocs, detect_bytes) = detect_rows(&table);
+    Budget {
+        case: "detect",
+        unit: "row",
+        allocs: 0.30041,
+        byte_unit: "row",
+        bytes: 39.558,
+    }
+    .check(detect_allocs, detect_bytes, &mut failures);
     let (json_allocs, json_bytes) = table_json(&table);
     Budget {
         case: "table JSON",
