@@ -278,8 +278,8 @@ pub(crate) fn shard_by_core<'a>(
 /// sample the cursor tracks "how many intervals start at or before this
 /// timestamp" — exactly the `partition_point` the old path computed,
 /// advanced incrementally. The candidate is the latest-starting
-/// interval, matching [`crate::interval::find_interval_idx`] sample for
-/// sample.
+/// interval on the core, and the sample is attributed only if that
+/// interval [contains](ItemInterval::contains) it.
 fn attribute_shard(
     samples: &[PebsRecord],
     intervals: &[ItemInterval],

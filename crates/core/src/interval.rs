@@ -173,22 +173,6 @@ pub fn build_intervals(marks: &[MarkRecord]) -> (Vec<ItemInterval>, Vec<Interval
     (intervals, errors)
 }
 
-/// Binary-search the interval on `core` containing `tsc`. `intervals`
-/// must be sorted by `(core, start_tsc)` and non-overlapping per core
-/// (guaranteed by [`build_intervals`] on well-formed marks).
-pub fn find_interval(intervals: &[ItemInterval], core: CoreId, tsc: u64) -> Option<&ItemInterval> {
-    find_interval_idx(intervals, core, tsc).and_then(|i| intervals.get(i))
-}
-
-/// Like [`find_interval`] but returns the index into `intervals`.
-pub fn find_interval_idx(intervals: &[ItemInterval], core: CoreId, tsc: u64) -> Option<usize> {
-    // Last interval with (core, start_tsc) <= (core, tsc).
-    let idx = intervals.partition_point(|iv| (iv.core, iv.start_tsc) <= (core, tsc));
-    let i = idx.checked_sub(1)?;
-    let cand = intervals.get(i)?;
-    (cand.core == core && cand.contains(tsc)).then_some(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn find_interval_binary_search() {
+    fn contains_is_inclusive_per_core_and_misses_gaps() {
         let marks = vec![
             mark(0, 10, 1, MarkKind::Start),
             mark(0, 20, 1, MarkKind::End),
@@ -327,14 +311,24 @@ mod tests {
             mark(1, 22, 3, MarkKind::End),
         ];
         let (ivs, _) = build_intervals(&marks);
-        assert_eq!(find_interval(&ivs, CoreId(0), 15).unwrap().item, ItemId(1));
-        assert_eq!(find_interval(&ivs, CoreId(0), 10).unwrap().item, ItemId(1));
-        assert_eq!(find_interval(&ivs, CoreId(0), 20).unwrap().item, ItemId(1));
-        assert!(find_interval(&ivs, CoreId(0), 25).is_none());
-        assert_eq!(find_interval(&ivs, CoreId(0), 35).unwrap().item, ItemId(2));
-        assert_eq!(find_interval(&ivs, CoreId(1), 13).unwrap().item, ItemId(3));
-        assert!(find_interval(&ivs, CoreId(1), 9).is_none());
-        assert!(find_interval(&ivs, CoreId(2), 15).is_none());
+        let items_at = |core: u32, tsc: u64| -> Vec<ItemId> {
+            ivs.iter()
+                .filter(|iv| iv.core == CoreId(core) && iv.contains(tsc))
+                .map(|iv| iv.item)
+                .collect()
+        };
+        // Both ends are inclusive.
+        assert_eq!(items_at(0, 10), [ItemId(1)]);
+        assert_eq!(items_at(0, 15), [ItemId(1)]);
+        assert_eq!(items_at(0, 20), [ItemId(1)]);
+        assert_eq!(items_at(0, 35), [ItemId(2)]);
+        // A gap between two intervals is in none.
+        assert!(items_at(0, 25).is_empty());
+        assert_eq!(items_at(1, 13), [ItemId(3)]);
+        assert!(items_at(1, 9).is_empty());
+        // Another core's intervals never match, even at a covered tsc.
+        assert!(items_at(2, 15).is_empty());
+        assert!(items_at(1, 35).is_empty());
     }
 
     proptest::proptest! {
@@ -355,11 +349,15 @@ mod tests {
             let (ivs, errs) = build_intervals(&marks);
             proptest::prop_assert!(errs.is_empty());
             proptest::prop_assert_eq!(ivs.len(), spans.len());
-            // A probe inside interval i maps to item i.
+            // A probe inside interval i is in exactly one built
+            // interval, and that interval is item i.
             for (i, iv) in ivs.iter().enumerate() {
                 let probe = iv.start_tsc + (iv.cycles() * probe_frac) / 100;
-                let found = find_interval(&ivs, CoreId(0), probe).unwrap();
-                proptest::prop_assert_eq!(found.item, ItemId(i as u64));
+                let mut found = ivs
+                    .iter()
+                    .filter(|cand| cand.core == CoreId(0) && cand.contains(probe));
+                proptest::prop_assert_eq!(found.next().map(|c| c.item), Some(ItemId(i as u64)));
+                proptest::prop_assert!(found.next().is_none());
             }
         }
     }

@@ -57,15 +57,15 @@
 
 pub use crate::pairing::LossStats;
 use crate::pairing::{Pairing, PairingConfig};
+use crate::parallel::lock_ok;
 use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use fluctrace_cpu::{FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle, PEBS_RECORD_BYTES};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use fluctrace_store::{StoreError, TraceWriter, WriteStats};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Configuration of the adaptive effective-reset-value policy.
@@ -563,7 +563,7 @@ impl<R> Intake<R> {
             return Err(SubmitError { batch });
         };
         let occupancy = tx.len() as f64 / tx.capacity().max(1) as f64;
-        let thinned = self.adaptive.lock().thin(occupancy, &mut batch);
+        let thinned = lock_ok(&self.adaptive).thin(occupancy, &mut batch);
         self.shed
             .samples_thinned
             .fetch_add(thinned, Ordering::AcqRel);
@@ -604,7 +604,7 @@ impl<R> Intake<R> {
 
     /// The adaptive policy's degradation counters so far.
     pub fn degrade(&self) -> DegradeStats {
-        self.adaptive.lock().stats()
+        lock_ok(&self.adaptive).stats()
     }
 
     /// Close the channel and join the worker, returning what it returned.
@@ -728,7 +728,7 @@ impl Worker {
 
     fn publish_live(&self) {
         let counts = self.pairing.counts();
-        let mut live = self.live.lock();
+        let mut live = lock_ok(&self.live);
         live.items = counts.items_processed;
         live.anomalies = self.report.anomalies.len() as u64;
         live.loss = counts.loss;
@@ -894,7 +894,7 @@ impl OnlineTracer {
     /// Snapshot of live counters (worker progress plus producer-side
     /// shed accounting).
     pub fn live(&self) -> LiveStats {
-        let mut stats = *self.live.lock();
+        let mut stats = *lock_ok(&self.live);
         stats.loss = self.intake.shed().fold(stats.loss);
         stats
     }

@@ -13,11 +13,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Slot mutexes are poison-tolerant: a panicking task already
-/// propagates out of the thread scope, so a poisoned lock carries no
-/// extra information here — taking the inner value keeps the claim
-/// loop itself panic-free.
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock `m`, ignoring poison. A task's panic already propagates out of
+/// the thread scope, and `online`'s mutexes hold counters and the
+/// thinning factor, valid wherever a panic could leave them: the inner
+/// value is always usable, so no lock site can panic.
+pub(crate) fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

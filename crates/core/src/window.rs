@@ -8,36 +8,37 @@
 //! eviction and the 11-counter [`LossStats`] ledger are one definition
 //! — but cuts the completed-item stream into **windows** of
 //! [`WindowConfig::window_items`] items. A completed item's raw samples
-//! are dropped as soon as it is folded: the open window keeps, per item,
-//! `(item, marked cycles, unknown samples, end of its entries)` and, per
-//! `(item, func)`, `(func, samples, cycles)` — two flat columns that are
-//! reused from window to window. Closing a window copies them, sized
-//! exactly, into a [`WindowSummary`]; its [`EstimateTable`] is built
-//! only when [`WindowSummary::table`] is called, through the same
+//! are dropped as soon as it is folded into the one form a completed
+//! item is kept in: per completion `(item, marked cycles, unknown
+//! samples, number of entries)` and per `(item, func)` `(func, samples,
+//! cycles)`, two flat columns that the open window reuses from window to
+//! window. Closing a window copies them, sized exactly, into a
+//! [`WindowSummary`] (and appends them to [`CumulativeMode::Exact`]'s
+//! columns); tables are built only on read, through the same
 //! [`estimate`] assembly as a batch run. Old summaries are evicted once
 //! [`WindowConfig::max_windows`] are retained. Loss counters, anomaly
-//! baselines and the cumulative accumulator carry forward across every
-//! window boundary, so nothing about the *accounting* is windowed —
-//! only the memory.
+//! baselines and the cumulative state carry forward across every window
+//! boundary, so nothing about the *accounting* is windowed — only the
+//! memory.
 //!
 //! ## Exactness across window boundaries
 //!
 //! `Freq::cycles_to_dur` truncates (integer division), so per-window
 //! `SimDuration`s are **not** additive: summing window tables would
 //! drift from the batch run by up to a picosecond per window per
-//! function. The cumulative accumulator therefore stays in the *cycle*
-//! domain — per-`(item, func)` sample and cycle sums, per-item marked
-//! cycles — and converts once at render time, exactly as the batch
-//! estimator does. The conformance `windowed`
-//! leg pins `cumulative_table()` byte-identical to the one-shot batch
+//! function. The cumulative state therefore stays in the *cycle*
+//! domain and converts once at render time, exactly as the batch
+//! estimator does. The conformance `windowed` leg pins `cumulative_table()` byte-identical to the one-shot batch
 //! pipeline across window sizes.
 //!
 //! ## Two cumulative modes
 //!
-//! * [`CumulativeMode::Exact`] keeps the per-`(item, func)` cycle sums.
-//!   Memory grows with the number of *distinct completed items* —
-//!   bounded for any finite run, and the mode every byte-equality check
-//!   uses, but not constant over an unbounded stream.
+//! * [`CumulativeMode::Exact`] keeps every completed item's columns:
+//!   O(completed items + their function entries), 24 bytes a row and 16
+//!   an entry — bounded for any finite run, and the mode every
+//!   byte-equality check uses, but not constant over an unbounded
+//!   stream. A repeated item id keeps a row per completion (the table
+//!   merges them).
 //! * [`CumulativeMode::Folded`] keeps only per-function totals (plus
 //!   whole-stream marked/unknown counts): constant memory regardless of
 //!   stream length, for truly unbounded deployments. The fold loses the
@@ -56,8 +57,9 @@ use std::sync::Arc;
 /// How the cross-window cumulative state is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CumulativeMode {
-    /// Per-`(item, func)` cycle sums: renders a table byte-identical to
-    /// the batch pipeline, at memory proportional to distinct items.
+    /// Every completed item's columns: renders a table byte-identical
+    /// to the batch pipeline, at memory proportional to completed items
+    /// and their function entries.
     Exact,
     /// Per-function cycle sums only: constant memory over an unbounded
     /// stream, no per-item axis.
@@ -149,25 +151,86 @@ pub struct WindowSummary {
     /// differencing two of them gives the per-window loss exactly.
     pub loss: LossStats,
     freq: Freq,
-    /// One row per completed item, in completion order.
-    rows: Vec<ItemRow>,
-    /// One entry per `(item, func)`; each row's entries follow the
-    /// previous row's, ascending by function.
-    funcs: Vec<FuncEntry>,
+    /// The window's completed items, sized exactly at close.
+    folds: ItemFolds,
 }
 
 /// `(func, samples, cycles)` of one function within one completed item.
 type FuncEntry = (FuncId, u32, u64);
 
-/// One completed item of a window: its id, the cycles between its
-/// marks, its samples whose IP resolved to no function, and the end of
-/// its entries in the window's `funcs` column.
+/// One completed item: its id, the cycles between its marks, its
+/// samples whose IP resolved to no function, and how many entries it
+/// has in the `funcs` column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ItemRow {
     item: ItemId,
     marked_cycles: u64,
     unknown: u32,
-    funcs_end: usize,
+    /// One per distinct `FuncId` in the item, so it fits a `u32`.
+    funcs: u32,
+}
+
+/// Completed items in the cycle domain, in completion order, as the open
+/// window, a [`WindowSummary`] and the exact cumulative state keep them.
+/// Rows store entry counts, not offsets, so two concatenate by `extend`.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ItemFolds {
+    /// One row per completion.
+    rows: Vec<ItemRow>,
+    /// Each row's entries, ascending by function, after the previous
+    /// row's.
+    funcs: Vec<FuncEntry>,
+}
+
+impl ItemFolds {
+    /// Append one completed item; returns its entries.
+    fn push(&mut self, done: &Completed<'_>) -> &[FuncEntry] {
+        let start = self.funcs.len();
+        self.funcs.extend(
+            done.spans
+                .iter()
+                .map(|&(func, (first, last, count))| (func, count, last.wrapping_sub(first))),
+        );
+        self.rows.push(ItemRow {
+            item: done.interval.item,
+            marked_cycles: done.interval.cycles(),
+            unknown: done.unknown,
+            funcs: done.spans.len() as u32,
+        });
+        self.funcs.get(start..).unwrap_or_default()
+    }
+
+    /// Each row with its entries, in completion order.
+    fn items(&self) -> impl Iterator<Item = (&ItemRow, &[FuncEntry])> {
+        let mut rest = self.funcs.as_slice();
+        self.rows.iter().map(move |row| {
+            let (funcs, tail) = rest
+                .split_at_checked(row.funcs as usize)
+                .unwrap_or((rest, &[]));
+            rest = tail;
+            (row, funcs)
+        })
+    }
+}
+
+/// The table of every completed item in `parts`: rows sorted by item go
+/// through the batch estimator's per-item assembly, which merges an id's
+/// rows order-free (sums, then a sort by function), so an unstable sort
+/// — no scratch buffer — is enough.
+fn table_of(parts: &[&ItemFolds], freq: Freq) -> EstimateTable {
+    let mut rows: Vec<(&ItemRow, &[FuncEntry])> =
+        Vec::with_capacity(parts.iter().map(|folds| folds.rows.len()).sum());
+    rows.extend(parts.iter().flat_map(|folds| folds.items()));
+    rows.sort_unstable_by_key(|(row, _)| row.item);
+    estimate::table_from_items(
+        rows.into_iter().map(|(row, funcs)| ItemCycles {
+            item: row.item,
+            marked: row.marked_cycles,
+            unknown: row.unknown,
+            funcs: funcs.iter().copied(),
+        }),
+        freq,
+    )
 }
 
 impl WindowSummary {
@@ -176,25 +239,7 @@ impl WindowSummary {
     /// completed more than once in the window gets one row, as in a
     /// batch table.
     pub fn table(&self) -> EstimateTable {
-        let mut start = 0;
-        let mut rows: Vec<(&ItemRow, &[FuncEntry])> = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            rows.push((
-                row,
-                self.funcs.get(start..row.funcs_end).unwrap_or_default(),
-            ));
-            start = row.funcs_end;
-        }
-        rows.sort_by_key(|(row, _)| row.item);
-        estimate::table_from_items(
-            rows.into_iter().map(|(row, funcs)| ItemCycles {
-                item: row.item,
-                marked: row.marked_cycles,
-                unknown: row.unknown,
-                funcs: funcs.iter().copied(),
-            }),
-            self.freq,
-        )
+        table_of(&[&self.folds], self.freq)
     }
 
     /// Heap footprint of the kept columns plus the summary itself, for
@@ -202,8 +247,8 @@ impl WindowSummary {
     /// so this is what the summary holds.
     pub fn approx_bytes(&self) -> u64 {
         (std::mem::size_of::<WindowSummary>()
-            + self.rows.len() * std::mem::size_of::<ItemRow>()
-            + self.funcs.len() * std::mem::size_of::<FuncEntry>()) as u64
+            + self.folds.rows.len() * std::mem::size_of::<ItemRow>()
+            + self.folds.funcs.len() * std::mem::size_of::<FuncEntry>()) as u64
     }
 }
 
@@ -251,29 +296,21 @@ impl WindowReport {
     }
 }
 
-/// The open window's accumulating state: the same two columns a
+/// The open window's accumulating state: the same columns a
 /// [`WindowSummary`] keeps, cleared (not freed) at close so a steady
 /// stream stops allocating for them after the first windows.
 #[derive(Default)]
 struct OpenWindow {
-    rows: Vec<ItemRow>,
-    funcs: Vec<FuncEntry>,
+    folds: ItemFolds,
     samples: u64,
     anomalies: u64,
 }
 
-/// Cross-window cumulative accumulator. Both variants live in the cycle
+/// Cross-window cumulative state. Both variants live in the cycle
 /// domain; time conversion happens once, at render.
 enum Accum {
-    Exact {
-        /// `(item, func)` → (samples, cycles). The `u32` sample count
-        /// mirrors the batch estimator's field width exactly.
-        funcs: BTreeMap<(ItemId, FuncId), (u32, u64)>,
-        /// Item → marked cycles (summed over its completed intervals).
-        marked: BTreeMap<ItemId, u64>,
-        /// Item → attributed-but-unresolvable sample count.
-        unknown: BTreeMap<ItemId, u32>,
-    },
+    /// Closed windows' columns; reads add the open window's.
+    Exact(ItemFolds),
     Folded {
         /// (samples, cycles) indexed by `FuncId`, dense over the symbol
         /// table and allocated once.
@@ -314,11 +351,7 @@ impl WindowedIntegrator {
     /// Fresh integrator; window 0 is open and empty.
     pub fn new(symtab: Arc<SymbolTable>, config: WindowConfig) -> Self {
         let accum = match config.cumulative {
-            CumulativeMode::Exact => Accum::Exact {
-                funcs: BTreeMap::new(),
-                marked: BTreeMap::new(),
-                unknown: BTreeMap::new(),
-            },
+            CumulativeMode::Exact => Accum::Exact(ItemFolds::default()),
             CumulativeMode::Folded => Accum::Folded {
                 funcs: vec![(0, 0); symtab.len()],
                 marked_cycles: 0,
@@ -357,8 +390,9 @@ impl WindowedIntegrator {
 
     /// Ingest one batch: the pairing core sorts it, merges marks and
     /// samples and accounts for what it cannot attribute; every item it
-    /// completes is folded into the open window and the cumulative
-    /// accumulator (and may close the window).
+    /// completes is folded into the open window (and, in
+    /// [`CumulativeMode::Folded`], the per-function totals) and may
+    /// close the window.
     pub fn ingest(&mut self, batch: TraceBundle) {
         obs::span!("window.batch", batch.samples.len());
         let folds = &mut self.folds;
@@ -414,36 +448,22 @@ impl WindowedIntegrator {
     /// Render the exact cumulative table — `None` in
     /// [`CumulativeMode::Folded`]. Byte-identical to
     /// `EstimateTable::from_integrated` over the concatenated stream:
-    /// each item's accumulated cycle sums go, in item order, through the
-    /// same per-item assembly as a window's table, so the
+    /// every completed item, closed windows' and the open window's,
+    /// goes through the same assembly as a window's table, so the
     /// conversion-once arithmetic is literally the batch estimator's.
     pub fn cumulative_table(&self) -> Option<EstimateTable> {
-        let Accum::Exact {
-            funcs,
-            marked,
-            unknown,
-        } = &self.folds.accum
-        else {
+        let Accum::Exact(closed) = &self.folds.accum else {
             return None;
         };
-        // Every completed item has a `marked` entry, so walking `marked`
-        // visits every item that has funcs or unknown samples too.
-        Some(estimate::table_from_items(
-            marked.iter().map(|(&item, &cycles)| ItemCycles {
-                item,
-                marked: cycles,
-                unknown: unknown.get(&item).copied().unwrap_or(0),
-                funcs: funcs
-                    .range((item, FuncId(0))..=(item, FuncId(u32::MAX)))
-                    .map(|(&(_, func), &(samples, cycles))| (func, samples, cycles)),
-            }),
+        Some(table_of(
+            &[closed, &self.folds.open.folds],
             self.folds.config.freq,
         ))
     }
 
     /// Per-function cumulative totals. Always available: in `Exact`
-    /// mode they are derived by folding the exact accumulator, so the
-    /// two modes can be cross-checked against each other.
+    /// mode they are derived by folding the columns (closed and open),
+    /// so the two modes can be cross-checked against each other.
     pub fn folded_totals(&self) -> FoldedTotals {
         match &self.folds.accum {
             Accum::Folded {
@@ -461,37 +481,35 @@ impl WindowedIntegrator {
                 unknown_samples: *unknown_samples,
                 items: *items,
             },
-            Accum::Exact {
-                funcs,
-                marked,
-                unknown,
-            } => {
+            Accum::Exact(closed) => {
                 let mut fold: BTreeMap<FuncId, (u64, u64)> = BTreeMap::new();
-                for (&(_item, func), &(samples, cycles)) in funcs {
-                    let e = fold.entry(func).or_insert((0, 0));
-                    e.0 += u64::from(samples);
-                    e.1 = e.1.wrapping_add(cycles);
+                let mut totals = FoldedTotals::default();
+                for folds in [closed, &self.folds.open.folds] {
+                    for &(func, samples, cycles) in &folds.funcs {
+                        let e = fold.entry(func).or_insert((0, 0));
+                        e.0 += u64::from(samples);
+                        e.1 = e.1.wrapping_add(cycles);
+                    }
+                    // Wraps like the `Folded` twin.
+                    for row in &folds.rows {
+                        totals.marked_cycles = totals.marked_cycles.wrapping_add(row.marked_cycles);
+                        totals.unknown_samples += u64::from(row.unknown);
+                    }
+                    totals.items += folds.rows.len() as u64;
                 }
-                FoldedTotals {
-                    funcs: fold
-                        .iter()
-                        .map(|(&func, &(samples, cycles))| (func, samples, cycles))
-                        .collect(),
-                    marked_cycles: marked.values().fold(0u64, |a, &c| a.wrapping_add(c)),
-                    unknown_samples: unknown.values().map(|&n| u64::from(n)).sum(),
-                    // Completed intervals, not distinct ids: shared
-                    // item ids fold many intervals into one map entry,
-                    // and the Folded twin counts every completion.
-                    items: self.pairing.counts().items_processed,
-                }
+                totals.funcs = fold
+                    .into_iter()
+                    .map(|(func, (samples, cycles))| (func, samples, cycles))
+                    .collect();
+                totals
             }
         }
     }
 }
 
 impl Folds {
-    /// Fold one completed item into the episode ring, the open window
-    /// and the cumulative accumulator; its raw samples are dropped.
+    /// Fold one completed item into the episode ring and the open window
+    /// (and `Folded`'s totals); its raw samples are dropped.
     fn finish_item(&mut self, done: Completed<'_>) {
         let interval = done.interval;
         if let Some((func, elapsed, baseline_mean)) = done.divergence {
@@ -511,87 +529,60 @@ impl Folds {
             }
         }
 
-        // Feed the open window and the cumulative accumulator from the
-        // same fold — one source of truth for both granularities.
         self.open.samples += done.samples.len() as u64;
-        let start = self.open.funcs.len();
-        self.open.funcs.extend(
-            done.spans
-                .iter()
-                .map(|&(func, (first, last, count))| (func, count, last.wrapping_sub(first))),
-        );
-        self.open.rows.push(ItemRow {
-            item: interval.item,
-            marked_cycles: interval.cycles(),
-            unknown: done.unknown,
-            funcs_end: self.open.funcs.len(),
-        });
-        let item_funcs = self.open.funcs.get(start..).unwrap_or_default();
-        match &mut self.accum {
-            Accum::Exact {
-                funcs,
-                marked,
-                unknown,
-            } => {
-                for &(func, count, cycles) in item_funcs {
-                    let e = funcs.entry((interval.item, func)).or_insert((0, 0));
-                    e.0 = e.0.wrapping_add(count);
+        let item_funcs = self.open.folds.push(&done);
+        // `Folded` keeps its own dense fold, so `folded_totals()` in
+        // exact mode (a fold of the columns) is an independent twin.
+        if let Accum::Folded {
+            funcs,
+            marked_cycles,
+            unknown_samples,
+            items,
+        } = &mut self.accum
+        {
+            for &(func, count, cycles) in item_funcs {
+                if let Some(e) = funcs.get_mut(func.index()) {
+                    e.0 += u64::from(count);
                     e.1 = e.1.wrapping_add(cycles);
                 }
-                // Wraps like the `Folded` twin and `folded_totals()`:
-                // an End below its Start marks nearly 2⁶⁴ cycles.
-                let m = marked.entry(interval.item).or_insert(0);
-                *m = m.wrapping_add(interval.cycles());
-                if done.unknown > 0 {
-                    *unknown.entry(interval.item).or_insert(0) += done.unknown;
-                }
             }
-            Accum::Folded {
-                funcs,
-                marked_cycles,
-                unknown_samples,
-                items,
-            } => {
-                for &(func, count, cycles) in item_funcs {
-                    if let Some(e) = funcs.get_mut(func.index()) {
-                        e.0 += u64::from(count);
-                        e.1 = e.1.wrapping_add(cycles);
-                    }
-                }
-                *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
-                *unknown_samples += u64::from(done.unknown);
-                *items += 1;
-            }
+            *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
+            *unknown_samples += u64::from(done.unknown);
+            *items += 1;
         }
 
-        if self.open.rows.len() as u64 >= self.config.window_items.max(1) {
+        if self.open.folds.rows.len() as u64 >= self.config.window_items.max(1) {
             self.close_window(done.counts.loss);
         }
     }
 
     /// Close the open window: copy its columns, sized exactly, into a
-    /// summary that pins the cumulative ledger `loss`, clear the open
-    /// columns for reuse, and evict the oldest summary past the
-    /// retention bound. No table is built here; see
-    /// [`WindowSummary::table`].
+    /// summary that pins the cumulative ledger `loss`, append them to
+    /// the exact cumulative columns, clear the open columns for reuse,
+    /// and evict the oldest summary past the retention bound. No table
+    /// is built here; see [`WindowSummary::table`].
     fn close_window(&mut self, loss: LossStats) {
-        if self.open.rows.is_empty() {
+        if self.open.folds.rows.is_empty() {
             return;
         }
         let open = &mut self.open;
-        obs::span!("window.close", open.rows.len() as u64);
+        obs::span!("window.close", open.folds.rows.len() as u64);
+        if let Accum::Exact(closed) = &mut self.accum {
+            closed.rows.extend_from_slice(&open.folds.rows);
+            closed.funcs.extend_from_slice(&open.folds.funcs);
+        }
         let summary = WindowSummary {
             index: self.windows_closed,
-            items: open.rows.len() as u64,
+            items: open.folds.rows.len() as u64,
             samples: open.samples,
             anomalies: open.anomalies,
             loss,
             freq: self.config.freq,
-            rows: open.rows.to_vec(),
-            funcs: open.funcs.to_vec(),
+            // `clone` sizes each column to its length.
+            folds: open.folds.clone(),
         };
-        open.rows.clear();
-        open.funcs.clear();
+        open.folds.rows.clear();
+        open.folds.funcs.clear();
         open.samples = 0;
         open.anomalies = 0;
         self.windows_closed += 1;
@@ -907,6 +898,40 @@ mod tests {
         assert_eq!(exact.folded_totals(), folded.folded_totals());
         assert!(folded.cumulative_table().is_none());
         assert_eq!(folded.report(), exact.report());
+    }
+
+    #[test]
+    fn mid_window_cumulative_reads_see_the_open_window() {
+        // A stream prefix, no `finish_stream`: at 7-item windows some
+        // windows have closed and the open one holds completed items; a
+        // 1-item-window twin has closed every item it completed.
+        let (batches, symtab) = workload(23, 4);
+        let prefix = |window_items: u64, cumulative: CumulativeMode| {
+            let mut cfg = WindowConfig::new(freq());
+            cfg.window_items = window_items;
+            cfg.cumulative = cumulative;
+            let mut wi = WindowedIntegrator::new(Arc::clone(&symtab), cfg);
+            for b in batches.iter().take(5) {
+                wi.ingest(b.clone());
+            }
+            wi
+        };
+        let wi = prefix(7, CumulativeMode::Exact);
+        let twin = prefix(1, CumulativeMode::Exact);
+        assert!(wi.windows_closed() >= 1);
+        assert!(
+            !wi.folds.open.folds.rows.is_empty(),
+            "the open window holds items"
+        );
+        assert!(twin.folds.open.folds.rows.is_empty());
+        let table = wi.cumulative_table().expect("exact mode");
+        assert_eq!(table.len() as u64, wi.report().items_processed);
+        assert_eq!(Some(table), twin.cumulative_table());
+        assert_eq!(wi.folded_totals(), twin.folded_totals());
+        assert_eq!(
+            wi.folded_totals(),
+            prefix(7, CumulativeMode::Folded).folded_totals()
+        );
     }
 
     #[test]

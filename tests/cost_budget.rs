@@ -8,8 +8,9 @@
 //!
 //! The counter is per thread and switched on only around the calls
 //! being costed, so neither the harness nor any other thread enters it.
-//! Window ingest, the estimator, the detector, the series query and the
-//! table's JSON rendering run on the calling thread, and integration is costed with
+//! Window ingest, the exact cumulative table, the estimator, the
+//! detector, the series query and the table's JSON rendering run on the
+//! calling thread, and integration is costed with
 //! one thread given explicitly (a pool worker's allocations would miss
 //! the tally), so every count is the same at every `FLUCTRACE_THREADS`
 //! setting.
@@ -163,8 +164,9 @@ impl Budget {
 /// Window ingest in `serve_steady`'s shape: 4 cores × 64 items × 24
 /// samples per batch over 384 functions, 1024-item windows, a ring of 8.
 /// 64 warm-up batches fill the ring and size every buffer; the next 256
-/// batches are counted, batch generation excluded.
-fn window_ingest(mode: CumulativeMode) -> (f64, f64) {
+/// batches are counted, batch generation excluded. Returns the
+/// integrator with the `(allocations per item, bytes per sample)`.
+fn window_ingest(mode: CumulativeMode) -> (WindowedIntegrator, f64, f64) {
     const WARM_UP: u64 = 64;
     const COUNTED: u64 = 256;
     let mut config = ServeConfig::new(20180521);
@@ -198,7 +200,21 @@ fn window_ingest(mode: CumulativeMode) -> (f64, f64) {
     let items = after.items_processed - before.items_processed;
     let samples = after.samples_seen - before.samples_seen;
     assert_eq!(items, COUNTED * 4 * 64);
-    (allocs as f64 / items as f64, bytes as f64 / samples as f64)
+    (
+        wi,
+        allocs as f64 / items as f64,
+        bytes as f64 / samples as f64,
+    )
+}
+
+/// `cumulative_table()` of an exact-mode integrator, per `(item,
+/// function)` row of the table it renders.
+fn cumulative_rows(wi: &WindowedIntegrator) -> (f64, f64) {
+    let (table, allocs, bytes) = counted(|| wi.cumulative_table());
+    let table = table.expect("exact mode");
+    let (all, _) = rows(&table);
+    println!("cumulative table: {} items, {all} rows", table.len());
+    (allocs as f64 / all as f64, bytes as f64 / all as f64)
 }
 
 /// Items per core of [`wide_table`]'s input.
@@ -348,6 +364,9 @@ fn table_json(table: &EstimateTable) -> (f64, f64) {
 
 #[test]
 fn cost_budgets_hold() {
+    // The process-wide obs registry is built on first use: build it
+    // before any count, so no case pays for that one-time setup.
+    fluctrace_obs::registry();
     let mut failures = Vec::new();
     for (mode, budget) in [
         (
@@ -357,7 +376,7 @@ fn cost_budgets_hold() {
                 unit: "item",
                 allocs: 1.002,
                 byte_unit: "sample",
-                bytes: 35.803,
+                bytes: 35.471,
             },
         ),
         (
@@ -365,22 +384,33 @@ fn cost_budgets_hold() {
             Budget {
                 case: "window ingest/exact",
                 unit: "item",
-                allocs: 1.897,
+                allocs: 1.00203,
                 byte_unit: "sample",
-                bytes: 48.231,
+                bytes: 46.585,
             },
         ),
     ] {
-        let (allocs, bytes) = window_ingest(mode);
+        let (wi, allocs, bytes) = window_ingest(mode);
         budget.check(allocs, bytes, &mut failures);
+        if mode == CumulativeMode::Exact {
+            let (table_allocs, table_bytes) = cumulative_rows(&wi);
+            Budget {
+                case: "cumulative table",
+                unit: "row",
+                allocs: 0.28411,
+                byte_unit: "row",
+                bytes: 117.472,
+            }
+            .check(table_allocs, table_bytes, &mut failures);
+        }
     }
     let (table, (soa_allocs, soa_bytes), (est_allocs, est_bytes)) = wide_table();
     Budget {
         case: "integrate_soa",
         unit: "sample",
-        allocs: 0.00027,
+        allocs: 0.00007,
         byte_unit: "sample",
-        bytes: 34.004,
+        bytes: 33.838,
     }
     .check(soa_allocs, soa_bytes, &mut failures);
     Budget {
