@@ -60,7 +60,7 @@ pub(super) fn fig1(_: Scale, _: bool) -> Report {
     let mut trace_tbl = Table::new(vec!["request", "function", "elapsed (us)"]);
     for req in 1..=3u64 {
         if let Some(ie) = estimates.item(ItemId(req)) {
-            for fe in &ie.funcs {
+            for fe in ie.funcs {
                 trace_tbl.row(vec![
                     format!("#{req}"),
                     machine.symtab().name(fe.func).to_string(),

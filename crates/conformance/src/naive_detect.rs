@@ -42,7 +42,7 @@ pub fn naive_detect(
         let Some(group) = group_of(ie.item) else {
             continue;
         };
-        for fe in &ie.funcs {
+        for fe in ie.funcs {
             if fe.is_estimable() {
                 pops.entry((group.clone(), fe.func))
                     .or_default()

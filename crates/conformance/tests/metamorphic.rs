@@ -158,7 +158,7 @@ fn shuffle<T>(v: &mut [T], seed: u64) {
 fn sample_counts(table: &EstimateTable) -> BTreeMap<(u64, u32), u32> {
     let mut counts = BTreeMap::new();
     for ie in table.items() {
-        for fe in &ie.funcs {
+        for fe in ie.funcs {
             counts.insert((ie.item.0, fe.func.0), fe.samples);
         }
     }

@@ -82,59 +82,60 @@ impl BatchMap {
 /// Split per-batch estimates into per-item estimates.
 ///
 /// Entries of `table` whose item id is a registered batch are fanned out
-/// to the batch's members with elapsed times scaled by the member
-/// weights; entries for ordinary items pass through unchanged. Sample
-/// counts are copied to every member (they witness the batch's
-/// estimability, not a per-item quantity — documented approximation).
+/// to the batch's members with elapsed times and marked totals scaled by
+/// the member weights; entries for ordinary items pass through
+/// unchanged. Every share an id receives — from several batches, or a
+/// batch and its own ordinary entry — is summed, one estimate per
+/// function in function order. Sample counts are copied to every member
+/// (they witness the batch's estimability, not a per-item quantity —
+/// documented approximation).
 pub fn split_batches(table: &EstimateTable, map: &BatchMap) -> EstimateTable {
-    let mut items: BTreeMap<ItemId, ItemEstimate> = BTreeMap::new();
+    // `(receiving item, source row, weight)`; no weight for an ordinary
+    // item, which passes through unscaled.
+    let mut shares: Vec<(ItemId, ItemEstimate<'_>, Option<f64>)> = Vec::new();
     for ie in table.items() {
         match map.members(ie.item) {
-            None => {
-                items.insert(ie.item, ie.clone());
-            }
-            Some(members) => fan_out(&mut items, ie, members),
+            None => shares.push((ie.item, ie, None)),
+            Some(members) => shares.extend(members.iter().map(|&(m, w)| (m, ie, Some(w)))),
         }
     }
-    EstimateTable::from_items_map(items, table.freq)
-}
-
-/// Distribute one batch entry over its members.
-fn fan_out(
-    items: &mut BTreeMap<ItemId, ItemEstimate>,
-    ie: &ItemEstimate,
-    members: &[(ItemId, f64)],
-) {
-    for &(member, weight) in members {
-        let entry = items.entry(member).or_insert_with(|| ItemEstimate {
-            item: member,
-            marked_total: None,
-            funcs: Vec::new(),
-            unknown_func_samples: 0,
-        });
-        entry.marked_total = match (entry.marked_total, ie.marked_total) {
-            (acc, Some(total)) => {
-                let share = scale(total, weight);
-                Some(acc.map_or(share, |a| a + share))
-            }
-            (acc, None) => acc,
+    // Every sum below is order-free, so an unstable sort will do.
+    shares.sort_unstable_by_key(|&(item, ..)| item);
+    let mut out = EstimateTable::empty(table.freq);
+    // The receiving item's entries, reused across items.
+    let mut entries: Vec<FuncEstimate> = Vec::new();
+    for group in shares.chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(item, ..)) = group.first() else {
+            continue;
         };
-        entry.unknown_func_samples += ie.unknown_func_samples;
-        for fe in &ie.funcs {
-            match entry.funcs.iter_mut().find(|f| f.func == fe.func) {
-                Some(existing) => {
-                    existing.elapsed += scale(fe.elapsed, weight);
-                    existing.samples += fe.samples;
-                }
-                None => entry.funcs.push(FuncEstimate {
-                    item: member,
-                    func: fe.func,
-                    samples: fe.samples,
-                    elapsed: scale(fe.elapsed, weight),
-                }),
+        let (mut marked_total, mut unknown) = (None, 0u32);
+        for &(_, ie, weight) in group {
+            let share = |d: SimDuration| weight.map_or(d, |w| scale(d, w));
+            if let Some(total) = ie.marked_total {
+                marked_total = Some(marked_total.map_or(share(total), |acc| acc + share(total)));
             }
+            unknown += ie.unknown_func_samples;
+            entries.extend(ie.funcs.iter().map(|fe| FuncEstimate {
+                item,
+                elapsed: share(fe.elapsed),
+                ..*fe
+            }));
         }
+        entries.sort_unstable_by_key(|fe| fe.func);
+        for same in entries.chunk_by(|a, b| a.func == b.func) {
+            let Some((&first, rest)) = same.split_first() else {
+                continue;
+            };
+            out.push_func(rest.iter().fold(first, |acc, fe| FuncEstimate {
+                samples: acc.samples + fe.samples,
+                elapsed: acc.elapsed + fe.elapsed,
+                ..acc
+            }));
+        }
+        entries.clear();
+        out.push_item(item, marked_total, unknown);
     }
+    out
 }
 
 fn scale(d: SimDuration, w: f64) -> SimDuration {
@@ -246,6 +247,39 @@ mod tests {
         let fe = split.get(ItemId(1), f).unwrap();
         let expected = Freq::ghz(3).cycles_to_dur(30_000) + Freq::ghz(3).cycles_to_dur(3_000);
         assert!(fe.elapsed.as_ps().abs_diff(expected.as_ps()) <= 2);
+    }
+
+    #[test]
+    fn member_of_two_batches_keeps_function_order() {
+        // Batch 10 ran function 5 and batch 20 function 3; item 1 was in
+        // both, so its functions come from two batches in the wrong order.
+        let batch = |id: u64, func: u32| {
+            format!(
+                r#""{id}":{{"item":{id},"marked_total":null,"funcs":[{{"item":{id},"func":{func},"samples":2,"elapsed":900}}],"unknown_func_samples":0}}"#
+            )
+        };
+        let json = format!(
+            r#"{{"items":{{{},{}}},"freq":3000000000,"samples_missing_span":0}}"#,
+            batch(10, 5),
+            batch(20, 3)
+        );
+        let table: EstimateTable = serde_json::from_str(&json).unwrap();
+        let mut map = BatchMap::new();
+        map.register(ItemId(10), &[ItemId(1)]);
+        map.register(ItemId(20), &[ItemId(1)]);
+        let split = split_batches(&table, &map);
+        let funcs: Vec<u32> = split
+            .item(ItemId(1))
+            .unwrap()
+            .funcs
+            .iter()
+            .map(|fe| fe.func.0)
+            .collect();
+        assert_eq!(funcs, [3, 5]);
+        assert_eq!(
+            split.get(ItemId(1), FuncId(3)).unwrap().elapsed.as_ps(),
+            900
+        );
     }
 
     #[test]

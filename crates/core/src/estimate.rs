@@ -9,46 +9,55 @@
 //! differences are taken *per occupancy span* and summed, so time the
 //! item spent switched-out is not counted.
 //!
+//! An [`EstimateTable`] is two columns: a row per item, ascending by
+//! item, and one flat [`FuncEstimate`] column in item-then-function
+//! order. An [`ItemEstimate`] is a `Copy` view of a row and its entries.
+//!
 //! ## One assembly, several front ends
 //!
-//! Every estimator ends in the same private per-item builder, which
-//! takes items in ascending id order with their per-function estimates
-//! folded, interleaves the items that have intervals but no estimable
-//! samples, attaches marked totals and unresolvable-sample counts,
-//! tallies the `core.estimate.*` obs volumes and builds the final map.
-//! The front ends differ only in how they reach it:
+//! Every estimator ends in the same private builder. It takes items in
+//! ascending id order, each as its `(item, func, samples, cycles)` span
+//! entries sorted by function; it appends one estimate per function
+//! (cycles summed, then converted to time once) and the item's row with
+//! its marked total and unresolvable-sample count, interleaves the items
+//! that have intervals but no estimable samples, and tallies the
+//! `core.estimate.*` obs volumes. Nothing is allocated per item. The
+//! front ends differ only in how they reach it:
 //!
-//! * [`EstimateTable::from_soa`], in either mapping mode, folds each
-//!   item in one pass over its runs in the `(item, start)`-sorted run
-//!   index: each span's per-function `(first, last, count)` goes
-//!   straight into the item's `(func, samples, cycles)` accumulator, so
-//!   no span list, sort or tree is built;
-//! * the AoS scan [`EstimateTable::from_integrated`] sees samples in
-//!   time order: it collects a flat span list, and `assemble_table`
-//!   sorts it by `(item, func)` and feeds each item's group to the same
-//!   builder;
-//! * [`crate::window`] already holds each completed item folded in the
-//!   cycle domain — its marked cycles, its unresolvable-sample count and
-//!   its per-function `(func, samples, cycles)` — and hands those rows,
-//!   in item order, to `table_from_items`. Its per-window tables and
-//!   its exact cumulative table both go this way.
+//! * [`EstimateTable::from_soa`] and [`EstimateTable::from_integrated`]
+//!   are one fold, in either mapping mode, over the `(item,
+//!   start)`-sorted item-run index — of the columns or of the AoS
+//!   samples: each item is folded in one pass over its runs into a
+//!   scratch entry list reused across items;
+//! * [`crate::window`] hands its completed items, already folded in the
+//!   cycle domain, to `table_from_items` in item order — its per-window
+//!   tables and its exact cumulative table alike.
+//!
+//! [`crate::split_batches`], whose input is already a table, appends to
+//! the two columns directly.
 //!
 //! ## Reads
 //!
+//! [`EstimateTable::item`] is a binary search over the rows and, for the
+//! item's entries, over the entry column's `item` field.
 //! [`EstimateTable::series_for_func`] — one function across every item,
 //! the paper's Fig. 9 read — answers from a private per-function index
-//! that the table builds the first time it is asked, not by scanning
-//! every item. No front end above builds it, so building a table costs
-//! nothing extra; a table that is only rendered or compared never pays
-//! for it. The index holds exactly what the scan would return: the
-//! estimable rows (≥ 2 samples) grouped by function and in item order
-//! within each function, and for an item that lists a function twice
-//! only the first entry, as [`ItemEstimate::func`] answers. It is keyed
-//! by the functions that occur: a sorted list of distinct [`FuncId`]s,
-//! their start offsets and one flat row column, so its memory is
-//! O(estimable rows + distinct functions) whatever the largest id.
-//! It is derived state: equality, `Debug`, serialization and
-//! deserialization ignore it, and a clone starts without one.
+//! built on its first call, not by scanning every item: the estimable
+//! entries (≥ 2 samples; of a function an item lists twice, only the
+//! first, as [`ItemEstimate::func`] answers) in function-then-item
+//! order, with the distinct [`FuncId`]s and their start offsets, so its
+//! memory is O(estimable rows + distinct functions) whatever the largest
+//! id. No front end builds it, so a table that is only rendered or
+//! compared never pays for it. It is derived state: equality, `Debug`,
+//! serialization and deserialization ignore it, and a clone starts
+//! without one.
+//!
+//! ## Wire format
+//!
+//! The JSON form is an object of items keyed by id, each with its
+//! entries as an array. Reading it sorts the keys, keeps the last of a
+//! repeated key and an item's entries as given; an item or entry whose
+//! id differs from its key is refused, since reads find entries by id.
 
 use crate::integrate::{IntegratedTrace, MappingMode};
 use crate::interval::ItemInterval;
@@ -56,9 +65,9 @@ use crate::soa::{SoaTrace, NO_FUNC, NO_SPAN};
 use fluctrace_cpu::{FuncId, ItemId};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::OnceLock;
 
 /// Estimated elapsed time of one function for one data-item.
@@ -82,9 +91,10 @@ impl FuncEstimate {
     }
 }
 
-/// Everything estimated about one data-item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ItemEstimate {
+/// Everything estimated about one data-item: a view of one row of an
+/// [`EstimateTable`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ItemEstimate<'a> {
     /// The data-item.
     pub item: ItemId,
     /// Exact processing time from the instrumentation marks (sum over
@@ -92,14 +102,14 @@ pub struct ItemEstimate {
     /// in register-tag mode on a trace without marks.
     pub marked_total: Option<SimDuration>,
     /// Per-function estimates, ordered by function id.
-    pub funcs: Vec<FuncEstimate>,
+    pub funcs: &'a [FuncEstimate],
     /// Samples attributed to the item whose IP resolved to no function.
     pub unknown_func_samples: u32,
 }
 
-impl ItemEstimate {
+impl<'a> ItemEstimate<'a> {
     /// Estimate for one function, if any samples hit it.
-    pub fn func(&self, func: FuncId) -> Option<&FuncEstimate> {
+    pub fn func(&self, func: FuncId) -> Option<&'a FuncEstimate> {
         self.funcs.iter().find(|f| f.func == func)
     }
 
@@ -111,10 +121,36 @@ impl ItemEstimate {
     }
 }
 
-/// Per-item per-function estimates for a whole trace.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// One item of a table; its entries are the next `funcs` of the entry
+/// column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ItemRow {
+    item: ItemId,
+    marked_total: Option<SimDuration>,
+    unknown_func_samples: u32,
+    funcs: u32,
+}
+
+impl ItemRow {
+    fn view(self, funcs: &[FuncEstimate]) -> ItemEstimate<'_> {
+        ItemEstimate {
+            item: self.item,
+            marked_total: self.marked_total,
+            funcs,
+            unknown_func_samples: self.unknown_func_samples,
+        }
+    }
+}
+
+/// Per-item per-function estimates for a whole trace, in the two
+/// columns the module doc describes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimateTable {
-    items: BTreeMap<ItemId, ItemEstimate>,
+    /// One row per item, ascending by item.
+    rows: Vec<ItemRow>,
+    /// Every item's entries in item-then-function order; each entry's
+    /// `item` is its row's.
+    funcs: Vec<FuncEstimate>,
     /// TSC frequency the estimates were converted with.
     pub freq: Freq,
     /// Interval-mode samples that carried an item but no interval index.
@@ -125,19 +161,7 @@ pub struct EstimateTable {
     pub samples_missing_span: u64,
     /// The by-function index of [`Self::series_for_func`], built on
     /// first use.
-    #[serde(skip)]
     series: SeriesIndex,
-}
-
-/// `Debug` shows the table's contents, never whether its index is built.
-impl fmt::Debug for EstimateTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EstimateTable")
-            .field("items", &self.items)
-            .field("freq", &self.freq)
-            .field("samples_missing_span", &self.samples_missing_span)
-            .finish()
-    }
 }
 
 /// The lazily built by-function index of a table (see the module doc's
@@ -159,6 +183,13 @@ impl PartialEq for SeriesIndex {
     }
 }
 
+/// `Debug` never shows whether the index is built.
+impl fmt::Debug for SeriesIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SeriesIndex")
+    }
+}
+
 /// A table's estimable rows grouped by function: `funcs` is sorted and
 /// distinct, and the rows of `funcs[k]` are `rows[starts[k]..starts[k +
 /// 1]]`, in item order.
@@ -169,11 +200,11 @@ struct ByFunc {
 }
 
 impl ByFunc {
-    fn build(items: &BTreeMap<ItemId, ItemEstimate>) -> ByFunc {
-        // One walk of the tree into a flat column, sized by every row,
-        // estimable or not.
-        let mut keyed = Vec::with_capacity(items.values().map(|ie| ie.funcs.len()).sum());
-        keyed.extend(estimable_rows(items));
+    fn build(table: &EstimateTable) -> ByFunc {
+        // One walk of the entry column into a flat column, sized by
+        // every entry, estimable or not.
+        let mut keyed = Vec::with_capacity(table.funcs.len());
+        keyed.extend(estimable_rows(table));
         // An item names a function at most once here, so the keys are
         // distinct and the unstable sort has one possible result.
         keyed.sort_unstable_by_key(|&(func, item, _)| (func, item));
@@ -212,9 +243,9 @@ impl ByFunc {
 /// item that lists a function more than once (only a deserialized table
 /// can) just the first, as [`ItemEstimate::func`] finds it.
 fn estimable_rows(
-    items: &BTreeMap<ItemId, ItemEstimate>,
+    table: &EstimateTable,
 ) -> impl Iterator<Item = (FuncId, ItemId, SimDuration)> + '_ {
-    items.values().flat_map(|ie| {
+    table.items().flat_map(|ie| {
         let distinct = ie.funcs.is_sorted_by(|a, b| a.func < b.func);
         ie.funcs
             .iter()
@@ -225,106 +256,77 @@ fn estimable_rows(
                             .func(fe.func)
                             .is_some_and(|first| std::ptr::eq(first, *fe)))
             })
-            .map(move |fe| (fe.func, ie.item, fe.elapsed))
+            .map(|fe| (fe.func, fe.item, fe.elapsed))
     })
 }
 
 impl EstimateTable {
-    /// Assemble a table from pre-built per-item estimates (used by the
-    /// batch-splitting extension).
-    pub(crate) fn from_items_map(
-        items: BTreeMap<ItemId, ItemEstimate>,
-        freq: Freq,
-    ) -> EstimateTable {
+    /// An empty table, to append items to in ascending id order.
+    pub(crate) fn empty(freq: Freq) -> Self {
         EstimateTable {
-            items,
+            rows: Vec::new(),
+            funcs: Vec::new(),
             freq,
             samples_missing_span: 0,
             series: SeriesIndex::default(),
         }
     }
 
+    /// Append one entry of the item about to be appended.
+    pub(crate) fn push_func(&mut self, fe: FuncEstimate) {
+        self.funcs.push(fe);
+    }
+
+    /// Append `item` (ids strictly ascending across calls); its entries
+    /// are the ones pushed for it since the previous item.
+    pub(crate) fn push_item(
+        &mut self,
+        item: ItemId,
+        marked_total: Option<SimDuration>,
+        unknown_func_samples: u32,
+    ) {
+        let funcs = self.funcs.iter().rev().take_while(|fe| fe.item == item);
+        self.rows.push(ItemRow {
+            item,
+            marked_total,
+            unknown_func_samples,
+            funcs: funcs.count() as u32,
+        });
+    }
+
     /// Build the table from an integrated trace.
     ///
     /// ## Algorithm
     ///
-    /// Samples arrive in `(core, tsc)` order, and their span ids — the
-    /// interval index in interval mode, the item-run id in register
-    /// mode — are non-decreasing in that order, so all samples of one
-    /// occupancy span are **contiguous**. Instead of a `BTreeMap` insert
-    /// per sample, one linear scan folds each span's per-function
-    /// `(first, last, count)` into a small scratch vector, flushing it
-    /// whenever the span id advances. The flat span list is then sorted
-    /// once by `(item, func)` and group-folded into the final table by
-    /// `assemble_table`. The conformance oracle, which shares no code
+    /// The item-run index lists the maximal same-item runs sorted by
+    /// `(item, start)`, so each item is folded in one pass over its runs.
+    /// Within a run a span is a stretch of one key — the interval index
+    /// in interval mode, the core in register mode — and each span's
+    /// per-function `(first, last, count)` becomes one entry of the
+    /// item's scratch list. The conformance oracle, which shares no code
     /// with this crate, is the independent reference for both modes.
     pub fn from_integrated(it: &IntegratedTrace) -> Self {
         obs::span!("estimate.run", it.samples.len());
-        // All flushed spans: (item, func, first, last, count).
-        let mut flat: Vec<(ItemId, FuncId, u64, u64, u32)> = Vec::new();
-        // The current span's per-function accumulator.
-        let mut scratch: Vec<(u32, u64, u64, u32)> = Vec::new();
-        let mut unknown: BTreeMap<ItemId, u32> = BTreeMap::new();
-        let mut samples_missing_span = 0u64;
-
-        let mut run_id = 0u64;
-        let mut last: Option<(fluctrace_cpu::CoreId, Option<ItemId>)> = None;
-        let mut cur_span: Option<(u64, u64)> = None;
-        for s in &it.samples {
-            // Track register-mode runs (for *all* samples: a gap of
-            // unattributed samples still splits a run).
-            let cur = (s.core, s.item);
-            if last != Some(cur) {
-                run_id += 1;
-                last = Some(cur);
-            }
-            let Some(item) = s.item else { continue };
-            let Some(func) = s.func else {
-                *unknown.entry(item).or_insert(0) += 1;
-                continue;
-            };
-            let span = match it.mode {
-                MappingMode::Intervals => match s.interval_idx {
-                    Some(idx) => idx as u64,
-                    None => {
-                        samples_missing_span += 1;
-                        continue;
-                    }
-                },
-                MappingMode::RegisterTag => run_id,
-            };
-            if cur_span != Some((item.0, span)) {
-                flush_span(&mut scratch, cur_span, &mut flat);
-                cur_span = Some((item.0, span));
-            }
-            fold_sample(&mut scratch, func.0, s.tsc);
-        }
-        flush_span(&mut scratch, cur_span, &mut flat);
-
-        assemble_table(flat, unknown, samples_missing_span, &it.intervals, it.freq)
+        let intervals = it.mode == MappingMode::Intervals;
+        let run_samples = |lo: usize, hi: usize| {
+            let samples = it.samples.get(lo..hi).unwrap_or_default();
+            samples.iter().map(move |s| {
+                let key = if intervals {
+                    s.interval_idx
+                } else {
+                    Some(s.core.0)
+                };
+                (s.tsc, s.func.map(|f| f.0), key)
+            })
+        };
+        fold_item_runs(&it.item_index, run_samples, &it.intervals, it.freq)
     }
 
-    /// Build the table from a columnar trace ([`crate::integrate_soa`]).
-    /// Byte-identical to [`Self::from_integrated`] on the equivalent AoS
-    /// trace — both scans feed the same per-item builder, and the
-    /// conformance sweep pins the agreement against the oracle.
-    ///
-    /// The scan is the columnar twin of [`Self::from_integrated`],
-    /// driven by the trace's item-run index instead of walking every
-    /// row: attributed samples come in maximal same-item runs, sorted by
-    /// `(item, start)`, so the scan jumps from run to run, touches only
-    /// the three columns it needs (`tsc`, `func` and the span key) and
-    /// skips unattributed gap samples without reading them at all. One
-    /// item's runs are adjacent in the index, so each item is finished
-    /// in one pass: every span's per-function
-    /// `(first, last, count)` is folded straight into the item's
-    /// `(func, samples, cycles)` accumulator, which is sorted by function
-    /// and handed, with the item's unresolvable-sample count, to the same
-    /// per-item builder `assemble_table` feeds — no flat span list, no
-    /// re-sort, no tree. Span sums are commutative, so folding by item
-    /// instead of by time cannot change the table. Register mode walks
-    /// the same index; its spans split where the `core` column changes
-    /// within a run.
+    /// Build the table from a columnar trace ([`crate::integrate_soa`]):
+    /// the fold of [`Self::from_integrated`] over the same run index,
+    /// reading only the three columns it needs (`tsc`, `func` and the
+    /// span key) and never the unattributed gap samples, so the two are
+    /// byte-identical on equivalent traces.
     pub fn from_soa(soa: &SoaTrace) -> Self {
         if let Some(aos) = &soa.aos_fallback {
             // Reserved-id trace: the columns are ambiguous, the boxed
@@ -332,32 +334,57 @@ impl EstimateTable {
             return Self::from_integrated(aos);
         }
         obs::span!("estimate.run", soa.cols.len());
-        fold_item_runs(soa)
+        let cols = &soa.cols;
+        let intervals = soa.mode == MappingMode::Intervals;
+        let keys = if intervals { &cols.span } else { &cols.core };
+        let run_samples = |lo: usize, hi: usize| {
+            let tscs = cols.tsc.get(lo..hi).unwrap_or_default();
+            let funcs = cols.func.get(lo..hi).unwrap_or_default();
+            let keys = keys.get(lo..hi).unwrap_or_default();
+            tscs.iter()
+                .zip(funcs)
+                .zip(keys)
+                .map(move |((&tsc, &func), &key)| {
+                    let known = (func != NO_FUNC).then_some(func);
+                    (tsc, known, (key != NO_SPAN || !intervals).then_some(key))
+                })
+        };
+        fold_item_runs(&soa.item_index, run_samples, &soa.intervals, soa.freq)
     }
 
     /// Estimate for `{item, func}`.
     pub fn get(&self, item: ItemId, func: FuncId) -> Option<&FuncEstimate> {
-        self.items.get(&item).and_then(|ie| ie.func(func))
+        self.item(item).and_then(|ie| ie.func(func))
     }
 
     /// Everything about one item.
-    pub fn item(&self, item: ItemId) -> Option<&ItemEstimate> {
-        self.items.get(&item)
+    pub fn item(&self, item: ItemId) -> Option<ItemEstimate<'_>> {
+        let k = self.rows.binary_search_by_key(&item, |row| row.item).ok()?;
+        let row = *self.rows.get(k)?;
+        let start = self.funcs.partition_point(|fe| fe.item < item);
+        Some(row.view(self.funcs.get(start..start + row.funcs as usize)?))
     }
 
     /// Iterate all items in id order.
-    pub fn items(&self) -> impl Iterator<Item = &ItemEstimate> {
-        self.items.values()
+    pub fn items(&self) -> impl Iterator<Item = ItemEstimate<'_>> {
+        let mut rest = self.funcs.as_slice();
+        self.rows.iter().map(move |row| {
+            let (funcs, tail) = rest
+                .split_at_checked(row.funcs as usize)
+                .unwrap_or((rest, &[]));
+            rest = tail;
+            row.view(funcs)
+        })
     }
 
     /// Number of items with any information.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.rows.len()
     }
 
     /// True if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.rows.is_empty()
     }
 
     /// Elapsed estimates of `func` across items that have ≥2 samples
@@ -369,26 +396,111 @@ impl EstimateTable {
     pub fn series_for_func(&self, func: FuncId) -> &[(ItemId, SimDuration)] {
         self.series
             .0
-            .get_or_init(|| ByFunc::build(&self.items))
+            .get_or_init(|| ByFunc::build(self))
             .series(func)
     }
 }
 
-/// Move a finished span's per-function accumulators into the flat span
-/// list (tagged with the span's item), clearing the scratch for reuse.
-/// The scratch keys are raw ids; typed ids are minted here, at the flat
-/// boundary.
-fn flush_span(
-    scratch: &mut Vec<(u32, u64, u64, u32)>,
-    span: Option<(u64, u64)>,
-    flat: &mut Vec<(ItemId, FuncId, u64, u64, u32)>,
-) {
-    let Some((item, _)) = span else {
-        debug_assert!(scratch.is_empty());
-        return;
-    };
+impl ItemEstimate<'_> {
+    /// The members a derive renders for a struct of these fields.
+    fn fields(&self) -> [(&'static str, &dyn Serialize); 4] {
+        [
+            ("item", &self.item),
+            ("marked_total", &self.marked_total),
+            ("funcs", &self.funcs),
+            ("unknown_func_samples", &self.unknown_func_samples),
+        ]
+    }
+}
+
+impl Serialize for ItemEstimate<'_> {
+    fn to_value(&self) -> Value {
+        let members = self
+            .fields()
+            .map(|(name, value)| (name.into(), value.to_value()));
+        Value::Object(members.into())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        for (i, (name, value)) in self.fields().into_iter().enumerate() {
+            let _ = write!(out, "{}\"{name}\":", if i == 0 { "{" } else { "," });
+            value.write_json(out);
+        }
+        out.push('}');
+    }
+}
+
+/// The module doc's "Wire format"; `write_json` writes it without
+/// building a value tree.
+impl Serialize for EstimateTable {
+    fn to_value(&self) -> Value {
+        let items = self.items().map(|ie| {
+            // lint:allow(hot-path-alloc): rendering names each item once; no estimator calls it
+            (ie.item.0.to_string(), ie.to_value())
+        });
+        Value::Object(Vec::from([
+            ("items".into(), Value::Object(items.collect())),
+            ("freq".into(), self.freq.to_value()),
+            (
+                "samples_missing_span".into(),
+                self.samples_missing_span.to_value(),
+            ),
+        ]))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{{\"items\":{{");
+        for (i, ie) in self.items().enumerate() {
+            let _ = write!(out, "{}\"{}\":", if i == 0 { "" } else { "," }, ie.item.0);
+            ie.write_json(out);
+        }
+        let _ = write!(out, "}},\"freq\":");
+        self.freq.write_json(out);
+        let _ = write!(
+            out,
+            ",\"samples_missing_span\":{}}}",
+            self.samples_missing_span
+        );
+    }
+}
+
+/// One item as the wire format spells it.
+#[derive(Deserialize)]
+struct WireItem {
+    item: ItemId,
+    marked_total: Option<SimDuration>,
+    funcs: Vec<FuncEstimate>,
+    unknown_func_samples: u32,
+}
+
+/// Reads the module doc's "Wire format" through a map of wire items, so
+/// the keys it keeps are by construction the ones a derived map kept.
+impl Deserialize for EstimateTable {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let items: BTreeMap<ItemId, WireItem> = serde::from_field(v, "items")?;
+        let mut table = EstimateTable::empty(serde::from_field(v, "freq")?);
+        table.samples_missing_span = serde::from_field(v, "samples_missing_span")?;
+        for (id, ie) in items {
+            if ie.item != id || ie.funcs.iter().any(|fe| fe.item != id) {
+                return Err(DeError::msg("an item or entry id differs from its key"));
+            }
+            table.funcs.extend(ie.funcs);
+            table.push_item(id, ie.marked_total, ie.unknown_func_samples);
+        }
+        Ok(table)
+    }
+}
+
+/// One span's estimate of one function: `(item, func, samples,
+/// first→last cycles)`.
+type SpanEntry = (ItemId, FuncId, u32, u64);
+
+/// Move a finished span's per-function accumulators into the item's
+/// entry list, clearing the scratch for reuse. The scratch keys are raw
+/// ids; typed ids are minted here.
+fn flush_span(scratch: &mut Vec<(u32, u64, u64, u32)>, item: ItemId, flat: &mut Vec<SpanEntry>) {
     for (func, first, last, count) in scratch.drain(..) {
-        flat.push((ItemId(item), FuncId(func), first, last, count));
+        flat.push((item, FuncId(func), count, last.wrapping_sub(first)));
     }
 }
 
@@ -406,118 +518,73 @@ fn fold_sample(scratch: &mut Vec<(u32, u64, u64, u32)>, func: u32, tsc: u64) {
     }
 }
 
-/// [`EstimateTable::from_soa`]: one pass per item over its runs in the
-/// `(item, start)`-sorted run index. Within a run, a span is a stretch
-/// of one key: the `span` column (the interval index) in interval mode,
-/// the `core` column in register mode, so a register-mode span is one
-/// core's stretch of an item run — the AoS scan's `(core, item)` run.
-/// Each finished span's per-function `(first, last, count)` goes
-/// straight into the item's `(func, samples, cycles)` accumulator; when
-/// the item's last run is done the accumulator is sorted by function
-/// and the item is handed to the [`TableBuilder`]. Both scratch vectors
-/// are reused across items.
-fn fold_item_runs(soa: &SoaTrace) -> EstimateTable {
-    let freq = soa.freq;
-    let intervals = soa.mode == MappingMode::Intervals;
-    let keys = if intervals {
-        &soa.cols.span
-    } else {
-        &soa.cols.core
-    };
-    let mut builder = TableBuilder::new(&soa.intervals, freq);
+/// One sample as [`fold_item_runs`] reads it: `(tsc, func, span key)`,
+/// `None` for an IP that resolved to no function and for an
+/// interval-mode sample without an interval index.
+type RunSample = (u64, Option<u32>, Option<u32>);
+
+/// Both scans' fold (see [`EstimateTable::from_integrated`]): one pass
+/// per item over its runs in `index`, `run_samples(lo, hi)` reading the samples
+/// of rows `lo..hi`. Both scratch vectors are reused across items.
+fn fold_item_runs<R: Iterator<Item = RunSample>>(
+    index: &[(ItemId, u32, u32)],
+    run_samples: impl Fn(usize, usize) -> R,
+    intervals: &[ItemInterval],
+    freq: Freq,
+) -> EstimateTable {
+    let items = index.chunk_by(|a, b| a.0 == b.0).count();
+    let mut builder = TableBuilder::new(intervals, freq, items);
     // The open span's (func, first, last, count) and the open item's
-    // (func, samples, cycles).
+    // entries.
     let mut span_acc: Vec<(u32, u64, u64, u32)> = Vec::new();
-    let mut item_acc: Vec<(u32, u32, u64)> = Vec::new();
+    let mut item_acc: Vec<SpanEntry> = Vec::new();
     let mut samples_missing_span = 0u64;
-    for runs in soa.item_index.chunk_by(|a, b| a.0 == b.0) {
+    for runs in index.chunk_by(|a, b| a.0 == b.0) {
         let Some(&(item, ..)) = runs.first() else {
             continue;
         };
         let mut unknown = 0u32;
         for &(_, start, end) in runs {
-            let (lo, hi) = (start as usize, end as usize);
-            let (Some(tscs), Some(funcs), Some(run_keys)) = (
-                soa.cols.tsc.get(lo..hi),
-                soa.cols.func.get(lo..hi),
-                keys.get(lo..hi),
-            ) else {
-                continue;
-            };
-            // The span accumulator is empty when a run starts, so a first
-            // key equal to this initial value (a core numbered
-            // `u32::MAX`) merely skips a no-op fold.
-            let mut cur = NO_SPAN;
-            for ((&tsc, &func), &key) in tscs.iter().zip(funcs).zip(run_keys) {
-                if func == NO_FUNC {
+            let mut cur = None;
+            for (tsc, func, key) in run_samples(start as usize, end as usize) {
+                let Some(func) = func else {
                     unknown += 1;
                     continue;
-                }
-                if key == NO_SPAN && intervals {
+                };
+                let Some(key) = key else {
                     samples_missing_span += 1;
                     continue;
-                }
-                if key != cur {
-                    fold_span(&mut span_acc, &mut item_acc, &mut builder);
-                    cur = key;
+                };
+                if cur != Some(key) {
+                    flush_span(&mut span_acc, item, &mut item_acc);
+                    cur = Some(key);
                 }
                 fold_sample(&mut span_acc, func, tsc);
             }
-            fold_span(&mut span_acc, &mut item_acc, &mut builder);
+            flush_span(&mut span_acc, item, &mut item_acc);
         }
-        item_acc.sort_unstable_by_key(|&(func, _, _)| func);
-        let mut funcs = Vec::with_capacity(item_acc.len());
-        funcs.extend(
-            item_acc
-                .drain(..)
-                .map(|(func, samples, cycles)| FuncEstimate {
-                    item,
-                    func: FuncId(func),
-                    samples,
-                    elapsed: freq.cycles_to_dur(cycles),
-                }),
-        );
-        builder.push(item, funcs, unknown);
+        item_acc.sort_unstable_by_key(|&(_, func, ..)| func);
+        builder.funcs(&item_acc);
+        item_acc.clear();
+        builder.push(item, unknown);
     }
     builder.finish(samples_missing_span)
 }
 
-/// Close the open span: fold its per-function `(first, last, count)`
-/// into the item accumulator and count it for the obs volumes.
-fn fold_span(
-    span_acc: &mut Vec<(u32, u64, u64, u32)>,
-    item_acc: &mut Vec<(u32, u32, u64)>,
-    builder: &mut TableBuilder,
-) {
-    for (func, first, last, count) in span_acc.drain(..) {
-        let cycles = last.wrapping_sub(first);
-        builder.span(cycles);
-        match item_acc.iter_mut().find(|e| e.0 == func) {
-            Some(e) => {
-                e.1 += count;
-                e.2 = e.2.wrapping_add(cycles);
-            }
-            None => item_acc.push((func, count, cycles)),
-        }
-    }
-}
-
-/// The one assembly every estimator front end feeds. Items arrive in
-/// ascending id order with their per-function estimates already folded
-/// and sorted; the builder interleaves the items that have intervals but
-/// no attributable samples (merge join against the exact marked totals),
-/// attaches each item's marked total and unresolvable-sample count,
-/// tallies the deterministic `core.estimate.*` obs volumes and builds
-/// the final map. Because every front end ends here, the AoS scan, the
-/// SoA fold and the windowed integrator produce the same table whenever
-/// they fold the same spans.
+/// The one assembly every estimator front end feeds (the module doc's
+/// "One assembly, several front ends"); interval-only items come from a
+/// merge join against the exact marked totals. Because every front end
+/// ends here, the batch fold and the windowed integrator produce the
+/// same table whenever they fold the same spans.
 struct TableBuilder {
-    freq: Freq,
     /// Exact cycles from marks per item, coalesced and sorted by item.
     totals: Vec<(ItemId, u64)>,
     /// First entry of `totals` not yet emitted.
     next_total: usize,
-    items: Vec<(ItemId, ItemEstimate)>,
+    /// The columns appended so far.
+    table: EstimateTable,
+    /// Rows the table is expected to end with.
+    rows_hint: usize,
     /// Spans folded so far (`core.estimate.spans`).
     spans: u64,
     /// `core.estimate.span_cycles`.
@@ -525,96 +592,114 @@ struct TableBuilder {
 }
 
 impl TableBuilder {
-    fn new(intervals: &[ItemInterval], freq: Freq) -> Self {
-        let mut raw_totals: Vec<(ItemId, u64)> =
+    /// A builder for about `rows` items besides those with intervals;
+    /// the hint sizes the columns.
+    fn new(intervals: &[ItemInterval], freq: Freq, rows: usize) -> Self {
+        let mut totals: Vec<(ItemId, u64)> =
             intervals.iter().map(|iv| (iv.item, iv.cycles())).collect();
-        raw_totals.sort_unstable_by_key(|&(item, _)| item);
-        let mut totals: Vec<(ItemId, u64)> = Vec::with_capacity(raw_totals.len());
-        for &(item, cycles) in &raw_totals {
-            match totals.last_mut() {
-                Some((last_item, acc)) if *last_item == item => *acc = acc.wrapping_add(cycles),
-                _ => totals.push((item, cycles)),
+        totals.sort_unstable_by_key(|&(item, _)| item);
+        totals.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.wrapping_add(next.1);
             }
-        }
+            same
+        });
+        let mut table = EstimateTable::empty(freq);
+        let rows_hint = rows.max(totals.len());
+        table.rows.reserve_exact(rows_hint);
         TableBuilder {
-            freq,
-            items: Vec::with_capacity(totals.len()),
             totals,
             next_total: 0,
+            table,
+            rows_hint,
             spans: 0,
             span_cycles: obs::histogram!("core.estimate.span_cycles"),
         }
     }
 
-    /// Count one folded span (one function's first→last cycles within
-    /// one occupancy span) for the obs volumes.
-    fn span(&mut self, cycles: u64) {
-        self.spans += 1;
-        self.span_cycles.record(cycles);
+    /// Append the next item's estimates from its span entries, sorted by
+    /// function: one estimate per function, its samples and cycles
+    /// summed (cycles with wrap-around) and converted to time once, so
+    /// truncation does not accumulate per span. Every entry counts as
+    /// one span for the obs volumes.
+    fn funcs(&mut self, entries: &[SpanEntry]) {
+        self.reserve(entries.len());
+        for group in entries.chunk_by(|a, b| a.1 == b.1) {
+            let Some(&(item, func, ..)) = group.first() else {
+                continue;
+            };
+            let (mut samples, mut cycles) = (0u32, 0u64);
+            for &(.., n, c) in group {
+                self.spans += 1;
+                self.span_cycles.record(c);
+                samples += n;
+                cycles = cycles.wrapping_add(c);
+            }
+            let elapsed = self.table.freq.cycles_to_dur(cycles);
+            self.table.push_func(FuncEstimate {
+                item,
+                func,
+                samples,
+                elapsed,
+            });
+        }
     }
 
-    /// Emit every interval-only item with an id below `item` (all that
-    /// are left, for `None`). Such items still appear, with empty
-    /// function lists, so their totals stay queryable.
+    /// Make room for `n` more entries. A full entry column grows by its
+    /// entries per row so far times the rows still expected, and by at
+    /// least an eighth: a few steps to its final size, where doubling
+    /// would allocate about twice that size on the way.
+    fn reserve(&mut self, n: usize) {
+        let (rows, funcs) = (self.table.rows.len(), &mut self.table.funcs);
+        if funcs.capacity() - funcs.len() < n {
+            let per_row = funcs.len() / rows.max(1) + 1;
+            let ahead = self.rows_hint.saturating_sub(rows) * per_row;
+            funcs.reserve_exact(n + ahead.max(funcs.len() / 8));
+        }
+    }
+
+    /// Append every interval-only item with an id below `item` (all that
+    /// are left, for `None`). Such items still appear, with no entries,
+    /// so their totals stay queryable.
     fn backfill_below(&mut self, item: Option<ItemId>) {
         while let Some(&(t_item, cycles)) = self.totals.get(self.next_total) {
             if item.is_some_and(|item| t_item >= item) {
                 break;
             }
-            self.items.push((
-                t_item,
-                ItemEstimate {
-                    item: t_item,
-                    marked_total: Some(self.freq.cycles_to_dur(cycles)),
-                    funcs: Vec::new(),
-                    unknown_func_samples: 0,
-                },
-            ));
+            let total = self.table.freq.cycles_to_dur(cycles);
+            self.table.push_item(t_item, Some(total), 0);
             self.next_total += 1;
         }
     }
 
-    /// Emit `item` (ids strictly ascending across calls) with its
-    /// function estimates, sorted by function, and its count of samples
-    /// whose IP resolved to no function. An item with no estimate and no
-    /// interval is left out, so its unresolvable count is dropped.
-    fn push(&mut self, item: ItemId, funcs: Vec<FuncEstimate>, unknown: u32) {
+    /// Append `item` (ids strictly ascending across calls), whose
+    /// estimates [`Self::funcs`] appended, with its count of samples
+    /// whose IP resolved to no function.
+    fn push(&mut self, item: ItemId, unknown: u32) {
         self.backfill_below(Some(item));
         let marked_total = match self.totals.get(self.next_total) {
             Some(&(t_item, cycles)) if t_item == item => {
                 self.next_total += 1;
-                Some(self.freq.cycles_to_dur(cycles))
+                Some(self.table.freq.cycles_to_dur(cycles))
             }
             _ => None,
         };
-        self.emit(item, marked_total, funcs, unknown);
+        self.emit(item, marked_total, unknown);
     }
 
-    /// Emit `item` with its marked total already known; the interval
-    /// merge join of [`Self::push`] is bypassed.
-    fn emit(
-        &mut self,
-        item: ItemId,
-        marked_total: Option<SimDuration>,
-        funcs: Vec<FuncEstimate>,
-        unknown: u32,
-    ) {
-        if funcs.is_empty() && marked_total.is_none() {
-            return;
+    /// Append `item` with its marked total already known; the interval
+    /// merge join of [`Self::push`] is bypassed. An item with no
+    /// estimate and no interval is left out, so its unresolvable count
+    /// is dropped.
+    fn emit(&mut self, item: ItemId, marked_total: Option<SimDuration>, unknown: u32) {
+        if marked_total.is_some() || self.table.funcs.last().is_some_and(|fe| fe.item == item) {
+            self.table.push_item(item, marked_total, unknown);
         }
-        self.items.push((
-            item,
-            ItemEstimate {
-                item,
-                marked_total,
-                funcs,
-                unknown_func_samples: unknown,
-            },
-        ));
     }
 
-    /// Emit the interval-only items past the last pushed one, record the
-    /// obs volumes and build the table.
+    /// Append the interval-only items past the last pushed one, record
+    /// the obs volumes and hand the table over.
     fn finish(mut self, samples_missing_span: u64) -> EstimateTable {
         self.backfill_below(None);
         // Self-observability: volumes and sim-cycle span widths only
@@ -625,51 +710,9 @@ impl TableBuilder {
             obs::counter!("core.estimate.spans").add(self.spans);
             obs::counter!("core.estimate.samples_missing_span").add(samples_missing_span);
         }
-        EstimateTable {
-            items: self.items.into_iter().collect(),
-            freq: self.freq,
-            samples_missing_span,
-            series: SeriesIndex::default(),
-        }
+        self.table.samples_missing_span = samples_missing_span;
+        self.table
     }
-}
-
-/// The flat-span-list front of [`TableBuilder`], for the AoS scan, which
-/// sees samples in time order:
-/// sort the span list by `(item, func)`, fold each item's group into
-/// per-function estimates and feed the builder, merge-joining the
-/// unresolvable-sample counts on the way. Counts for items absent from
-/// the table (no span, no interval) are dropped.
-fn assemble_table(
-    mut flat: Vec<(ItemId, FuncId, u64, u64, u32)>,
-    unknown: BTreeMap<ItemId, u32>,
-    samples_missing_span: u64,
-    intervals: &[ItemInterval],
-    freq: Freq,
-) -> EstimateTable {
-    flat.sort_by_key(|&(item, func, _, _, _)| (item, func));
-    let mut builder = TableBuilder::new(intervals, freq);
-    let mut groups = flat.chunk_by(|a, b| a.0 == b.0).peekable();
-    let mut unknown = unknown.into_iter().peekable();
-    loop {
-        let next_group = groups
-            .peek()
-            .and_then(|g| g.first())
-            .map(|&(item, ..)| item);
-        let next_unknown = unknown.peek().map(|&(item, _)| item);
-        let item = match (next_group, next_unknown) {
-            (Some(g), Some(u)) => g.min(u),
-            (Some(item), None) | (None, Some(item)) => item,
-            (None, None) => break,
-        };
-        let funcs = match groups.next_if(|g| g.first().is_some_and(|e| e.0 == item)) {
-            Some(group) => fold_func_groups(item, group, &mut builder, freq),
-            None => Vec::new(),
-        };
-        let n = unknown.next_if(|&(u, _)| u == item).map_or(0, |(_, n)| n);
-        builder.push(item, funcs, n);
-    }
-    builder.finish(samples_missing_span)
 }
 
 /// One completed item folded in the cycle domain, as
@@ -699,75 +742,26 @@ pub(crate) fn table_from_items<F>(
 where
     F: IntoIterator<Item = (FuncId, u32, u64)>,
 {
-    let mut builder = TableBuilder::new(&[], freq);
     let mut rows = rows.into_iter().peekable();
-    // The item's `(func, samples, cycles)` entries, reused across items.
-    let mut acc: Vec<(FuncId, u32, u64)> = Vec::new();
+    let mut builder = TableBuilder::new(&[], freq, rows.size_hint().0);
+    // The item's entries, reused across items.
+    let mut acc: Vec<SpanEntry> = Vec::new();
     while let Some(row) = rows.next() {
         let item = row.item;
         let (mut marked, mut unknown) = (row.marked, row.unknown);
-        acc.clear();
-        acc.extend(row.funcs);
+        let entry = |(func, n, c)| (item, func, n, c);
+        acc.extend(row.funcs.into_iter().map(entry));
         while let Some(again) = rows.next_if(|r| r.item == item) {
             marked = marked.wrapping_add(again.marked);
             unknown += again.unknown;
-            acc.extend(again.funcs);
+            acc.extend(again.funcs.into_iter().map(entry));
         }
-        acc.sort_unstable_by_key(|&(func, ..)| func);
-        let mut funcs = Vec::with_capacity(acc.len());
-        for group in acc.chunk_by(|a, b| a.0 == b.0) {
-            let Some(&(func, ..)) = group.first() else {
-                continue;
-            };
-            let mut samples = 0u32;
-            let mut cycles = 0u64;
-            for &(_, n, c) in group {
-                builder.span(c);
-                samples += n;
-                cycles = cycles.wrapping_add(c);
-            }
-            funcs.push(FuncEstimate {
-                item,
-                func,
-                samples,
-                elapsed: freq.cycles_to_dur(cycles),
-            });
-        }
-        builder.emit(item, Some(freq.cycles_to_dur(marked)), funcs, unknown);
+        acc.sort_unstable_by_key(|&(_, func, ..)| func);
+        builder.funcs(&acc);
+        acc.clear();
+        builder.emit(item, Some(freq.cycles_to_dur(marked)), unknown);
     }
     builder.finish(0)
-}
-
-/// Fold one item's `(func)`-sorted spans into per-function estimates;
-/// cycles are converted to time once per function so truncation does not
-/// accumulate per span.
-fn fold_func_groups(
-    item: ItemId,
-    group: &[(ItemId, FuncId, u64, u64, u32)],
-    builder: &mut TableBuilder,
-    freq: Freq,
-) -> Vec<FuncEstimate> {
-    let mut funcs = Vec::with_capacity(group.chunk_by(|a, b| a.1 == b.1).count());
-    for func_group in group.chunk_by(|a, b| a.1 == b.1) {
-        let Some(&(_, func, ..)) = func_group.first() else {
-            continue;
-        };
-        let mut samples = 0u32;
-        let mut cycles = 0u64;
-        for &(_, _, first_tsc, last_tsc, count) in func_group {
-            let span_cycles = last_tsc.wrapping_sub(first_tsc);
-            builder.span(span_cycles);
-            samples += count;
-            cycles = cycles.wrapping_add(span_cycles);
-        }
-        funcs.push(FuncEstimate {
-            item,
-            func,
-            samples,
-            elapsed: freq.cycles_to_dur(cycles),
-        });
-    }
-    funcs
 }
 
 #[cfg(test)]
@@ -1005,7 +999,8 @@ mod tests {
             errors: vec![],
             freq: freq(),
             mode: MappingMode::Intervals,
-            item_index: vec![],
+            // The run index integration builds for these rows.
+            item_index: vec![(ItemId(1), 0, 3)],
         };
         let aos = EstimateTable::from_integrated(&it);
         let columnar = EstimateTable::from_soa(&crate::soa::SoaTrace::from_integrated(&it));

@@ -67,7 +67,7 @@ pub fn chrome_trace(
     // Function estimates nested inside each item: anchor each function
     // at its first attributed sample.
     for ie in table.items() {
-        for fe in &ie.funcs {
+        for fe in ie.funcs {
             if !fe.is_estimable() {
                 continue;
             }

@@ -13,18 +13,19 @@
 //! ## Algorithm
 //!
 //! [`detect`] calls the grouping closure exactly once per item, in item
-//! order, and interns the labels; a label's *rank* is its position in
-//! byte order. Every estimable `(item, function)` row is keyed by the
-//! packed integer `rank << 32 | func` and the rows are grouped by one
-//! stable counting sort over that key (a stable comparison sort when
-//! the function ids are too sparse to count densely), so each
-//! population keeps table (item) order and the populations come out in
-//! label byte order, then function id — the order a `BTreeMap` keyed by
-//! `(label, func)` would give, with no string comparison or tree lookup
-//! per row. Medians and MADs are taken by selection
-//! (`select_nth_unstable`) in scratch buffers reused across populations;
-//! min and max by one scan. The total-latency populations reuse the
-//! same per-item ranks.
+//! order, and interns the labels, looked up by `&str` so that only a
+//! label not seen before is copied into a `String`; a label's *rank* is
+//! its position in byte order. Every estimable `(item, function)` row is
+//! keyed by the packed integer `rank << 32 | func` and the rows are
+//! grouped by one stable counting sort over that key (a stable
+//! comparison sort when the function ids are too sparse to count
+//! densely), so each population keeps table (item) order and the
+//! populations come out in label byte order, then function id — the
+//! order a `BTreeMap` keyed by `(label, func)` would give, with no
+//! string comparison or tree lookup per row. Medians and MADs are taken
+//! by selection (`select_nth_unstable`) in scratch buffers reused across
+//! populations; min and max by one scan. The total-latency populations
+//! reuse the same per-item ranks.
 
 use crate::estimate::EstimateTable;
 use fluctrace_cpu::{FuncId, ItemId};
@@ -228,14 +229,15 @@ fn group_by_key<I: Iterator<Item = Row>>(
 ///
 /// `group_of` labels each item with its content group (items expected to
 /// behave identically); items mapped to `None` are ignored. It is called
-/// exactly once per item of the table, in item order. An item is
+/// exactly once per item of the table, in item order, and may return any
+/// string type: a `&'static str` label costs no allocation. An item is
 /// flagged when its elapsed time for some function deviates from the
 /// group median by more than `threshold_sigmas` robust sigmas **and** by
 /// more than `min_abs` (absolute guard so microscopic wobbles in
 /// near-constant groups are not flagged).
-pub fn detect(
+pub fn detect<L: AsRef<str>>(
     table: &EstimateTable,
-    mut group_of: impl FnMut(ItemId) -> Option<String>,
+    mut group_of: impl FnMut(ItemId) -> Option<L>,
     threshold_sigmas: f64,
     min_abs: SimDuration,
 ) -> FluctuationReport {
@@ -251,7 +253,11 @@ pub fn detect(
             continue;
         };
         let next = interned.len() as u32;
-        labels.push(*interned.entry(label).or_insert(next));
+        let id = interned.get(label.as_ref()).copied().unwrap_or(next);
+        if id == next {
+            interned.insert(label.as_ref().to_owned(), id);
+        }
+        labels.push(id);
         for fe in ie.funcs.iter().filter(|fe| fe.is_estimable()) {
             n_rows += 1;
             max_func = max_func.max(fe.func.0);
@@ -457,12 +463,7 @@ mod tests {
         let mut cycles = vec![3000u64; 8];
         cycles[3] = 30_000;
         let (table, f) = table_with_times(&cycles);
-        let report = detect(
-            &table,
-            |_| Some("same".to_string()),
-            5.0,
-            SimDuration::from_ns(100),
-        );
+        let report = detect(&table, |_| Some("same"), 5.0, SimDuration::from_ns(100));
         assert!(report.any());
         assert_eq!(report.outliers.len(), 1);
         let o = &report.outliers[0];
@@ -476,12 +477,7 @@ mod tests {
     #[test]
     fn constant_series_never_flags() {
         let (table, _) = table_with_times(&[5000; 10]);
-        let report = detect(
-            &table,
-            |_| Some("same".to_string()),
-            3.0,
-            SimDuration::from_ns(10),
-        );
+        let report = detect(&table, |_| Some("same"), 3.0, SimDuration::from_ns(10));
         assert!(!report.any());
     }
 
@@ -491,12 +487,7 @@ mod tests {
         // like "infinite sigmas" without the absolute guard.
         let cycles: Vec<u64> = (0..10).map(|i| 5000 + (i % 3)).collect();
         let (table, _) = table_with_times(&cycles);
-        let report = detect(
-            &table,
-            |_| Some("same".to_string()),
-            3.0,
-            SimDuration::from_ns(100),
-        );
+        let report = detect(&table, |_| Some("same"), 3.0, SimDuration::from_ns(100));
         assert!(!report.any(), "{:?}", report.outliers);
     }
 
@@ -511,7 +502,7 @@ mod tests {
         let (table, _) = table_with_times(&cycles);
         let report = detect(
             &table,
-            |item| Some(if item.0 < 4 { "a".into() } else { "b".into() }),
+            |item| Some(if item.0 < 4 { "a" } else { "b" }),
             3.0,
             SimDuration::from_ns(100),
         );
@@ -526,7 +517,7 @@ mod tests {
         let (table, _) = table_with_times(&cycles);
         let report = detect(
             &table,
-            |item| (item.0 != 5).then(|| "g".to_string()),
+            |item| (item.0 != 5).then_some("g"),
             3.0,
             SimDuration::from_ns(100),
         );
@@ -537,7 +528,7 @@ mod tests {
     #[test]
     fn too_small_population_not_flagged() {
         let (table, _) = table_with_times(&[3000, 30_000]);
-        let report = detect(&table, |_| Some("g".into()), 3.0, SimDuration::from_ns(100));
+        let report = detect(&table, |_| Some("g"), 3.0, SimDuration::from_ns(100));
         assert!(!report.any());
     }
 
@@ -553,26 +544,18 @@ mod tests {
         assert_eq!(median_of(&mut []), 0);
 
         let f = FuncId(0);
-        let items = (0u64..)
-            .zip([1, max - 2, max - 1, max])
-            .map(|(i, ps)| {
-                let fe = crate::estimate::FuncEstimate {
-                    item: ItemId(i),
-                    func: f,
-                    samples: 2,
-                    elapsed: SimDuration::from_ps(ps),
-                };
-                let ie = crate::estimate::ItemEstimate {
-                    item: ItemId(i),
-                    marked_total: Some(SimDuration::from_ps(ps)),
-                    funcs: vec![fe],
-                    unknown_func_samples: 0,
-                };
-                (ItemId(i), ie)
-            })
-            .collect();
-        let table = EstimateTable::from_items_map(items, Freq::ghz(3));
-        let report = detect(&table, |_| Some("g".into()), 3.0, SimDuration::ZERO);
+        let mut table = EstimateTable::empty(Freq::ghz(3));
+        for (i, ps) in (0u64..).zip([1, max - 2, max - 1, max]) {
+            let elapsed = SimDuration::from_ps(ps);
+            table.push_func(crate::estimate::FuncEstimate {
+                item: ItemId(i),
+                func: f,
+                samples: 2,
+                elapsed,
+            });
+            table.push_item(ItemId(i), Some(elapsed), 0);
+        }
+        let report = detect(&table, |_| Some("g"), 3.0, SimDuration::ZERO);
         assert_eq!(report.groups[0].median, SimDuration::from_ps(max - 2));
         assert_eq!(report.groups[0].min, SimDuration::from_ps(1));
         assert_eq!(report.groups[0].max, SimDuration::from_ps(max));
@@ -591,7 +574,7 @@ mod tests {
             &table,
             |item| {
                 calls.push(item);
-                (item.0 != 2).then(|| "g".to_string())
+                (item.0 != 2).then_some("g")
             },
             3.0,
             SimDuration::from_ns(100),
@@ -607,7 +590,7 @@ mod tests {
         cycles[2] = 30_000;
         cycles[9] = 90_000;
         let (table, _) = table_with_times(&cycles);
-        let report = detect(&table, |_| Some("g".into()), 5.0, SimDuration::from_ns(100));
+        let report = detect(&table, |_| Some("g"), 5.0, SimDuration::from_ns(100));
         assert_eq!(report.outliers.len(), 2);
         assert_eq!(report.outliers[0].item, ItemId(9));
         assert_eq!(report.outliers[1].item, ItemId(2));

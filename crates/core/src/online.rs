@@ -71,14 +71,13 @@ use std::thread::JoinHandle;
 /// Configuration of the adaptive effective-reset-value policy.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveConfig {
-    /// Master switch; disabled keeps every sample regardless of load.
-    pub enabled: bool,
     /// Channel occupancy (fraction of capacity) at which the thinning
     /// factor doubles.
     pub high_water: f64,
     /// Occupancy at or below which the factor halves again.
     pub low_water: f64,
-    /// Upper bound on the thinning factor (effective reset multiplier).
+    /// Upper bound on the thinning factor (effective reset multiplier);
+    /// at 1 or below the policy is off and keeps every sample.
     pub max_factor: u32,
 }
 
@@ -87,7 +86,7 @@ impl AdaptiveConfig {
     /// drop whole batches.
     pub fn disabled() -> Self {
         AdaptiveConfig {
-            enabled: false,
+            max_factor: 1,
             ..AdaptiveConfig::new()
         }
     }
@@ -96,7 +95,6 @@ impl AdaptiveConfig {
     /// factor cap.
     pub fn new() -> Self {
         AdaptiveConfig {
-            enabled: true,
             high_water: 0.75,
             low_water: 0.25,
             max_factor: 64,
@@ -150,12 +148,12 @@ impl AdaptiveR {
     /// `factor`-th sample (the fractional factor rounds to the nearest
     /// whole stride; milli-precision lives in [`AdaptiveR::stats`]).
     pub fn observe(&mut self, occupancy: f64) -> u32 {
-        if !self.config.enabled {
+        if self.config.max_factor <= 1 {
             return 1;
         }
-        let max = f64::from(self.config.max_factor.max(1));
+        let max = f64::from(self.config.max_factor);
         if occupancy >= self.config.high_water {
-            if self.factor <= 1.0 && max > 1.0 {
+            if self.factor <= 1.0 {
                 self.episodes += 1;
                 obs::counter!("core.online.degrade_episodes").inc();
             }

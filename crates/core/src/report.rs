@@ -22,7 +22,7 @@ pub fn item_breakdown(table: &EstimateTable, symtab: &SymbolTable, item: ItemId)
             let _ = writeln!(out, "{item}: (no marks; register-tag trace)");
         }
     }
-    let mut funcs = ie.funcs.clone();
+    let mut funcs = ie.funcs.to_vec();
     funcs.sort_by_key(|fe| std::cmp::Reverse(fe.elapsed));
     for fe in &funcs {
         if fe.is_estimable() {
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn diagnosis_names_the_culprit() {
         let (table, symtab) = setup();
-        let report = detect(&table, |_| Some("q".into()), 3.0, SimDuration::from_us(1));
+        let report = detect(&table, |_| Some("q"), 3.0, SimDuration::from_us(1));
         let text = diagnosis(&report, &symtab);
         assert!(text.contains("1 function-level fluctuation(s)"));
         assert!(text.contains("anomalous total latency"));
@@ -200,7 +200,7 @@ mod tests {
         // Absurd absolute guard: nothing flagged (the group's MAD is 0,
         // so the sigma threshold alone would still fire on any item —
         // the min_abs guard is what turns detection off).
-        let report = detect(&table, |_| Some("q".into()), 3.0, SimDuration::from_ms(1));
+        let report = detect(&table, |_| Some("q"), 3.0, SimDuration::from_ms(1));
         let text = diagnosis(&report, &symtab);
         assert!(text.contains("no fluctuations"));
     }

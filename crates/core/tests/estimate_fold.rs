@@ -143,7 +143,7 @@ fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
     // The shapes really are the ones named above.
     let one = columnar
         .item(ItemId(1))
-        .map(|ie| (ie.funcs.clone(), ie.unknown_func_samples));
+        .map(|ie| (ie.funcs.to_vec(), ie.unknown_func_samples));
     let (funcs, unknown) = one.unwrap_or_default();
     assert_eq!(unknown, 1);
     assert_eq!(

@@ -71,7 +71,7 @@ proptest! {
         let table = EstimateTable::from_integrated(&it);
         for ie in table.items() {
             let total = ie.marked_total.expect("marks exist");
-            for fe in &ie.funcs {
+            for fe in ie.funcs {
                 prop_assert!(fe.elapsed <= total,
                     "item {} fn {}: {} > {}", ie.item, fe.func, fe.elapsed, total);
             }

@@ -250,7 +250,7 @@ fn lossy_modes_account_for_every_offered_sample() {
         cfg.channel_capacity = 1;
         cfg.blocking = blocking;
         cfg.adaptive = adaptive;
-        let mode = format!("blocking={blocking} adaptive={}", adaptive.enabled);
+        let mode = format!("blocking={blocking} max_factor={}", adaptive.max_factor);
 
         let mut traffic = TrafficGen::new(&cfg, 0, build_symtab(cfg.funcs));
         let offered: u64 = (0..batches)

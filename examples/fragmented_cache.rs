@@ -82,7 +82,7 @@ fn main() {
     // identically, but the compaction victims will not.
     let report = detect(
         &table,
-        |item| Some(kinds[item.0 as usize].to_string()),
+        |item| Some(kinds[item.0 as usize]),
         4.0,
         SimDuration::from_us(5),
     );

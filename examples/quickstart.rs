@@ -69,7 +69,7 @@ fn main() {
     // 5. Per-item, per-function elapsed times — the paper's output.
     println!("\nitem  function  samples  elapsed");
     for ie in estimates.items() {
-        for fe in &ie.funcs {
+        for fe in ie.funcs {
             println!(
                 "{:>4}  {:<8}  {:>7}  {}",
                 ie.item,

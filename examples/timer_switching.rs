@@ -78,7 +78,7 @@ fn main() {
     println!("register-tag mapping still attributes every sample:\n");
     println!("item  function          samples  elapsed");
     for ie in table.items() {
-        for fe in &ie.funcs {
+        for fe in ie.funcs {
             println!(
                 "{:>4}  {:<16}  {:>7}  {}",
                 ie.item,

@@ -417,6 +417,39 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// The value-tree form of `self`.
     fn to_value(&self) -> Value;
+
+    /// Append `self`'s compact JSON to `out`: the bytes
+    /// `to_value().render(out, None)` writes. Structs with named fields
+    /// (derived), options, sequences and references write their parts in
+    /// place, so only the leaves of such a document are built as trees.
+    fn write_json(&self, out: &mut String) {
+        self.to_value().render(out, None);
+    }
+}
+
+/// Write an object member's key as compact rendering does: `,` before
+/// every member but the `first`, then the quoted key and `:`.
+// lint:allow(shim-drift): derive-generated `write_json` calls
+// `::serde::write_key`; the call sites live in string literals inside
+// serde_derive, which the lexer blanks out
+pub fn write_key(out: &mut String, first: bool, key: &str) {
+    if !first {
+        out.push(',');
+    }
+    escape_into(key, out);
+    out.push(':');
+}
+
+/// Write a sequence as compact rendering writes an array.
+fn write_seq<T: Serialize>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 /// Rebuild a value from the [`Value`] tree.
@@ -431,10 +464,8 @@ pub trait Deserialize: Sized {
     }
 }
 
-/// Fetch + deserialize one struct field (used by derived code).
-// lint:allow(shim-drift): derive-generated code calls `::serde::from_field`;
-// the call sites live in string literals inside serde_derive, which the
-// lexer blanks out
+/// Fetch + deserialize one struct field (used by derived code and by
+/// hand-written `Deserialize` impls).
 pub fn from_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
     match v.get(name) {
         Some(x) => T::from_value(x),
@@ -546,6 +577,9 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -553,6 +587,12 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
+        }
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -572,6 +612,9 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
+    }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -586,6 +629,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 

@@ -280,10 +280,32 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     format!("::serde::Value::Object(vec![{}])", members.join(", "))
                 }
             };
+            // A struct with named fields writes its members in place;
+            // every other shape renders its (small) value tree.
+            let write = match &shape {
+                Shape::Named(fields) => {
+                    let members: String = kept(fields)
+                        .enumerate()
+                        .map(|(i, f)| {
+                            format!(
+                                "::serde::write_key(out, {}, \"{f}\"); \
+                                 ::serde::Serialize::write_json(&self.{f}, out);",
+                                i == 0
+                            )
+                        })
+                        .collect();
+                    format!(
+                        "fn write_json(&self, out: &mut String) {{ \
+                         out.push('{{'); {members} out.push('}}'); }}"
+                    )
+                }
+                _ => String::new(),
+            };
             format!(
                 "#[automatically_derived]\n#[allow(clippy::all)]\n\
                  impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{ {to} }}\n\
+                     {write}\n\
                  }}"
             )
         }

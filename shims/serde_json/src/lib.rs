@@ -31,7 +31,7 @@ impl From<serde::DeError> for Error {
 /// Serialize to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    value.to_value().render(&mut out, None);
+    value.write_json(&mut out);
     Ok(out)
 }
 

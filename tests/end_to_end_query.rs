@@ -101,7 +101,7 @@ fn fig8_estimates_respect_marked_totals() {
     let (_machine, table, _) = run_fig8();
     for ie in table.items() {
         let total = ie.marked_total.unwrap();
-        for fe in &ie.funcs {
+        for fe in ie.funcs {
             assert!(
                 fe.elapsed <= total,
                 "item {} func {} estimate {} > total {}",
@@ -123,7 +123,7 @@ fn fig8_is_deterministic() {
         assert_eq!(a.item, b.item);
         assert_eq!(a.marked_total, b.marked_total);
         assert_eq!(a.funcs.len(), b.funcs.len());
-        for (fa, fb) in a.funcs.iter().zip(&b.funcs) {
+        for (fa, fb) in a.funcs.iter().zip(b.funcs) {
             assert_eq!(fa.elapsed, fb.elapsed);
             assert_eq!(fa.samples, fb.samples);
         }
