@@ -401,28 +401,16 @@ impl EstimateTable {
     }
 }
 
-impl ItemEstimate<'_> {
-    /// The members a derive renders for a struct of these fields.
-    fn fields(&self) -> [(&'static str, &dyn Serialize); 4] {
-        [
+/// Written as a derive writes a struct of these fields.
+impl Serialize for ItemEstimate<'_> {
+    fn write_json(&self, out: &mut String) {
+        let fields: [(&str, &dyn Serialize); 4] = [
             ("item", &self.item),
             ("marked_total", &self.marked_total),
             ("funcs", &self.funcs),
             ("unknown_func_samples", &self.unknown_func_samples),
-        ]
-    }
-}
-
-impl Serialize for ItemEstimate<'_> {
-    fn to_value(&self) -> Value {
-        let members = self
-            .fields()
-            .map(|(name, value)| (name.into(), value.to_value()));
-        Value::Object(members.into())
-    }
-
-    fn write_json(&self, out: &mut String) {
-        for (i, (name, value)) in self.fields().into_iter().enumerate() {
+        ];
+        for (i, (name, value)) in fields.into_iter().enumerate() {
             let _ = write!(out, "{}\"{name}\":", if i == 0 { "{" } else { "," });
             value.write_json(out);
         }
@@ -430,25 +418,13 @@ impl Serialize for ItemEstimate<'_> {
     }
 }
 
-/// The module doc's "Wire format"; `write_json` writes it without
-/// building a value tree.
+/// The module doc's "Wire format".
 impl Serialize for EstimateTable {
-    fn to_value(&self) -> Value {
-        let items = self.items().map(|ie| {
-            // lint:allow(hot-path-alloc): rendering names each item once; no estimator calls it
-            (ie.item.0.to_string(), ie.to_value())
-        });
-        Value::Object(Vec::from([
-            ("items".into(), Value::Object(items.collect())),
-            ("freq".into(), self.freq.to_value()),
-            (
-                "samples_missing_span".into(),
-                self.samples_missing_span.to_value(),
-            ),
-        ]))
-    }
-
     fn write_json(&self, out: &mut String) {
+        // A row takes about 80–96 bytes and an entry 53–60 with ids of up
+        // to 11 digits: reserve a little more, so that the document is
+        // written without growing the buffer.
+        out.reserve(96 * self.rows.len() + 64 * self.funcs.len());
         let _ = write!(out, "{{\"items\":{{");
         for (i, ie) in self.items().enumerate() {
             let _ = write!(out, "{}\"{}\":", if i == 0 { "" } else { "," }, ie.item.0);

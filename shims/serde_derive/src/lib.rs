@@ -1,6 +1,7 @@
 //! Derive macros for the offline serde shim: hand-rolled token parsing
-//! (no `syn`/`quote` in this container) generating `Serialize` /
-//! `Deserialize` impls against the shim's value-tree model.
+//! (no `syn`/`quote` in this container) generating `Serialize` impls
+//! that write compact JSON text and `Deserialize` impls that read the
+//! shim's value tree.
 //!
 //! Supported shapes — everything this workspace derives on:
 //! * structs with named fields,
@@ -254,116 +255,96 @@ fn parse_input(ts: TokenStream) -> Input {
     }
 }
 
+/// Code writing the JSON of a tuple body whose elements are the
+/// expressions `elems`: a newtype as its one element, anything else as
+/// an array.
+fn write_tuple(elems: &[String]) -> String {
+    let write = |e: &String| format!("::serde::Serialize::write_json({e}, out);");
+    match elems {
+        [one] => write(one),
+        _ => {
+            let parts: Vec<String> = elems.iter().map(write).collect();
+            format!(
+                "out.push('['); {} out.push(']');",
+                parts.join(" out.push(',');")
+            )
+        }
+    }
+}
+
+/// Code writing an object of the kept `fields`, each read through
+/// `access` (`&self.f` or a bound `f`).
+fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let members: String = kept(fields)
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "::serde::write_key(out, {}, \"{f}\"); \
+                 ::serde::Serialize::write_json({}, out);",
+                i == 0,
+                access(f)
+            )
+        })
+        .collect();
+    format!("out.push('{{'); {members} out.push('}}');")
+}
+
 #[proc_macro_derive(Serialize, attributes(serde))]
 // lint:allow(shim-drift): proc-macro entry point, invoked by
 // `#[derive(Serialize)]` attribute expansion rather than by name
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let body = match parse_input(input) {
+    let (name, body) = match parse_input(input) {
         Input::Struct { name, shape } => {
-            let to = match &shape {
-                Shape::Unit => "::serde::Value::Null".to_string(),
-                Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+            let body = match &shape {
+                Shape::Unit => "out.push_str(\"null\");".to_string(),
                 Shape::Tuple(n) => {
-                    let elems: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+                    let elems: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+                    write_tuple(&elems)
                 }
-                Shape::Named(fields) => {
-                    let members: Vec<String> = kept(fields)
-                        .map(|f| {
-                            format!(
-                                "(String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Value::Object(vec![{}])", members.join(", "))
-                }
+                Shape::Named(fields) => write_fields(fields, |f| format!("&self.{f}")),
             };
-            // A struct with named fields writes its members in place;
-            // every other shape renders its (small) value tree.
-            let write = match &shape {
-                Shape::Named(fields) => {
-                    let members: String = kept(fields)
-                        .enumerate()
-                        .map(|(i, f)| {
-                            format!(
-                                "::serde::write_key(out, {}, \"{f}\"); \
-                                 ::serde::Serialize::write_json(&self.{f}, out);",
-                                i == 0
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "fn write_json(&self, out: &mut String) {{ \
-                         out.push('{{'); {members} out.push('}}'); }}"
-                    )
-                }
-                _ => String::new(),
-            };
-            format!(
-                "#[automatically_derived]\n#[allow(clippy::all)]\n\
-                 impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {to} }}\n\
-                     {write}\n\
-                 }}"
-            )
+            (name, body)
         }
         Input::Enum { name, variants } => {
+            // Externally tagged: a unit variant is its name, any other
+            // variant an object of one member named after it.
             let arms: Vec<String> = variants
                 .iter()
-                .map(|(v, shape)| match shape {
-                    Shape::Unit => format!(
-                        "{name}::{v} => ::serde::Value::String(String::from(\"{v}\")),"
-                    ),
-                    Shape::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("a{i}")).collect();
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(a0)".to_string()
-                        } else {
-                            let elems: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-                        };
+                .map(|(v, shape)| {
+                    let tagged = |pattern: String, inner: String| {
                         format!(
-                            "{name}::{v}({}) => ::serde::Value::Object(vec![(String::from(\"{v}\"), {inner})]),",
-                            binds.join(", ")
+                            "{name}::{v}{pattern} => {{ out.push('{{'); \
+                             ::serde::write_key(out, true, \"{v}\"); {inner} out.push('}}'); }}"
                         )
-                    }
-                    Shape::Named(fields) => {
-                        let mut names: Vec<&str> = kept(fields).collect();
-                        let members: Vec<String> = names
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(String::from(\"{f}\"), ::serde::Serialize::to_value({f}))"
-                                )
-                            })
-                            .collect();
-                        names.push("..");
-                        format!(
-                            "{name}::{v} {{ {} }} => ::serde::Value::Object(vec![(String::from(\"{v}\"), ::serde::Value::Object(vec![{}]))]),",
-                            names.join(", "),
-                            members.join(", ")
-                        )
+                    };
+                    match shape {
+                        Shape::Unit => {
+                            format!("{name}::{v} => ::serde::Serialize::write_json(\"{v}\", out),")
+                        }
+                        Shape::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|i| format!("a{i}")).collect();
+                            tagged(format!("({})", binds.join(", ")), write_tuple(&binds))
+                        }
+                        Shape::Named(fields) => {
+                            let mut names: Vec<&str> = kept(fields).collect();
+                            names.push("..");
+                            let pattern = format!(" {{ {} }}", names.join(", "));
+                            tagged(pattern, write_fields(fields, str::to_string))
+                        }
                     }
                 })
                 .collect();
-            format!(
-                "#[automatically_derived]\n#[allow(clippy::all)]\n\
-                 impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{\n{}\n}}\n\
-                     }}\n\
-                 }}",
-                arms.join("\n")
-            )
+            (name, format!("match self {{\n{}\n}}", arms.join("\n")))
         }
     };
-    body.parse()
-        .expect("serde shim derive: generated Serialize impl parses")
+    format!(
+        "#[automatically_derived]\n#[allow(clippy::all)]\n\
+         impl ::serde::Serialize for {name} {{\n\
+             fn write_json(&self, out: &mut String) {{ {body} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde shim derive: generated Serialize impl parses")
 }
 
 /// The initializer of one named field in a derived `Deserialize`: read
