@@ -4,11 +4,11 @@
 //! [`check_workload`] runs a generated [`Workload`] through
 //!
 //! 1. the sharded offline pipeline (`integrate_with_threads` at 1, 2 and
-//!    4 workers with `EstimateTable::from_integrated`, and the columnar
-//!    fast path — `integrate_soa_with_threads` +
-//!    `EstimateTable::from_soa`, with a byte-exact `to_integrated`
-//!    round-trip at one worker), in interval mode on the workload and in
-//!    register-tag mode on its [`tagged_twin`],
+//!    4 workers with `EstimateTable::from_integrated`, and the
+//!    production kernel — `integrate_soa_with_threads` +
+//!    `EstimateTable::from_soa`, whose trace must equal the reference
+//!    kernel's at every worker count), in interval mode on the workload
+//!    and in register-tag mode on its [`tagged_twin`],
 //! 2. the online tracer (`OnlineTracer`, blocking submission, adaptive
 //!    degradation off), and
 //! 3. the naive oracles from [`crate::oracle`],
@@ -673,8 +673,9 @@ fn check_offline_mode(
                     ),
                 ));
             }
-            let attributed = it.samples.iter().filter(|s| s.item.is_some()).count() as u64;
-            let unattributed = it.samples.len() as u64 - attributed;
+            let rows = it.cols.len();
+            let attributed = (0..rows).filter(|&r| it.cols.item_at(r).is_some()).count() as u64;
+            let unattributed = rows as u64 - attributed;
             if (attributed, unattributed) != (oracle_off.attributed, oracle_off.unattributed) {
                 return Err(fail(
                     seed,
@@ -687,23 +688,14 @@ fn check_offline_mode(
             }
         }
 
-        if threads == 1 {
-            // The columnar trace must round-trip to the exact AoS trace:
-            // same attributed rows, same intervals, same errors. Serde
-            // bytes make "exact" unarguable.
-            let aos = serde_json::to_string(&it).unwrap_or_default();
-            let back = serde_json::to_string(&soa.to_integrated()).unwrap_or_default();
-            if aos != back {
-                return Err(fail(
-                    seed,
-                    "soa-roundtrip",
-                    format!(
-                        "{mode:?}: to_integrated diverges from the AoS trace ({} vs {} bytes)",
-                        back.len(),
-                        aos.len()
-                    ),
-                ));
-            }
+        // Both kernels fill the same trace: same attributed rows, same
+        // intervals, same errors, same run index.
+        if soa != it {
+            return Err(fail(
+                seed,
+                "soa-trace",
+                format!("{mode:?}@{threads}t: integrate_soa's trace differs from integrate's"),
+            ));
         }
 
         for (which, table) in [

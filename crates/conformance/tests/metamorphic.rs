@@ -178,8 +178,9 @@ proptest! {
         let mut sorted = w.bundle.clone();
         sorted.sort();
         let it = integrate_with_threads(&sorted, &w.symtab, w.freq, MappingMode::Intervals, 2);
-        let attributed = it.samples.iter().filter(|s| s.item.is_some()).count();
-        let unattributed = it.samples.iter().filter(|s| s.item.is_none()).count();
+        let rows = 0..it.cols.len();
+        let attributed = rows.clone().filter(|&r| it.cols.item_at(r).is_some()).count();
+        let unattributed = rows.filter(|&r| it.cols.item_at(r).is_none()).count();
         prop_assert_eq!(attributed + unattributed, w.bundle.samples.len(), "seed {}", seed);
         // The estimate table redistributes attributed samples without
         // inventing or dropping any.

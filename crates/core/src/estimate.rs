@@ -24,11 +24,11 @@
 //! `core.estimate.*` obs volumes. Nothing is allocated per item. The
 //! front ends differ only in how they reach it:
 //!
-//! * [`EstimateTable::from_soa`] and [`EstimateTable::from_integrated`]
-//!   are one fold, in either mapping mode, over the `(item,
-//!   start)`-sorted item-run index — of the columns or of the AoS
-//!   samples: each item is folded in one pass over its runs into a
-//!   scratch entry list reused across items;
+//! * [`EstimateTable::from_integrated`] (also named
+//!   [`EstimateTable::from_soa`]) is one fold, in either mapping mode,
+//!   over the trace's `(item, start)`-sorted item-run index, reading the
+//!   sample columns of each run: each item is folded in one pass over
+//!   its runs into a scratch entry list reused across items;
 //! * [`crate::window`] hands its completed items, already folded in the
 //!   cycle domain, to `table_from_items` in item order — its per-window
 //!   tables and its exact cumulative table alike.
@@ -59,9 +59,8 @@
 //! repeated key and an item's entries as given; an item or entry whose
 //! id differs from its key is refused, since reads find entries by id.
 
-use crate::integrate::{IntegratedTrace, MappingMode};
+use crate::integrate::{IntegratedTrace, MappingMode, NO_FUNC, NO_SPAN};
 use crate::interval::ItemInterval;
-use crate::soa::{SoaTrace, NO_FUNC, NO_SPAN};
 use fluctrace_cpu::{FuncId, ItemId};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
@@ -153,11 +152,11 @@ pub struct EstimateTable {
     funcs: Vec<FuncEstimate>,
     /// TSC frequency the estimates were converted with.
     pub freq: Freq,
-    /// Interval-mode samples that carried an item but no interval index.
-    /// Such samples are internally inconsistent (integration always sets
-    /// both or neither), so instead of silently aliasing them onto span
-    /// 0 — which would bridge unrelated timestamps into one bogus
-    /// first→last difference — they are skipped and counted here.
+    /// Interval-mode rows the item index lists whose span is unset.
+    /// Integration sets the span of every attributed row, so such a row
+    /// had its span cleared afterwards; instead of silently aliasing it
+    /// onto span 0 — which would bridge unrelated timestamps into one
+    /// bogus first→last difference — it is skipped and counted here.
     pub samples_missing_span: u64,
     /// The by-function index of [`Self::series_for_func`], built on
     /// first use.
@@ -306,50 +305,14 @@ impl EstimateTable {
     /// item's scratch list. The conformance oracle, which shares no code
     /// with this crate, is the independent reference for both modes.
     pub fn from_integrated(it: &IntegratedTrace) -> Self {
-        obs::span!("estimate.run", it.samples.len());
-        let intervals = it.mode == MappingMode::Intervals;
-        let run_samples = |lo: usize, hi: usize| {
-            let samples = it.samples.get(lo..hi).unwrap_or_default();
-            samples.iter().map(move |s| {
-                let key = if intervals {
-                    s.interval_idx
-                } else {
-                    Some(s.core.0)
-                };
-                (s.tsc, s.func.map(|f| f.0), key)
-            })
-        };
-        fold_item_runs(&it.item_index, run_samples, &it.intervals, it.freq)
+        obs::span!("estimate.run", it.cols.len());
+        fold_item_runs(it)
     }
 
-    /// Build the table from a columnar trace ([`crate::integrate_soa`]):
-    /// the fold of [`Self::from_integrated`] over the same run index,
-    /// reading only the three columns it needs (`tsc`, `func` and the
-    /// span key) and never the unattributed gap samples, so the two are
-    /// byte-identical on equivalent traces.
-    pub fn from_soa(soa: &SoaTrace) -> Self {
-        if let Some(aos) = &soa.aos_fallback {
-            // Reserved-id trace: the columns are ambiguous, the boxed
-            // AoS trace is authoritative (see `SoaTrace::aos_fallback`).
-            return Self::from_integrated(aos);
-        }
-        obs::span!("estimate.run", soa.cols.len());
-        let cols = &soa.cols;
-        let intervals = soa.mode == MappingMode::Intervals;
-        let keys = if intervals { &cols.span } else { &cols.core };
-        let run_samples = |lo: usize, hi: usize| {
-            let tscs = cols.tsc.get(lo..hi).unwrap_or_default();
-            let funcs = cols.func.get(lo..hi).unwrap_or_default();
-            let keys = keys.get(lo..hi).unwrap_or_default();
-            tscs.iter()
-                .zip(funcs)
-                .zip(keys)
-                .map(move |((&tsc, &func), &key)| {
-                    let known = (func != NO_FUNC).then_some(func);
-                    (tsc, known, (key != NO_SPAN || !intervals).then_some(key))
-                })
-        };
-        fold_item_runs(&soa.item_index, run_samples, &soa.intervals, soa.freq)
+    /// [`Self::from_integrated`], under the name the production kernel
+    /// ([`crate::integrate_soa`]) was first paired with.
+    pub fn from_soa(it: &IntegratedTrace) -> Self {
+        Self::from_integrated(it)
     }
 
     /// Estimate for `{item, func}`.
@@ -494,22 +457,17 @@ fn fold_sample(scratch: &mut Vec<(u32, u64, u64, u32)>, func: u32, tsc: u64) {
     }
 }
 
-/// One sample as [`fold_item_runs`] reads it: `(tsc, func, span key)`,
-/// `None` for an IP that resolved to no function and for an
-/// interval-mode sample without an interval index.
-type RunSample = (u64, Option<u32>, Option<u32>);
-
-/// Both scans' fold (see [`EstimateTable::from_integrated`]): one pass
-/// per item over its runs in `index`, `run_samples(lo, hi)` reading the samples
-/// of rows `lo..hi`. Both scratch vectors are reused across items.
-fn fold_item_runs<R: Iterator<Item = RunSample>>(
-    index: &[(ItemId, u32, u32)],
-    run_samples: impl Fn(usize, usize) -> R,
-    intervals: &[ItemInterval],
-    freq: Freq,
-) -> EstimateTable {
+/// The fold of [`EstimateTable::from_integrated`]: one pass per item
+/// over its runs in the item-run index, reading the `tsc`, `func` and
+/// span-key columns of each run's rows. Both scratch vectors are reused
+/// across items.
+fn fold_item_runs(it: &IntegratedTrace) -> EstimateTable {
+    let cols = &it.cols;
+    let intervals = it.mode == MappingMode::Intervals;
+    let keys = if intervals { &cols.span } else { &cols.core };
+    let index = it.item_index.as_slice();
     let items = index.chunk_by(|a, b| a.0 == b.0).count();
-    let mut builder = TableBuilder::new(intervals, freq, items);
+    let mut builder = TableBuilder::new(&it.intervals, it.freq, items);
     // The open span's (func, first, last, count) and the open item's
     // entries.
     let mut span_acc: Vec<(u32, u64, u64, u32)> = Vec::new();
@@ -521,16 +479,20 @@ fn fold_item_runs<R: Iterator<Item = RunSample>>(
         };
         let mut unknown = 0u32;
         for &(_, start, end) in runs {
+            let rows = start as usize..end as usize;
+            let tscs = cols.tsc.get(rows.clone()).unwrap_or_default();
+            let funcs = cols.func.get(rows.clone()).unwrap_or_default();
+            let keys = keys.get(rows).unwrap_or_default();
             let mut cur = None;
-            for (tsc, func, key) in run_samples(start as usize, end as usize) {
-                let Some(func) = func else {
+            for ((&tsc, &func), &key) in tscs.iter().zip(funcs).zip(keys) {
+                if func == NO_FUNC {
                     unknown += 1;
                     continue;
-                };
-                let Some(key) = key else {
+                }
+                if intervals && key == NO_SPAN {
                     samples_missing_span += 1;
                     continue;
-                };
+                }
                 if cur != Some(key) {
                     flush_span(&mut span_acc, item, &mut item_acc);
                     cur = Some(key);
@@ -951,26 +913,19 @@ mod tests {
 
     #[test]
     fn missing_interval_idx_is_skipped_and_counted_not_aliased() {
-        use crate::integrate::AttributedSample;
-        let (symtab, f, _) = setup();
-        let _ = symtab;
-        // Hand-built inconsistent trace: interval-mode samples carrying
-        // an item but no interval index. The old estimator aliased these
-        // onto span 0, bridging tsc 1_000 and 900_000 into one bogus
-        // 299.67 µs estimate.
-        let mk = |tsc: u64, idx: Option<u32>| AttributedSample {
-            core: CoreId(0),
-            tsc,
-            item: Some(ItemId(1)),
-            func: Some(f),
-            interval_idx: idx,
-        };
+        let (_, f, _) = setup();
+        // Hand-built inconsistent trace: interval-mode rows carrying an
+        // item but no span. The old estimator aliased these onto span 0,
+        // bridging tsc 1_000 and 900_000 into one bogus 299.67 µs
+        // estimate.
         let it = IntegratedTrace {
-            samples: vec![
-                mk(1_000, Some(0)),
-                mk(4_000, Some(0)),
-                mk(900_000, None), // inconsistent straggler
-            ],
+            cols: crate::integrate::SampleColumns {
+                core: vec![0; 3],
+                tsc: vec![1_000, 4_000, 900_000],
+                item: vec![1; 3],
+                func: vec![f.0; 3],
+                span: vec![0, 0, NO_SPAN], // an inconsistent straggler
+            },
             intervals: vec![],
             errors: vec![],
             freq: freq(),
@@ -978,15 +933,12 @@ mod tests {
             // The run index integration builds for these rows.
             item_index: vec![(ItemId(1), 0, 3)],
         };
-        let aos = EstimateTable::from_integrated(&it);
-        let columnar = EstimateTable::from_soa(&crate::soa::SoaTrace::from_integrated(&it));
-        assert_eq!(columnar, aos);
-        for table in [aos, columnar] {
-            assert_eq!(table.samples_missing_span, 1);
-            let fe = table.get(ItemId(1), f).unwrap();
-            assert_eq!(fe.samples, 2, "straggler not counted");
-            assert_eq!(fe.elapsed, SimDuration::from_us(1), "span not bridged");
-        }
+        let table = EstimateTable::from_integrated(&it);
+        assert_eq!(EstimateTable::from_soa(&it), table);
+        assert_eq!(table.samples_missing_span, 1);
+        let fe = table.get(ItemId(1), f).unwrap();
+        assert_eq!(fe.samples, 2, "straggler not counted");
+        assert_eq!(fe.elapsed, SimDuration::from_us(1), "span not bridged");
     }
 
     /// `(item, marked ps, (func, samples, elapsed ps), unknown)` rows.
@@ -1051,21 +1003,14 @@ mod tests {
             }
             bundle.sort();
             let it = integrate(&bundle, &symtab, freq(), mode);
-            let aos = EstimateTable::from_integrated(&it);
-            // The columnar estimator agrees, both from a directly built
-            // SoA trace and from an AoS conversion, and the conformance
-            // oracle computes the same rows from the raw bundle.
-            let soa = crate::soa::integrate_soa(&bundle, &symtab, freq(), mode);
-            let columnar = EstimateTable::from_soa(&soa);
-            assert_eq!(columnar, aos, "soa mode {mode:?}");
-            let converted = crate::soa::SoaTrace::from_integrated(&it);
+            let table = EstimateTable::from_integrated(&it);
+            // The production kernel's trace gives the same table, and the
+            // conformance oracle computes the same rows from the raw
+            // bundle.
+            let soa = crate::integrate::integrate_soa(&bundle, &symtab, freq(), mode);
+            assert_eq!(EstimateTable::from_soa(&soa), table, "mode {mode:?}");
             assert_eq!(
-                EstimateTable::from_soa(&converted),
-                aos,
-                "converted soa mode {mode:?}"
-            );
-            assert_eq!(
-                rows(&aos),
+                rows(&table),
                 oracle_rows(&bundle, &symtab, mode),
                 "oracle mode {mode:?}"
             );

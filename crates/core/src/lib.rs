@@ -15,7 +15,10 @@
 //!    item occupied from the marks;
 //! 3. [`integrate()`](fn@integrate) assigns every sample to the item whose interval
 //!    contains its timestamp (`t0 < ta < t1`) and to the function whose
-//!    symbol-table range contains its IP;
+//!    symbol-table range contains its IP. The result, an
+//!    [`IntegratedTrace`], holds the attributed samples as columns, and
+//!    every later step reads them; [`integrate_soa`] is the production
+//!    kernel that fills the same columns faster;
 //! 4. [`estimate`] computes the elapsed time of function `f` for item
 //!    `M` as the difference between the first and last sample timestamp
 //!    attributed to `{f, M}`;
@@ -56,7 +59,6 @@ pub(crate) mod pairing;
 pub mod parallel;
 pub mod profile;
 pub mod report;
-pub mod soa;
 pub mod window;
 
 pub use batch::{split_batches, BatchMap};
@@ -65,7 +67,8 @@ pub use estimate::{EstimateTable, FuncEstimate, ItemEstimate};
 pub use export::{anomaly_trace, chrome_trace, chrome_trace_string, ExportOptions};
 pub use fluct::{detect, FluctuationReport, GroupFuncStats, Outlier, TotalOutlier};
 pub use integrate::{
-    integrate, integrate_with_threads, AttributedSample, IntegratedTrace, MappingMode,
+    integrate, integrate_soa, integrate_soa_with_threads, integrate_with_threads, IntegratedTrace,
+    MappingMode, SampleColumns,
 };
 pub use interval::{build_intervals, IntervalError, ItemInterval};
 pub use metrics::{effective_reset, metric_counts, MetricTable};
@@ -77,7 +80,6 @@ pub use overhead::{fit_instrumentation, fit_inverse_reset, InstrumentationFit, O
 pub use parallel::{configured_threads, run_indexed, run_parts};
 pub use profile::{FlatProfile, ProfileEntry};
 pub use report::{diagnosis, item_breakdown};
-pub use soa::{integrate_soa, integrate_soa_with_threads, SampleColumns, SoaTrace};
 pub use window::{
     CumulativeMode, Episode, FoldedTotals, WindowConfig, WindowReport, WindowSummary,
     WindowedIntegrator,

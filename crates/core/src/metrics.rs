@@ -8,7 +8,7 @@
 //! data-item #2 is 2, it means that the number of cache misses incurred
 //! by f1 fluctuates."
 
-use crate::integrate::IntegratedTrace;
+use crate::integrate::{IntegratedTrace, NO_FUNC};
 use fluctrace_cpu::{FuncId, ItemId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -26,9 +26,10 @@ pub struct MetricTable {
 pub fn metric_counts(it: &IntegratedTrace, reset: u64) -> MetricTable {
     assert!(reset > 0, "zero reset value");
     let mut counts: BTreeMap<(ItemId, FuncId), u64> = BTreeMap::new();
-    for s in &it.samples {
-        if let (Some(item), Some(func)) = (s.item, s.func) {
-            *counts.entry((item, func)).or_insert(0) += 1;
+    for &(item, start, end) in &it.item_index {
+        let funcs = it.cols.func.get(start as usize..end as usize);
+        for &func in funcs.unwrap_or_default().iter().filter(|&&f| f != NO_FUNC) {
+            *counts.entry((item, FuncId(func))).or_insert(0) += 1;
         }
     }
     MetricTable { counts, reset }

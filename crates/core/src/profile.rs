@@ -6,7 +6,7 @@
 //! interval: `T × n / N`, where `T` is the total observed time, `n` the
 //! samples in the function and `N` all samples.
 
-use crate::integrate::IntegratedTrace;
+use crate::integrate::{IntegratedTrace, NO_FUNC};
 use fluctrace_cpu::FuncId;
 use fluctrace_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -42,14 +42,10 @@ impl FlatProfile {
     /// timestamps across the trace (per the §V.B.1 formula, any
     /// sufficiently long observation window works).
     pub fn from_integrated(it: &IntegratedTrace) -> FlatProfile {
-        let window = match (it.samples.first(), it.samples.last()) {
-            (Some(first), Some(last)) => {
-                // Samples are sorted by (core, tsc); find the global span.
-                let min = it.samples.iter().map(|s| s.tsc).min().unwrap();
-                let max = it.samples.iter().map(|s| s.tsc).max().unwrap();
-                let _ = (first, last);
-                it.freq.cycles_to_dur(max - min)
-            }
+        // Samples are sorted by (core, tsc); find the global span.
+        let tsc = &it.cols.tsc;
+        let window = match (tsc.iter().min(), tsc.iter().max()) {
+            (Some(&min), Some(&max)) => it.freq.cycles_to_dur(max.wrapping_sub(min)),
             _ => SimDuration::ZERO,
         };
         Self::from_integrated_with_window(it, window)
@@ -57,12 +53,10 @@ impl FlatProfile {
 
     /// Build a profile using an explicit observation window `T`.
     pub fn from_integrated_with_window(it: &IntegratedTrace, window: SimDuration) -> FlatProfile {
-        let total = it.samples.len() as u64;
+        let total = it.cols.len() as u64;
         let mut counts: BTreeMap<FuncId, u64> = BTreeMap::new();
-        for s in &it.samples {
-            if let Some(f) = s.func {
-                *counts.entry(f).or_insert(0) += 1;
-            }
+        for &f in it.cols.func.iter().filter(|&&f| f != NO_FUNC) {
+            *counts.entry(FuncId(f)).or_insert(0) += 1;
         }
         let entries = counts
             .into_iter()

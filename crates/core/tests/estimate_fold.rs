@@ -1,7 +1,7 @@
-//! The SoA estimator's per-item fold on the edge cases of its run index,
-//! in both mapping modes, against the AoS scan — table and
-//! self-observability volumes alike — and, where the input is a raw
-//! bundle, against the conformance oracle.
+//! The estimator's per-item fold on the edge cases of its run index, in
+//! both mapping modes: the table, its self-observability volumes, the
+//! production kernel's trace against the reference kernel's, and, where
+//! the input is a raw bundle, the conformance oracle.
 //!
 //! One test in its own binary: the obs registry is process-wide, so the
 //! `core.estimate.*` deltas measured here must not pick up another
@@ -9,7 +9,8 @@
 
 use fluctrace_conformance::oracle::register_oracle;
 use fluctrace_conformance::CanonicalTable;
-use fluctrace_core::{integrate, EstimateTable, MappingMode, SoaTrace};
+use fluctrace_core::integrate::NO_SPAN;
+use fluctrace_core::{integrate, integrate_soa, EstimateTable, MappingMode};
 use fluctrace_cpu::{
     encode_tag, CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
     TraceBundle, VirtAddr, NO_TAG,
@@ -62,7 +63,7 @@ fn estimate_volumes(run: impl FnOnce() -> EstimateTable) -> (EstimateTable, Stri
 }
 
 #[test]
-fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
+fn per_item_fold_on_run_index_edge_cases() {
     let mut b = SymbolTableBuilder::new();
     let f = b.add("f", 100);
     let g = b.add("g", 100);
@@ -120,25 +121,23 @@ fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
     bundle.sort();
 
     let mut it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
+    assert_eq!(
+        integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals),
+        it
+    );
     it.intervals.retain(|iv| iv.item != ItemId(3));
-    let straggler = it.samples.iter_mut().find(|s| s.tsc == 4_900);
-    if let Some(s) = straggler {
-        s.interval_idx = None;
+    let straggler = it.cols.tsc.iter().position(|&tsc| tsc == 4_900);
+    if let Some(span) = straggler.and_then(|row| it.cols.span.get_mut(row)) {
+        *span = NO_SPAN;
     }
-    let soa = SoaTrace::from_integrated(&it);
 
-    let (aos, aos_volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
-    let (columnar, soa_volumes) = estimate_volumes(|| EstimateTable::from_soa(&soa));
-    assert_eq!(columnar, aos);
-    assert_eq!(soa_volumes, aos_volumes, "core.estimate.* volumes differ");
+    let (columnar, volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
+    assert_eq!(EstimateTable::from_soa(&it), columnar);
     assert!(
-        aos_volumes.contains("\"core.estimate.samples_missing_span\": 1"),
-        "{aos_volumes}"
+        volumes.contains("\"core.estimate.samples_missing_span\": 1"),
+        "{volumes}"
     );
-    assert!(
-        aos_volumes.contains("\"core.estimate.runs\": 1"),
-        "{aos_volumes}"
-    );
+    assert!(volumes.contains("\"core.estimate.runs\": 1"), "{volumes}");
 
     // The shapes really are the ones named above.
     let one = columnar
@@ -182,20 +181,17 @@ fn per_item_fold_matches_the_scans_on_run_index_edge_cases() {
     ]);
     bundle.sort();
     let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::RegisterTag);
-    let soa = SoaTrace::from_integrated(&it);
-    let (aos, aos_volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
-    let (columnar, soa_volumes) = estimate_volumes(|| EstimateTable::from_soa(&soa));
-    assert_eq!(columnar, aos);
-    assert_eq!(soa_volumes, aos_volumes, "register-mode volumes differ");
+    assert_eq!(
+        integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::RegisterTag),
+        it
+    );
+    let (columnar, volumes) = estimate_volumes(|| EstimateTable::from_integrated(&it));
     let oracle = register_oracle(&bundle.marks, &bundle.samples, &symtab, Freq::ghz(3));
     assert_eq!(
-        CanonicalTable::from_pipeline(&aos),
+        CanonicalTable::from_pipeline(&columnar),
         CanonicalTable::from_oracle(&oracle)
     );
-    assert!(
-        soa_volumes.contains("\"core.estimate.spans\": 2"),
-        "{soa_volumes}"
-    );
+    assert!(volumes.contains("\"core.estimate.spans\": 2"), "{volumes}");
     let five = columnar.item(ItemId(5));
     assert!(five.is_some_and(|ie| ie.unknown_func_samples == 1));
     assert_eq!(

@@ -83,23 +83,16 @@ proptest! {
         for mode in [MappingMode::Intervals, MappingMode::RegisterTag] {
             let reference =
                 integrate_with_threads(&bundle, &symtab, Freq::ghz(3), mode, 1);
-            let reference_bytes = serde_json::to_string(&reference).unwrap();
             for threads in [1usize, 2, 4, 16] {
+                // The whole trace: columns, intervals, errors, run index.
                 let it =
                     integrate_with_threads(&bundle, &symtab, Freq::ghz(3), mode, threads);
-                prop_assert_eq!(&it.samples, &reference.samples,
-                    "samples differ at {} threads ({:?})", threads, mode);
-                prop_assert_eq!(&it.intervals, &reference.intervals);
-                prop_assert_eq!(&it.errors, &reference.errors);
-                // The whole trace, not only the fields above: a second
-                // run, another pool size and the columnar kernel's
-                // round-trip all serialize to the same bytes.
-                prop_assert_eq!(&serde_json::to_string(&it).unwrap(), &reference_bytes,
-                    "trace bytes differ at {} threads ({:?})", threads, mode);
-                let soa = integrate_soa_with_threads(
-                    &bundle, &symtab, Freq::ghz(3), mode, threads).to_integrated();
-                prop_assert_eq!(&serde_json::to_string(&soa).unwrap(), &reference_bytes,
-                    "columnar trace bytes differ at {} threads ({:?})", threads, mode);
+                prop_assert_eq!(&it, &reference,
+                    "trace differs at {} threads ({:?})", threads, mode);
+                let soa =
+                    integrate_soa_with_threads(&bundle, &symtab, Freq::ghz(3), mode, threads);
+                prop_assert_eq!(&soa, &reference,
+                    "production trace differs at {} threads ({:?})", threads, mode);
             }
         }
     }

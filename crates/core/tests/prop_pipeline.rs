@@ -91,7 +91,7 @@ proptest! {
         let (mut machine, _funcs, symtab) = run(&w);
         let (bundle, _) = machine.collect();
         let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-        if !it.samples.is_empty() {
+        if !it.cols.is_empty() {
             prop_assert!((it.attribution_ratio() - 1.0).abs() < 1e-12,
                 "attribution {}", it.attribution_ratio());
         }
@@ -102,7 +102,7 @@ proptest! {
             .map(|ie| ie.funcs.iter().map(|f| f.samples as u64).sum::<u64>()
                 + ie.unknown_func_samples as u64)
             .sum();
-        prop_assert_eq!(attributed, it.samples.len() as u64);
+        prop_assert_eq!(attributed, it.cols.len() as u64);
     }
 
     #[test]

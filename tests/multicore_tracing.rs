@@ -120,12 +120,12 @@ fn cross_core_interval_overlap_does_not_confuse_attribution() {
         Freq::ghz(3),
         MappingMode::Intervals,
     );
-    for s in &it.samples {
-        if let Some(item) = s.item {
+    for (row, &core) in it.cols.core.iter().enumerate() {
+        if let Some(item) = it.cols.item_at(row) {
             assert_eq!(
-                item.0, s.core.0 as u64,
-                "sample on {} attributed to {}",
-                s.core, item
+                item.0,
+                u64::from(core),
+                "sample on core {core} attributed to {item}"
             );
         }
     }
