@@ -133,11 +133,6 @@ pub const CATALOG: &[MetricDef] = &[
         "samples",
         "Samples ingested into SoA sample columns",
     ),
-    counter(
-        "core.soa.fallbacks",
-        "runs",
-        "SoA runs that fell back to the AoS path (reserved item id)",
-    ),
     // --- core::parallel --------------------------------------------------
     counter(
         "core.parallel.runs",
