@@ -16,8 +16,8 @@
 //! * [`rng`] — a self-contained xoshiro256++ PRNG ([`Rng`]) with
 //!   splitmix64 seeding and stream forking. The simulation path does not
 //!   depend on external RNG crates, so a single seed pins every run.
-//! * [`stats`] — Welford running statistics, percentile summaries and
-//!   histograms used throughout the evaluation harness.
+//! * [`stats`] — Welford running statistics and percentile summaries
+//!   used throughout the evaluation harness.
 //! * [`fault`] — deterministic fault schedules (dropped/corrupted item
 //!   delimiters, event bursts) and scripted pressure waveforms for
 //!   overload-robustness experiments.
@@ -50,5 +50,5 @@ pub use fault::{
     FaultCounts, FaultPlan, FaultSchedule,
 };
 pub use rng::Rng;
-pub use stats::{Histogram, RunningStats, Summary};
+pub use stats::{RunningStats, Summary};
 pub use time::{Freq, SimDuration, SimTime};

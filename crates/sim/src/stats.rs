@@ -4,7 +4,6 @@
 //!   mean/variance without storing samples.
 //! * [`Summary`] — batch percentile summary (mean, std, min/max, p50/p95/p99)
 //!   from a sample vector.
-//! * [`Histogram`] — fixed-width linear histogram for distribution plots.
 
 use serde::{Deserialize, Serialize};
 
@@ -166,72 +165,6 @@ pub fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
     }
 }
 
-/// Fixed-width linear histogram over `[lo, hi)` with an overflow and an
-/// underflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `n` equal-width buckets covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations recorded (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Iterate `(bucket_low_edge, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * i as f64, c))
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,19 +236,6 @@ mod tests {
         assert_eq!(s.max, 5.0);
         assert!((s.p50 - 3.0).abs() < 1e-12);
         assert!(Summary::from_slice(&[]).is_none());
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.99, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        let counts: Vec<u64> = h.iter().map(|(_, c)| c).collect();
-        assert_eq!(counts, [1, 2, 0, 0, 0, 0, 0, 0, 0, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
     }
 
     proptest::proptest! {
