@@ -208,21 +208,21 @@ pub fn windows_doc(shards: &[ShardView], k: usize) -> String {
             .iter()
             .map(|view| {
                 let wi = view.integrator.lock();
-                let retained: Vec<WindowMeta> = wi
-                    .windows()
-                    .map(|w| WindowMeta {
-                        index: w.index,
-                        items: w.items,
-                        samples: w.samples,
-                        anomalies: w.anomalies,
-                    })
-                    .collect();
-                let skip = retained.len().saturating_sub(k);
+                let skip = wi.windows().count().saturating_sub(k);
                 ShardWindows {
                     shard: view.id,
                     windows_closed: wi.windows_closed(),
                     windows_evicted: wi.report().windows_evicted,
-                    retained: retained.into_iter().skip(skip).collect(),
+                    retained: wi
+                        .windows()
+                        .skip(skip)
+                        .map(|w| WindowMeta {
+                            index: w.index,
+                            items: w.items,
+                            samples: w.samples,
+                            anomalies: w.anomalies,
+                        })
+                        .collect(),
                 }
             })
             .collect(),

@@ -494,7 +494,7 @@ fn cost_budgets_hold() {
     .check(json_allocs, json_bytes, &mut failures);
     let [windows, episodes, loss] = replies();
     for ((allocs, bytes), case, budget_allocs, budget_bytes) in [
-        (windows, "reply windows 4", 11.0, 2648.0),
+        (windows, "reply windows 4", 11.0, 2392.0),
         (episodes, "reply episodes", 17.0, 151_624.0),
         (loss, "reply loss", 9.0, 2232.0),
     ] {
