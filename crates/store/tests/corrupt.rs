@@ -2,13 +2,16 @@
 //! and a sweep of single-byte corruptions, must surface as a
 //! [`StoreError`] or decode to different rows — never a panic and
 //! never a silent short read that passes for the original — through
-//! every read entry point.
+//! every read entry point. What each entry point returns for each of
+//! those inputs (row counts or the exact error) is pinned in
+//! `tests/golden/corrupt_outcomes.txt`.
 
 use std::io::Cursor;
 
 use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, TraceBundle, VirtAddr,
 };
+use fluctrace_store::codec::{decode_column, TAG_RLE};
 use fluctrace_store::{write_bundle_to_vec, StoreConfig, StoreError, TraceReader};
 
 fn sample(core: u32, tsc: u64, ip: u64, r13: u64, event: HwEvent) -> PebsRecord {
@@ -21,17 +24,35 @@ fn sample(core: u32, tsc: u64, ip: u64, r13: u64, event: HwEvent) -> PebsRecord 
     }
 }
 
+/// Samples in [`fixture_bundle`]: 200 round-robin over three cores,
+/// 64 on core 0 alone, then 56 whose TSCs are shuffled.
+const FIXTURE_SAMPLES: usize = 320;
+
+/// At 32 rows per chunk: chunks 0–6 round-robin three cores (sorted
+/// TSCs, a core column of many runs, an event column of one run),
+/// chunk 7 is core 0 only (its `core` and `event` columns are each one
+/// RLE run), chunk 8 starts the shuffled stretch (unsorted TSCs that
+/// straddle [`NARROW`], four events).
 fn fixture_bundle() -> TraceBundle {
     let mut b = TraceBundle::default();
-    for i in 0..200u64 {
-        let core = (i % 3) as u32;
-        // Repeated (ip, r13, event) stretches so suppression has teeth.
-        let ip = 0x4000 + (i / 16) * 8;
-        b.samples
-            .push(sample(core, 1000 + i * 3, ip, i / 16, HwEvent::UopsRetired));
+    for i in 0..FIXTURE_SAMPLES as u64 {
+        let (core, tsc, event) = match i {
+            0..200 => ((i % 3) as u32, 1000 + i * 3, HwEvent::UopsRetired),
+            200..264 => (0, 1000 + i * 3, HwEvent::UopsRetired),
+            _ => (1, 1150 + ((i * 5) % 56) * 3, HwEvent::ALL[(i % 4) as usize]),
+        };
+        // Repeated (ip, r13, event) stretches; on core 0 alone, pairs,
+        // so that suppression elides half of them and still keeps
+        // enough rows in a chunk for its one-run columns to be RLE.
+        let stretch = if core == 0 && i >= 200 { i / 2 } else { i / 16 };
+        let ip = 0x4000 + stretch * 8;
+        b.samples.push(sample(core, tsc, ip, i / 16, event));
+        if i >= 200 {
+            continue;
+        }
         b.marks.push(MarkRecord {
             core: CoreId(core),
-            tsc: 1000 + i * 3,
+            tsc,
             item: ItemId(i / 2),
             kind: if i % 2 == 0 {
                 MarkKind::Start
@@ -128,7 +149,7 @@ fn every_truncation_errors() {
     ] {
         let bytes = fixture_bytes(config);
         let original = read_all(&bytes).expect("fixture reads back");
-        assert_eq!(original.samples.len(), 200);
+        assert_eq!(original.samples.len(), FIXTURE_SAMPLES);
         assert_eq!(read_every_way(&bytes), (false, 0));
         for cut in 0..bytes.len() {
             assert_eq!(
@@ -167,6 +188,177 @@ fn single_byte_corruption_never_panics() {
         errors * 2 > bytes.len(),
         "only {errors}/{} corrupted positions were detected",
         bytes.len()
+    );
+}
+
+/// Where the outcome golden lives.
+fn golden_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/corrupt_outcomes.txt")
+}
+
+/// What each read entry point returns on `bytes`, in one line: the rows
+/// of an `Ok` (samples/marks, plus `+elided` for `read_retained`) or
+/// the exact [`StoreError`]. One reader serves every read, in order.
+fn outcomes(bytes: &[u8]) -> String {
+    fn show<T, S: std::fmt::Display>(r: Result<T, StoreError>, rows: impl Fn(&T) -> S) -> String {
+        match r {
+            Ok(v) => format!("Ok({})", rows(&v)),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+    let mut reader = match TraceReader::open(Cursor::new(bytes.to_vec())) {
+        Ok(r) => r,
+        Err(e) => return format!("open {e:?}"),
+    };
+    let bundle_rows = |b: &TraceBundle| format!("{}/{}", b.samples.len(), b.marks.len());
+    let [all, narrow] = [(0, u64::MAX), NARROW];
+    let reads = [
+        ("bundle", show(reader.read_bundle(), bundle_rows)),
+        ("segment", show(reader.read_segment(0), bundle_rows)),
+        (
+            "retained",
+            show(reader.read_retained(), |(b, report)| {
+                format!("{}+{}", bundle_rows(b), report.elided)
+            }),
+        ),
+        ("all", show(reader.read_samples_in(all.0, all.1), Vec::len)),
+        (
+            "narrow",
+            show(reader.read_samples_in(narrow.0, narrow.1), Vec::len),
+        ),
+    ];
+    // Neighbouring reads with the same outcome share it:
+    // `bundle,segment=Corrupt(..) retained=Ok(..)`.
+    let mut line = String::new();
+    for (i, (name, outcome)) in reads.iter().enumerate() {
+        line += name;
+        match reads.get(i + 1) {
+            Some((_, next)) if next == outcome => line.push(','),
+            next => {
+                line += &format!("={outcome}");
+                if next.is_some() {
+                    line.push(' ');
+                }
+            }
+        }
+    }
+    line
+}
+
+/// The sweep's fixture holds, in the plain and the suppressed file, a
+/// sample chunk whose `core` and `event` columns are one RLE run each
+/// and a sample chunk whose `tsc` column is unsorted.
+#[test]
+fn fixture_has_a_single_run_chunk_and_an_unsorted_chunk() {
+    for config in [StoreConfig::default(), StoreConfig::suppressed(1 << 20)] {
+        let bytes = fixture_bytes(StoreConfig {
+            chunk_rows: 32,
+            ..config
+        });
+        let reader = TraceReader::open(Cursor::new(bytes.clone())).expect("open fixture");
+        let meta = &reader.segment_meta()[0];
+        let (mut single_run, mut unsorted) = (false, false);
+        for c in meta.footer.chunks.iter().filter(|c| c.stream == 0) {
+            let start = (meta.start + c.offset) as usize;
+            let chunk = &bytes[start..start + c.byte_len as usize];
+            let mut pos = 0;
+            // tsc, ip, core, r13, event: (tag, values) of each.
+            let columns: Vec<(u8, Vec<u64>)> = (0..5)
+                .map(|_| {
+                    let tag = chunk[pos];
+                    let values = decode_column(chunk, &mut pos, c.retained as usize)
+                        .expect("fixture column decodes");
+                    (tag, values)
+                })
+                .collect();
+            let one_run = |(tag, values): &(u8, Vec<u64>)| {
+                *tag == TAG_RLE && values.windows(2).all(|w| w[0] == w[1])
+            };
+            single_run |= one_run(&columns[2]) && one_run(&columns[4]);
+            unsorted |= !columns[0].1.is_sorted();
+        }
+        assert!(single_run && unsorted, "suppress={}", config.suppress);
+    }
+}
+
+/// Every truncation and two single-byte corruptions at every position
+/// (`^ 0xA5`, which also changes a varint's width, and `^ 0x01`, which
+/// mostly keeps the varint layout and changes a value) of
+/// the plain and the suppressed fixture, through every read entry
+/// point, return exactly what `tests/golden/corrupt_outcomes.txt` says:
+/// the row counts of each `Ok` and the exact error of each `Err`. Runs
+/// of consecutive positions with the same outcome share one line. A
+/// reader rewrite must leave this file unchanged; after a deliberate
+/// change to what a malformed input returns:
+///
+/// ```text
+/// FLUCTRACE_BLESS=1 cargo test -p fluctrace-store --test corrupt
+/// ```
+#[test]
+fn every_malformed_input_returns_its_pinned_outcome() {
+    let mut actual = String::new();
+    for (name, config) in [
+        (
+            "plain",
+            StoreConfig {
+                chunk_rows: 32,
+                ..StoreConfig::default()
+            },
+        ),
+        (
+            "suppressed",
+            StoreConfig {
+                chunk_rows: 32,
+                ..StoreConfig::suppressed(1 << 20)
+            },
+        ),
+    ] {
+        let bytes = fixture_bytes(config);
+        actual += &format!("{name} intact: {}\n", outcomes(&bytes));
+        let mut sweeps = vec![(
+            "cut".to_string(),
+            (0..bytes.len())
+                .map(|cut| outcomes(&bytes[..cut]))
+                .collect::<Vec<_>>(),
+        )];
+        for mask in [0xA5u8, 0x01] {
+            let flips = (0..bytes.len()).map(|i| {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= mask;
+                outcomes(&mutated)
+            });
+            sweeps.push((format!("^{mask:02x}"), flips.collect()));
+        }
+        for (kind, lines) in sweeps {
+            let mut start = 0;
+            for end in 1..=lines.len() {
+                if end == lines.len() || lines[end] != lines[start] {
+                    let last = end - 1;
+                    actual += &format!("{name} {kind} {start}..={last}: {}\n", lines[start]);
+                    start = end;
+                }
+            }
+        }
+    }
+    let path = golden_path();
+    if std::env::var_os("FLUCTRACE_BLESS").is_some_and(|v| !v.is_empty() && v != "0") {
+        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); bless it with FLUCTRACE_BLESS=1",
+            path.display()
+        )
+    });
+    for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "outcome line {} moved", i + 1);
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "golden and reader disagree on the number of outcome lines"
     );
 }
 
