@@ -124,6 +124,10 @@ pub struct DiffSummary {
     /// Store columns whose bytes were compared against the naive
     /// four-way trial encoder across the store legs of this workload.
     pub store_columns: u64,
+    /// Sample rows the store legs' window reads returned, over the 8
+    /// windows that split each file's TSC axis (the full-axis window
+    /// not counted).
+    pub store_window_rows: u64,
     /// Rows of the register-tag oracle table the register leg compared.
     pub register_rows: u64,
     /// Samples of the [`tagged_twin`] that resume their core's last
@@ -331,6 +335,15 @@ fn check_store(
             ));
         }
 
+        summary.store_window_rows +=
+            check_window_reads(&mut reader, &got.samples).map_err(|e| {
+                fail(
+                    seed,
+                    "store-window",
+                    format!("suppress={}: {e}", config.suppress),
+                )
+            })?;
+
         // Ledger identity: retained + elided == the exact input row count.
         let (retained, elision) = reader
             .read_retained()
@@ -451,8 +464,10 @@ fn check_store_suppressible(w: &Workload, summary: &mut DiffSummary) -> Result<(
         .map_err(|e| fail(seed, "store-twin-write", e.to_string()))?;
     summary.store_columns +=
         check_store_columns(&bytes).map_err(|e| fail(seed, "store-twin-columns", e))?;
-    let got = TraceReader::open(Cursor::new(bytes))
-        .and_then(|mut r| r.read_bundle())
+    let mut reader = TraceReader::open(Cursor::new(bytes))
+        .map_err(|e| fail(seed, "store-twin-open", e.to_string()))?;
+    let got = reader
+        .read_bundle()
         .map_err(|e| fail(seed, "store-twin-read", e.to_string()))?;
     if got.samples != twin.samples || got.marks != twin.marks {
         return Err(fail(
@@ -461,8 +476,61 @@ fn check_store_suppressible(w: &Workload, summary: &mut DiffSummary) -> Result<(
             "suppressible twin did not replay bit-exactly".into(),
         ));
     }
+    summary.store_window_rows += check_window_reads(&mut reader, &got.samples)
+        .map_err(|e| fail(seed, "store-twin-window", e))?;
     summary.store_elided += stats.elided;
     Ok(())
+}
+
+/// Window reads against a full read: `read_samples_in` over the whole
+/// TSC axis must return `samples` (the store's `read_bundle` rows), and
+/// over each of 8 disjoint windows that together cover the axis (split
+/// evenly between the smallest and the largest TSC) exactly the rows of
+/// `samples` inside it, in order. Returns the rows the 8 returned.
+fn check_window_reads<R: std::io::Read + std::io::Seek>(
+    reader: &mut TraceReader<R>,
+    samples: &[PebsRecord],
+) -> Result<u64, String> {
+    const WINDOWS: u64 = 8;
+    let all = reader
+        .read_samples_in(0, u64::MAX)
+        .map_err(|e| e.to_string())?;
+    if all != samples {
+        return Err(format!(
+            "full-axis window: {} rows, read_bundle {}",
+            all.len(),
+            samples.len()
+        ));
+    }
+    let (min, max) = samples
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), s| (lo.min(s.tsc), hi.max(s.tsc)));
+    let span = u128::from(max.saturating_sub(min));
+    let split = |k: u64| min + (span * u128::from(k) / u128::from(WINDOWS)) as u64;
+    let mut returned = 0u64;
+    for k in 0..WINDOWS {
+        let lo = if k == 0 { 0 } else { split(k) };
+        let hi = if k + 1 == WINDOWS {
+            u64::MAX
+        } else {
+            split(k + 1).saturating_sub(1)
+        };
+        let got = reader.read_samples_in(lo, hi).map_err(|e| e.to_string())?;
+        let expect = samples.iter().filter(|s| s.tsc >= lo && s.tsc <= hi);
+        if !got.iter().eq(expect) {
+            return Err(format!(
+                "window {k} [{lo}, {hi}] differs from read_bundle's rows"
+            ));
+        }
+        returned += got.len() as u64;
+    }
+    if returned != samples.len() as u64 {
+        return Err(format!(
+            "the {WINDOWS} windows returned {returned} rows of {}",
+            samples.len()
+        ));
+    }
+    Ok(returned)
 }
 
 /// The online tracer's spill-on-flush seam: submitting the workload's

@@ -56,6 +56,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
     let mut store_bytes = 0u64;
     let mut store_elided = 0u64;
     let mut store_columns = 0u64;
+    let mut store_window_rows = 0u64;
     let mut register_rows = 0u64;
     let mut tag_splits = 0u64;
     let mut cross_core_runs = 0u64;
@@ -84,6 +85,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
         store_bytes += summary.store_bytes;
         store_elided += summary.store_elided;
         store_columns += summary.store_columns;
+        store_window_rows += summary.store_window_rows;
         register_rows += summary.register_rows;
         tag_splits += summary.tag_splits;
         cross_core_runs += summary.cross_core_runs;
@@ -93,6 +95,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
         "register leg: {register_rows} rows, {tag_splits} split tag runs, \
          {cross_core_runs} cross-core tag runs, {stale_tagged} tagged gap samples"
     );
+    println!("store window reads: {store_window_rows} rows");
     // Shape-coverage floor: each hard family appears many times.
     assert!(wrap >= 30, "only {wrap} near-wrap workloads");
     assert!(evicting >= 20, "only {evicting} eviction-bound workloads");
@@ -120,6 +123,13 @@ fn sweep_seeds_agree_with_shape_coverage() {
     assert!(
         store_columns >= SWEEP_SEEDS * 4 * 9,
         "only {store_columns} store columns compared against the naive encoder"
+    );
+    // The plain, the suppressed and the suppressible-twin file of every
+    // seed are also read through 8 disjoint windows, each checked
+    // against read_bundle's rows (`check_window_reads`).
+    assert!(
+        store_window_rows > 0,
+        "no rows came back through the store's window reads"
     );
     // The register-tag leg must meet the shapes that tell its span rule
     // apart from a looser one: tag runs split by untagged samples, tag

@@ -227,7 +227,11 @@ pub fn windows_doc(shards: &[ShardView], k: usize) -> String {
             })
             .collect(),
     };
-    render(&doc)
+    let windows: usize = doc.shards.iter().map(|s| s.retained.len()).sum();
+    render(
+        &doc,
+        doc.shards.len() * SHARD_BYTES + windows * WINDOW_BYTES,
+    )
 }
 
 #[derive(Serialize)]
@@ -257,7 +261,11 @@ pub fn episodes_doc(shards: &[ShardView]) -> String {
             })
             .collect(),
     };
-    render(&doc)
+    let episodes: usize = doc.shards.iter().map(|s| s.retained.len()).sum();
+    render(
+        &doc,
+        doc.shards.len() * SHARD_BYTES + episodes * EPISODE_BYTES,
+    )
 }
 
 #[derive(Serialize)]
@@ -295,10 +303,14 @@ pub fn loss_doc(shards: &[ShardView]) -> String {
             }
         })
         .collect();
-    render(&LossDoc {
-        total,
-        shards: rows,
-    })
+    let capacity = (rows.len() + 1) * (SHARD_BYTES + LOSS_BYTES);
+    render(
+        &LossDoc {
+            total,
+            shards: rows,
+        },
+        capacity,
+    )
 }
 
 #[derive(Serialize)]
@@ -335,7 +347,8 @@ pub fn tables_doc(shards: &[ShardView]) -> String {
             })
             .collect(),
     };
-    render(&doc)
+    // `EstimateTable::write_json` reserves for its own rows.
+    render(&doc, doc.shards.len() * SHARD_BYTES)
 }
 
 /// Render the `drained` document.
@@ -346,8 +359,23 @@ pub fn drained_doc(shards: &[ShardView]) -> String {
     format!("{{\"drained\":{drained}}}")
 }
 
-fn render<T: Serialize>(doc: &T) -> String {
-    serde_json::to_string(doc).unwrap_or_else(|e| error_doc(&format!("render: {e}")))
+/// Bytes a reply reserves per part, a little over what each takes with
+/// the numbers of a typical run (a shard's own fields about 70, a
+/// retained window 55, an episode 92, a loss ledger 260), so that the
+/// reply is written without growing its buffer.
+const SHARD_BYTES: usize = 96;
+/// See [`SHARD_BYTES`].
+const WINDOW_BYTES: usize = 80;
+/// See [`SHARD_BYTES`].
+const EPISODE_BYTES: usize = 128;
+/// See [`SHARD_BYTES`].
+const LOSS_BYTES: usize = 320;
+
+/// `doc`'s JSON, written into a buffer of `capacity` bytes.
+fn render<T: Serialize>(doc: &T, capacity: usize) -> String {
+    let mut out = String::with_capacity(capacity);
+    doc.write_json(&mut out);
+    out
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Quickstart: trace a tiny two-stage pipeline with the hybrid tracer
-//! and print per-item, per-function elapsed times.
+//! and print per-item, per-function elapsed times. The Chrome trace of
+//! the run is written to `fluctrace_quickstart.json` in the working
+//! directory.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -90,12 +92,9 @@ fn main() {
             include_samples: true,
         },
     );
-    let path = std::env::temp_dir().join("fluctrace_quickstart.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!(
-            "trace written to {} (load it in chrome://tracing)",
-            path.display()
-        ),
+    let path = "fluctrace_quickstart.json";
+    match std::fs::write(path, json) {
+        Ok(()) => println!("trace written to {path} (load it in chrome://tracing)"),
         Err(e) => eprintln!("could not write trace: {e}"),
     }
 }

@@ -9,8 +9,9 @@
 //! The counter is per thread and switched on only around the calls
 //! being costed, so neither the harness nor any other thread enters it.
 //! Window ingest, the exact cumulative table, the estimator, the
-//! detector, the series query, the table's JSON rendering and the
-//! daemon's reply renders run on the calling thread, and integration is
+//! detector, the series query, the table's JSON rendering, the store's
+//! window read and `read_bundle`, and the daemon's reply renders run on
+//! the calling thread, and integration is
 //! costed with one thread given explicitly (a pool worker's allocations
 //! would miss the tally), so every count is the same at every
 //! `FLUCTRACE_THREADS` setting.
@@ -28,6 +29,7 @@ use fluctrace_cpu::{
 };
 use fluctrace_serve::{build_symtab, proto, Daemon, ServeConfig, TrafficGen};
 use fluctrace_sim::{Freq, Rng, SimDuration};
+use fluctrace_store::{write_bundle_to_vec, StoreConfig, TraceReader};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -363,6 +365,99 @@ fn table_json(table: &EstimateTable) -> (f64, f64) {
     (allocs as f64 / all as f64, bytes as f64 / all as f64)
 }
 
+/// Samples per core of [`store_reads`]' file.
+const STORE_SAMPLES_PER_CORE: u64 = 5_000;
+
+/// A store file written from a `(core, tsc)`-sorted bundle: 4 cores ×
+/// 5 000 samples 40–160 cycles apart over 16 functions, a mark pair
+/// every 25 samples, in sample chunks of 4 096 rows (5 chunks, three of
+/// which straddle two cores). Costs 32 window reads, each a tenth of
+/// one core's TSC span, after one warm-up read sizes the reader's
+/// buffers, and then 4 `read_bundle`s. Returns the window reads'
+/// `(allocations, bytes)` per query and `read_bundle`'s allocations per
+/// read and bytes per sample.
+fn store_reads() -> ((f64, f64), (f64, f64)) {
+    const QUERIES: u64 = 32;
+    const READS: u64 = 4;
+    let mut bundle = TraceBundle::default();
+    let mut rng = Rng::new(20180521);
+    let mut span = 0;
+    for core in 0..4 {
+        let mut tsc = 1_000;
+        for i in 0..STORE_SAMPLES_PER_CORE {
+            tsc += rng.gen_range(40, 160);
+            let item = ItemId(u64::from(core) * STORE_SAMPLES_PER_CORE + i / 25);
+            if i % 25 == 0 {
+                bundle.marks.push(MarkRecord {
+                    core: CoreId(core),
+                    tsc,
+                    item,
+                    kind: MarkKind::Start,
+                });
+            }
+            bundle.samples.push(PebsRecord {
+                core: CoreId(core),
+                tsc,
+                ip: VirtAddr(0x4000 + rng.gen_below(16) * 64),
+                r13: item.0 + 1,
+                event: HwEvent::UopsRetired,
+            });
+        }
+        span = span.max(tsc);
+    }
+    bundle.sort();
+    let config = StoreConfig {
+        chunk_rows: 4_096,
+        ..StoreConfig::default()
+    };
+    let (bytes, stats) = write_bundle_to_vec(&bundle, config).expect("write the store file");
+    // At least 3 sample chunks and the mark chunk.
+    assert!(stats.chunks >= 4, "at least 3 sample chunks");
+    let mut reader = TraceReader::open(std::io::Cursor::new(bytes)).expect("open the store file");
+    let window = |q: u64| {
+        let lo = 1_000 + span * (q % 10) / 10;
+        (lo, lo + span / 10)
+    };
+    let (lo, hi) = window(QUERIES);
+    assert!(!reader
+        .read_samples_in(lo, hi)
+        .expect("warm-up read")
+        .is_empty());
+    let (mut allocs, mut alloc_bytes) = (0, 0);
+    for q in 0..QUERIES {
+        let (lo, hi) = window(q);
+        let (rows, a, b) = counted(|| reader.read_samples_in(lo, hi));
+        let rows = rows.expect("window read");
+        let expect = bundle.samples.iter().filter(|s| s.tsc >= lo && s.tsc <= hi);
+        assert!(
+            rows.iter().eq(expect),
+            "window read {q} returned other rows"
+        );
+        allocs += a;
+        alloc_bytes += b;
+    }
+    let window_cost = (
+        allocs as f64 / QUERIES as f64,
+        alloc_bytes as f64 / QUERIES as f64,
+    );
+    let (mut allocs, mut alloc_bytes) = (0, 0);
+    for _ in 0..READS {
+        let (read, a, b) = counted(|| reader.read_bundle());
+        let read = read.expect("read_bundle");
+        assert!(
+            read.samples == bundle.samples && read.marks == bundle.marks,
+            "read_bundle returned other rows"
+        );
+        allocs += a;
+        alloc_bytes += b;
+    }
+    let samples = (READS * bundle.samples.len() as u64) as f64;
+    (
+        window_cost,
+        (allocs as f64 / READS as f64, alloc_bytes as f64 / samples),
+    )
+}
+
 /// The daemon's `windows 4`, `episodes` and `loss` replies, each
 /// rendered once by `serve::proto` over the shards of a drained
 /// in-process daemon (default seed, 96 batches: the run whose replies CI
@@ -492,11 +587,28 @@ fn cost_budgets_hold() {
         bytes: 88.987,
     }
     .check(json_allocs, json_bytes, &mut failures);
+    let ((window_allocs, window_bytes), (bundle_allocs, bundle_bytes)) = store_reads();
+    Budget {
+        case: "store window read",
+        unit: "query",
+        allocs: 3.40625,
+        byte_unit: "query",
+        bytes: 151_456.0,
+    }
+    .check(window_allocs, window_bytes, &mut failures);
+    Budget {
+        case: "store read_bundle",
+        unit: "read",
+        allocs: 5.0,
+        byte_unit: "sample",
+        bytes: 99.264,
+    }
+    .check(bundle_allocs, bundle_bytes, &mut failures);
     let [windows, episodes, loss] = replies();
     for ((allocs, bytes), case, budget_allocs, budget_bytes) in [
-        (windows, "reply windows 4", 11.0, 2392.0),
-        (episodes, "reply episodes", 17.0, 151_624.0),
-        (loss, "reply loss", 9.0, 2232.0),
+        (windows, "reply windows 4", 4.0, 1184.0),
+        (episodes, "reply episodes", 4.0, 86_288.0),
+        (loss, "reply loss", 2.0, 1440.0),
     ] {
         Budget {
             case,
