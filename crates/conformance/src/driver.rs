@@ -536,7 +536,8 @@ fn check_window_reads<R: std::io::Read + std::io::Seek>(
 /// The online tracer's spill-on-flush seam: submitting the workload's
 /// batches with a spill writer attached must leave a store whose
 /// read-back equals the concatenated batches bit-exactly, with spill
-/// accounting matching the ledger.
+/// accounting matching the ledger: the spill stage ahead of the pairing
+/// worker wrote every sample the worker saw.
 fn check_store_spill(w: &Workload, summary: &mut DiffSummary) -> Result<(), Disagreement> {
     let seed = w.spec.seed;
     let mut config = OnlineConfig::new(w.freq);
@@ -596,16 +597,18 @@ fn check_store_spill(w: &Workload, summary: &mut DiffSummary) -> Result<(), Disa
     }
     if report.spill.samples != expect.samples.len() as u64
         || report.spill.marks != expect.marks.len() as u64
+        || report.spill.samples != report.samples_seen
     {
         return Err(fail(
             seed,
             "store-spill-accounting",
             format!(
-                "spill stats ({}, {}) != submitted ({}, {})",
+                "spill stats ({}, {}) != submitted ({}, {}), {} samples seen",
                 report.spill.samples,
                 report.spill.marks,
                 expect.samples.len(),
-                expect.marks.len()
+                expect.marks.len(),
+                report.samples_seen
             ),
         ));
     }

@@ -40,6 +40,15 @@
 //! * A worker panic is contained: [`OnlineTracer::finish`] returns
 //!   [`OnlineError::WorkerPanicked`] and dropping the tracer never
 //!   propagates the panic.
+//! * Spilling ([`OnlineTracer::spawn_with_spill`]) runs on a stage of
+//!   its own ahead of the pairing worker, so capture runs at the pace of
+//!   the slower of the two rather than their sum. The stage appends each
+//!   batch to the store and moves it on, uncopied and in order, over a
+//!   second bounded channel whose sends block: nothing is shed between
+//!   the stages, so the loss ledger stays exact, and back-pressure
+//!   reaches `submit` once both queues are full. A panic on either stage
+//!   surfaces from `finish` like a worker panic, and a producer blocked
+//!   in `submit` gets its batch back.
 //!
 //! # Adaptive reset value (graceful degradation)
 //!
@@ -62,7 +71,7 @@ use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use fluctrace_cpu::{FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle, PEBS_RECORD_BYTES};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
-use fluctrace_store::{StoreError, TraceWriter, WriteStats};
+use fluctrace_store::{TraceWriter, WriteStats};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -225,7 +234,9 @@ pub struct OnlineConfig {
     /// Observations of a function required before divergence checks
     /// start (baseline warm-up).
     pub warmup: u64,
-    /// Channel capacity in batches (producer blocks when full, which is
+    /// Capacity in batches of each of the tracer's hand-offs: the intake
+    /// channel and, when spilling, the channel from the spill stage to
+    /// the pairing worker (a producer blocks when they are full, which is
     /// the natural back-pressure a collection thread needs).
     pub channel_capacity: usize,
     /// Per-core cap on samples awaiting their End mark. When a mark
@@ -436,45 +447,6 @@ impl std::error::Error for OnlineError {}
 /// the consumer on cue.
 pub type BatchInspector = Box<dyn FnMut(&TraceBundle) + Send>;
 
-/// Object-safe wrapper over a generic [`TraceWriter`] so the (non-
-/// generic) worker can own any `Write` sink: spill-on-flush appends
-/// each received batch, and stream end finishes the segment.
-trait SpillSink: Send {
-    fn append(&mut self, batch: &TraceBundle) -> Result<(), StoreError>;
-    /// Running totals (zero once finished).
-    fn stats(&self) -> WriteStats;
-    fn finish(&mut self) -> Result<WriteStats, StoreError>;
-}
-
-/// [`TraceWriter::finish`] consumes the writer, so the boxed sink holds
-/// it in an `Option` and takes it out on finish.
-struct SpillWriter<W: std::io::Write + Send> {
-    writer: Option<TraceWriter<W>>,
-}
-
-impl<W: std::io::Write + Send> SpillSink for SpillWriter<W> {
-    fn append(&mut self, batch: &TraceBundle) -> Result<(), StoreError> {
-        match self.writer.as_mut() {
-            Some(w) => w.append(batch),
-            None => Err(StoreError::Io("spill writer already finished".into())),
-        }
-    }
-
-    fn stats(&self) -> WriteStats {
-        self.writer
-            .as_ref()
-            .map(TraceWriter::stats)
-            .unwrap_or_default()
-    }
-
-    fn finish(&mut self) -> Result<WriteStats, StoreError> {
-        match self.writer.take() {
-            Some(w) => w.finish().map(|(_, stats)| stats),
-            None => Err(StoreError::Io("spill writer already finished".into())),
-        }
-    }
-}
-
 /// Producer-side shed ledger: what an [`Intake`] dropped or thinned
 /// before its worker saw the batch. Shared (`Arc`) so a reader — a
 /// serve shard's protocol handlers — can fold it while the producer
@@ -648,9 +620,6 @@ struct Worker {
     report: OnlineReport,
     live: Arc<Mutex<LiveStats>>,
     inspector: Option<BatchInspector>,
-    /// Spill-on-flush store sink; `None` when not spilling (or after an
-    /// I/O error disabled it).
-    spill: Option<Box<dyn SpillSink>>,
 }
 
 impl Worker {
@@ -659,42 +628,10 @@ impl Worker {
             if let Some(inspect) = self.inspector.as_mut() {
                 inspect(&batch);
             }
-            self.spill_append(&batch);
             self.process(batch);
         }
         self.finalize();
         self.report
-    }
-
-    /// Spill the batch as received (pre-sort: the store replays exactly
-    /// what was submitted). An error counts, disables the sink, and
-    /// never takes the worker down.
-    fn spill_append(&mut self, batch: &TraceBundle) {
-        if let Some(sink) = self.spill.as_mut() {
-            match sink.append(batch) {
-                Ok(()) => self.report.spill.batches += 1,
-                Err(_) => {
-                    self.report.spill.errors += 1;
-                    self.report.spill.record(sink.stats());
-                    self.spill = None;
-                }
-            }
-        }
-    }
-
-    /// Close the spill segment (footer + tail) and fold its totals into
-    /// the report. Called once from [`Worker::finalize`].
-    fn spill_finish(&mut self) {
-        if let Some(mut sink) = self.spill.take() {
-            let running = sink.stats();
-            match sink.finish() {
-                Ok(stats) => self.report.spill.record(stats),
-                Err(_) => {
-                    self.report.spill.errors += 1;
-                    self.report.spill.record(running);
-                }
-            }
-        }
     }
 
     /// Pair one batch; of each completed item keep only what the report
@@ -732,12 +669,10 @@ impl Worker {
         live.loss = counts.loss;
     }
 
-    /// Stream end: close the spill segment, let the pairing core account
-    /// for everything still buffered, and take its totals into the
-    /// report.
+    /// Stream end: let the pairing core account for everything still
+    /// buffered, and take its totals into the report.
     fn finalize(&mut self) {
         obs::span!("online.flush", self.pairing.cores());
-        self.spill_finish();
         self.pairing.finish_stream();
         let counts = *self.pairing.counts();
         self.report.items_processed = counts.items_processed;
@@ -776,7 +711,7 @@ impl Worker {
 impl OnlineTracer {
     /// Spawn the worker thread.
     pub fn spawn(symtab: Arc<SymbolTable>, config: OnlineConfig) -> Self {
-        Self::spawn_inner(symtab, config, None, None)
+        Self::spawn_inner(symtab, config, None, Worker::run)
     }
 
     /// Spawn with a per-batch [`BatchInspector`] run inside the worker —
@@ -788,35 +723,51 @@ impl OnlineTracer {
         config: OnlineConfig,
         inspector: impl FnMut(&TraceBundle) + Send + 'static,
     ) -> Self {
-        Self::spawn_inner(symtab, config, Some(Box::new(inspector)), None)
+        Self::spawn_inner(symtab, config, Some(Box::new(inspector)), Worker::run)
     }
 
     /// Spawn with spill-on-flush: every submitted batch (post-shed,
-    /// pre-sort) is appended to `writer` inside the worker, and the
-    /// segment is finished when the stream closes. Write accounting —
-    /// including suppression elisions and I/O errors — lands in
-    /// [`OnlineReport::spill`]; spill failures degrade to not spilling,
-    /// never to a dead worker.
+    /// pre-sort) is appended to `writer` on a spill stage ahead of the
+    /// worker, and the segment is finished when the stream closes. Write
+    /// accounting — including suppression elisions and I/O errors —
+    /// lands in [`OnlineReport::spill`]; spill failures degrade to not
+    /// spilling, never to a dead worker.
+    ///
+    /// The stage runs on a thread of its own (`fluctrace-online-spill`),
+    /// scoped inside the worker's, and hands each batch on over a second
+    /// channel of [`OnlineConfig::channel_capacity`] batches.
     pub fn spawn_with_spill<W: std::io::Write + Send + 'static>(
         symtab: Arc<SymbolTable>,
         config: OnlineConfig,
         writer: TraceWriter<W>,
     ) -> Self {
-        Self::spawn_inner(
-            symtab,
-            config,
-            None,
-            Some(Box::new(SpillWriter {
-                writer: Some(writer),
-            })),
-        )
+        let capacity = config.channel_capacity;
+        Self::spawn_inner(symtab, config, None, move |worker, rx| {
+            std::thread::scope(|scope| {
+                let (tx, staged) = bounded(capacity);
+                let stage = std::thread::Builder::new()
+                    .name("fluctrace-online-spill".to_owned())
+                    .spawn_scoped(scope, move || spill_stage(writer, rx, tx))
+                    // lint:allow(panic-safety): spawn fails only when the OS is out
+                    // of threads at startup; the panic surfaces from `finish`.
+                    .expect("spawn spill stage");
+                let mut report = worker.run(staged);
+                // Re-raise a stage panic so that `finish` reports its
+                // message, as it does a worker panic's.
+                report.spill = stage
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                report
+            })
+        })
     }
 
+    /// Build the worker and spawn the intake thread running `run` over it.
     fn spawn_inner(
         symtab: Arc<SymbolTable>,
         config: OnlineConfig,
         inspector: Option<BatchInspector>,
-        spill: Option<Box<dyn SpillSink>>,
+        run: impl FnOnce(Worker, Receiver<TraceBundle>) -> OnlineReport + Send + 'static,
     ) -> Self {
         let live = Arc::new(Mutex::new(LiveStats::default()));
         let worker = Worker {
@@ -832,7 +783,6 @@ impl OnlineTracer {
             report: OnlineReport::default(),
             live: Arc::clone(&live),
             inspector,
-            spill,
         };
         OnlineTracer {
             intake: Intake::spawn(
@@ -840,7 +790,7 @@ impl OnlineTracer {
                 config.channel_capacity,
                 config.adaptive,
                 Arc::default(),
-                move |rx| worker.run(rx),
+                move |rx| run(worker, rx),
             ),
             live,
         }
@@ -909,6 +859,52 @@ impl OnlineTracer {
         report.degrade = degrade;
         Ok(report)
     }
+}
+
+/// The spill stage of [`OnlineTracer::spawn_with_spill`]: append each
+/// batch from `rx` to `writer` as received (pre-sort: the store replays
+/// exactly what was submitted), then move it on to the pairing worker
+/// over `tx`. A write error counts, disables the writer and never stops
+/// the batches. The stage ends when the intake closes or the worker is
+/// gone; it closes both channels, finishes the segment and returns the
+/// spill accounting.
+fn spill_stage<W: std::io::Write>(
+    writer: TraceWriter<W>,
+    rx: Receiver<TraceBundle>,
+    tx: Sender<TraceBundle>,
+) -> SpillStats {
+    let mut stats = SpillStats::default();
+    let mut writer = Some(writer);
+    while let Ok(batch) = rx.recv() {
+        if let Some(w) = writer.as_mut() {
+            match w.append(&batch) {
+                Ok(()) => stats.batches += 1,
+                Err(_) => {
+                    stats.errors += 1;
+                    stats.record(w.stats());
+                    writer = None;
+                }
+            }
+        }
+        if tx.send(batch).is_err() {
+            break;
+        }
+    }
+    // The worker drains and finalizes while the footer is written, and a
+    // producer still in `submit` learns that the stream is gone.
+    drop(tx);
+    drop(rx);
+    if let Some(w) = writer {
+        let running = w.stats();
+        match w.finish() {
+            Ok((_, finished)) => stats.record(finished),
+            Err(_) => {
+                stats.errors += 1;
+                stats.record(running);
+            }
+        }
+    }
+    stats
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1624,5 +1620,110 @@ mod tests {
         let on_sink = accepted.load(Ordering::Relaxed);
         assert!(on_sink > 8, "two chunks reached the sink");
         assert_eq!(report.spill.bytes, on_sink);
+    }
+
+    /// The spill stage loses nothing and reorders nothing, whatever the
+    /// interleaving: with lossy submission into 2-batch channels, the
+    /// store holds exactly the batches the intake accepted, in
+    /// submission order, and the spill and pairing tallies agree.
+    #[test]
+    fn spill_stage_keeps_order_and_conserves_samples() {
+        let (symtab, f) = symtab();
+        let buf = fluctrace_store::SharedBuf::new();
+        let writer = TraceWriter::new(
+            buf.clone(),
+            fluctrace_store::StoreConfig {
+                chunk_rows: 64,
+                ..fluctrace_store::StoreConfig::default()
+            },
+        )
+        .unwrap();
+        let mut cfg = config();
+        cfg.channel_capacity = 2;
+        let tracer = OnlineTracer::spawn_with_spill(Arc::clone(&symtab), cfg, writer);
+        let mut sent = TraceBundle::default();
+        let mut sent_batches = 0u64;
+        for i in 0..400u64 {
+            let batch = item_batch(&symtab, f, i, i * 100_000, 3_000);
+            let copy = batch.clone();
+            if tracer.try_submit(batch).unwrap() == SubmitOutcome::Sent {
+                sent.merge(copy);
+                sent_batches += 1;
+            }
+            // Let the stages drain now and then, so that both sends and
+            // drops happen.
+            if i % 8 == 7 {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+        }
+        let report = tracer.finish().unwrap();
+        assert!(sent_batches > 0);
+        assert_eq!(report.spill.errors, 0);
+        assert_eq!(report.spill.batches, sent_batches);
+        assert_eq!(report.spill.samples, report.samples_seen);
+        assert_eq!(report.samples_seen, sent.samples.len() as u64);
+        assert_eq!(report.loss.batches_dropped, 400 - sent_batches);
+        assert!(report.conserves_samples());
+        let mut reader =
+            fluctrace_store::TraceReader::open(std::io::Cursor::new(buf.contents())).unwrap();
+        let got = reader.read_bundle().unwrap();
+        assert_eq!(got.samples, sent.samples);
+        assert_eq!(got.marks, sent.marks);
+    }
+
+    /// A panic on the spill stage is contained like a worker panic: a
+    /// blocked producer gets its batch back, `finish` names the panic,
+    /// and dropping the tracer returns.
+    #[test]
+    fn spill_stage_panic_is_contained() {
+        /// Panics on its `k`-th write (the head magic is write 1).
+        struct PanicsOnWrite {
+            k: usize,
+        }
+        impl std::io::Write for PanicsOnWrite {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.k -= 1;
+                if self.k == 0 {
+                    panic!("spill sink fault");
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (symtab, f) = symtab();
+        let spawn = || {
+            let writer = TraceWriter::new(
+                PanicsOnWrite { k: 3 },
+                fluctrace_store::StoreConfig {
+                    chunk_rows: 3,
+                    ..fluctrace_store::StoreConfig::default()
+                },
+            )
+            .unwrap();
+            OnlineTracer::spawn_with_spill(Arc::clone(&symtab), config(), writer)
+        };
+        let submit_until_refused = |tracer: &OnlineTracer| {
+            (0..10_000u64).any(|i| {
+                tracer
+                    .submit(item_batch(&symtab, f, i, i * 100_000, 3_000))
+                    .is_err()
+            })
+        };
+        let tracer = spawn();
+        assert!(
+            submit_until_refused(&tracer),
+            "a dead spill stage must refuse submissions"
+        );
+        match tracer.finish() {
+            Err(OnlineError::WorkerPanicked(msg)) => {
+                assert!(msg.contains("spill sink fault"), "{msg}")
+            }
+            Ok(_) => panic!("finish must report the spill stage's panic"),
+        }
+        let tracer = spawn();
+        assert!(submit_until_refused(&tracer));
+        drop(tracer);
     }
 }

@@ -10,8 +10,8 @@
 //! being costed, so neither the harness nor any other thread enters it.
 //! Window ingest, the exact cumulative table, the estimator, the
 //! detector, the series query, the table's JSON rendering, the store's
-//! window read and `read_bundle`, and the daemon's reply renders run on
-//! the calling thread, and integration is
+//! `TraceWriter::append`, window read and `read_bundle`, and the
+//! daemon's reply renders run on the calling thread, and integration is
 //! costed with one thread given explicitly (a pool worker's allocations
 //! would miss the tally), so every count is the same at every
 //! `FLUCTRACE_THREADS` setting.
@@ -29,7 +29,7 @@ use fluctrace_cpu::{
 };
 use fluctrace_serve::{build_symtab, proto, Daemon, ServeConfig, TrafficGen};
 use fluctrace_sim::{Freq, Rng, SimDuration};
-use fluctrace_store::{write_bundle_to_vec, StoreConfig, TraceReader};
+use fluctrace_store::{write_bundle_to_vec, StoreConfig, TraceReader, TraceWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -458,6 +458,52 @@ fn store_reads() -> ((f64, f64), (f64, f64)) {
     )
 }
 
+/// `TraceWriter::append` in `capture_spill`'s shape: `TrafficGen`
+/// batches of 4 interleaved cores × 64 items × 24 samples over 384
+/// functions, in the default 16 384-row chunks, into a sink that keeps
+/// nothing. Warm-up appends run until each stream has written its first
+/// chunk, which sizes every buffer; the next 256 appends are counted,
+/// batch generation excluded. Returns the `(allocations, bytes)` per
+/// batch.
+fn writer_appends() -> (f64, f64) {
+    const COUNTED: u64 = 256;
+    let mut config = ServeConfig::new(20180521);
+    config.shards = 1;
+    config.cores = 4;
+    config.items_per_batch = 64;
+    config.samples_per_item = 24;
+    config.funcs = 384;
+    let symtab = build_symtab(config.funcs);
+    let mut traffic = TrafficGen::new(&config, 0, symtab);
+    let store = StoreConfig::default();
+    let mut writer = TraceWriter::new(std::io::sink(), store).expect("open a segment");
+    while writer.stats().marks < store.chunk_rows as u64 {
+        writer
+            .append(&traffic.next_batch())
+            .expect("warm-up append");
+    }
+    let before = writer.stats();
+    let (mut allocs, mut bytes, mut samples) = (0, 0, 0);
+    for _ in 0..COUNTED {
+        let batch = traffic.next_batch();
+        samples += batch.samples.len() as u64;
+        let (appended, a, b) = counted(|| writer.append(&batch));
+        appended.expect("append");
+        allocs += a;
+        bytes += b;
+    }
+    let after = writer.stats();
+    assert_eq!(after.samples - before.samples, samples);
+    println!(
+        "writer appends: {} chunks written while counted",
+        after.chunks - before.chunks
+    );
+    (
+        allocs as f64 / COUNTED as f64,
+        bytes as f64 / COUNTED as f64,
+    )
+}
+
 /// The daemon's `windows 4`, `episodes` and `loss` replies, each
 /// rendered once by `serve::proto` over the shards of a drained
 /// in-process daemon (default seed, 96 batches: the run whose replies CI
@@ -604,6 +650,15 @@ fn cost_budgets_hold() {
         bytes: 99.264,
     }
     .check(bundle_allocs, bundle_bytes, &mut failures);
+    let (append_allocs, append_bytes) = writer_appends();
+    Budget {
+        case: "store TraceWriter append",
+        unit: "batch",
+        allocs: 0.01172,
+        byte_unit: "batch",
+        bytes: 49.0,
+    }
+    .check(append_allocs, append_bytes, &mut failures);
     let [windows, episodes, loss] = replies();
     for ((allocs, bytes), case, budget_allocs, budget_bytes) in [
         (windows, "reply windows 4", 4.0, 1184.0),
