@@ -60,7 +60,7 @@
 use crate::interval::{build_intervals, IntervalError, ItemInterval};
 use crate::parallel;
 use fluctrace_cpu::{
-    decode_tag, AddrRange, ItemId, MarkRecord, PebsRecord, SymbolTable, TraceBundle, NO_TAG,
+    decode_tag, AddrRange, CoreId, ItemId, MarkRecord, PebsRecord, SymbolTable, TraceBundle, NO_TAG,
 };
 use fluctrace_obs as obs;
 use fluctrace_sim::Freq;
@@ -323,7 +323,7 @@ fn build_shard_intervals<'a>(
     threads: usize,
     shard_span: &'static str,
 ) -> Phase1<'a> {
-    let shards = shard_by_core(&bundle.marks, &bundle.samples);
+    let shards: Vec<Shard<'a>> = shards_by_core(&bundle.marks, &bundle.samples).collect();
     let built: Vec<(Vec<ItemInterval>, Vec<IntervalError>)> = parallel::run_indexed(
         shards.iter().map(|sh| sh.marks).collect(),
         threads,
@@ -384,42 +384,36 @@ impl Phase1<'_> {
     }
 }
 
-/// One core's sub-slices of the sorted streams.
-struct Shard<'a> {
-    marks: &'a [MarkRecord],
-    samples: &'a [PebsRecord],
+/// One core's sub-slices of the `(core, tsc)`-sorted streams.
+pub(crate) struct Shard<'a> {
+    pub core: CoreId,
+    pub marks: &'a [MarkRecord],
+    pub samples: &'a [PebsRecord],
 }
 
 /// Split the `(core, tsc)`-sorted streams into per-core shards covering
 /// the union of cores present in either stream, in ascending core order.
-fn shard_by_core<'a>(marks: &'a [MarkRecord], samples: &'a [PebsRecord]) -> Vec<Shard<'a>> {
-    let mut shards = Vec::new();
-    let (mut mi, mut si) = (0usize, 0usize);
-    while mi < marks.len() || si < samples.len() {
-        let core = match (marks.get(mi), samples.get(si)) {
+pub(crate) fn shards_by_core<'a>(
+    mut marks: &'a [MarkRecord],
+    mut samples: &'a [PebsRecord],
+) -> impl Iterator<Item = Shard<'a>> {
+    std::iter::from_fn(move || {
+        let core = match (marks.first(), samples.first()) {
             (Some(m), Some(s)) => m.core.min(s.core),
             (Some(m), None) => m.core,
             (None, Some(s)) => s.core,
-            (None, None) => break,
+            (None, None) => return None,
         };
-        let m_end = mi
-            + marks
-                .get(mi..)
-                .unwrap_or_default()
-                .partition_point(|m| m.core <= core);
-        let s_end = si
-            + samples
-                .get(si..)
-                .unwrap_or_default()
-                .partition_point(|s| s.core <= core);
-        shards.push(Shard {
-            marks: marks.get(mi..m_end).unwrap_or_default(),
-            samples: samples.get(si..s_end).unwrap_or_default(),
-        });
-        mi = m_end;
-        si = s_end;
-    }
-    shards
+        let (shard_marks, rest) = marks.split_at(marks.partition_point(|m| m.core <= core));
+        marks = rest;
+        let (shard_samples, rest) = samples.split_at(samples.partition_point(|s| s.core <= core));
+        samples = rest;
+        Some(Shard {
+            core,
+            marks: shard_marks,
+            samples: shard_samples,
+        })
+    })
 }
 
 /// One shard's samples, its range of the trace's intervals, and its

@@ -11,8 +11,9 @@
 //! batches over a bounded channel and drives the `pairing` state machine
 //! (shared with [`crate::window`]), which pairs marks into items as End
 //! marks arrive, estimates per-function elapsed times incrementally and
-//! keeps a running per-function baseline; the worker **retains raw samples
-//! only for items that diverge**. Everything else is counted and discarded.
+//! keeps a running per-function baseline. Items are folded where they lie
+//! in the batch, and the worker **copies out raw samples only for items
+//! that diverge**. Everything else is counted and discarded.
 //!
 //! # Overload robustness
 //!
@@ -635,29 +636,31 @@ impl Worker {
     }
 
     /// Pair one batch; of each completed item keep only what the report
-    /// needs — the raw samples of a divergent item move into its
-    /// anomaly, everything else is dropped on the spot. A kept buffer
-    /// is shrunk to its length (a no-op unless the item outgrew the
-    /// buffer it was handed), so it holds exactly the records
-    /// `bytes_dumped` counts.
+    /// needs. Items are folded where they lie in the batch, and only a
+    /// divergent item's samples are copied, at their exact length, into
+    /// its anomaly; everything else is dropped on the spot. One
+    /// `online.anomalies` flight event per batch that flagged any item
+    /// carries the batch's count.
     fn process(&mut self, batch: TraceBundle) {
         obs::span!("online.batch", batch.samples.len());
         let report = &mut self.report;
+        let before = report.anomalies.len();
         self.pairing.ingest(batch, |done| {
             if let Some((func, elapsed, baseline_mean)) = done.divergence {
-                obs::event("online.anomaly", done.interval.item.0);
                 report.bytes_dumped += done.samples.len() as u64 * PEBS_RECORD_BYTES;
-                let mut raw_samples = done.samples;
-                raw_samples.shrink_to_fit();
                 report.anomalies.push(OnlineAnomaly {
                     item: done.interval.item,
                     func,
                     elapsed,
                     baseline_mean,
-                    raw_samples,
+                    raw_samples: done.samples.to_vec(),
                 });
             }
         });
+        let flagged = report.anomalies.len() - before;
+        if flagged > 0 {
+            obs::event("online.anomalies", flagged as u64);
+        }
         self.publish_live();
     }
 

@@ -8,15 +8,19 @@
 //! `interval::build_intervals` and the conformance oracle stay separate:
 //! they are what this is checked against.
 //!
-//! No tree is touched per sample or per item: per-core state is a short
-//! sorted `Vec` with the last core's slot cached (a sorted batch hits it
-//! on every record but the first of each core run), symbol lookup is
+//! A batch is walked core by core, mark by mark: each mark's place in
+//! its core's samples is found by binary search, and an item whose Start
+//! and End both arrived in the batch is folded where it lies in the
+//! batch — no sample is copied and nothing is allocated per item. Only a
+//! core's samples after its last mark are copied, into the core's
+//! `pending` buffer, as the carry to the next batch; that buffer is
+//! cleared and kept, never handed over. No tree is touched per sample or
+//! per item: per-core state is a short sorted `Vec`, symbol lookup is
 //! memoized on the last function's address range, an item's spans are
 //! built in a scratch `Vec` kept across items, and the divergence
-//! baselines are dense over the symbol table. The one allocation per
-//! completed item is the core's next sample buffer (see
-//! [`Completed::samples`]).
+//! baselines are dense over the symbol table.
 
+use crate::integrate::shards_by_core;
 use crate::interval::ItemInterval;
 use fluctrace_cpu::{
     AddrRange, CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
@@ -156,14 +160,11 @@ pub(crate) struct PairingCounts {
 /// One completed item, as handed to the `on_item` closure.
 pub(crate) struct Completed<'a> {
     pub interval: ItemInterval,
-    /// The item's samples, handed over by value: the online side keeps
-    /// them for divergent items, everyone else drops them here, so no
-    /// per-core buffer outlives its item. The core's next buffer is
-    /// allocated at this buffer's length, so a stream of equal-sized
-    /// items allocates once per item instead of once per doubling; a
-    /// longer item grows it, and a consumer that keeps the buffer can
-    /// `shrink_to_fit` it.
-    pub samples: Vec<PebsRecord>,
+    /// The item's samples, folded in place: a slice of the batch when the
+    /// item's Start and End arrived in the same batch, else of its core's
+    /// `pending` buffer. Lent for the call only — a consumer that keeps
+    /// the samples copies them.
+    pub samples: &'a [PebsRecord],
     /// Per-function `(first tsc, last tsc, sample count)` inside the
     /// interval, one entry per function, in ascending `FuncId`.
     pub spans: &'a [(FuncId, (u64, u64, u32))],
@@ -180,52 +181,82 @@ pub(crate) struct Completed<'a> {
 
 #[derive(Default)]
 struct CoreState {
-    /// Samples not yet assigned to a finished item, in tsc order.
+    /// Samples carried over from earlier batches, not yet assigned to a
+    /// finished item, in arrival order. Cleared and kept, never handed
+    /// over.
     pending: Vec<PebsRecord>,
     /// Open start mark.
     open: Option<(ItemId, u64)>,
 }
 
 impl CoreState {
-    /// Give up on whatever is buffered, counting every sample: an open
+    /// Give up on whatever is buffered — the carry plus `uncopied`
+    /// samples of the batch behind it — counting every sample: an open
     /// item can never complete now, so its samples are discarded; with
     /// no item open they are inter-item spin — uninteresting, but
     /// conservation demands they be counted. Returns whether an item
     /// was open.
-    fn abandon(&mut self, loss: &mut LossStats) -> bool {
+    fn abandon(&mut self, uncopied: usize, loss: &mut LossStats) -> bool {
+        let buffered = (self.pending.len() + uncopied) as u64;
         let was_open = self.open.take().is_some();
         if was_open {
-            loss.samples_discarded += self.pending.len() as u64;
+            loss.samples_discarded += buffered;
         } else {
-            loss.samples_spin += self.pending.len() as u64;
+            loss.samples_spin += buffered;
         }
         self.pending.clear();
         was_open
     }
+
+    /// Let `arrived` (the batch's next samples on this core) join the
+    /// buffer, accounting as if they were pushed one by one behind the
+    /// carry under the `cap` bound: the backlog peaks at `cap + 1` before
+    /// the oldest sample is evicted, and every evicted sample is counted.
+    /// Eviction takes from the carry first. Returns the part of `arrived`
+    /// still buffered; nothing is copied.
+    fn arrive<'s>(
+        &mut self,
+        arrived: &'s [PebsRecord],
+        cap: usize,
+        counts: &mut PairingCounts,
+    ) -> &'s [PebsRecord] {
+        if arrived.is_empty() {
+            return arrived;
+        }
+        let total = self.pending.len() + arrived.len();
+        counts.pending_peak = counts.pending_peak.max(total.min(cap + 1) as u64);
+        let excess = total.saturating_sub(cap);
+        if excess == 0 {
+            return arrived;
+        }
+        // Lost-End overload: evict the oldest samples instead of growing
+        // without bound, and account for every one of them.
+        counts.loss.samples_evicted += excess as u64;
+        let from_carry = excess.min(self.pending.len());
+        self.pending.drain(..from_carry);
+        arrived.get(excess - from_carry..).unwrap_or_default()
+    }
 }
 
-/// Per-core state in a `Vec` sorted by core id, plus the slot of the
-/// last core used. Core ids come from store files, so the id is never
-/// an index: `CoreId(u32::MAX)` costs one slot like any other.
+/// Per-core state in a `Vec` sorted by core id. Core ids come from store
+/// files, so the id is never an index: `CoreId(u32::MAX)` costs one slot
+/// like any other. Looked up once per core per batch.
 #[derive(Default)]
 struct Cores {
     slots: Vec<(CoreId, CoreState)>,
-    last: usize,
 }
 
 impl Cores {
     /// The state of `core`, created empty on first use.
     fn get(&mut self, core: CoreId) -> Option<&mut CoreState> {
-        if !matches!(self.slots.get(self.last), Some((c, _)) if *c == core) {
-            self.last = match self.slots.binary_search_by_key(&core, |(c, _)| *c) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.slots.insert(i, (core, CoreState::default()));
-                    i
-                }
-            };
-        }
-        self.slots.get_mut(self.last).map(|(_, state)| state)
+        let i = match self.slots.binary_search_by_key(&core, |(c, _)| *c) {
+            Ok(i) => i,
+            Err(i) => {
+                self.slots.insert(i, (core, CoreState::default()));
+                i
+            }
+        };
+        self.slots.get_mut(i).map(|(_, state)| state)
     }
 }
 
@@ -248,11 +279,17 @@ fn resolve(
 
 /// The streaming pairing state machine. See the module docs.
 pub(crate) struct Pairing {
+    cores: Cores,
+    fold: ItemFold,
+}
+
+/// Everything an item's fold reads and updates, apart from the per-core
+/// state its samples may be lent from.
+struct ItemFold {
     symtab: Arc<SymbolTable>,
     /// The last function resolved and its address range.
     memo: Option<(FuncId, AddrRange)>,
     config: PairingConfig,
-    cores: Cores,
     /// Scratch for the spans of the item being finished, kept across
     /// items; lent to `on_item` as [`Completed::spans`].
     spans: Vec<(FuncId, (u64, u64, u32))>,
@@ -265,18 +302,21 @@ pub(crate) struct Pairing {
 impl Pairing {
     pub(crate) fn new(symtab: Arc<SymbolTable>, config: PairingConfig) -> Self {
         Pairing {
-            baselines: vec![(0, 0.0); symtab.len()],
-            symtab,
-            memo: None,
-            config,
             cores: Cores::default(),
-            spans: Vec::new(),
-            counts: PairingCounts::default(),
+            fold: ItemFold {
+                // lint:allow(hot-path-alloc): the dense baselines are allocated once per stream, when the pairing core is built
+                baselines: vec![(0, 0.0); symtab.len()],
+                symtab,
+                memo: None,
+                config,
+                spans: Vec::new(),
+                counts: PairingCounts::default(),
+            },
         }
     }
 
     pub(crate) fn counts(&self) -> &PairingCounts {
-        &self.counts
+        &self.fold.counts
     }
 
     /// Cores seen so far.
@@ -284,33 +324,20 @@ impl Pairing {
         self.cores.slots.len()
     }
 
-    /// Ingest one batch, calling `on_item` once per completed item.
+    /// Ingest one batch, calling `on_item` once per completed item, in
+    /// `(core, End tsc)` order.
     pub(crate) fn ingest(
         &mut self,
         mut batch: TraceBundle,
         mut on_item: impl FnMut(Completed<'_>),
     ) {
         batch.sort();
-        self.counts.samples_seen += batch.samples.len() as u64;
-        // Merge the per-core streams in timestamp order (both are sorted
-        // by `(core, tsc)`): before each sample, apply the marks due
-        // ahead of it. Tie-break on equal (core, tsc): a Start opens
-        // *before* a coincident sample and an End closes *after* it, so
-        // samples at either mark timestamp attribute to the item — the
-        // same inclusive bounds as the offline `ItemInterval::contains`.
-        let mut marks = batch.marks.iter().peekable();
-        for &s in &batch.samples {
-            let sk = (s.core, s.tsc);
-            while let Some(&m) = marks.next_if(|m| {
-                let mk = (m.core, m.tsc);
-                !(sk < mk || (sk == mk && m.kind == MarkKind::End))
-            }) {
-                self.apply_mark(m, &mut on_item);
+        self.fold.counts.samples_seen += batch.samples.len() as u64;
+        for shard in shards_by_core(&batch.marks, &batch.samples) {
+            if let Some(state) = self.cores.get(shard.core) {
+                self.fold
+                    .walk_core(state, shard.marks, shard.samples, &mut on_item);
             }
-            self.push_sample(s);
-        }
-        for &m in marks {
-            self.apply_mark(m, &mut on_item);
         }
     }
 
@@ -320,73 +347,92 @@ impl Pairing {
     /// exact. A second call finds nothing buffered and changes nothing;
     /// a later `ingest` simply starts the next stream segment.
     pub(crate) fn finish_stream(&mut self) {
+        let loss = &mut self.fold.counts.loss;
         for (_, state) in &mut self.cores.slots {
-            if state.abandon(&mut self.counts.loss) {
-                self.counts.loss.starts_truncated += 1;
+            if state.abandon(0, loss) {
+                loss.starts_truncated += 1;
             }
         }
     }
+}
 
-    fn push_sample(&mut self, s: PebsRecord) {
+impl ItemFold {
+    /// Walk one core's marks over its `(tsc)`-sorted samples. Each mark
+    /// takes effect at its place in the samples under the tie rule: a
+    /// Start opens *before* a coincident sample and an End closes
+    /// *after* it, so samples at either mark timestamp attribute to the
+    /// item — the same inclusive bounds as the offline
+    /// `ItemInterval::contains`. Marks at one tsc come End first (the
+    /// batch sort), and a mark never takes effect before the one ahead of
+    /// it, so a Start behind a coincident End also follows its samples.
+    fn walk_core(
+        &mut self,
+        state: &mut CoreState,
+        marks: &[MarkRecord],
+        samples: &[PebsRecord],
+        on_item: &mut impl FnMut(Completed<'_>),
+    ) {
         let cap = self.config.max_pending.max(1);
-        let Some(state) = self.cores.get(s.core) else {
-            return;
-        };
-        state.pending.push(s);
-        self.counts.pending_peak = self.counts.pending_peak.max(state.pending.len() as u64);
-        if state.pending.len() > cap {
-            // Lost-End overload: evict the oldest samples instead of
-            // growing without bound, and account for every one of them.
-            let excess = state.pending.len() - cap;
-            state.pending.drain(..excess);
-            self.counts.loss.samples_evicted += excess as u64;
-        }
-    }
-
-    fn apply_mark(&mut self, m: MarkRecord, on_item: &mut impl FnMut(Completed<'_>)) {
-        let loss = &mut self.counts.loss;
-        let Some(state) = self.cores.get(m.core) else {
-            return;
-        };
-        match (m.kind, state.open) {
-            (MarkKind::Start, _) => {
-                if state.abandon(loss) {
-                    loss.starts_abandoned += 1;
+        let mut rest = samples;
+        for &m in marks {
+            let due = match m.kind {
+                MarkKind::Start => rest.partition_point(|s| s.tsc < m.tsc),
+                MarkKind::End => rest.partition_point(|s| s.tsc <= m.tsc),
+            };
+            let (arrived, after) = rest.split_at(due);
+            rest = after;
+            let buffered = state.arrive(arrived, cap, &mut self.counts);
+            let loss = &mut self.counts.loss;
+            match (m.kind, state.open) {
+                (MarkKind::Start, _) => {
+                    if state.abandon(buffered.len(), loss) {
+                        loss.starts_abandoned += 1;
+                    }
+                    state.open = Some((m.item, m.tsc));
                 }
-                state.open = Some((m.item, m.tsc));
-            }
-            (MarkKind::End, Some((item, start_tsc))) if item == m.item => {
-                let interval = ItemInterval {
-                    core: m.core,
-                    item,
-                    start_tsc,
-                    end_tsc: m.tsc,
-                };
-                state.open = None;
-                let len = state.pending.len();
-                let samples = std::mem::replace(&mut state.pending, Vec::with_capacity(len));
-                self.finish_item(interval, samples, on_item);
-            }
-            (MarkKind::End, Some(_)) => {
-                // Mismatched End: the open item is unattributable.
-                loss.marks_mismatched += 1;
-                state.abandon(loss);
-            }
-            (MarkKind::End, None) => {
-                // Orphan End. Clearing the spin here keeps `pending` from
-                // leaking into the eviction bound when consecutive Starts
-                // are lost (there is no next Start to clear it), which
-                // used to surface as phantom `samples_evicted`.
-                loss.marks_orphaned += 1;
-                state.abandon(loss);
+                (MarkKind::End, Some((item, start_tsc))) if item == m.item => {
+                    state.open = None;
+                    let interval = ItemInterval {
+                        core: m.core,
+                        item,
+                        start_tsc,
+                        end_tsc: m.tsc,
+                    };
+                    if state.pending.is_empty() {
+                        self.finish_item(interval, buffered, on_item);
+                    } else {
+                        // The item began in an earlier batch: complete
+                        // its carry and fold that.
+                        state.pending.extend_from_slice(buffered);
+                        self.finish_item(interval, &state.pending, on_item);
+                        state.pending.clear();
+                    }
+                }
+                (MarkKind::End, Some(_)) => {
+                    // Mismatched End: the open item is unattributable.
+                    loss.marks_mismatched += 1;
+                    state.abandon(buffered.len(), loss);
+                }
+                (MarkKind::End, None) => {
+                    // Orphan End. Clearing the spin here keeps `pending`
+                    // from leaking into the eviction bound when
+                    // consecutive Starts are lost (there is no next Start
+                    // to clear it), which used to surface as phantom
+                    // `samples_evicted`.
+                    loss.marks_orphaned += 1;
+                    state.abandon(buffered.len(), loss);
+                }
             }
         }
+        // The samples after the core's last mark are the carry.
+        let buffered = state.arrive(rest, cap, &mut self.counts);
+        state.pending.extend_from_slice(buffered);
     }
 
     fn finish_item(
         &mut self,
         interval: ItemInterval,
-        samples: Vec<PebsRecord>,
+        samples: &[PebsRecord],
         on_item: &mut impl FnMut(Completed<'_>),
     ) {
         self.counts.items_processed += 1;
@@ -401,7 +447,7 @@ impl Pairing {
         let spans = &mut self.spans;
         spans.clear();
         let mut unknown = 0u32;
-        for s in &samples {
+        for s in samples {
             if !interval.contains(s.tsc) {
                 continue;
             }
@@ -470,7 +516,7 @@ mod tests {
     //! `Pairing::ingest` against a naive fold written here, which calls
     //! nothing in this module: one stable whole-batch sort under the tie
     //! rule, `BTreeMap` state, a linear scan of the symbol table and a
-    //! `BTreeMap` span fold — no slot cache, no memo, no run merge.
+    //! `BTreeMap` span fold — no per-core walk, no memo, no run merge.
 
     use super::*;
     use fluctrace_cpu::{HwEvent, SymbolTableBuilder, NO_TAG};
@@ -961,7 +1007,7 @@ mod tests {
                 pairing.ingest(b.clone(), |d| {
                     got.push(Done {
                         interval: d.interval,
-                        samples: d.samples,
+                        samples: d.samples.to_vec(),
                         spans: d.spans.to_vec(),
                         unknown: d.unknown,
                         divergence: d.divergence,

@@ -388,15 +388,21 @@ impl WindowedIntegrator {
         &self.folds.config
     }
 
-    /// Ingest one batch: the pairing core sorts it, merges marks and
-    /// samples and accounts for what it cannot attribute; every item it
-    /// completes is folded into the open window (and, in
+    /// Ingest one batch: the pairing core sorts it, walks each core's
+    /// marks over its samples and accounts for what it cannot attribute;
+    /// every item it completes is folded into the open window (and, in
     /// [`CumulativeMode::Folded`], the per-function totals) and may
-    /// close the window.
+    /// close the window. A batch that flagged any episode records one
+    /// `window.episodes` flight event with their count.
     pub fn ingest(&mut self, batch: TraceBundle) {
         obs::span!("window.batch", batch.samples.len());
         let folds = &mut self.folds;
+        let before = folds.episodes_total;
         self.pairing.ingest(batch, |done| folds.finish_item(done));
+        let flagged = folds.episodes_total - before;
+        if flagged > 0 {
+            obs::event("window.episodes", flagged);
+        }
     }
 
     /// Stream end: account for everything still buffered — open items
@@ -509,11 +515,10 @@ impl WindowedIntegrator {
 
 impl Folds {
     /// Fold one completed item into the episode ring and the open window
-    /// (and `Folded`'s totals); its raw samples are dropped.
+    /// (and `Folded`'s totals); its samples are counted, never kept.
     fn finish_item(&mut self, done: Completed<'_>) {
         let interval = done.interval;
         if let Some((func, elapsed, baseline_mean)) = done.divergence {
-            obs::event("window.episode", interval.item.0);
             self.episodes_total += 1;
             self.open.anomalies += 1;
             self.episodes.push_back(Episode {

@@ -194,8 +194,7 @@ fn handle_connection(stream: TcpStream, state: &DaemonState) -> bool {
     let line = match line {
         Ok(line) => line,
         Err(detail) => {
-            let _ = stream.write_all(proto::error_doc(detail).as_bytes());
-            let _ = stream.write_all(b"\n");
+            write_line(&mut stream, proto::error_doc(detail));
             return true;
         }
     };
@@ -227,9 +226,15 @@ fn handle_connection(stream: TcpStream, state: &DaemonState) -> bool {
             )
         }
     };
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.write_all(b"\n");
+    write_line(&mut stream, body);
     keep_going
+}
+
+/// Answer with `body` and its newline in one write: one segment on the
+/// wire instead of two.
+fn write_line(stream: &mut TcpStream, mut body: String) {
+    body.push('\n');
+    let _ = stream.write_all(body.as_bytes());
 }
 
 /// `Some(path)` when the first line is an HTTP request line.
@@ -266,8 +271,7 @@ pub fn query(addr: &str, request: &str) -> Result<String, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     stream
-        .write_all(request.trim().as_bytes())
-        .and_then(|_| stream.write_all(b"\n"))
+        .write_all(format!("{}\n", request.trim()).as_bytes())
         .map_err(|e| format!("send: {e}"))?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut response = String::new();

@@ -291,10 +291,17 @@ impl Freq {
     }
     /// Duration of `cycles` clock cycles at this frequency.
     ///
-    /// Exact: `cycles * 10^12 / hz` computed in 128 bits.
+    /// Exact: `cycles * 10^12 / hz`, in 64 bits while the product fits
+    /// (spans up to about 6 ms at 3 GHz) and in 128 bits beyond. Both
+    /// divide the same exact product, so they agree wherever the first
+    /// applies.
     #[inline]
     pub fn cycles_to_dur(self, cycles: u64) -> SimDuration {
-        SimDuration::from_ps(((cycles as u128 * PS_PER_S as u128) / self.0 as u128) as u64)
+        let ps = match cycles.checked_mul(PS_PER_S) {
+            Some(product) => product / self.0,
+            None => ((cycles as u128 * PS_PER_S as u128) / self.0 as u128) as u64,
+        };
+        SimDuration::from_ps(ps)
     }
     /// Number of whole cycles elapsed in `dur` at this frequency.
     #[inline]
@@ -366,6 +373,21 @@ mod tests {
         // Round trip for a large cycle count.
         let c = 123_456_789_012;
         assert_eq!(f.dur_to_cycles(f.cycles_to_dur(c)), c);
+    }
+
+    #[test]
+    fn cycles_to_dur_equals_the_128_bit_formula() {
+        let limit = u64::MAX / PS_PER_S;
+        for hz in [1, 3_000_000_000, u64::MAX] {
+            for cycles in [0, 1, limit - 1, limit, limit + 1, u64::MAX] {
+                let wide = ((cycles as u128 * PS_PER_S as u128) / hz as u128) as u64;
+                assert_eq!(
+                    Freq(hz).cycles_to_dur(cycles).as_ps(),
+                    wide,
+                    "{cycles} cycles at {hz} Hz"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!
 //! The counter is per thread and switched on only around the calls
 //! being costed, so neither the harness nor any other thread enters it.
+//! The online tracer's worker threads are the one exception: they are
+//! adopted into a shared tally when spawned (see [`online_worker`]).
 //! Window ingest, the exact cumulative table, the estimator, the
 //! detector, the series query, the table's JSON rendering, the store's
 //! `TraceWriter::append`, window read and `read_bundle`, and the
@@ -20,8 +22,8 @@
 //! measured counts.
 
 use fluctrace_core::{
-    detect, integrate_soa_with_threads, CumulativeMode, EstimateTable, MappingMode,
-    WindowedIntegrator,
+    detect, integrate_soa_with_threads, CumulativeMode, EstimateTable, MappingMode, OnlineConfig,
+    OnlineTracer, WindowedIntegrator,
 };
 use fluctrace_cpu::{
     CoreId, FuncId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder,
@@ -32,6 +34,8 @@ use fluctrace_sim::{Freq, Rng, SimDuration};
 use fluctrace_store::{write_bundle_to_vec, StoreConfig, TraceReader, TraceWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// `(counting, allocations, bytes)` of the current thread.
 #[derive(Clone, Copy)]
@@ -47,9 +51,24 @@ thread_local! {
     };
 }
 
+/// Set while the threads to adopt into the shared tally are spawned.
+static ADOPT: AtomicBool = AtomicBool::new(false);
+/// Whether adopted threads count now, and what they counted.
+static SHARED_ON: AtomicBool = AtomicBool::new(false);
+static SHARED_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static SHARED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread counts into the shared tally: fixed at the
+    /// thread's first allocation to the value [`ADOPT`] had then. The
+    /// harness threads allocate long before any case sets it.
+    static ADOPTED: bool = ADOPT.load(Ordering::Relaxed);
+}
+
 /// The system allocator, counting every allocation and reallocation
 /// (with the bytes requested) made while the current thread's tally is
-/// on. Deallocations are not counted.
+/// on, or by an adopted thread while the shared tally is on.
+/// Deallocations are not counted.
 struct Counting;
 
 fn note(bytes: usize) {
@@ -63,6 +82,12 @@ fn note(bytes: usize) {
             t.set(v);
         }
     });
+    // Read on every allocation, so that the first one fixes it.
+    let adopted = ADOPTED.try_with(|&a| a).unwrap_or(false);
+    if adopted && SHARED_ON.load(Ordering::Relaxed) {
+        SHARED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        SHARED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -206,6 +231,75 @@ fn window_ingest(mode: CumulativeMode) -> (WindowedIntegrator, f64, f64) {
         wi,
         allocs as f64 / items as f64,
         bytes as f64 / samples as f64,
+    )
+}
+
+/// The online tracer in `capture_spill`'s shape: `TrafficGen` batches of
+/// 4 cores × 64 items × 24 samples over 384 functions, submitted with
+/// blocking `submit` to `OnlineTracer::spawn` or, with `spill`,
+/// `spawn_with_spill` over a sink that keeps nothing. The tracer's
+/// threads run the pairing worker (and the spill stage), so they are
+/// adopted into the shared tally as they are spawned. 64 warm-up batches
+/// size every buffer; the next 256 are counted, from the first submit
+/// until the worker has published the last item. Returns the
+/// `(allocations per item, bytes per sample)` and the share of counted
+/// items flagged divergent: each flagged item copies its samples once.
+fn online_worker(spill: bool) -> (f64, f64, f64) {
+    const WARM_UP: u64 = 64;
+    const COUNTED: u64 = 256;
+    const ITEMS_PER_BATCH: u64 = 4 * 64;
+    let mut config = ServeConfig::new(20180521);
+    config.shards = 1;
+    config.cores = 4;
+    config.items_per_batch = 64;
+    config.samples_per_item = 24;
+    config.funcs = 384;
+    let symtab = build_symtab(config.funcs);
+    let mut traffic = TrafficGen::new(&config, 0, Arc::clone(&symtab));
+    let mut batches: Vec<TraceBundle> = (0..WARM_UP + COUNTED)
+        .map(|_| traffic.next_batch())
+        .collect();
+    let counted_batches = batches.split_off(WARM_UP as usize);
+    let samples: u64 = counted_batches.iter().map(|b| b.samples.len() as u64).sum();
+    let online = OnlineConfig::new(Freq::ghz(3));
+    let wait_for = |tracer: &OnlineTracer, items: u64| {
+        while tracer.live().items < items {
+            std::thread::yield_now();
+        }
+    };
+    ADOPT.store(true, Ordering::Relaxed);
+    let tracer = if spill {
+        let writer =
+            TraceWriter::new(std::io::sink(), StoreConfig::default()).expect("open a segment");
+        OnlineTracer::spawn_with_spill(symtab, online, writer)
+    } else {
+        OnlineTracer::spawn(symtab, online)
+    };
+    for batch in batches {
+        tracer.submit(batch).expect("warm-up submit");
+    }
+    wait_for(&tracer, WARM_UP * ITEMS_PER_BATCH);
+    ADOPT.store(false, Ordering::Relaxed);
+    let flagged_before = tracer.live().anomalies;
+    SHARED_ALLOCS.store(0, Ordering::Relaxed);
+    SHARED_BYTES.store(0, Ordering::Relaxed);
+    SHARED_ON.store(true, Ordering::Relaxed);
+    for batch in counted_batches {
+        tracer.submit(batch).expect("submit");
+    }
+    wait_for(&tracer, (WARM_UP + COUNTED) * ITEMS_PER_BATCH);
+    SHARED_ON.store(false, Ordering::Relaxed);
+    let flagged = tracer.live().anomalies - flagged_before;
+    let report = tracer.finish().expect("the tracer finishes");
+    assert!(report.conserves_samples() && report.loss.is_clean());
+    if spill {
+        assert_eq!(report.spill.errors, 0);
+    }
+    let items = (COUNTED * ITEMS_PER_BATCH) as f64;
+    (
+        SHARED_ALLOCS.load(Ordering::Relaxed) as f64 / items,
+        SHARED_BYTES.load(Ordering::Relaxed) as f64 / samples as f64,
+        flagged as f64 / items,
     )
 }
 
@@ -541,9 +635,9 @@ fn cost_budgets_hold() {
             Budget {
                 case: "window ingest/folded",
                 unit: "item",
-                allocs: 1.002,
+                allocs: 0.001953,
                 byte_unit: "sample",
-                bytes: 35.471,
+                bytes: 3.554,
             },
         ),
         (
@@ -551,9 +645,9 @@ fn cost_budgets_hold() {
             Budget {
                 case: "window ingest/exact",
                 unit: "item",
-                allocs: 1.00203,
+                allocs: 0.002029,
                 byte_unit: "sample",
-                bytes: 46.585,
+                bytes: 14.669,
             },
         ),
     ] {
@@ -570,6 +664,25 @@ fn cost_budgets_hold() {
             }
             .check(table_allocs, table_bytes, &mut failures);
         }
+    }
+    for (spill, case, allocs, bytes) in [
+        (false, "online worker", 0.9859, 39.611),
+        (true, "online worker/spill", 0.98595, 39.627),
+    ] {
+        let (got_allocs, got_bytes, flagged) = online_worker(spill);
+        println!("{case}: {flagged:.5} of the counted items flagged");
+        assert!(
+            got_allocs >= flagged,
+            "{case}: every flagged item copies its samples"
+        );
+        Budget {
+            case,
+            unit: "item",
+            allocs,
+            byte_unit: "sample",
+            bytes,
+        }
+        .check(got_allocs, got_bytes, &mut failures);
     }
     let (table, (soa_allocs, soa_bytes), (est_allocs, est_bytes)) = wide_table();
     Budget {
