@@ -6,7 +6,9 @@ use super::Report;
 use crate::Scale;
 use fluctrace_analysis::{tail_report, Figure, Series, StackedBars, Table};
 use fluctrace_apps::{Query, QueryApp, WebServer};
-use fluctrace_core::{detect, integrate, EstimateTable, FlatProfile, IntegratedTrace, MappingMode};
+use fluctrace_core::{
+    detect, integrate_soa, EstimateTable, FlatProfile, IntegratedTrace, MappingMode,
+};
 use fluctrace_cpu::{
     CoreConfig, Exec, ItemId, Machine, MachineConfig, PebsConfig, SwSamplerConfig,
     SymbolTableBuilder,
@@ -16,7 +18,7 @@ use fluctrace_sim::{Freq, Rng, SimDuration, SimTime};
 /// Collect the machine's trace and integrate it (3 GHz, interval mapping).
 fn traced(machine: &mut Machine) -> IntegratedTrace {
     let (bundle, _) = machine.collect();
-    integrate(
+    integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

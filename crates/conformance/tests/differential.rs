@@ -151,6 +151,38 @@ fn sweep_seeds_agree_with_shape_coverage() {
     );
 }
 
+/// The coincident shape: each sweep seed with samples added at its
+/// coincident `End`/`Start` ticks (`Workload::with_coincident_samples`)
+/// must agree across all three executions. The closing item owns those
+/// samples in the batch kernels, the online tracer and the oracle, so
+/// the online-vs-offline anomaly cross-check still applies; after an
+/// `End` the post-pass corrupted, no item owns them. About 730 samples
+/// over 156 seeds, 13 of them cross-checked, when the floors were set.
+#[test]
+fn coincident_end_start_samples_agree() {
+    let mut seeds = 0u32;
+    let mut added = 0usize;
+    let mut cross_checked = 0u32;
+    for seed in 0..SWEEP_SEEDS {
+        let plain = generate(&spec_from_seed(seed));
+        let w = plain.with_coincident_samples();
+        let n = w.bundle.samples.len() - plain.bundle.samples.len();
+        if n == 0 {
+            continue;
+        }
+        seeds += 1;
+        added += n;
+        match check_workload(&w) {
+            Ok(s) => cross_checked += u32::from(s.cross_checked),
+            Err(d) => panic!("coincident-sample disagreement: {d}"),
+        }
+    }
+    println!("{added} coincident samples over {seeds} seeds, {cross_checked} cross-checked");
+    assert!(seeds >= 120, "only {seeds} seeds with a coincident sample");
+    assert!(added >= 500, "only {added} coincident samples");
+    assert!(cross_checked >= 10, "only {cross_checked} cross-checked");
+}
+
 /// Workload generation itself is deterministic: the same seed expands
 /// to the identical record streams and batch cuts.
 #[test]

@@ -20,6 +20,11 @@ const WINDOW_SIZES: [u64; 6] = [1, 2, 5, 19, 64, u64::MAX];
 /// along inside `check_windowed`).
 const SWEEP_SEEDS: u64 = 96;
 
+/// Seed range of the coincident-sample sweep: wider, because few seeds
+/// are both table-comparable and hold a coincident tick (13 of 240 when
+/// the floors below were set).
+const COINCIDENT_SEEDS: u64 = 240;
+
 #[test]
 fn windowed_integration_is_window_size_invariant() {
     let mut table_checked = 0u32;
@@ -74,6 +79,45 @@ fn windowed_integration_is_window_size_invariant() {
     );
     assert!(evicting >= 40, "only {evicting} runs evicted windows");
     assert!(episodic >= 40, "only {episodic} runs recorded episodes");
+}
+
+/// The same sweep with samples added at every coincident `End`/`Start`
+/// tick (`Workload::with_coincident_samples`): the closing item owns
+/// each, so the cumulative table still equals the offline oracle's and
+/// stays window-size invariant.
+#[test]
+fn coincident_end_start_samples_are_window_size_invariant() {
+    let mut seeds = 0u32;
+    let mut table_checked = 0u32;
+    for seed in 0..COINCIDENT_SEEDS {
+        let plain = generate(&spec_from_seed(seed));
+        let w = plain.with_coincident_samples();
+        if w.bundle.samples.len() == plain.bundle.samples.len() {
+            continue;
+        }
+        seeds += 1;
+        let mut reference: Option<String> = None;
+        for window_items in WINDOW_SIZES {
+            let summary = match check_windowed(&w, window_items) {
+                Ok(s) => s,
+                Err(d) => panic!("coincident-sample windowed disagreement: {d}"),
+            };
+            table_checked += u32::from(summary.table_checked);
+            match &reference {
+                None => reference = Some(summary.table_json),
+                Some(json) => assert_eq!(
+                    json, &summary.table_json,
+                    "seed {seed}: cumulative table differs at W={window_items}"
+                ),
+            }
+        }
+    }
+    println!("{seeds} seeds with a coincident sample, {table_checked} table-comparable runs");
+    assert!(seeds >= 120, "only {seeds} seeds with a coincident sample");
+    assert!(
+        table_checked >= 60,
+        "only {table_checked} runs were table-comparable"
+    );
 }
 
 /// Tiny windows on a faulted, eviction-heavy workload: the ledger must

@@ -14,11 +14,16 @@
 //! 2. [`interval`] rebuilds, per core, the `[start, end]` interval each
 //!    item occupied from the marks;
 //! 3. [`integrate()`](fn@integrate) assigns every sample to the item whose interval
-//!    contains its timestamp (`t0 < ta < t1`) and to the function whose
-//!    symbol-table range contains its IP. The result, an
-//!    [`IntegratedTrace`], holds the attributed samples as columns, and
-//!    every later step reads them; [`integrate_soa`] is the production
-//!    kernel that fills the same columns faster;
+//!    contains its timestamp and to the function whose symbol-table
+//!    range contains its IP. Bounds are inclusive (`t0 <= ta <= t1`), so
+//!    a sample at a mark's own tick belongs to the item; at a tick where
+//!    one item's End and the next one's Start coincide, the closing item
+//!    owns it, and where an End sits at a sample's tick no interval
+//!    starting there does — the one tie rule every kernel applies, and
+//!    the one a stream can apply without looking past a batch cut. The
+//!    result, an [`IntegratedTrace`], holds the attributed samples as
+//!    columns, and every later step reads them; [`integrate_soa`] is the
+//!    production kernel that fills the same columns faster;
 //! 4. [`estimate`] computes the elapsed time of function `f` for item
 //!    `M` as the difference between the first and last sample timestamp
 //!    attributed to `{f, M}`;

@@ -53,65 +53,24 @@ pub(crate) fn threads_for(samples: usize) -> usize {
 /// Run `f` over every task on up to `threads` scoped workers and return
 /// the results **in task order**.
 ///
-/// Tasks are claimed from a shared atomic cursor (dynamic load
-/// balancing — shard sizes are rarely uniform), but each result lands
-/// in the slot of its input index, so the returned vector is
-/// bit-identical to `tasks.into_iter().enumerate().map(f).collect()`.
-/// A panicking task propagates out of the scope, as with sequential
-/// execution.
+/// Each task is paired with its own result slot and run by
+/// [`run_parts`] (dynamic load balancing — shard sizes are rarely
+/// uniform), so the returned vector is bit-identical to
+/// `tasks.into_iter().enumerate().map(f).collect()`. A panicking task
+/// propagates out of the scope, as with sequential execution.
 pub fn run_indexed<T, R, F>(tasks: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = tasks.len();
-    let threads = threads.clamp(1, n.max(1));
-    if fluctrace_obs::recording() {
-        fluctrace_obs::counter!("core.parallel.runs").inc();
-        fluctrace_obs::counter!("core.parallel.tasks").add(n as u64);
-    }
-    if threads == 1 || n <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    // Slot-per-task mutexes are uncontended: exactly one worker claims
-    // each index, so the locks only pay their uncontended fast path.
-    let task_slots: Vec<Mutex<Option<T>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let result_slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // lint:allow(atomic-ordering): claim ticket only — the cursor hands out disjoint indices; the slot Mutex synchronizes the task payload itself
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                // `get` doubles as the `i >= n` termination check, and
-                // an already-empty slot (impossible: each index is
-                // handed out once) degrades to a break, not a panic.
-                let Some((task_slot, result_slot)) = task_slots.get(i).zip(result_slots.get(i))
-                else {
-                    break;
-                };
-                let Some(task) = lock_ok(task_slot).take() else {
-                    break;
-                };
-                let result = f(i, task);
-                *lock_ok(result_slot) = Some(result);
-            });
-        }
-    });
-    result_slots
+    let mut results: Vec<Option<R>> = tasks.iter().map(|_| None).collect();
+    let parts: Vec<(T, &mut Option<R>)> = tasks.into_iter().zip(&mut results).collect();
+    run_parts(parts, threads, |i, (task, slot)| *slot = Some(f(i, task)));
+    results
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                // lint:allow(panic-safety-transitive): post-scope invariant — a missing result means a worker panicked, which already propagated out of the scope above
-                .expect("every slot is filled before the scope ends")
-        })
+        // lint:allow(panic-safety-transitive): post-scope invariant — every part filled its slot, and a worker panic already propagated out of the scope
+        .map(|slot| slot.expect("every slot is filled before the scope ends"))
         .collect()
 }
 
@@ -120,11 +79,10 @@ where
 ///
 /// Built for the columnar integrator: each part owns a disjoint
 /// `split_at_mut` chunk of a shared output buffer, so workers write
-/// their final bytes in place and the "merge" is free. Tasks are
-/// claimed from the same atomic cursor as [`run_indexed`] (dynamic load
-/// balancing), and the same obs counters are recorded, so a fast-path
-/// run is observably identical to an AoS run. A panicking task
-/// propagates out of the scope, as with sequential execution.
+/// their final bytes in place and the "merge" is free. Parts are
+/// claimed from a shared atomic cursor (dynamic load balancing), each
+/// run records the `core.parallel.*` counters once, and a panicking
+/// task propagates out of the scope, as with sequential execution.
 pub fn run_parts<T, F>(parts: Vec<T>, threads: usize, f: F)
 where
     T: Send,
@@ -148,6 +106,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
+                // lint:allow(atomic-ordering): claim ticket only — the cursor hands out disjoint indices; the slot Mutex synchronizes the part itself
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(part) = part_slots.get(i).and_then(|slot| lock_ok(slot).take()) else {
                     break;

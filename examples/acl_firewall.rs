@@ -10,7 +10,7 @@
 
 use fluctrace::acl::{table3_rules, AclBuildConfig};
 use fluctrace::apps::{AclCostModel, Firewall, PacketType, Tester};
-use fluctrace::core::{integrate, EstimateTable, MappingMode};
+use fluctrace::core::{integrate_soa, EstimateTable, MappingMode};
 use fluctrace::cpu::{CoreConfig, ItemId, Machine, MachineConfig, PebsConfig};
 use fluctrace::sim::{Freq, RunningStats, SimDuration, SimTime};
 
@@ -43,7 +43,7 @@ fn main() {
     );
 
     let (bundle, _) = machine.collect();
-    let it = integrate(
+    let it = integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

@@ -10,7 +10,7 @@
 //! cargo run --release --example cache_miss_metric
 //! ```
 
-use fluctrace::core::{integrate, metric_counts, MappingMode};
+use fluctrace::core::{integrate_soa, metric_counts, MappingMode};
 use fluctrace::cpu::{
     CacheConfig, CoreConfig, Exec, HwEvent, ItemId, Machine, MachineConfig, PebsConfig,
     SymbolTableBuilder,
@@ -44,7 +44,7 @@ fn main() {
     }
 
     let (bundle, reports) = machine.collect();
-    let it = integrate(
+    let it = integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

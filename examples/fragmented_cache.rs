@@ -9,7 +9,9 @@
 //! ```
 
 use fluctrace::apps::{DbQuery, FragDb};
-use fluctrace::core::{detect, diagnosis, integrate, item_breakdown, EstimateTable, MappingMode};
+use fluctrace::core::{
+    detect, diagnosis, integrate_soa, item_breakdown, EstimateTable, MappingMode,
+};
 use fluctrace::cpu::{CoreConfig, ItemId, Machine, MachineConfig, PebsConfig};
 use fluctrace::sim::{Freq, Rng, SimDuration};
 
@@ -70,7 +72,7 @@ fn main() {
     );
 
     let (bundle, _) = machine.collect();
-    let it = integrate(
+    let it = integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

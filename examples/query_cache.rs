@@ -8,7 +8,7 @@
 //! ```
 
 use fluctrace::apps::{Query, QueryApp};
-use fluctrace::core::{detect, integrate, EstimateTable, MappingMode};
+use fluctrace::core::{detect, integrate_soa, EstimateTable, MappingMode};
 use fluctrace::cpu::{CoreConfig, ItemId, Machine, MachineConfig, PebsConfig};
 use fluctrace::sim::{Freq, SimDuration, SimTime};
 
@@ -28,7 +28,7 @@ fn main() {
     );
 
     let (bundle, _) = machine.collect();
-    let it = integrate(
+    let it = integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

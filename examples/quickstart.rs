@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use fluctrace::core::{integrate, EstimateTable, MappingMode};
+use fluctrace::core::{integrate_soa, EstimateTable, MappingMode};
 use fluctrace::cpu::{
     CoreConfig, Exec, ItemId, Machine, MachineConfig, PebsConfig, SymbolTableBuilder,
 };
@@ -60,7 +60,7 @@ fn main() {
         bundle.samples.len(),
         bundle.marks.len()
     );
-    let it = integrate(
+    let it = integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

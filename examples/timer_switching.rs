@@ -11,7 +11,7 @@
 //! cargo run --release --example timer_switching
 //! ```
 
-use fluctrace::core::{integrate, EstimateTable, MappingMode};
+use fluctrace::core::{integrate_soa, EstimateTable, MappingMode};
 use fluctrace::cpu::{
     CoreConfig, Exec, ItemId, Machine, MachineConfig, PebsConfig, SymbolTableBuilder,
 };
@@ -68,7 +68,7 @@ fn main() {
     );
 
     // Integrate via register tags instead.
-    let it = integrate(
+    let it = integrate_soa(
         &bundle,
         machine.symtab(),
         Freq::ghz(3),

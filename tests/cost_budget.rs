@@ -688,9 +688,9 @@ fn cost_budgets_hold() {
     Budget {
         case: "integrate_soa",
         unit: "sample",
-        allocs: 0.00007,
+        allocs: 0.0000624,
         byte_unit: "sample",
-        bytes: 33.838,
+        bytes: 32.841,
     }
     .check(soa_allocs, soa_bytes, &mut failures);
     Budget {

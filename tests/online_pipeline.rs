@@ -166,3 +166,81 @@ fn boundary_samples_attribute_identically_online_and_offline() {
     assert_eq!(report.anomalies[0].item, ItemId(39));
     assert_eq!(report.anomalies[0].elapsed, offline.elapsed);
 }
+
+#[test]
+fn coincident_end_start_sample_goes_to_the_closing_item() {
+    // One tie rule in every kernel: at the tick where item 1 ends and
+    // item 2 starts, the closing item owns the sample — the rule a
+    // stream can apply without looking past a batch cut.
+    use fluctrace::core::{
+        integrate, integrate_soa_with_threads, CumulativeMode, EstimateTable, MappingMode,
+        WindowConfig, WindowedIntegrator,
+    };
+    use fluctrace::cpu::{CoreId, HwEvent, MarkKind, MarkRecord, PebsRecord, TraceBundle, NO_TAG};
+    let mut b = SymbolTableBuilder::new();
+    let work = b.add("work", 4096);
+    let symtab = b.build().into_shared();
+    let ip = symtab.range(work).start;
+    let mark = |tsc, item, kind| MarkRecord {
+        core: CoreId(0),
+        tsc,
+        item: ItemId(item),
+        kind,
+    };
+    let sample = |tsc| PebsRecord {
+        core: CoreId(0),
+        tsc,
+        ip,
+        r13: NO_TAG,
+        event: HwEvent::UopsRetired,
+    };
+    let first = TraceBundle {
+        marks: vec![mark(100, 1, MarkKind::Start), mark(200, 1, MarkKind::End)],
+        samples: [150, 160, 200].map(sample).to_vec(),
+    };
+    let second = TraceBundle {
+        marks: vec![mark(200, 2, MarkKind::Start), mark(300, 2, MarkKind::End)],
+        samples: [250, 260].map(sample).to_vec(),
+    };
+    let mut bundle = first.clone();
+    bundle.merge(second.clone());
+    bundle.sort();
+    let freq = Freq::ghz(3);
+
+    let reference = integrate(&bundle, &symtab, freq, MappingMode::Intervals);
+    assert_eq!(reference.cols.item, [1, 1, 1, 2, 2]);
+    for threads in [1, 2, 3, 8] {
+        let soa =
+            integrate_soa_with_threads(&bundle, &symtab, freq, MappingMode::Intervals, threads);
+        assert_eq!(soa, reference, "threads={threads}");
+    }
+    let table = EstimateTable::from_integrated(&reference);
+    assert_eq!(table.get(ItemId(1), work).map(|fe| fe.samples), Some(3));
+
+    // The window, whole and cut right after End(1).
+    for batches in [vec![bundle.clone()], vec![first, second]] {
+        let mut config = WindowConfig::new(freq);
+        config.cumulative = CumulativeMode::Exact;
+        let mut window = WindowedIntegrator::new(symtab.clone(), config);
+        for batch in batches {
+            window.ingest(batch);
+        }
+        window.finish_stream();
+        assert_eq!(window.cumulative_table().as_ref(), Some(&table));
+    }
+
+    // The online tracer, flagging every item so each reports its samples.
+    let mut config = OnlineConfig::new(freq);
+    config.divergence_factor = 0.0;
+    config.warmup = 0;
+    let tracer = OnlineTracer::spawn(symtab, config);
+    tracer.submit(bundle).expect("worker alive");
+    let report = tracer.finish().expect("worker exits cleanly");
+    assert_eq!(report.loss.boundary_samples, 1);
+    let raw: Vec<(ItemId, usize)> = report
+        .anomalies
+        .iter()
+        .map(|a| (a.item, a.raw_samples.len()))
+        .collect();
+    assert_eq!(raw, [(ItemId(1), 3), (ItemId(2), 2)]);
+}
