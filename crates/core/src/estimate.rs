@@ -13,25 +13,30 @@
 //! item, and one flat [`FuncEstimate`] column in item-then-function
 //! order. An [`ItemEstimate`] is a `Copy` view of a row and its entries.
 //!
-//! ## One assembly, several front ends
+//! ## One fold, one assembly
 //!
-//! Every estimator ends in the same private builder. It takes items in
-//! ascending id order, each as its `(item, func, samples, cycles)` span
-//! entries sorted by function; it appends one estimate per function
-//! (cycles summed, then converted to time once) and the item's row with
-//! its marked total and unresolvable-sample count, interleaves the items
-//! that have intervals but no estimable samples, and tallies the
-//! `core.estimate.*` obs volumes. Nothing is allocated per item. The
-//! front ends differ only in how they reach it:
+//! Every estimate, batch or streaming, is built from the same two
+//! pieces. `SpanFold` is the one span fold: a span's `(func, tsc)`
+//! samples become one `FuncSpan` per function — its samples and its
+//! first→last cycles, in ascending function order — the one form a
+//! span's estimate takes until it is converted to time. The
+//! crate-private builder is the one assembly: it takes items in
+//! ascending id order, each with its span entries, appends one estimate
+//! per function (cycles summed, then converted to time once) and the
+//! item's row with its marked total and unresolvable-sample count,
+//! interleaves the items that have intervals but no estimable samples,
+//! and tallies the `core.estimate.*` obs volumes. Nothing is allocated
+//! per item.
 //!
 //! * [`EstimateTable::from_integrated`] (also named
-//!   [`EstimateTable::from_soa`]) is one fold, in either mapping mode,
-//!   over the trace's `(item, start)`-sorted item-run index, reading the
-//!   sample columns of each run: each item is folded in one pass over
-//!   its runs into a scratch entry list reused across items;
-//! * [`crate::window`] hands its completed items, already folded in the
-//!   cycle domain, to `table_from_items` in item order — its per-window
-//!   tables and its exact cumulative table alike.
+//!   [`EstimateTable::from_soa`]) is one pass, in either mapping mode,
+//!   over the trace's `(item, start)`-sorted item-run index, folding
+//!   each span of each run's sample columns and handing the builder one
+//!   item at a time;
+//! * the streaming pairing core (`core::pairing`) folds each completed
+//!   item's interval with the same `SpanFold`, and [`crate::window`]
+//!   keeps the entries and feeds its items to the builder in id order —
+//!   its per-window tables and its exact cumulative table alike.
 //!
 //! [`crate::split_batches`], whose input is already a table, appends to
 //! the two columns directly.
@@ -60,13 +65,13 @@
 //! id differs from its key is refused, since reads find entries by id.
 
 use crate::integrate::{IntegratedTrace, MappingMode, NO_FUNC, NO_SPAN};
-use crate::interval::ItemInterval;
 use fluctrace_cpu::{FuncId, ItemId};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::iter::Peekable;
 use std::sync::OnceLock;
 
 /// Estimated elapsed time of one function for one data-item.
@@ -300,10 +305,10 @@ impl EstimateTable {
     /// The item-run index lists the maximal same-item runs sorted by
     /// `(item, start)`, so each item is folded in one pass over its runs.
     /// Within a run a span is a stretch of one key — the interval index
-    /// in interval mode, the core in register mode — and each span's
-    /// per-function `(first, last, count)` becomes one entry of the
-    /// item's scratch list. The conformance oracle, which shares no code
-    /// with this crate, is the independent reference for both modes.
+    /// in interval mode, the core in register mode — and each span is
+    /// folded into one entry per function of the item's scratch list.
+    /// The conformance oracle, which shares no code with this crate, is
+    /// the independent reference for both modes.
     pub fn from_integrated(it: &IntegratedTrace) -> Self {
         obs::span!("estimate.run", it.cols.len());
         fold_item_runs(it)
@@ -430,48 +435,81 @@ impl Deserialize for EstimateTable {
     }
 }
 
-/// One span's estimate of one function: `(item, func, samples,
-/// first→last cycles)`.
-type SpanEntry = (ItemId, FuncId, u32, u64);
-
-/// Move a finished span's per-function accumulators into the item's
-/// entry list, clearing the scratch for reuse. The scratch keys are raw
-/// ids; typed ids are minted here.
-fn flush_span(scratch: &mut Vec<(u32, u64, u64, u32)>, item: ItemId, flat: &mut Vec<SpanEntry>) {
-    for (func, first, last, count) in scratch.drain(..) {
-        flat.push((item, FuncId(func), count, last.wrapping_sub(first)));
-    }
+/// One function over one occupancy span, in the cycle domain: the
+/// samples that hit it and the cycles from the first of them to the
+/// last. It is the one form a span's estimate takes between the fold
+/// and the table, in the batch fold, the streaming pairing core and the
+/// windowed integrator's columns alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FuncSpan {
+    pub func: FuncId,
+    pub samples: u32,
+    pub cycles: u64,
 }
 
-/// Fold one sample into a span's per-function `(func, first, last,
-/// count)` accumulator. Spans touch few distinct functions, so a linear
-/// probe beats any map.
-fn fold_sample(scratch: &mut Vec<(u32, u64, u64, u32)>, func: u32, tsc: u64) {
-    match scratch.iter_mut().find(|e| e.0 == func) {
-        Some(e) => {
-            e.1 = e.1.min(tsc);
-            e.2 = e.2.max(tsc);
-            e.3 += 1;
+/// The one span fold (§III.D step 3: a function's time in a span is its
+/// last sample's tsc minus its first). Samples are added one at a time,
+/// in any order, and [`Self::close`] turns the span into one
+/// [`FuncSpan`] per function. The fold is scratch kept across spans.
+#[derive(Default)]
+pub(crate) struct SpanFold {
+    /// `(func, first tsc, last tsc, samples)` of each function of the
+    /// open span, in order of first appearance.
+    open: Vec<(FuncId, u64, u64, u32)>,
+}
+
+impl SpanFold {
+    /// Fold one sample into the open span. A span touches few distinct
+    /// functions, so a linear probe beats any map; probing from the
+    /// newest function finds a run's function at the first step.
+    pub(crate) fn add(&mut self, func: FuncId, tsc: u64) {
+        match self.open.iter_mut().rev().find(|e| e.0 == func) {
+            Some((_, first, last, samples)) => {
+                *first = (*first).min(tsc);
+                *last = (*last).max(tsc);
+                *samples += 1;
+            }
+            None => self.open.push((func, tsc, tsc, 1)),
         }
-        None => scratch.push((func, tsc, tsc, 1)),
+    }
+
+    /// Close the open span: append its entries to `out` in ascending
+    /// `FuncId`, and start the next span empty.
+    pub(crate) fn close(&mut self, out: &mut Vec<FuncSpan>) {
+        self.open.sort_unstable_by_key(|e| e.0);
+        out.extend(
+            self.open
+                .drain(..)
+                .map(|(func, first, last, samples)| FuncSpan {
+                    func,
+                    samples,
+                    cycles: last - first,
+                }),
+        );
     }
 }
 
 /// The fold of [`EstimateTable::from_integrated`]: one pass per item
 /// over its runs in the item-run index, reading the `tsc`, `func` and
-/// span-key columns of each run's rows. Both scratch vectors are reused
-/// across items.
+/// span-key columns of each run's rows into the [`SpanFold`] one span
+/// at a time. The fold and the item's entries are reused across items.
 fn fold_item_runs(it: &IntegratedTrace) -> EstimateTable {
     let cols = &it.cols;
     let intervals = it.mode == MappingMode::Intervals;
     let keys = if intervals { &cols.span } else { &cols.core };
     let index = it.item_index.as_slice();
+    let mut totals: Vec<(ItemId, u64)> = it
+        .intervals
+        .iter()
+        .map(|iv| (iv.item, iv.cycles()))
+        .collect();
+    totals.sort_unstable_by_key(|&(item, _)| item);
     let items = index.chunk_by(|a, b| a.0 == b.0).count();
-    let mut builder = TableBuilder::new(&it.intervals, it.freq, items);
-    // The open span's (func, first, last, count) and the open item's
-    // entries.
-    let mut span_acc: Vec<(u32, u64, u64, u32)> = Vec::new();
-    let mut item_acc: Vec<SpanEntry> = Vec::new();
+    let marked = totals.chunk_by(|a, b| a.0 == b.0).count();
+    let mut builder = TableBuilder::new(totals.into_iter(), it.freq, items.max(marked));
+    // The open span and the open item's span entries.
+    let mut fold = SpanFold::default();
+    let mut spans: Vec<FuncSpan> = Vec::new();
     let mut samples_missing_span = 0u64;
     for runs in index.chunk_by(|a, b| a.0 == b.0) {
         let Some(&(item, ..)) = runs.first() else {
@@ -494,31 +532,29 @@ fn fold_item_runs(it: &IntegratedTrace) -> EstimateTable {
                     continue;
                 }
                 if cur != Some(key) {
-                    flush_span(&mut span_acc, item, &mut item_acc);
+                    fold.close(&mut spans);
                     cur = Some(key);
                 }
-                fold_sample(&mut span_acc, func, tsc);
+                fold.add(FuncId(func), tsc);
             }
-            flush_span(&mut span_acc, item, &mut item_acc);
+            fold.close(&mut spans);
         }
-        item_acc.sort_unstable_by_key(|&(_, func, ..)| func);
-        builder.funcs(&item_acc);
-        item_acc.clear();
-        builder.push(item, unknown);
+        builder.push(item, unknown, &mut spans);
     }
     builder.finish(samples_missing_span)
 }
 
 /// The one assembly every estimator front end feeds (the module doc's
-/// "One assembly, several front ends"); interval-only items come from a
-/// merge join against the exact marked totals. Because every front end
-/// ends here, the batch fold and the windowed integrator produce the
-/// same table whenever they fold the same spans.
-struct TableBuilder {
-    /// Exact cycles from marks per item, coalesced and sorted by item.
-    totals: Vec<(ItemId, u64)>,
-    /// First entry of `totals` not yet emitted.
-    next_total: usize,
+/// "One fold, one assembly"): items in ascending id order, each with
+/// its span entries. Marked totals come from a merge join against
+/// `totals`, which also supplies the items that have intervals but no
+/// estimable samples. Because the batch fold and the windowed
+/// integrator both end here, they produce the same table whenever they
+/// fold the same spans.
+pub(crate) struct TableBuilder<T: Iterator<Item = (ItemId, u64)>> {
+    /// Exact cycles from marks, ascending by item; the cycles of an
+    /// item listed more than once are summed with wrap-around.
+    totals: Peekable<T>,
     /// The columns appended so far.
     table: EstimateTable,
     /// Rows the table is expected to end with.
@@ -529,50 +565,44 @@ struct TableBuilder {
     span_cycles: &'static obs::Histogram,
 }
 
-impl TableBuilder {
-    /// A builder for about `rows` items besides those with intervals;
-    /// the hint sizes the columns.
-    fn new(intervals: &[ItemInterval], freq: Freq, rows: usize) -> Self {
-        let mut totals: Vec<(ItemId, u64)> =
-            intervals.iter().map(|iv| (iv.item, iv.cycles())).collect();
-        totals.sort_unstable_by_key(|&(item, _)| item);
-        totals.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 = kept.1.wrapping_add(next.1);
-            }
-            same
-        });
+impl<T: Iterator<Item = (ItemId, u64)>> TableBuilder<T> {
+    /// A builder for about `rows` items, marked totals included; the
+    /// hint sizes the columns.
+    pub(crate) fn new(totals: T, freq: Freq, rows: usize) -> Self {
         let mut table = EstimateTable::empty(freq);
-        let rows_hint = rows.max(totals.len());
-        table.rows.reserve_exact(rows_hint);
+        table.rows.reserve_exact(rows);
         TableBuilder {
-            totals,
-            next_total: 0,
+            totals: totals.peekable(),
             table,
-            rows_hint,
+            rows_hint: rows,
             spans: 0,
             span_cycles: obs::histogram!("core.estimate.span_cycles"),
         }
     }
 
-    /// Append the next item's estimates from its span entries, sorted by
-    /// function: one estimate per function, its samples and cycles
-    /// summed (cycles with wrap-around) and converted to time once, so
-    /// truncation does not accumulate per span. Every entry counts as
-    /// one span for the obs volumes.
-    fn funcs(&mut self, entries: &[SpanEntry]) {
-        self.reserve(entries.len());
-        for group in entries.chunk_by(|a, b| a.1 == b.1) {
-            let Some(&(item, func, ..)) = group.first() else {
+    /// Append `item` (ids strictly ascending across calls) from its
+    /// span entries in any order, with its count of samples whose IP
+    /// resolved to no function; `spans` is left empty for reuse. One
+    /// estimate per function: its samples and cycles summed (cycles
+    /// with wrap-around) and converted to time once, so truncation does
+    /// not accumulate per span. Every entry counts as one span for the
+    /// obs volumes. An item with no estimate and no marked total is
+    /// left out, so its unresolvable count is dropped.
+    pub(crate) fn push(&mut self, item: ItemId, unknown: u32, spans: &mut Vec<FuncSpan>) {
+        self.backfill_below(Some(item));
+        let marked_total = self.take_total(item);
+        spans.sort_unstable_by_key(|s| s.func);
+        self.reserve(spans.len());
+        for group in spans.chunk_by(|a, b| a.func == b.func) {
+            let Some(&FuncSpan { func, .. }) = group.first() else {
                 continue;
             };
             let (mut samples, mut cycles) = (0u32, 0u64);
-            for &(.., n, c) in group {
+            for s in group {
                 self.spans += 1;
-                self.span_cycles.record(c);
-                samples += n;
-                cycles = cycles.wrapping_add(c);
+                self.span_cycles.record(s.cycles);
+                samples += s.samples;
+                cycles = cycles.wrapping_add(s.cycles);
             }
             let elapsed = self.table.freq.cycles_to_dur(cycles);
             self.table.push_func(FuncEstimate {
@@ -581,6 +611,10 @@ impl TableBuilder {
                 samples,
                 elapsed,
             });
+        }
+        spans.clear();
+        if marked_total.is_some() || self.table.funcs.last().is_some_and(|fe| fe.item == item) {
+            self.table.push_item(item, marked_total, unknown);
         }
     }
 
@@ -597,48 +631,32 @@ impl TableBuilder {
         }
     }
 
+    /// Take the totals listed next for `item`, as its one marked total
+    /// (`None` when the next total is another item's).
+    fn take_total(&mut self, item: ItemId) -> Option<SimDuration> {
+        let mut cycles: Option<u64> = None;
+        while let Some((_, c)) = self.totals.next_if(|&(t_item, _)| t_item == item) {
+            cycles = Some(cycles.map_or(c, |sum| sum.wrapping_add(c)));
+        }
+        cycles.map(|c| self.table.freq.cycles_to_dur(c))
+    }
+
     /// Append every interval-only item with an id below `item` (all that
     /// are left, for `None`). Such items still appear, with no entries,
     /// so their totals stay queryable.
     fn backfill_below(&mut self, item: Option<ItemId>) {
-        while let Some(&(t_item, cycles)) = self.totals.get(self.next_total) {
+        while let Some(&(t_item, _)) = self.totals.peek() {
             if item.is_some_and(|item| t_item >= item) {
                 break;
             }
-            let total = self.table.freq.cycles_to_dur(cycles);
-            self.table.push_item(t_item, Some(total), 0);
-            self.next_total += 1;
-        }
-    }
-
-    /// Append `item` (ids strictly ascending across calls), whose
-    /// estimates [`Self::funcs`] appended, with its count of samples
-    /// whose IP resolved to no function.
-    fn push(&mut self, item: ItemId, unknown: u32) {
-        self.backfill_below(Some(item));
-        let marked_total = match self.totals.get(self.next_total) {
-            Some(&(t_item, cycles)) if t_item == item => {
-                self.next_total += 1;
-                Some(self.table.freq.cycles_to_dur(cycles))
-            }
-            _ => None,
-        };
-        self.emit(item, marked_total, unknown);
-    }
-
-    /// Append `item` with its marked total already known; the interval
-    /// merge join of [`Self::push`] is bypassed. An item with no
-    /// estimate and no interval is left out, so its unresolvable count
-    /// is dropped.
-    fn emit(&mut self, item: ItemId, marked_total: Option<SimDuration>, unknown: u32) {
-        if marked_total.is_some() || self.table.funcs.last().is_some_and(|fe| fe.item == item) {
-            self.table.push_item(item, marked_total, unknown);
+            let total = self.take_total(t_item);
+            self.table.push_item(t_item, total, 0);
         }
     }
 
     /// Append the interval-only items past the last pushed one, record
     /// the obs volumes and hand the table over.
-    fn finish(mut self, samples_missing_span: u64) -> EstimateTable {
+    pub(crate) fn finish(mut self, samples_missing_span: u64) -> EstimateTable {
         self.backfill_below(None);
         // Self-observability: volumes and sim-cycle span widths only
         // (deterministic; estimator tick timings never enter the
@@ -651,55 +669,6 @@ impl TableBuilder {
         self.table.samples_missing_span = samples_missing_span;
         self.table
     }
-}
-
-/// One completed item folded in the cycle domain, as
-/// [`table_from_items`] takes it.
-pub(crate) struct ItemCycles<F> {
-    pub item: ItemId,
-    /// Cycles between the item's Start and End marks.
-    pub marked: u64,
-    /// Samples inside the item whose IP resolved to no function.
-    pub unknown: u32,
-    /// Per-function `(func, samples, cycles)`, one entry per function
-    /// in ascending `func`; each entry counts as one span.
-    pub funcs: F,
-}
-
-/// The per-item front of [`TableBuilder`], for [`crate::window`]: rows
-/// arrive in non-decreasing item order with their folds already in the
-/// cycle domain, so there is no span list to sort. Consecutive rows of
-/// one id (an item id that completed more than once) are merged the
-/// way the flat-span fold merges them: marked and span cycles summed
-/// with wrap-around, sample and unresolvable counts summed. Cycles are
-/// converted to time once per function and once per item.
-pub(crate) fn table_from_items<F>(
-    rows: impl IntoIterator<Item = ItemCycles<F>>,
-    freq: Freq,
-) -> EstimateTable
-where
-    F: IntoIterator<Item = (FuncId, u32, u64)>,
-{
-    let mut rows = rows.into_iter().peekable();
-    let mut builder = TableBuilder::new(&[], freq, rows.size_hint().0);
-    // The item's entries, reused across items.
-    let mut acc: Vec<SpanEntry> = Vec::new();
-    while let Some(row) = rows.next() {
-        let item = row.item;
-        let (mut marked, mut unknown) = (row.marked, row.unknown);
-        let entry = |(func, n, c)| (item, func, n, c);
-        acc.extend(row.funcs.into_iter().map(entry));
-        while let Some(again) = rows.next_if(|r| r.item == item) {
-            marked = marked.wrapping_add(again.marked);
-            unknown += again.unknown;
-            acc.extend(again.funcs.into_iter().map(entry));
-        }
-        acc.sort_unstable_by_key(|&(_, func, ..)| func);
-        builder.funcs(&acc);
-        acc.clear();
-        builder.emit(item, Some(freq.cycles_to_dur(marked)), unknown);
-    }
-    builder.finish(0)
 }
 
 #[cfg(test)]

@@ -26,10 +26,14 @@
 //! core's `pending` buffer, as the carry to the next batch; that buffer
 //! is cleared and kept, never handed over. No tree is touched per sample
 //! or per item: per-core state is a short sorted `Vec`, symbol lookup is
-//! memoized on the last function's address range, an item's spans are
-//! built in a scratch `Vec` kept across items, and the divergence
-//! baselines are dense over the symbol table.
+//! memoized on the last function's address range, and the divergence
+//! baselines are dense over the symbol table. A completed item's
+//! interval is one span: its contained, resolved samples go through the
+//! batch estimator's span fold (`estimate::SpanFold`) into scratch kept
+//! across items, so the streaming and batch estimates share one fold and
+//! one span form.
 
+use crate::estimate::{FuncSpan, SpanFold};
 use crate::integrate::shards_by_core;
 use crate::interval::{IntervalError, ItemInterval};
 use fluctrace_cpu::{
@@ -286,9 +290,9 @@ pub(crate) struct Completed<'a> {
     /// `pending` buffer. Lent for the call only — a consumer that keeps
     /// the samples copies them.
     pub samples: &'a [PebsRecord],
-    /// Per-function `(first tsc, last tsc, sample count)` inside the
-    /// interval, one entry per function, in ascending `FuncId`.
-    pub spans: &'a [(FuncId, (u64, u64, u32))],
+    /// The interval's span fold: one entry per function, in ascending
+    /// `FuncId`.
+    pub spans: &'a [FuncSpan],
     /// Samples inside the interval whose IP resolved to no function.
     pub unknown: u32,
     /// The divergence rule's verdict: the worst diverging function
@@ -389,9 +393,11 @@ struct ItemFold {
     /// The last function resolved and its address range.
     memo: Option<(FuncId, AddrRange)>,
     config: PairingConfig,
-    /// Scratch for the spans of the item being finished, kept across
-    /// items; lent to `on_item` as [`Completed::spans`].
-    spans: Vec<(FuncId, (u64, u64, u32))>,
+    /// The span fold of the item being finished, kept across items.
+    fold: SpanFold,
+    /// The item's span entries, kept across items; lent to `on_item`
+    /// as [`Completed::spans`].
+    spans: Vec<FuncSpan>,
     /// Running per-function baselines (count, mean in ps), indexed by
     /// `FuncId` and carried for the life of the stream.
     baselines: Vec<(u64, f64)>,
@@ -408,6 +414,7 @@ impl Pairing {
                 symtab,
                 memo: None,
                 config,
+                fold: SpanFold::default(),
                 spans: Vec::new(),
                 counts: PairingCounts::default(),
             },
@@ -508,15 +515,6 @@ impl ItemFold {
     ) {
         self.counts.items_processed += 1;
         self.counts.samples_attributed += samples.len() as u64;
-        // Per-function first/last/count within the interval — one
-        // occupancy span per completed interval, the quantum the batch
-        // estimator folds per interval index. Built as one entry per run
-        // of samples in the same function, then sorted by `FuncId` and
-        // merged: min, max and sum do not depend on the order of the
-        // runs, and the worst-function tie-break below needs ascending
-        // ids.
-        let spans = &mut self.spans;
-        spans.clear();
         let mut unknown = 0u32;
         for s in samples {
             if !interval.contains(s.tsc) {
@@ -526,30 +524,15 @@ impl ItemFold {
                 self.counts.loss.boundary_samples += 1;
             }
             match resolve(&self.symtab, &mut self.memo, s.ip) {
-                Some(func) => match spans.last_mut() {
-                    Some((f, (first, last, count))) if *f == func => {
-                        *first = (*first).min(s.tsc);
-                        *last = (*last).max(s.tsc);
-                        *count += 1;
-                    }
-                    _ => spans.push((func, (s.tsc, s.tsc, 1))),
-                },
+                Some(func) => self.fold.add(func, s.tsc),
                 None => unknown += 1,
             }
         }
-        spans.sort_unstable_by_key(|&(func, _)| func);
-        spans.dedup_by(|(func, (first, last, count)), (kept_func, kept)| {
-            let same = *func == *kept_func;
-            if same {
-                kept.0 = kept.0.min(*first);
-                kept.1 = kept.1.max(*last);
-                kept.2 += *count;
-            }
-            same
-        });
+        self.spans.clear();
+        self.fold.close(&mut self.spans);
         let mut divergence: Option<(FuncId, SimDuration, SimDuration)> = None;
-        for &(func, (first, last, _)) in &self.spans {
-            let elapsed = self.config.freq.cycles_to_dur(last.wrapping_sub(first));
+        for &FuncSpan { func, cycles, .. } in &self.spans {
+            let elapsed = self.config.freq.cycles_to_dur(cycles);
             let Some((count, mean_ps)) = self.baselines.get_mut(func.index()) else {
                 continue;
             };
@@ -587,7 +570,7 @@ mod tests {
     //! `Pairing::ingest` against a naive fold written here, which calls
     //! nothing in this module: one stable whole-batch sort under the tie
     //! rule, `BTreeMap` state, a linear scan of the symbol table and a
-    //! `BTreeMap` span fold — no per-core walk, no memo, no run merge.
+    //! `BTreeMap` span fold — no per-core walk, no memo, no shared span fold.
 
     use super::*;
     use fluctrace_cpu::{HwEvent, SymbolTableBuilder, NO_TAG};
@@ -629,7 +612,7 @@ mod tests {
     struct Done {
         interval: ItemInterval,
         samples: Vec<PebsRecord>,
-        spans: Vec<(FuncId, (u64, u64, u32))>,
+        spans: Vec<FuncSpan>,
         unknown: u32,
         divergence: Option<(FuncId, SimDuration, SimDuration)>,
         counts: CountsKey,
@@ -807,7 +790,14 @@ mod tests {
             self.done.push(Done {
                 interval,
                 samples,
-                spans: spans.into_iter().collect(),
+                spans: spans
+                    .into_iter()
+                    .map(|(func, (first, last, samples))| FuncSpan {
+                        func,
+                        samples,
+                        cycles: last.wrapping_sub(first),
+                    })
+                    .collect(),
                 unknown,
                 divergence,
                 counts: key(&self.counts),

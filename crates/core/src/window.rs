@@ -10,16 +10,19 @@
 //! [`WindowConfig::window_items`] items. A completed item's raw samples
 //! are dropped as soon as it is folded into the one form a completed
 //! item is kept in: per completion `(item, marked cycles, unknown
-//! samples, number of entries)` and per `(item, func)` `(func, samples,
-//! cycles)`, two flat columns that the open window reuses from window to
-//! window. Closing a window copies them, sized exactly, into a
+//! samples, number of entries)`, and the pairing core's span fold as
+//! it is — one `(func, samples, cycles)` entry per function — in two
+//! flat columns that the open window reuses from window to window.
+//! Closing a window copies them, sized exactly, into a
 //! [`WindowSummary`] (and appends them to [`CumulativeMode::Exact`]'s
-//! columns); tables are built only on read, through the same
-//! [`estimate`] assembly as a batch run. Old summaries are evicted once
-//! [`WindowConfig::max_windows`] are retained. Loss counters, anomaly
-//! baselines and the cumulative state carry forward across every window
-//! boundary, so nothing about the *accounting* is windowed — only the
-//! memory.
+//! columns). Tables are built only on read: the items are sorted by id
+//! and fed to the batch estimator's builder the way its own fold feeds
+//! it, one item and its entries at a time, so a window's table and the
+//! cumulative table are assembled by the same code as a batch run's.
+//! Old summaries are evicted once [`WindowConfig::max_windows`] are
+//! retained. Loss counters, anomaly baselines and the cumulative state
+//! carry forward across every window boundary, so nothing about the
+//! *accounting* is windowed — only the memory.
 //!
 //! ## Exactness across window boundaries
 //!
@@ -28,8 +31,9 @@
 //! drift from the batch run by up to a picosecond per window per
 //! function. The cumulative state therefore stays in the *cycle*
 //! domain and converts once at render time, exactly as the batch
-//! estimator does. The conformance `windowed` leg pins `cumulative_table()` byte-identical to the one-shot batch
-//! pipeline across window sizes.
+//! estimator does. The conformance `windowed` leg pins
+//! `cumulative_table()` byte-identical to the one-shot batch pipeline
+//! across window sizes.
 //!
 //! ## Two cumulative modes
 //!
@@ -45,7 +49,7 @@
 //!   per-item axis, and says so instead of pretending otherwise — see
 //!   `SERVE.md`'s steady-memory argument.
 
-use crate::estimate::{self, EstimateTable, ItemCycles};
+use crate::estimate::{EstimateTable, FuncSpan, TableBuilder};
 use crate::pairing::{Completed, LossStats, Pairing, PairingConfig};
 use fluctrace_cpu::{FuncId, ItemId, SymbolTable, TraceBundle};
 use fluctrace_obs as obs;
@@ -155,9 +159,6 @@ pub struct WindowSummary {
     folds: ItemFolds,
 }
 
-/// `(func, samples, cycles)` of one function within one completed item.
-type FuncEntry = (FuncId, u32, u64);
-
 /// One completed item: its id, the cycles between its marks, its
 /// samples whose IP resolved to no function, and how many entries it
 /// has in the `funcs` column.
@@ -179,29 +180,23 @@ struct ItemFolds {
     rows: Vec<ItemRow>,
     /// Each row's entries, ascending by function, after the previous
     /// row's.
-    funcs: Vec<FuncEntry>,
+    funcs: Vec<FuncSpan>,
 }
 
 impl ItemFolds {
-    /// Append one completed item; returns its entries.
-    fn push(&mut self, done: &Completed<'_>) -> &[FuncEntry] {
-        let start = self.funcs.len();
-        self.funcs.extend(
-            done.spans
-                .iter()
-                .map(|&(func, (first, last, count))| (func, count, last.wrapping_sub(first))),
-        );
+    /// Append one completed item.
+    fn push(&mut self, done: &Completed<'_>) {
+        self.funcs.extend_from_slice(done.spans);
         self.rows.push(ItemRow {
             item: done.interval.item,
             marked_cycles: done.interval.cycles(),
             unknown: done.unknown,
             funcs: done.spans.len() as u32,
         });
-        self.funcs.get(start..).unwrap_or_default()
     }
 
     /// Each row with its entries, in completion order.
-    fn items(&self) -> impl Iterator<Item = (&ItemRow, &[FuncEntry])> {
+    fn items(&self) -> impl Iterator<Item = (&ItemRow, &[FuncSpan])> {
         let mut rest = self.funcs.as_slice();
         self.rows.iter().map(move |row| {
             let (funcs, tail) = rest
@@ -213,24 +208,30 @@ impl ItemFolds {
     }
 }
 
-/// The table of every completed item in `parts`: rows sorted by item go
-/// through the batch estimator's per-item assembly, which merges an id's
-/// rows order-free (sums, then a sort by function), so an unstable sort
-/// — no scratch buffer — is enough.
+/// The table of every completed item in `parts`, assembled as the batch
+/// fold assembles one: the rows sorted by item, their marked cycles as
+/// the builder's totals, and each id's entries (of every completion of
+/// it) handed over in one call, which merges them order-free — so an
+/// unstable sort, with no scratch buffer, is enough.
 fn table_of(parts: &[&ItemFolds], freq: Freq) -> EstimateTable {
-    let mut rows: Vec<(&ItemRow, &[FuncEntry])> =
+    let mut rows: Vec<(&ItemRow, &[FuncSpan])> =
         Vec::with_capacity(parts.iter().map(|folds| folds.rows.len()).sum());
     rows.extend(parts.iter().flat_map(|folds| folds.items()));
     rows.sort_unstable_by_key(|(row, _)| row.item);
-    estimate::table_from_items(
-        rows.into_iter().map(|(row, funcs)| ItemCycles {
-            item: row.item,
-            marked: row.marked_cycles,
-            unknown: row.unknown,
-            funcs: funcs.iter().copied(),
-        }),
-        freq,
-    )
+    let totals = rows.iter().map(|(row, _)| (row.item, row.marked_cycles));
+    let mut builder = TableBuilder::new(totals, freq, rows.len());
+    let mut spans = Vec::new();
+    for completions in rows.chunk_by(|a, b| a.0.item == b.0.item) {
+        let mut unknown = 0;
+        for (row, funcs) in completions {
+            unknown += row.unknown;
+            spans.extend_from_slice(funcs);
+        }
+        if let Some((row, _)) = completions.first() {
+            builder.push(row.item, unknown, &mut spans);
+        }
+    }
+    builder.finish(0)
 }
 
 impl WindowSummary {
@@ -248,7 +249,7 @@ impl WindowSummary {
     pub fn approx_bytes(&self) -> u64 {
         (std::mem::size_of::<WindowSummary>()
             + self.folds.rows.len() * std::mem::size_of::<ItemRow>()
-            + self.folds.funcs.len() * std::mem::size_of::<FuncEntry>()) as u64
+            + self.folds.funcs.len() * std::mem::size_of::<FuncSpan>()) as u64
     }
 }
 
@@ -491,10 +492,10 @@ impl WindowedIntegrator {
                 let mut fold: BTreeMap<FuncId, (u64, u64)> = BTreeMap::new();
                 let mut totals = FoldedTotals::default();
                 for folds in [closed, &self.folds.open.folds] {
-                    for &(func, samples, cycles) in &folds.funcs {
-                        let e = fold.entry(func).or_insert((0, 0));
-                        e.0 += u64::from(samples);
-                        e.1 = e.1.wrapping_add(cycles);
+                    for s in &folds.funcs {
+                        let e = fold.entry(s.func).or_insert((0, 0));
+                        e.0 += u64::from(s.samples);
+                        e.1 = e.1.wrapping_add(s.cycles);
                     }
                     // Wraps like the `Folded` twin.
                     for row in &folds.rows {
@@ -535,7 +536,7 @@ impl Folds {
         }
 
         self.open.samples += done.samples.len() as u64;
-        let item_funcs = self.open.folds.push(&done);
+        self.open.folds.push(&done);
         // `Folded` keeps its own dense fold, so `folded_totals()` in
         // exact mode (a fold of the columns) is an independent twin.
         if let Accum::Folded {
@@ -545,10 +546,10 @@ impl Folds {
             items,
         } = &mut self.accum
         {
-            for &(func, count, cycles) in item_funcs {
-                if let Some(e) = funcs.get_mut(func.index()) {
-                    e.0 += u64::from(count);
-                    e.1 = e.1.wrapping_add(cycles);
+            for s in done.spans {
+                if let Some(e) = funcs.get_mut(s.func.index()) {
+                    e.0 += u64::from(s.samples);
+                    e.1 = e.1.wrapping_add(s.cycles);
                 }
             }
             *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
