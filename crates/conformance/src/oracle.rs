@@ -25,9 +25,7 @@
 //! then apply the dumbest data structures that can express the
 //! semantics.
 
-use fluctrace_cpu::{
-    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, NO_TAG,
-};
+use fluctrace_cpu::{CoreId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, NO_TAG};
 use fluctrace_sim::Freq;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -395,6 +393,25 @@ pub struct OracleOnline {
     pub loss: OracleLoss,
     /// Predicted anomalies, ascending by `(item, func)`.
     pub anomalies: Vec<OracleAnomaly>,
+    /// Every completed item, per core in completion order, cores
+    /// ascending.
+    pub completed: Vec<OracleCompleted>,
+}
+
+/// One item the online replay completed, with what it folded from the
+/// samples its interval contains.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OracleCompleted {
+    /// The item.
+    pub item: u64,
+    /// Its Start mark's tsc.
+    pub start_tsc: u64,
+    /// Its End mark's tsc.
+    pub end_tsc: u64,
+    /// Per function, `(first tsc, last tsc, samples)`.
+    pub funcs: BTreeMap<u32, (u64, u64, u32)>,
+    /// Contained samples whose IP resolved to no function.
+    pub unknown: u32,
 }
 
 /// Per-core state of the replay: the open item and its buffered samples.
@@ -502,8 +519,14 @@ fn replay_mark(
                 let samples = std::mem::take(&mut state.pending);
                 out.items_processed += 1;
                 out.samples_attributed += samples.len() as u64;
-                // Per-function first/last over contained samples.
-                let mut spans: BTreeMap<FuncId, (u64, u64)> = BTreeMap::new();
+                // Per-function first/last/count over contained samples.
+                let mut done = OracleCompleted {
+                    item: item.0,
+                    start_tsc: start,
+                    end_tsc: m.tsc,
+                    funcs: BTreeMap::new(),
+                    unknown: 0,
+                };
                 for s in &samples {
                     if !(start <= s.tsc && s.tsc <= m.tsc) {
                         continue;
@@ -511,17 +534,21 @@ fn replay_mark(
                     if s.tsc == start || s.tsc == m.tsc {
                         out.loss.boundary_samples += 1;
                     }
-                    if let Some(func) = symtab.resolve(s.ip) {
-                        let e = spans.entry(func).or_insert((s.tsc, s.tsc));
-                        e.0 = e.0.min(s.tsc);
-                        e.1 = e.1.max(s.tsc);
+                    match symtab.resolve(s.ip) {
+                        Some(func) => {
+                            let e = done.funcs.entry(func.0).or_insert((s.tsc, s.tsc, 0));
+                            e.0 = e.0.min(s.tsc);
+                            e.1 = e.1.max(s.tsc);
+                            e.2 += 1;
+                        }
+                        None => done.unknown += 1,
                     }
                 }
                 // Worst function: max elapsed, first (lowest id) wins
                 // ties — under the flag-everything config every nonzero
                 // span diverges.
-                let mut worst: Option<(FuncId, u64)> = None;
-                for (func, (first, last)) in spans {
+                let mut worst: Option<(u32, u64)> = None;
+                for (&func, &(first, last, _)) in &done.funcs {
                     let elapsed_ps = freq.cycles_to_dur(last.wrapping_sub(first)).as_ps();
                     if elapsed_ps == 0 {
                         continue;
@@ -534,11 +561,12 @@ fn replay_mark(
                 if let Some((func, elapsed_ps)) = worst {
                     out.anomalies.push(OracleAnomaly {
                         item: item.0,
-                        func: func.0,
+                        func,
                         elapsed_ps,
                         raw_samples: samples.len(),
                     });
                 }
+                out.completed.push(done);
             }
             Some(_) => {
                 out.loss.marks_mismatched += 1;

@@ -11,9 +11,11 @@
 //! 2. the flag-everything episode stream equals the oracle's anomaly
 //!    set key for key,
 //! 3. the cumulative estimate table — windows closed, summarized, and
-//!    evicted along the way — serializes byte-identically to the
-//!    brute-force offline oracle whenever the two are comparable (no
-//!    eviction, no discard, unique item ids),
+//!    evicted along the way — serializes byte-identically, on every
+//!    run, to the table folded from the online-replay oracle's
+//!    completed items, and to the brute-force offline oracle whenever
+//!    the two are comparable (no eviction, no discard, unique item
+//!    ids),
 //! 4. under the same condition, every row of every retained window's
 //!    table equals that item's oracle row (with unique ids an item
 //!    completes in exactly one window, so its window row is its
@@ -26,10 +28,12 @@
 //! integration is byte-identical to the one-shot batch run: every W
 //! must produce the same cumulative table bytes and the same ledger.
 
-use crate::driver::{CanonicalTable, Disagreement};
+use crate::driver::{CanonicalRow, CanonicalTable, Disagreement};
 use crate::gen::Workload;
-use crate::oracle::{self, OracleOnline};
+use crate::oracle::{self, OracleCompleted, OracleOnline};
 use fluctrace_core::{CumulativeMode, WindowConfig, WindowedIntegrator};
+use fluctrace_sim::Freq;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What one windowed conformance run covered.
@@ -141,6 +145,14 @@ pub fn check_windowed(w: &Workload, window_items: u64) -> Result<WindowedSummary
         ));
     }
     let table_json = CanonicalTable::from_pipeline(&table).to_json();
+    let replayed = completed_table(&oracle_on.completed, w.freq).to_json();
+    if table_json != replayed {
+        return Err(fail(
+            seed,
+            "windowed-table-replay",
+            format!("W={window_items}:\n  windowed: {table_json}\n  replay:   {replayed}"),
+        ));
+    }
     let comparable = oracle_on.loss.samples_evicted == 0
         && oracle_on.loss.samples_discarded == 0
         && !w.spec.shared_items;
@@ -170,6 +182,40 @@ pub fn check_windowed(w: &Workload, window_items: u64) -> Result<WindowedSummary
         window_rows_checked,
         table_json,
     })
+}
+
+/// The table the online replay's completed items imply: each id's
+/// completions merged as one item's spans are — marked cycles, span
+/// cycles and counts summed, cycles with wrap-around — and converted to
+/// picoseconds once.
+fn completed_table(completed: &[OracleCompleted], freq: Freq) -> CanonicalTable {
+    type Merged = (u64, BTreeMap<u32, (u32, u64)>, u32);
+    let mut items: BTreeMap<u64, Merged> = BTreeMap::new();
+    for done in completed {
+        let (marked, funcs, unknown) = items.entry(done.item).or_default();
+        *marked = marked.wrapping_add(done.end_tsc.wrapping_sub(done.start_tsc));
+        *unknown += done.unknown;
+        for (&func, &(first, last, samples)) in &done.funcs {
+            let e = funcs.entry(func).or_default();
+            e.0 += samples;
+            e.1 = e.1.wrapping_add(last - first);
+        }
+    }
+    let ps = |cycles: u64| freq.cycles_to_dur(cycles).as_ps();
+    CanonicalTable {
+        rows: items
+            .into_iter()
+            .map(|(item, (marked, funcs, unknown))| CanonicalRow {
+                item,
+                marked_total_ps: Some(ps(marked)),
+                funcs: funcs
+                    .into_iter()
+                    .map(|(func, (samples, cycles))| (func, samples, ps(cycles)))
+                    .collect(),
+                unknown_func_samples: unknown,
+            })
+            .collect(),
+    }
 }
 
 /// Every row of every retained window's table against the oracle's row

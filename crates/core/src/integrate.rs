@@ -904,8 +904,62 @@ mod tests {
         bundle
     }
 
+    /// `bundle` cut into time-ordered batches at random ticks: every
+    /// record of one tick lands in the same batch.
+    fn cut_at_random_ticks(bundle: &TraceBundle, rng: &mut fluctrace_sim::Rng) -> Vec<TraceBundle> {
+        let mut ticks: Vec<u64> = bundle.marks.iter().map(|m| m.tsc).collect();
+        ticks.extend(bundle.samples.iter().map(|s| s.tsc));
+        ticks.sort_unstable();
+        ticks.dedup();
+        let mut cuts: Vec<u64> = ticks
+            .into_iter()
+            .filter(|_| rng.gen_below(8) == 0)
+            .collect();
+        cuts.push(u64::MAX);
+        let batch_of = |tsc: u64| cuts.partition_point(|&cut| cut <= tsc);
+        let mut batches = vec![TraceBundle::default(); cuts.len() + 1];
+        for &m in &bundle.marks {
+            batches[batch_of(m.tsc)].marks.push(m);
+        }
+        for &s in &bundle.samples {
+            batches[batch_of(s.tsc)].samples.push(s);
+        }
+        batches
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::cases_from_env(256))]
+
+        /// The windowed integrator's exact cumulative table and the batch
+        /// table come out of one span fold and one assembly: fed the
+        /// bundle as one batch or cut at random ticks, at any window
+        /// size, it renders the batch table byte for byte.
+        #[test]
+        fn one_assembly_gives_one_table(seed in proptest::prelude::any::<u64>()) {
+            use crate::window::{CumulativeMode, WindowConfig, WindowedIntegrator};
+            let (symtab, f, g) = setup();
+            let bundle = random_bundle(seed, &symtab, f, g);
+            let freq = Freq::ghz(3);
+            let soa = integrate_soa(&bundle, &symtab, freq, MappingMode::Intervals);
+            let batch = EstimateTable::from_integrated(&soa);
+            let want = serde_json::to_string(&batch).expect("the table renders");
+            let symtab = symtab.into_shared();
+            let mut rng = fluctrace_sim::Rng::new(!seed);
+            for batches in [vec![bundle.clone()], cut_at_random_ticks(&bundle, &mut rng)] {
+                let mut config = WindowConfig::new(freq);
+                config.window_items = 1 + rng.gen_below(4);
+                config.max_windows = 2;
+                config.cumulative = CumulativeMode::Exact;
+                let mut wi = WindowedIntegrator::new(std::sync::Arc::clone(&symtab), config);
+                for b in batches {
+                    wi.ingest(b);
+                }
+                let got = wi.cumulative_table().expect("exact mode");
+                let json = serde_json::to_string(&got).expect("the table renders");
+                proptest::prop_assert_eq!(&json, &want, "seed {}", seed);
+                proptest::prop_assert_eq!(&got, &batch, "seed {}", seed);
+            }
+        }
 
         #[test]
         fn kernels_agree_on_random_bundles(seed in proptest::prelude::any::<u64>()) {
