@@ -8,7 +8,7 @@
 //!   (machine-readable artifacts the experiment records are built from);
 //! * [`regression`] — ordinary least squares on transformed axes;
 //! * [`shape`] — the "does the reproduction have the paper's shape?"
-//!   assertions: orderings, monotonicity, ratio windows, crossovers.
+//!   assertions: monotone decrease, flattening tails, ratio windows.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,8 +25,6 @@ pub use chart::{DotRows, StackedBars};
 pub use loss::{accounting_exact, loss_table, LossRow};
 pub use regression::{linear_fit, LinearFit};
 pub use series::{Figure, Series};
-pub use shape::{
-    assert_decreasing, assert_flattens, assert_increasing, assert_ordering, ratio_in, ShapeError,
-};
+pub use shape::{assert_decreasing, assert_flattens, ratio_in, ShapeError};
 pub use table::Table;
-pub use tail::{ccdf, tail_report, TailReport};
+pub use tail::{tail_report, TailReport};

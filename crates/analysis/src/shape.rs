@@ -32,35 +32,6 @@ pub fn assert_decreasing(label: &str, values: &[f64]) -> Result<(), ShapeError> 
     Ok(())
 }
 
-/// Check that `values` is strictly increasing.
-pub fn assert_increasing(label: &str, values: &[f64]) -> Result<(), ShapeError> {
-    for (i, w) in values.windows(2).enumerate() {
-        if w[0] >= w[1] {
-            return Err(ShapeError(format!(
-                "{label}: expected increasing, but v[{i}]={} >= v[{}]={}",
-                w[0],
-                i + 1,
-                w[1]
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Check that labelled values appear in strictly descending order
-/// (`winner first`).
-pub fn assert_ordering(label: &str, ranked: &[(&str, f64)]) -> Result<(), ShapeError> {
-    for w in ranked.windows(2) {
-        if w[0].1 <= w[1].1 {
-            return Err(ShapeError(format!(
-                "{label}: expected {} ({}) > {} ({})",
-                w[0].0, w[0].1, w[1].0, w[1].1
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Check that `a / b` lies within `[lo, hi]` — "wins by roughly this
 /// factor".
 pub fn ratio_in(label: &str, a: f64, b: f64, lo: f64, hi: f64) -> Result<(), ShapeError> {
@@ -104,19 +75,6 @@ mod tests {
         assert!(assert_decreasing("d", &[3.0, 2.0, 1.0]).is_ok());
         let err = assert_decreasing("d", &[3.0, 3.0]).unwrap_err();
         assert!(err.to_string().contains("expected decreasing"));
-    }
-
-    #[test]
-    fn increasing_ok_and_err() {
-        assert!(assert_increasing("i", &[1.0, 2.0]).is_ok());
-        assert!(assert_increasing("i", &[2.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn ordering() {
-        assert!(assert_ordering("o", &[("A", 12.0), ("B", 9.0), ("C", 6.0)]).is_ok());
-        let err = assert_ordering("o", &[("A", 5.0), ("B", 9.0)]).unwrap_err();
-        assert!(err.to_string().contains("expected A"));
     }
 
     #[test]

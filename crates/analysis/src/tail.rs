@@ -4,8 +4,7 @@
 //! measurement that, across popular database engines under TPC-C,
 //! "the standard deviation was twice the mean" and "the 99th percentile
 //! was an order of magnitude greater than the mean". This module turns
-//! a latency sample set into exactly those headline statistics plus a
-//! CCDF for plotting.
+//! a latency sample set into exactly those headline statistics.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,28 +59,6 @@ pub fn tail_report(samples: &[f64]) -> Option<TailReport> {
     })
 }
 
-/// Complementary CDF at `points` logarithmically spaced quantile levels:
-/// returns `(latency, fraction_of_samples_strictly_above)` pairs, useful
-/// for log-log tail plots.
-pub fn ccdf(samples: &[f64], points: usize) -> Vec<(f64, f64)> {
-    if samples.is_empty() || points == 0 {
-        return Vec::new();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency"));
-    let n = sorted.len();
-    (0..points)
-        .map(|i| {
-            // Quantiles 0, …, 1 - 10^-k spaced towards the tail.
-            let q = 1.0 - 10f64.powf(-(i as f64) * 3.0 / (points.max(2) - 1) as f64);
-            let idx = ((n as f64 * q) as usize).min(n - 1);
-            let v = sorted[idx];
-            let above = sorted.iter().filter(|&&x| x > v).count() as f64 / n as f64;
-            (v, above)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,17 +92,5 @@ mod tests {
         let r = tail_report(&[5.0; 10]).unwrap();
         assert_eq!(r.std_over_mean, 0.0);
         assert_eq!(r.p99, 5.0);
-    }
-
-    #[test]
-    fn ccdf_is_monotone() {
-        let samples: Vec<f64> = (1..=1000).map(|i| (i as f64).powi(2)).collect();
-        let c = ccdf(&samples, 10);
-        assert!(!c.is_empty());
-        for w in c.windows(2) {
-            assert!(w[0].0 <= w[1].0, "latencies increase");
-            assert!(w[0].1 >= w[1].1, "fractions decrease");
-        }
-        assert!(ccdf(&[], 5).is_empty());
     }
 }

@@ -93,11 +93,6 @@ impl WebServer {
         }
     }
 
-    /// Names and mean per-request costs (ns) of the modelled functions.
-    pub fn inventory() -> &'static [(&'static str, u64, u64)] {
-        FUNCTIONS
-    }
-
     /// Process one request on `core`: every function runs once with
     /// ±25% deterministic jitter around its mean cost.
     pub fn process_request(&mut self, core: &mut Core) {
