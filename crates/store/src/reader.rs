@@ -4,22 +4,35 @@
 //! default; [`TraceReader::read_retained`] instead keeps the physical
 //! rows and reports precisely what was dropped.
 //!
-//! Every read goes through one chunk decoder. It decodes a chunk's
-//! columns into buffers kept across chunks; a column that is one RLE
-//! run covering the chunk stays a single value. It then checks the rows
-//! a column at a time (core ids, event indices, mark kinds, every row
-//! in or out of a read's window) and the ledger. Only then are rows
-//! built, and only the rows the read returns: a window read narrows a
-//! sorted TSC column by binary search, and tests each row of an
-//! unsorted one only when the window cuts it. One loop appends them
-//! straight into the caller's output, reserved once per chunk by the
-//! exact count, with the retained rows between two ledger anchors as
-//! one range and each elided row replayed (or reported) after its
-//! anchor. Once the buffers fit the largest chunk, a read allocates
-//! only what it returns. This file is a `hot-path-alloc` root in
-//! `lint.toml`.
+//! Every read goes through one chunk decoder. It fetches a chunk's bytes
+//! and decodes its columns into a slot, one buffer per column kept
+//! across chunks and calls; a column that is one RLE run covering the
+//! chunk stays a single value. It then checks the rows a column at a
+//! time (core ids, event indices, mark kinds, every row in or out of a
+//! read's window) and the ledger. Only then are rows built, and only the
+//! rows the read returns: a window read narrows a sorted TSC column by
+//! binary search, and tests each row of an unsorted one only when the
+//! window cuts it. Rows go straight into the caller's output, reserved
+//! once per chunk by the exact count: the retained rows between two
+//! ledger anchors are one range, and each elided row is replayed (or
+//! reported) after its anchor. A sample chunk whose `core`, `r13` and
+//! `event` columns are one run each has its ranges built by one loop
+//! over its `tsc` and `ip` values; any other layout, a field at a time.
+//!
+//! Window reads hand work on to the next window read. A chunk that a
+//! window read cut (it returned only some of the chunk's rows) keeps its
+//! slot, decoded and checked, and the next window read that overlaps it
+//! builds its rows from that slot instead of fetching and decoding it
+//! again. The carry is what one read cut, never more decoded bytes than
+//! that read returned, and is keyed by the chunk's absolute offset and
+//! footer entry; `read_bundle`, `read_segment` and `read_retained`
+//! neither use nor change it. Slots leaving the carry are reused, so
+//! once the buffers fit, a read allocates only what it returns. STORE.md
+//! ("Window reads") states the rule. This file is a `hot-path-alloc`
+//! root in `lint.toml`.
 
 use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 
 use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, TraceBundle, VirtAddr,
@@ -189,39 +202,59 @@ impl<R: Read + Seek> TraceReader<R> {
     /// is the "read without deserializing the whole file" path — on a
     /// narrow window most chunks are skipped from the footer alone.
     /// Bounds are plain u64 comparisons (a wrapping trace spans the
-    /// whole axis and defeats pruning, never correctness).
+    /// whole axis and defeats pruning, never correctness). A chunk the
+    /// previous window read cut is taken from the carry, not decoded
+    /// again; the rows and errors are those of a freshly opened reader.
     pub fn read_samples_in(&mut self, lo: u64, hi: u64) -> Result<Vec<PebsRecord>, StoreError> {
         let mut out = Vec::new();
-        for meta in &self.segments {
-            for c in &meta.footer.chunks {
-                if c.stream != STREAM_SAMPLES || c.rows == 0 {
-                    continue;
-                }
-                if c.tsc_max < lo || c.tsc_min > hi {
-                    continue;
-                }
-                let keep = Keep::Window(lo, hi);
-                self.decoder
-                    .samples(meta.start, c, &mut out, keep, Elided::Replay)?;
-            }
-        }
-        Ok(out)
+        let decoder = &mut self.decoder;
+        let read = self.segments.iter().try_for_each(|meta| {
+            meta.footer
+                .chunks
+                .iter()
+                .filter(|c| c.stream == STREAM_SAMPLES && c.rows > 0)
+                .filter(|c| c.tsc_max >= lo && c.tsc_min <= hi)
+                .try_for_each(|c| decoder.window(meta.start, c, (lo, hi), &mut out))
+        });
+        decoder.end_window(read.is_ok());
+        read.map(|()| out)
     }
 }
 
-/// The one chunk decoder, and every buffer it decodes into: the chunk's
-/// bytes, one column per field (samples use all five, marks the first
-/// four) and a dictionary column's entries. They are kept across chunks
-/// and calls, so once they fit the largest chunk a read allocates only
-/// what it returns.
+/// The one chunk decoder: the source, the slot it decodes each chunk
+/// into, a dictionary column's entries, and the window reads' carry.
+/// Every buffer is kept across chunks and calls, so once they fit the
+/// largest chunk a read allocates only what it returns.
 struct ChunkDecoder<R> {
     src: R,
+    /// The chunk being read.
+    slot: Slot,
+    dict: Vec<u64>,
+    /// The chunks the last window read cut, decoded and checked.
+    carry: Vec<Slot>,
+    /// The chunks the running window read has cut and keeps, and the
+    /// bytes they hold ([`Slot::held`]).
+    cut: Vec<Slot>,
+    cut_bytes: usize,
+    /// Slots whose buffers wait to be reused.
+    spare: Vec<Slot>,
+}
+
+/// One chunk's bytes and decoded columns: samples use all five, marks
+/// the first four.
+#[derive(Default)]
+struct Slot {
+    /// The chunk a carried slot holds: its absolute offset and footer
+    /// entry. A corrupt footer can name one extent twice with different
+    /// row counts, so the whole entry is the key.
+    key: Option<(u64, ChunkDesc)>,
     bytes: Vec<u8>,
     columns: [Vec<u64>; 5],
     /// Per column, the value of the one RLE run it is, if it is one:
     /// such a column is not filled out to a value per row.
     runs: [Option<u64>; 5],
-    dict: Vec<u64>,
+    /// Where a sample chunk's ledger starts in `bytes`.
+    ledger: usize,
 }
 
 /// Which of a chunk's rows a read keeps, by TSC.
@@ -279,27 +312,105 @@ impl Column<'_> {
     }
 }
 
+/// The event of a checked event index.
+fn hw_event(index: u64) -> HwEvent {
+    HwEvent::ALL
+        .get(index as usize)
+        .copied()
+        .unwrap_or(HwEvent::UopsRetired)
+}
+
+/// How a sample chunk's rows are built from its checked columns.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    columns: [Column<'a>; 5],
+    /// When `tsc` and `ip` hold a value per row and `core`, `r13` and
+    /// `event` are one run each: the two slices and a row carrying the
+    /// three runs.
+    runs: Option<(&'a [u64], &'a [u64], PebsRecord)>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(columns: [Column<'a>; 5]) -> Self {
+        use Column::{Run, Values};
+        let runs = match columns {
+            [Values(tsc), Values(ip), Run(core), Run(r13), Run(event)] => Some((
+                tsc,
+                ip,
+                PebsRecord {
+                    core: CoreId(core as u32),
+                    tsc: 0,
+                    ip: VirtAddr(0),
+                    r13,
+                    event: hw_event(event),
+                },
+            )),
+            _ => None,
+        };
+        Rows { columns, runs }
+    }
+
+    /// Row `i`, a field at a time.
+    fn row(self, i: usize) -> PebsRecord {
+        let [tsc, ip, core, r13, event] = self.columns;
+        PebsRecord {
+            core: CoreId(core.at(i) as u32),
+            tsc: tsc.at(i),
+            ip: VirtAddr(ip.at(i)),
+            r13: r13.at(i),
+            event: hw_event(event.at(i)),
+        }
+    }
+
+    /// Append rows `range` to `out`.
+    fn extend(self, out: &mut Vec<PebsRecord>, range: Range<usize>) {
+        match self.runs {
+            Some((tsc, ip, run)) => {
+                // An empty range may start past its end: no rows.
+                if let (Some(tsc), Some(ip)) = (tsc.get(range.clone()), ip.get(range)) {
+                    out.extend(tsc.iter().zip(ip).map(|(&tsc, &ip)| PebsRecord {
+                        tsc,
+                        ip: VirtAddr(ip),
+                        ..run
+                    }));
+                }
+            }
+            None => out.extend(range.map(|i| self.row(i))),
+        }
+    }
+}
+
+/// Absolute offset of chunk `c` of the segment at `seg_start`.
+fn chunk_at(seg_start: u64, c: &ChunkDesc) -> Result<u64, StoreError> {
+    seg_start
+        .checked_add(c.offset)
+        .ok_or(StoreError::Corrupt("chunk offset overflows"))
+}
+
 impl<R: Read + Seek> ChunkDecoder<R> {
     fn new(src: R) -> Self {
         ChunkDecoder {
             src,
-            bytes: Vec::new(),
-            columns: Default::default(),
-            runs: [None; 5],
+            slot: Slot::default(),
             dict: Vec::new(),
+            carry: Vec::new(),
+            cut: Vec::new(),
+            cut_bytes: 0,
+            spare: Vec::new(),
         }
     }
 
-    /// Seek + exact read of `len` bytes at absolute `offset` into
-    /// `self.bytes`.
+    /// Seek + exact read of `len` bytes at absolute `offset` into the
+    /// slot's bytes.
     fn read_at(&mut self, offset: u64, len: usize) -> Result<&[u8], StoreError> {
         self.src.seek(SeekFrom::Start(offset))?;
+        let bytes = &mut self.slot.bytes;
         // Every byte is overwritten by `read_exact` or the read fails.
-        self.bytes.resize(len, 0);
+        bytes.resize(len, 0);
         self.src
-            .read_exact(&mut self.bytes)
+            .read_exact(bytes)
             .map_err(|_| StoreError::Truncated("chunk or footer bytes"))?;
-        Ok(&self.bytes)
+        Ok(bytes)
     }
 
     /// Append every logical row of one segment to `out`, ledgers
@@ -315,33 +426,151 @@ impl<R: Read + Seek> ChunkDecoder<R> {
         Ok(())
     }
 
-    /// Fetch chunk `c` of the segment at `seg_start` and decode its first
-    /// `columns` columns, `rows` rows each; a column that is one RLE run
-    /// keeps only its value. Returns the position after the last column.
+    /// Fetch chunk `c` at absolute offset `at` into the slot and decode
+    /// its first `columns` columns, `rows` rows each; a column that is
+    /// one RLE run keeps only its value. Returns the position after the
+    /// last column.
     fn load(
         &mut self,
-        seg_start: u64,
+        at: u64,
         c: &ChunkDesc,
         columns: usize,
         rows: u64,
     ) -> Result<usize, StoreError> {
-        let offset = seg_start
-            .checked_add(c.offset)
-            .ok_or(StoreError::Corrupt("chunk offset overflows"))?;
-        self.read_at(offset, c.byte_len as usize)?;
+        self.read_at(at, c.byte_len as usize)?;
         if obs::recording() {
             obs::counter!("store.reader.bytes").add(c.byte_len);
         }
+        let slot = &mut self.slot;
         let mut pos = 0usize;
-        for (column, run) in self.columns.iter_mut().zip(&mut self.runs).take(columns) {
-            *run = decode_single_run(&self.bytes, &mut pos, rows as usize);
+        for (column, run) in slot.columns.iter_mut().zip(&mut slot.runs).take(columns) {
+            *run = decode_single_run(&slot.bytes, &mut pos, rows as usize);
             if run.is_none() {
-                decode_column_into(&self.bytes, &mut pos, rows as usize, column, &mut self.dict)?;
+                decode_column_into(&slot.bytes, &mut pos, rows as usize, column, &mut self.dict)?;
             }
         }
         Ok(pos)
     }
 
+    /// Load sample chunk `c` at absolute offset `at` into the slot and
+    /// check its rows; its ledger is checked as its rows are built.
+    fn load_samples(&mut self, at: u64, c: &ChunkDesc) -> Result<(), StoreError> {
+        self.slot.ledger = self.load(at, c, 5, c.retained)?;
+        let [_, _, core, _, event] = self.slot.columns();
+        check_rows(
+            c.retained as usize,
+            [
+                (core, u64::from(u32::MAX), "core id exceeds u32"),
+                (
+                    event,
+                    HwEvent::ALL.len() as u64 - 1,
+                    "hw event index out of range",
+                ),
+            ],
+        )
+    }
+
+    /// Decode sample chunk `c` and append the rows `keep` keeps to `out`
+    /// ([`Slot::samples`]).
+    fn samples(
+        &mut self,
+        seg_start: u64,
+        c: &ChunkDesc,
+        out: &mut Vec<PebsRecord>,
+        keep: Keep,
+        elided: Elided<'_>,
+    ) -> Result<(), StoreError> {
+        self.load_samples(chunk_at(seg_start, c)?, c)?;
+        self.slot.samples(c, out, keep, elided)
+    }
+
+    /// Append the rows of sample chunk `c` in `[lo, hi]` to `out`, ledger
+    /// replayed. The chunk comes from the carry when the last window
+    /// read cut it, and is fetched and decoded otherwise. When this read
+    /// cuts it, it is kept for the next one while everything kept so far
+    /// holds no more bytes than this read has returned.
+    fn window(
+        &mut self,
+        seg_start: u64,
+        c: &ChunkDesc,
+        (lo, hi): (u64, u64),
+        out: &mut Vec<PebsRecord>,
+    ) -> Result<(), StoreError> {
+        let at = chunk_at(seg_start, c)?;
+        let key = Some((at, *c));
+        match self.carry.iter().position(|s| s.key == key) {
+            Some(i) => {
+                let carried = self.carry.swap_remove(i);
+                self.spare.push(std::mem::replace(&mut self.slot, carried));
+            }
+            None => self.load_samples(at, c)?,
+        }
+        let before = out.len();
+        self.slot
+            .samples(c, out, Keep::Window(lo, hi), Elided::Replay)?;
+        let cut = ((out.len() - before) as u64) < c.rows;
+        let held = self.cut_bytes + self.slot.held();
+        if cut && held <= out.len() * std::mem::size_of::<PebsRecord>() {
+            self.cut_bytes = held;
+            self.slot.key = key;
+            let spare = self.spare.pop().unwrap_or_default();
+            self.cut.push(std::mem::replace(&mut self.slot, spare));
+        }
+        Ok(())
+    }
+
+    /// End a window read: what it cut and kept is the next read's carry,
+    /// unless it failed, and the last carry's slots are free again.
+    fn end_window(&mut self, ok: bool) {
+        self.spare.append(&mut self.carry);
+        if ok {
+            std::mem::swap(&mut self.carry, &mut self.cut);
+        } else {
+            self.spare.append(&mut self.cut);
+        }
+        self.cut_bytes = 0;
+    }
+
+    /// Decode mark chunk `c` and append its rows to `out`.
+    fn marks(
+        &mut self,
+        seg_start: u64,
+        c: &ChunkDesc,
+        out: &mut Vec<MarkRecord>,
+    ) -> Result<(), StoreError> {
+        let pos = self.load(chunk_at(seg_start, c)?, c, 4, c.rows)?;
+        if pos != self.slot.bytes.len() {
+            return Err(StoreError::Corrupt("trailing bytes after mark chunk"));
+        }
+        let rows = c.rows as usize;
+        let [tsc, core, item, kind, _] = self.slot.columns();
+        check_rows(
+            rows,
+            [
+                (core, u64::from(u32::MAX), "core id exceeds u32"),
+                (kind, 1, "unknown mark kind"),
+            ],
+        )?;
+        out.reserve(rows);
+        // Every core id and mark kind was checked above.
+        out.extend((0..rows).map(|i| MarkRecord {
+            core: CoreId(core.at(i) as u32),
+            tsc: tsc.at(i),
+            item: ItemId(item.at(i)),
+            kind: if kind.at(i) == 0 {
+                MarkKind::Start
+            } else {
+                MarkKind::End
+            },
+        }));
+        if obs::recording() {
+            obs::counter!("store.reader.marks").add(rows as u64);
+        }
+        Ok(())
+    }
+}
+
+impl Slot {
     /// The loaded chunk's columns, in file order.
     fn columns(&self) -> [Column<'_>; 5] {
         let mut out = [Column::Run(0); 5];
@@ -354,54 +583,39 @@ impl<R: Read + Seek> ChunkDecoder<R> {
         out
     }
 
-    /// Load sample chunk `c`, check its rows, its ledger and that
-    /// nothing trails it. Returns where the ledger starts and how many
-    /// elided rows `keep` keeps.
-    fn load_samples(
-        &mut self,
-        seg_start: u64,
-        c: &ChunkDesc,
-        keep: Keep,
-    ) -> Result<(usize, usize), StoreError> {
-        let ledger = self.load(seg_start, c, 5, c.retained)?;
-        let [tsc, _, core, _, event] = self.columns();
-        check_rows(
-            c.retained as usize,
-            [
-                (core, u64::from(u32::MAX), "core id exceeds u32"),
-                (
-                    event,
-                    HwEvent::ALL.len() as u64 - 1,
-                    "hw event index out of range",
-                ),
-            ],
-        )?;
-        let (end, kept) = Ledger::new(&self.bytes, ledger, c)?.check(tsc, keep)?;
-        if end != self.bytes.len() {
-            return Err(StoreError::Corrupt("trailing bytes after sample chunk"));
-        }
-        Ok((ledger, kept))
+    /// Bytes the loaded sample chunk holds: its encoded bytes and every
+    /// column not kept as one run.
+    fn held(&self) -> usize {
+        let values = self.columns.iter().zip(&self.runs);
+        self.bytes.len()
+            + values
+                .filter(|(_, run)| run.is_none())
+                .map(|(column, _)| column.len() * std::mem::size_of::<u64>())
+                .sum::<usize>()
     }
 
-    /// Decode sample chunk `c` and append the rows `keep` keeps to
-    /// `out`: its retained rows and, when `elided` says replay, each
-    /// elided row right after its retained anchor (TSCs chained through
-    /// the wrapping deltas). The retained rows between two anchors are
-    /// one range, appended by one `extend`; under a window, a sorted TSC
+    /// Check the ledger of the loaded sample chunk `c` and that nothing
+    /// trails it, then append the rows `keep` keeps to `out`: its
+    /// retained rows and, when `elided` says replay, each elided row
+    /// right after its retained anchor (TSCs chained through the
+    /// wrapping deltas). The retained rows between two anchors are one
+    /// range, appended by one `extend`; under a window, a sorted TSC
     /// column narrows the ranges by binary search, and an unsorted one
     /// that the window cuts is tested row by row. Only the rows appended
     /// are built, and `out` grows once, by their exact count.
     fn samples(
-        &mut self,
-        seg_start: u64,
+        &self,
         c: &ChunkDesc,
         out: &mut Vec<PebsRecord>,
         keep: Keep,
         mut elided: Elided<'_>,
     ) -> Result<(), StoreError> {
-        let (ledger_at, elided_kept) = self.load_samples(seg_start, c, keep)?;
         let rows = c.retained as usize;
         let [tsc, ip, core, r13, event] = self.columns();
+        let (end, elided_kept) = Ledger::new(&self.bytes, self.ledger, c)?.check(tsc, keep)?;
+        if end != self.bytes.len() {
+            return Err(StoreError::Corrupt("trailing bytes after sample chunk"));
+        }
         // The retained rows in `first..last` hold all `retained_kept`
         // rows the read keeps; `test` says whether each must still be
         // tested: only in an unsorted chunk that the window cuts.
@@ -425,19 +639,9 @@ impl<R: Read + Seek> ChunkDecoder<R> {
         };
         let replay = matches!(elided, Elided::Replay);
         out.reserve(retained_kept + if replay { elided_kept } else { 0 });
-        // Every core id and event index was checked above.
-        let row = |i: usize| PebsRecord {
-            core: CoreId(core.at(i) as u32),
-            tsc: tsc.at(i),
-            ip: VirtAddr(ip.at(i)),
-            r13: r13.at(i),
-            event: HwEvent::ALL
-                .get(event.at(i) as usize)
-                .copied()
-                .unwrap_or(HwEvent::UopsRetired),
-        };
+        let build = Rows::new([tsc, ip, core, r13, event]);
         let before = out.len();
-        let mut ledger = Ledger::new(&self.bytes, ledger_at, c)?;
+        let mut ledger = Ledger::new(&self.bytes, self.ledger, c)?;
         let mut replayed = c.retained;
         let mut from = 0usize;
         loop {
@@ -445,16 +649,16 @@ impl<R: Read + Seek> ChunkDecoder<R> {
             let to = group.map_or(rows, |(anchor, _)| anchor as usize + 1);
             let range = from.max(first)..to.min(last);
             if test {
-                out.extend(range.filter(|&i| keep.tsc(tsc.at(i))).map(row));
+                out.extend(range.filter(|&i| keep.tsc(tsc.at(i))).map(|i| build.row(i)));
             } else {
-                out.extend(range.map(row));
+                build.extend(out, range);
             }
             let Some((anchor, count)) = group else {
                 break;
             };
             match &mut elided {
                 Elided::Replay => {
-                    let mut elided_row = row(anchor as usize);
+                    let mut elided_row = build.row(anchor as usize);
                     for _ in 0..count {
                         elided_row.tsc = elided_row.tsc.wrapping_add(ledger.delta()?);
                         if keep.tsc(elided_row.tsc) {
@@ -479,44 +683,6 @@ impl<R: Read + Seek> ChunkDecoder<R> {
         }
         if obs::recording() {
             obs::counter!("store.reader.samples").add((out.len() - before) as u64);
-        }
-        Ok(())
-    }
-
-    /// Decode mark chunk `c` and append its rows to `out`.
-    fn marks(
-        &mut self,
-        seg_start: u64,
-        c: &ChunkDesc,
-        out: &mut Vec<MarkRecord>,
-    ) -> Result<(), StoreError> {
-        let pos = self.load(seg_start, c, 4, c.rows)?;
-        if pos != self.bytes.len() {
-            return Err(StoreError::Corrupt("trailing bytes after mark chunk"));
-        }
-        let rows = c.rows as usize;
-        let [tsc, core, item, kind, _] = self.columns();
-        check_rows(
-            rows,
-            [
-                (core, u64::from(u32::MAX), "core id exceeds u32"),
-                (kind, 1, "unknown mark kind"),
-            ],
-        )?;
-        out.reserve(rows);
-        // Every core id and mark kind was checked above.
-        out.extend((0..rows).map(|i| MarkRecord {
-            core: CoreId(core.at(i) as u32),
-            tsc: tsc.at(i),
-            item: ItemId(item.at(i)),
-            kind: if kind.at(i) == 0 {
-                MarkKind::Start
-            } else {
-                MarkKind::End
-            },
-        }));
-        if obs::recording() {
-            obs::counter!("store.reader.marks").add(rows as u64);
         }
         Ok(())
     }
@@ -696,7 +862,7 @@ mod tests {
         assert_eq!(stats.bytes, bytes.len() as u64);
 
         let before = counts();
-        let mut reader = TraceReader::open(Cursor::new(bytes)).unwrap();
+        let mut reader = TraceReader::open(Cursor::new(bytes.clone())).unwrap();
         assert_eq!(grown(before), [2, 0, 0, 0]);
         let chunk_bytes = |reader: &TraceReader<_>, lo: u64, hi: u64, marks: bool| -> u64 {
             reader
@@ -722,5 +888,24 @@ mod tests {
         assert_eq!((all.samples.len(), all.marks.len()), (600, 60));
         let all_bytes = chunk_bytes(&reader, 0, u64::MAX, true);
         assert_eq!(grown(before), [0, 600, 60, all_bytes]);
+
+        // The next window read takes the chunks the first one cut from
+        // the carry, which `read_bundle` left as it was: it fetches only
+        // the chunks that the first window did not overlap.
+        let mut fresh = TraceReader::open(Cursor::new(bytes)).unwrap();
+        let expect = fresh.read_samples_in(3_501, 4_200).unwrap();
+        let before = counts();
+        let next = reader.read_samples_in(3_501, 4_200).unwrap();
+        assert_eq!(next, expect);
+        let carried = reader
+            .segment_meta()
+            .iter()
+            .flat_map(|s| &s.footer.chunks)
+            .filter(|c| c.stream == STREAM_SAMPLES && c.tsc_min <= 3_500 && c.tsc_max >= 3_501)
+            .map(|c| c.byte_len)
+            .sum::<u64>();
+        assert!(carried > 0, "a chunk holds rows of both windows");
+        let next_bytes = chunk_bytes(&reader, 3_501, 4_200, false) - carried;
+        assert_eq!(grown(before), [0, next.len() as u64, 0, next_bytes]);
     }
 }

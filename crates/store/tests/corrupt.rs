@@ -12,6 +12,7 @@ use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, TraceBundle, VirtAddr,
 };
 use fluctrace_store::codec::{decode_column, TAG_RLE};
+use fluctrace_store::format::TAIL_MAGIC;
 use fluctrace_store::{write_bundle_to_vec, StoreConfig, StoreError, TraceReader};
 
 fn sample(core: u32, tsc: u64, ip: u64, r13: u64, event: HwEvent) -> PebsRecord {
@@ -360,6 +361,92 @@ fn every_malformed_input_returns_its_pinned_outcome() {
         actual.lines().count(),
         "golden and reader disagree on the number of outcome lines"
     );
+}
+
+/// Window reads carry the chunks they cut to the next window read. On
+/// every `^ 0xA5` and `^ 0x01` flip of the plain and the suppressed
+/// fixture, one reader driven through a fixed sequence of windows
+/// (adjacent, repeated, overlapping, empty, the full axis, [`NARROW`])
+/// answers each exactly as a freshly opened reader does: the same rows,
+/// or the same error.
+#[test]
+fn a_carrying_reader_answers_every_flip_like_a_fresh_one() {
+    const WINDOWS: [(u64, u64); 9] = [
+        (1_000, 1_150),
+        (1_151, 1_300),
+        (1_151, 1_300),
+        (1_200, 1_450),
+        (1_451, 1_800),
+        (1_300, 1_200),
+        (0, u64::MAX),
+        NARROW,
+        (1_240, 1_700),
+    ];
+    for config in [StoreConfig::default(), StoreConfig::suppressed(1 << 20)] {
+        let bytes = fixture_bytes(StoreConfig {
+            chunk_rows: 32,
+            ..config
+        });
+        for mask in [0xA5u8, 0x01] {
+            for i in 0..bytes.len() {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= mask;
+                let Ok(mut reused) = TraceReader::open(Cursor::new(mutated.clone())) else {
+                    continue;
+                };
+                for (lo, hi) in WINDOWS {
+                    let fresh = TraceReader::open(Cursor::new(mutated.clone()))
+                        .expect("opened once")
+                        .read_samples_in(lo, hi);
+                    assert_eq!(
+                        reused.read_samples_in(lo, hi),
+                        fresh,
+                        "suppress={} ^{mask:02x} at {i}, window {lo}..={hi}",
+                        config.suppress
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A footer that names one chunk's bytes twice, the second time with
+/// one row fewer and a TSC range of its own: a window over that range
+/// must fail as on a fresh reader even after a window read carried the
+/// chunk under its first entry. The carry is keyed by the whole footer
+/// entry, not the extent alone.
+#[test]
+fn a_footer_naming_one_extent_twice_shares_no_carried_decode() {
+    let bytes = fixture_bytes(StoreConfig {
+        chunk_rows: 32,
+        ..StoreConfig::default()
+    });
+    let mut footer = TraceReader::open(Cursor::new(bytes.clone()))
+        .expect("open fixture")
+        .segment_meta()[0]
+        .footer
+        .clone();
+    // Chunk 2 holds samples 64..96, TSCs 1 192..=1 285.
+    let mut twin = footer.chunks[2];
+    assert_eq!((twin.stream, twin.tsc_min, twin.tsc_max), (0, 1_192, 1_285));
+    twin.rows -= 1;
+    twin.retained -= 1;
+    (twin.tsc_min, twin.tsc_max) = (5_000, 5_000);
+    footer.chunks.push(twin);
+    let encoded = footer.encode();
+    let mut twinned = bytes[..footer.body_len as usize].to_vec();
+    twinned.extend_from_slice(&encoded);
+    twinned.extend_from_slice(&(encoded.len() as u64).to_le_bytes());
+    twinned.extend_from_slice(TAIL_MAGIC);
+
+    let mut reused = TraceReader::open(Cursor::new(twinned.clone())).expect("open twinned");
+    let cut = reused.read_samples_in(1_000, 1_250).expect("cuts chunk 2");
+    assert!(cut.iter().any(|r| r.tsc > 1_192) && cut.iter().all(|r| r.tsc <= 1_250));
+    let fresh = TraceReader::open(Cursor::new(twinned))
+        .expect("open twinned")
+        .read_samples_in(5_000, 5_000);
+    assert!(fresh.is_err(), "the twin entry is corrupt: {fresh:?}");
+    assert_eq!(reused.read_samples_in(5_000, 5_000), fresh);
 }
 
 #[test]

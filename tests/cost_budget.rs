@@ -12,11 +12,12 @@
 //! adopted into a shared tally when spawned (see [`online_worker`]).
 //! Window ingest, the exact cumulative table, the estimator, the
 //! detector, the series query, the table's JSON rendering, the store's
-//! `TraceWriter::append`, window read and `read_bundle`, and the
+//! `TraceWriter::append`, window reads and `read_bundle`, and the
 //! daemon's reply renders run on the calling thread, and integration is
 //! costed with one thread given explicitly (a pool worker's allocations
 //! would miss the tally), so every count is the same at every
-//! `FLUCTRACE_THREADS` setting.
+//! `FLUCTRACE_THREADS` setting. One case also gates a count of work
+//! exactly: the chunk bytes a store window read fetches.
 //!
 //! Run with `cargo test --test cost_budget -- --nocapture` to print the
 //! measured counts.
@@ -552,6 +553,78 @@ fn store_reads() -> ((f64, f64), (f64, f64)) {
     )
 }
 
+/// Samples per core of [`store_window_sweep`]'s file.
+const SWEEP_SAMPLES_PER_CORE: u64 = 640_000;
+
+/// `store.reader.bytes` per window read of [`store_window_sweep`].
+const SWEEP_FETCHED_PER_READ: f64 = 357_358.312_5;
+
+/// Window reads in `replay_acl`'s shape: a store file written from a
+/// `(core, tsc)`-sorted bundle of 3 cores × 640 000 samples 2 000–6 000
+/// cycles apart over 20 functions, untagged, in the default 16 384-row
+/// chunks (two of which straddle two cores, so their footer TSC range is
+/// nearly the whole trace). One reader reads the 16 adjacent windows
+/// that tile the TSC span, in order, twice. Returns the chunk bytes
+/// fetched (`store.reader.bytes`) and the rows returned, summed over the
+/// 32 reads, and the second round's `(allocations, bytes)` per read.
+fn store_window_sweep() -> (u64, u64, (f64, f64)) {
+    const WINDOWS: u64 = 16;
+    let mut bundle = TraceBundle::default();
+    let mut rng = Rng::new(20180521);
+    // Every core starts after tsc 1 000; `last` is the largest tsc.
+    let mut last = 0;
+    for core in 0..3 {
+        let mut tsc = 1_000 + u64::from(core) * 13;
+        for _ in 0..SWEEP_SAMPLES_PER_CORE {
+            tsc += rng.gen_range(2_000, 6_000);
+            bundle.samples.push(PebsRecord {
+                core: CoreId(core),
+                tsc,
+                ip: VirtAddr(0x4000 + rng.gen_below(20) * 64),
+                r13: NO_TAG,
+                event: HwEvent::UopsRetired,
+            });
+        }
+        last = last.max(tsc);
+    }
+    bundle.sort();
+    let (bytes, _) =
+        write_bundle_to_vec(&bundle, StoreConfig::default()).expect("write the store file");
+    let mut reader = TraceReader::open(std::io::Cursor::new(bytes)).expect("open the store file");
+    let width = (last - 1_000) / WINDOWS + 1;
+    let fetched = fluctrace_obs::registry().counter("store.reader.bytes");
+    let before = fetched.total();
+    let (mut rows, mut allocs, mut alloc_bytes) = (0, 0, 0);
+    for round in 0..2 {
+        for w in 0..WINDOWS {
+            let lo = 1_000 + w * width;
+            let hi = lo + width - 1;
+            let (read, a, b) = counted(|| reader.read_samples_in(lo, hi));
+            let read = read.expect("window read");
+            let expect = bundle.samples.iter().filter(|s| s.tsc >= lo && s.tsc <= hi);
+            assert!(read.iter().eq(expect), "window {w} returned other rows");
+            rows += read.len() as u64;
+            if round == 1 {
+                allocs += a;
+                alloc_bytes += b;
+            }
+        }
+    }
+    assert_eq!(
+        rows,
+        2 * bundle.samples.len() as u64,
+        "the windows tile the trace"
+    );
+    (
+        fetched.total() - before,
+        rows,
+        (
+            allocs as f64 / WINDOWS as f64,
+            alloc_bytes as f64 / WINDOWS as f64,
+        ),
+    )
+}
+
 /// `TraceWriter::append` in `capture_spill`'s shape: `TrafficGen`
 /// batches of 4 interleaved cores × 64 items × 24 samples over 384
 /// functions, in the default 16 384-row chunks, into a sink that keeps
@@ -763,6 +836,27 @@ fn cost_budgets_hold() {
         bytes: 99.264,
     }
     .check(bundle_allocs, bundle_bytes, &mut failures);
+    let (fetched, swept_rows, (sweep_allocs, sweep_bytes)) = store_window_sweep();
+    // Chunk bytes fetched are a count of work, exact on any machine:
+    // gated with no slack either way.
+    let fetched_per_read = fetched as f64 / 32.0;
+    println!(
+        "store window sweep   {fetched_per_read:.5} chunk bytes fetched per read (exactly {SWEEP_FETCHED_PER_READ:.5}), {} rows per read",
+        swept_rows / 32
+    );
+    if fetched_per_read != SWEEP_FETCHED_PER_READ {
+        failures.push(format!(
+            "store window sweep: {fetched_per_read} chunk bytes fetched per read, not exactly {SWEEP_FETCHED_PER_READ}"
+        ));
+    }
+    Budget {
+        case: "store window sweep",
+        unit: "read",
+        allocs: 4.875,
+        byte_unit: "read",
+        bytes: 11_029_392.0,
+    }
+    .check(sweep_allocs, sweep_bytes, &mut failures);
     let (append_allocs, append_bytes) = writer_appends();
     Budget {
         case: "store TraceWriter append",
